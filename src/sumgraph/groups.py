@@ -128,6 +128,10 @@ class Tag:
     def from_json(data: dict | None) -> "Tag | None":
         if data is None:
             return None
+        if not isinstance(data, dict) or "kind" not in data:
+            raise BadParameterError(f"a tag must be an object with a 'kind', got {data!r}")
+        if not isinstance(data.get("parts", ()), (list, tuple)):
+            raise BadParameterError(f"tag parts must be a list, got {data['parts']!r}")
         return Tag(
             kind=data["kind"],
             param=data.get("param"),
@@ -319,20 +323,58 @@ class AbelianType:
 # ---------------------------------------------------------------------------
 
 
-def _check_associative(table: np.ndarray) -> None:
-    """Full O(n^3) scan, chunked to bound memory at a few million cells."""
+def _check_order(n: int) -> None:
+    """Reject an order above :func:`max_supported_order` before any table exists."""
+    cap = max_supported_order()
+    if n > cap:
+        raise BadParameterError(f"order {n} exceeds the supported cap {cap}")
+
+
+def _check_associative(table: np.ndarray, identity: int) -> None:
+    """Light's associativity test, O(n^2 log n) on a group table.
+
+    An element ``a`` passes when ``(x*a)*y == x*(a*y)`` for all x and y.
+    Products of passing elements pass too, so only a generating set needs
+    checking: pick the least element not yet reached, check it with two
+    n x n gathers, then close the reached set under right multiplication by
+    the checked elements.  The identity passes because it is a two-sided
+    identity.  A group needs at most log2(n) checks; a table that is not
+    associative can need more, but never more than n.  The reached set is
+    grown in plain Python over the checked columns: array BFS rounds cost
+    more than the whole check at the small orders most tables have.
+    """
     n = table.shape[0]
-    chunk = max(1, (1 << 22) // max(1, n * n))
-    for start in range(0, n, chunk):
-        block = table[start : start + chunk]
-        lhs = table[block, :]  # lhs[i,j,k] = (x_i x_j) x_k
-        rhs = block[:, table]  # rhs[i,j,k] = x_i (x_j x_k)
+    reached = [False] * n
+    reached[identity] = True
+    members = [identity]
+    columns: list[list[int]] = []  # columns[k][x] = x * (k-th checked element)
+    a = 0
+    while len(members) < n:
+        while reached[a]:
+            a += 1
+        lhs = table[table[:, a], :]  # lhs[x, y] = (x*a)*y
+        rhs = table[:, table[a, :]]  # rhs[x, y] = x*(a*y)
         if not np.array_equal(lhs, rhs):
-            i, j, k = (int(v) for v in np.argwhere(lhs != rhs)[0])
+            x, y = (int(v) for v in np.argwhere(lhs != rhs)[0])
             raise NotAssociativeError(
-                f"associativity fails at ({start + i}, {j}, {k}): "
-                f"({start + i}*{j})*{k} != {start + i}*({j}*{k})"
+                f"associativity fails at ({x}, {a}, {y}): "
+                f"({x}*{a})*{y} != {x}*({a}*{y})"
             )
+        column = table[:, a].tolist()
+        columns.append(column)
+        fresh = []
+        for r in members:
+            p = column[r]
+            if not reached[p]:
+                reached[p] = True
+                fresh.append(p)
+        for r in fresh:  # grows while iterated: new elements times every column
+            for col in columns:
+                p = col[r]
+                if not reached[p]:
+                    reached[p] = True
+                    fresh.append(p)
+        members.extend(fresh)
 
 
 def group_from_cayley_table(
@@ -342,19 +384,20 @@ def group_from_cayley_table(
 ) -> Group:
     """Validate a multiplication table and wrap it in a :class:`Group`.
 
-    Checks, in order: shape and entry range, the Latin-square property,
-    a two-sided identity, two-sided inverses, and associativity (full
-    triple scan, vectorised).  Each failure names the offending indices.
+    Checks, in order: shape, order cap and entry range, the Latin-square
+    property, a two-sided identity, two-sided inverses, and associativity
+    (Light's test, O(n^2 log n)).  Each failure names the offending indices.
     """
-    arr = np.asarray(table, dtype=np.int64)
+    try:
+        arr = np.asarray(table, dtype=np.int64)
+    except (TypeError, ValueError, OverflowError) as exc:
+        raise BadParameterError(f"table must be a square array of integers: {exc}") from None
     if arr.ndim != 2 or arr.shape[0] != arr.shape[1]:
         raise BadParameterError(f"table must be square, got shape {arr.shape}")
     n = arr.shape[0]
     if n == 0:
         raise BadParameterError("a group has at least one element")
-    cap = max_supported_order()
-    if n > cap:
-        raise BadParameterError(f"order {n} exceeds the supported cap {cap}")
+    _check_order(n)
     if arr.min() < 0 or arr.max() >= n:
         raise BadParameterError(f"table entries must lie in 0..{n - 1}")
 
@@ -376,19 +419,26 @@ def group_from_cayley_table(
         g = int(np.argmin(arr[inv, expect] == e))
         raise NoInverseError(f"element {g} has no two-sided inverse")
 
-    _check_associative(arr)
+    _check_associative(arr, e)
 
     if labels is None:
         labels = tuple(str(i) for i in range(n))
     else:
-        labels = tuple(str(x) for x in labels)
+        try:
+            labels = tuple(str(x) for x in labels)
+        except TypeError:
+            kind = type(labels).__name__
+            raise BadParameterError(f"labels must be a sequence, got {kind}") from None
         if len(labels) != n:
             raise BadParameterError(f"expected {n} labels, got {len(labels)}")
     return Group(arr, labels, tag if tag is not None else GENERIC, e, tuple(int(v) for v in inv))
 
 
 def group_from_json(data: dict) -> Group:
-    """Inverse of :meth:`Group.to_json_dict`."""
+    """Inverse of :meth:`Group.to_json_dict`; malformed input raises
+    :class:`BadParameterError`."""
+    if not isinstance(data, dict) or "table" not in data:
+        raise BadParameterError("group JSON must be an object with a 'table' key")
     return group_from_cayley_table(
         data["table"], data.get("labels"), Tag.from_json(data.get("tag"))
     )
@@ -403,6 +453,7 @@ def cyclic(n: int) -> Group:
     """The cyclic group Z_n on ``0..n-1`` under addition mod n."""
     if n < 1:
         raise BadParameterError(f"cyclic order must be >= 1, got {n}")
+    _check_order(n)
     i = np.arange(n)
     table = (i[:, None] + i[None, :]) % n
     return group_from_cayley_table(table, tag=Tag("cyclic", n))
@@ -420,19 +471,12 @@ def dihedral(n: int) -> Group:
     if n < 3:
         raise BadParameterError(f"dihedral parameter must be >= 3, got {n}")
     size = 2 * n
-    table = np.empty((size, size), dtype=np.int64)
-    for x in range(size):
-        i, xf = x % n, x >= n
-        for y in range(size):
-            j, yf = y % n, y >= n
-            if not xf and not yf:
-                table[x, y] = (i + j) % n
-            elif not xf and yf:
-                table[x, y] = n + (i + j) % n
-            elif xf and not yf:
-                table[x, y] = n + (i - j) % n
-            else:
-                table[x, y] = (i - j) % n
+    _check_order(size)
+    x = np.arange(size)
+    i, flip = x % n, x >= n
+    # a^i a^j = a^(i+j), a^i b a^j = a^(i-j) b: a flip on the left negates j
+    rot = (i[:, None] + np.where(flip, -1, 1)[:, None] * i[None, :]) % n
+    table = rot + n * (flip[:, None] ^ flip[None, :])
     labels = [_power_label(i, "") for i in range(n)] + [_power_label(i, "b") for i in range(n)]
     return group_from_cayley_table(table, labels, Tag("dihedral", n))
 
@@ -447,25 +491,15 @@ def dicyclic(n: int) -> Group:
         raise BadParameterError(f"dicyclic parameter must be >= 2, got {n}")
     m = 2 * n
     size = 4 * n
-
-    def b_index(exp: int) -> int:
-        return m + (exp - 1) % m
-
-    table = np.empty((size, size), dtype=np.int64)
-    for x in range(size):
-        xf = x >= m
-        i = (x % m + 1) % m if xf else x
-        for y in range(size):
-            yf = y >= m
-            j = (y % m + 1) % m if yf else y
-            if not xf and not yf:
-                table[x, y] = (i + j) % m
-            elif not xf and yf:
-                table[x, y] = b_index(i + j)
-            elif xf and not yf:
-                table[x, y] = b_index(i - j)
-            else:
-                table[x, y] = (i - j + n) % m
+    _check_order(size)
+    x = np.arange(size)
+    flip = x >= m
+    i = np.where(flip, (x + 1) % m, x)  # exponent of a; index 2n + i is a^(i+1) b
+    xf, yf = flip[:, None], flip[None, :]
+    k = np.where(xf, i[:, None] - i[None, :], i[:, None] + i[None, :])
+    # one flip: a^k b sits at index 2n + k - 1; two flips: b^2 = a^n
+    shift = np.where(xf & yf, n, np.where(xf ^ yf, -1, 0))
+    table = (k + shift) % m + m * (xf ^ yf)
     labels = [_power_label(i, "") for i in range(m)]
     labels += [_power_label((i + 1) % m, "b") for i in range(m)]
     return group_from_cayley_table(table, labels, Tag("dicyclic", n))
@@ -509,9 +543,7 @@ def direct_product(*factors: Group) -> Group:
         return factors[0]
     sizes = [g.order for g in factors]
     n = math.prod(sizes)
-    cap = max_supported_order()
-    if n > cap:
-        raise BadParameterError(f"product order {n} exceeds the supported cap {cap}")
+    _check_order(n)
 
     strides = [math.prod(sizes[k + 1 :]) for k in range(len(sizes))]
     table = np.zeros((n, n), dtype=np.int64)

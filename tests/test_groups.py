@@ -3,6 +3,8 @@
 import math
 import os
 import random
+import re
+import tracemalloc
 
 import numpy as np
 import pytest
@@ -46,6 +48,67 @@ from sumgraph import (
 )
 
 from helpers import sweep_groups
+
+
+def _full_scan_violation(table):
+    """Reference associativity check: the first (x, y, z) with
+    (x*y)*z != x*(y*z) over all n^3 triples, or None."""
+    t = np.asarray(table, dtype=np.int64)
+    bad = np.argwhere(t[t, :] != t[:, t])  # [x, y, z]: (x*y)*z vs x*(y*z)
+    return tuple(int(v) for v in bad[0]) if len(bad) else None
+
+
+def _power(i, suffix):
+    if i == 0:
+        return suffix or "e"
+    return ("a" if i == 1 else f"a^{i}") + suffix
+
+
+def _dihedral_loop(n):
+    """Reference per-cell construction of the dihedral table and labels."""
+    size = 2 * n
+    table = np.empty((size, size), dtype=np.int64)
+    for x in range(size):
+        i, xf = x % n, x >= n
+        for y in range(size):
+            j, yf = y % n, y >= n
+            if not xf and not yf:
+                table[x, y] = (i + j) % n
+            elif not xf and yf:
+                table[x, y] = n + (i + j) % n
+            elif xf and not yf:
+                table[x, y] = n + (i - j) % n
+            else:
+                table[x, y] = (i - j) % n
+    labels = [_power(i, "") for i in range(n)] + [_power(i, "b") for i in range(n)]
+    return table, tuple(labels)
+
+
+def _dicyclic_loop(n):
+    """Reference per-cell construction of the dicyclic table and labels."""
+    m = 2 * n
+    size = 4 * n
+
+    def b_index(exp):
+        return m + (exp - 1) % m
+
+    table = np.empty((size, size), dtype=np.int64)
+    for x in range(size):
+        xf = x >= m
+        i = (x % m + 1) % m if xf else x
+        for y in range(size):
+            yf = y >= m
+            j = (y % m + 1) % m if yf else y
+            if not xf and not yf:
+                table[x, y] = (i + j) % m
+            elif not xf and yf:
+                table[x, y] = b_index(i + j)
+            elif xf and not yf:
+                table[x, y] = b_index(i - j)
+            else:
+                table[x, y] = (i - j + n) % m
+    labels = [_power(i, "") for i in range(m)] + [_power((i + 1) % m, "b") for i in range(m)]
+    return table, tuple(labels)
 
 
 def test_cyclic_is_modular_addition():
@@ -168,6 +231,89 @@ def test_rejects_non_associative_table():
         group_from_cayley_table(table)
     message = str(exc.value)
     assert "(" in message and "," in message  # names the violating triple
+
+
+def _intercalate_swaps(table):
+    """Every table obtained by swapping one 2x2 intercalate of ``table``
+    that keeps index 0 a two-sided identity and every inverse two-sided."""
+    n = len(table)
+    for r1 in range(n):
+        for r2 in range(r1 + 1, n):
+            for c1 in range(n):
+                for c2 in range(c1 + 1, n):
+                    if table[r1][c1] != table[r2][c2] or table[r1][c2] != table[r2][c1]:
+                        continue
+                    t = [row[:] for row in table]
+                    t[r1][c1], t[r1][c2] = t[r1][c2], t[r1][c1]
+                    t[r2][c1], t[r2][c2] = t[r2][c2], t[r2][c1]
+                    if any(t[0][x] != x or t[x][0] != x for x in range(n)):
+                        continue
+                    if any(t[t[x].index(0)][x] != 0 for x in range(n)):
+                        continue
+                    yield t
+
+
+def test_light_test_agrees_with_full_scan_on_intercalate_swaps():
+    swaps = 0
+    for G in (cyclic(6), cyclic(12), dihedral(6), quaternion(),
+              direct_product(cyclic(2), cyclic(6))):
+        for t in _intercalate_swaps(G.table.tolist()):
+            swaps += 1
+            if _full_scan_violation(t) is None:
+                assert group_from_cayley_table(t).order == G.order
+                continue
+            with pytest.raises(NotAssociativeError) as exc:
+                group_from_cayley_table(t)
+            triple = re.search(r"\((\d+), (\d+), (\d+)\)", str(exc.value))
+            x, a, y = (int(v) for v in triple.groups())
+            assert t[t[x][a]][y] != t[x][t[a][y]]
+    assert swaps > 100
+
+
+def test_vectorised_constructors_match_loops():
+    cases = [(dihedral, _dihedral_loop, n) for n in range(3, 65)] + [
+        (dicyclic, _dicyclic_loop, n) for n in range(2, 33)
+    ]
+    cases += [(dihedral, _dihedral_loop, 128), (dihedral, _dihedral_loop, 256),
+              (dicyclic, _dicyclic_loop, 64), (dicyclic, _dicyclic_loop, 128)]
+    for build, reference, n in cases:
+        G = build(n)
+        table, labels = reference(n)
+        assert np.array_equal(G.table, table), (build.__name__, n)
+        assert G.labels == labels, (build.__name__, n)
+
+
+def test_order_cap_is_checked_before_allocation(monkeypatch):
+    monkeypatch.delenv("SUMGRAPH_MAX_ORDER", raising=False)
+    for build, param in ((cyclic, 2000), (dihedral, 1000), (dicyclic, 500)):
+        tracemalloc.start()
+        try:
+            with pytest.raises(BadParameterError, match="exceeds the supported cap"):
+                build(param)
+            _, peak = tracemalloc.get_traced_memory()
+        finally:
+            tracemalloc.stop()
+        assert peak < 1 << 20, (build.__name__, peak)
+
+
+@pytest.mark.parametrize(
+    "data",
+    [
+        {},
+        {"table": [[0]], "tag": {"param": 1}},
+        {"table": [[0]], "tag": "cyclic"},
+        {"table": [[0]], "tag": {"kind": "product", "parts": 5}},
+        {"table": [[0, 1], [1]]},
+        {"table": [[0]], "labels": 7},
+        [[0]],
+        None,
+    ],
+    ids=["empty", "tag-without-kind", "tag-not-object", "tag-parts-not-list",
+         "ragged-table", "labels-not-list", "list", "none"],
+)
+def test_group_from_json_rejects_malformed_input(data):
+    with pytest.raises(BadParameterError):
+        group_from_json(data)
 
 
 def test_rejects_out_of_range_entries():
