@@ -18,10 +18,12 @@ freely between threads.
 
 from __future__ import annotations
 
+import itertools
 import math
+import operator
 import os
 from dataclasses import dataclass
-from functools import cached_property, reduce
+from functools import cached_property
 from typing import Iterable, Sequence
 
 import numpy as np
@@ -225,6 +227,34 @@ class Group:
     def abelian(self) -> bool:
         return bool(np.array_equal(self.table, self.table.T))
 
+    # -- lattices, computed on first use by the module functions ---------
+
+    @cached_property
+    def _classes(self) -> tuple[tuple[int, ...], ...]:
+        inv_col = np.fromiter(self.inverses, dtype=np.int64)
+        all_idx = np.arange(self.order)
+        seen = np.zeros(self.order, dtype=bool)
+        classes = []
+        for g in range(self.order):
+            if seen[g]:
+                continue
+            conj = self.table[self.table[inv_col, g], all_idx]  # inv(x) * g * x for all x
+            orbit = np.unique(conj)
+            seen[orbit] = True
+            classes.append(tuple(int(v) for v in orbit))
+        return tuple(classes)
+
+    @cached_property
+    def _normal_subgroups(self) -> tuple["Subgroup", ...]:
+        members = _lattice(self, conjugacy_classes(self))
+        return tuple(_mark_normal(Subgroup(self, ms), True) for ms in members)
+
+    @cached_property
+    def _all_subgroups(self) -> tuple["Subgroup", ...]:
+        if self.abelian:
+            return tuple(normal_subgroups(self))
+        return tuple(Subgroup(self, ms) for ms in _lattice(self, ([g] for g in range(self.order))))
+
     def to_json_dict(self) -> dict:
         return {
             "order": self.order,
@@ -330,6 +360,63 @@ def _check_order(n: int) -> None:
         raise BadParameterError(f"order {n} exceeds the supported cap {cap}")
 
 
+class _Closure:
+    """A subgroup grown from generators by breadth-first search over the
+    Cayley graph.
+
+    ``members`` (marked in ``reached``) is closed under right multiplication
+    by every generator added so far.  :meth:`add` skips a generator that is
+    already reached; otherwise it multiplies every member by the new
+    generator and every new element by all generators.  A generator's
+    column ``x -> x*g`` is read once as a plain list, so the cost is
+    O(n*|gens| + |H|*|gens|).  In a finite group the closure under right
+    multiplication is the generated subgroup, since inverses are powers.
+    """
+
+    __slots__ = ("table", "reached", "members", "gens", "columns")
+
+    def __init__(self, table: np.ndarray, identity: int):
+        self.table = table
+        self.reached = bytearray(table.shape[0])
+        self.reached[identity] = 1
+        self.members = [identity]
+        self.gens: list[int] = []
+        self.columns: list[list[int]] = []  # columns[k][x] = x * gens[k]
+
+    def copy(self) -> "_Closure":
+        other = object.__new__(_Closure)
+        other.table = self.table
+        other.reached = self.reached[:]
+        other.members = self.members[:]
+        other.gens = self.gens[:]
+        other.columns = self.columns[:]
+        return other
+
+    def add(self, g: int, column: list[int] | None = None) -> None:
+        """Close under one more generator ``g``, whose column may be given."""
+        reached = self.reached
+        if reached[g]:
+            return
+        if column is None:
+            column = self.table[:, g].tolist()
+        self.gens.append(g)
+        self.columns.append(column)
+        columns = self.columns
+        fresh = []
+        for r in self.members:
+            p = column[r]
+            if not reached[p]:
+                reached[p] = 1
+                fresh.append(p)
+        for r in fresh:  # grows while iterated: new elements times every generator
+            for col in columns:
+                p = col[r]
+                if not reached[p]:
+                    reached[p] = 1
+                    fresh.append(p)
+        self.members.extend(fresh)
+
+
 def _check_associative(table: np.ndarray, identity: int) -> None:
     """Light's associativity test, O(n^2 log n) on a group table.
 
@@ -340,17 +427,14 @@ def _check_associative(table: np.ndarray, identity: int) -> None:
     the checked elements.  The identity passes because it is a two-sided
     identity.  A group needs at most log2(n) checks; a table that is not
     associative can need more, but never more than n.  The reached set is
-    grown in plain Python over the checked columns: array BFS rounds cost
-    more than the whole check at the small orders most tables have.
+    grown by :class:`_Closure` in plain Python: array BFS rounds cost more
+    than the whole check at the small orders most tables have.
     """
     n = table.shape[0]
-    reached = [False] * n
-    reached[identity] = True
-    members = [identity]
-    columns: list[list[int]] = []  # columns[k][x] = x * (k-th checked element)
+    closure = _Closure(table, identity)
     a = 0
-    while len(members) < n:
-        while reached[a]:
+    while len(closure.members) < n:
+        while closure.reached[a]:
             a += 1
         lhs = table[table[:, a], :]  # lhs[x, y] = (x*a)*y
         rhs = table[:, table[a, :]]  # rhs[x, y] = x*(a*y)
@@ -360,21 +444,7 @@ def _check_associative(table: np.ndarray, identity: int) -> None:
                 f"associativity fails at ({x}, {a}, {y}): "
                 f"({x}*{a})*{y} != {x}*({a}*{y})"
             )
-        column = table[:, a].tolist()
-        columns.append(column)
-        fresh = []
-        for r in members:
-            p = column[r]
-            if not reached[p]:
-                reached[p] = True
-                fresh.append(p)
-        for r in fresh:  # grows while iterated: new elements times every column
-            for col in columns:
-                p = col[r]
-                if not reached[p]:
-                    reached[p] = True
-                    fresh.append(p)
-        members.extend(fresh)
+        closure.add(a)
 
 
 def group_from_cayley_table(
@@ -561,14 +631,28 @@ def direct_product(*factors: Group) -> Group:
 
 
 def abelian(factor_orders: Sequence[int]) -> Group:
-    """Direct product of cyclic groups of the given orders."""
+    """Direct product of cyclic groups of the given orders.
+
+    The table is built in one mixed-radix pass, one digit per factor, and
+    validated once; table, labels and tag equal those of
+    ``direct_product(*(cyclic(f) for f in factor_orders))``.
+    """
     if any(f < 1 for f in factor_orders):
         raise BadParameterError(f"cyclic factor orders must be >= 1: {factor_orders}")
     if not factor_orders:
         return cyclic(1)
     if len(factor_orders) == 1:
         return cyclic(factor_orders[0])
-    return direct_product(*(cyclic(f) for f in factor_orders))
+    _check_order(math.prod(factor_orders))
+    table = np.zeros((1, 1), dtype=np.int64)
+    for f in factor_orders:  # append one mixed-radix digit: x -> x*f + d
+        d = np.arange(f)
+        digit = (d[:, None] + d[None, :]) % f
+        m = table.shape[0]
+        table = (table[:, None, :, None] * f + digit[None, :, None, :]).reshape(m * f, m * f)
+    labels = ["(" + ",".join(map(str, ds)) + ")" for ds in itertools.product(*map(range, factor_orders))]
+    tag = Tag("product", parts=tuple(Tag("cyclic", f) for f in factor_orders))
+    return group_from_cayley_table(table, labels, tag)
 
 
 def elementary_abelian_2(t: int) -> Group:
@@ -606,21 +690,7 @@ def is_abelian(G: Group) -> bool:
 
 def conjugacy_classes(G: Group) -> tuple[tuple[int, ...], ...]:
     """Conjugacy classes, each sorted, ordered by minimal member."""
-    if "_classes" not in G.__dict__:
-        n = G.order
-        inv_col = np.fromiter(G.inverses, dtype=np.int64)
-        all_idx = np.arange(n)
-        seen = np.zeros(n, dtype=bool)
-        classes = []
-        for g in range(n):
-            if seen[g]:
-                continue
-            conj = G.table[G.table[inv_col, g], all_idx]  # inv(x) * g * x for all x
-            orbit = np.unique(conj)
-            seen[orbit] = True
-            classes.append(tuple(int(v) for v in orbit))
-        G.__dict__["_classes"] = tuple(classes)
-    return G.__dict__["_classes"]
+    return G._classes
 
 
 def subgroup(G: Group, members: Iterable[int]) -> Subgroup:
@@ -628,24 +698,18 @@ def subgroup(G: Group, members: Iterable[int]) -> Subgroup:
     return Subgroup(G, members)
 
 
-def _closure(table: np.ndarray, seed: Iterable[int]) -> frozenset[int]:
-    """Smallest product-closed superset of ``seed`` (a subgroup if e is in it)."""
-    idx = np.unique(np.fromiter(seed, dtype=np.int64))
-    while True:
-        prods = table[np.ix_(idx, idx)].ravel()
-        merged = np.union1d(idx, prods)
-        if merged.size == idx.size:
-            return frozenset(int(v) for v in idx)
-        idx = merged
-
-
 def subgroup_generated(G: Group, generators: Iterable[int]) -> Subgroup:
-    """The subgroup generated by the given elements."""
-    gens = list(generators)
-    for g in gens:
+    """The subgroup generated by the given elements (indices into G)."""
+    closure = _Closure(G.table, G.identity)
+    for g in generators:
+        try:
+            g = operator.index(g)
+        except TypeError:
+            raise BadParameterError(f"generator {g!r} is not an element index") from None
         if not 0 <= g < G.order:
             raise BadParameterError(f"generator {g} out of range 0..{G.order - 1}")
-    return Subgroup(G, _closure(G.table, gens + [G.identity]))
+        closure.add(g)
+    return Subgroup(G, closure.members)
 
 
 def trivial_subgroup(G: Group) -> Subgroup:
@@ -661,56 +725,72 @@ def _mark_normal(sub: Subgroup, flag: bool) -> Subgroup:
     return sub
 
 
+def _lattice(G: Group, seeds: Iterable[Iterable[int]]) -> list[list[int]]:
+    """Every join of the subgroups generated by ``seeds`` (the atoms), as
+    sorted member lists ordered by (order, members).
+
+    Each atom is closed once and atoms are deduplicated.  Starting from
+    {e}, every subgroup found is joined with every atom it does not
+    contain, by a BFS from its generators plus the atom's; joins are
+    deduplicated by their reached set.  Every join of atoms arises as such
+    a chain, so the fixed point is complete.  The cost is about
+    (#found x #atoms) joins of O(|join| * |gens|) each.
+    """
+    atoms: dict[bytes, _Closure] = {}
+    for seed in seeds:
+        atom = _Closure(G.table, G.identity)
+        for g in seed:
+            atom.add(g)
+        atoms.setdefault(bytes(atom.reached), atom)
+    trivial = _Closure(G.table, G.identity)
+    found = {bytes(trivial.reached): trivial}
+    queue = [trivial]
+    while queue:
+        base = queue.pop()
+        reached = base.reached
+        for atom in atoms.values():
+            if all(reached[g] for g in atom.gens):
+                continue
+            join = base.copy()
+            for g, column in zip(atom.gens, atom.columns):
+                join.add(g, column)
+            key = bytes(join.reached)
+            if key not in found:
+                found[key] = join
+                queue.append(join)
+    return sorted((sorted(c.members) for c in found.values()), key=lambda m: (len(m), m))
+
+
 def normal_subgroups(G: Group) -> list[Subgroup]:
     """All normal subgroups, sorted by (order, member tuple).
 
-    Works over unions of conjugacy classes: starting from {e}, repeatedly
-    extend a known normal subgroup by one whole class and close under
-    products.  A product-closed union of classes containing the identity
-    is again a normal subgroup, and every normal subgroup arises as such a
-    chain, so the fixed point enumerates them all.
+    The normal closure of each conjugacy class is generated once, as an
+    atom; a class is closed under conjugation, so the subgroup it generates
+    is normal.  Every normal subgroup is the join of the atoms of the
+    classes it contains, and the join of two normal subgroups is their
+    product N*M, so the lattice is the set of all joins of atoms (see
+    :func:`_lattice`).  In an abelian group the atoms are the cyclic
+    subgroups: Z48 has 9 distinct atoms, not 47.
+
+    The result is computed once per group and returned as a fresh list.
+    Its size is a hard limit that no algorithm avoids: in an abelian group
+    every subgroup is normal, and E2^6 has 2825 subgroups, E2^7 29,212 and
+    E2^8 417,199, so the cost grows with the rank like the output does.
     """
-    if "_normal_subgroups" not in G.__dict__:
-        classes = [np.fromiter(c, dtype=np.int64) for c in conjugacy_classes(G)]
-        class_sets = [frozenset(int(v) for v in c) for c in classes]
-        seed = frozenset([G.identity])
-        found = {seed}
-        queue = [seed]
-        while queue:
-            base = queue.pop()
-            for cls in class_sets:
-                if cls <= base:
-                    continue
-                ext = _closure(G.table, base | cls)
-                if ext not in found:
-                    found.add(ext)
-                    queue.append(ext)
-        ordered = sorted(found, key=lambda s: (len(s), tuple(sorted(s))))
-        G.__dict__["_normal_subgroups"] = [_mark_normal(Subgroup(G, s), True) for s in ordered]
-    return list(G.__dict__["_normal_subgroups"])
+    return list(G._normal_subgroups)
 
 
 def all_subgroups(G: Group) -> list[Subgroup]:
-    """Every subgroup, by closing known subgroups under one extra element."""
-    if "_all_subgroups" not in G.__dict__:
-        if G.abelian:
-            G.__dict__["_all_subgroups"] = normal_subgroups(G)
-        else:
-            seed = frozenset([G.identity])
-            found = {seed}
-            queue = [seed]
-            while queue:
-                base = queue.pop()
-                for g in range(G.order):
-                    if g in base:
-                        continue
-                    ext = _closure(G.table, base | {g})
-                    if ext not in found:
-                        found.add(ext)
-                        queue.append(ext)
-            ordered = sorted(found, key=lambda s: (len(s), tuple(sorted(s))))
-            G.__dict__["_all_subgroups"] = [Subgroup(G, s) for s in ordered]
-    return list(G.__dict__["_all_subgroups"])
+    """Every subgroup, sorted by (order, member tuple).
+
+    The atoms are the cyclic subgroups <g>: every subgroup is the join of
+    the cyclic subgroups of its elements, so known subgroups are extended by
+    one element at a time through the same join as
+    :func:`normal_subgroups`, which an abelian group simply reuses.  The
+    same hard limit applies: E2^6 has 2825 subgroups, E2^7 29,212 and E2^8
+    417,199.
+    """
+    return list(G._all_subgroups)
 
 
 # ---------------------------------------------------------------------------

@@ -16,6 +16,7 @@ from sumgraph import (
     decide_perfect_code_extended,
     decide_total_perfect_code,
     decide_total_perfect_code_extended,
+    dicyclic,
     dihedral,
     direct_product,
     element_order,
@@ -323,6 +324,30 @@ def test_cross_check_trivial_group():
     report = cross_check(cyclic(1))
     assert report.all_agree
     assert len(report.entries) == 4
+
+
+def _nonabelian_products(max_order):
+    """D x Zk, Dic x Zk, Q8 x Zk, D x D and Q8 x Q8 of order <= max_order."""
+    out = []
+    bases = [dihedral(n) for n in range(3, max_order // 4 + 1)]
+    bases += [dicyclic(n) for n in range(2, max_order // 8 + 1)]
+    bases.append(quaternion())
+    for B in bases:
+        out += [direct_product(B, cyclic(k)) for k in range(2, max_order // B.order + 1)]
+    for m in range(3, max_order):
+        out += [direct_product(dihedral(m), dihedral(n)) for n in range(m, max_order) if 4 * m * n <= max_order]
+    if 64 <= max_order:
+        out.append(direct_product(quaternion(), quaternion()))
+    return out
+
+
+@pytest.mark.slow
+def test_cross_check_nonabelian_products_up_to_64():
+    groups = _nonabelian_products(64)
+    assert len(groups) == 72
+    for G in groups:
+        report = cross_check(G)
+        assert report.all_agree, (G, report.disagreements)
 
 
 def test_sylow_two_reduction_for_abelian_groups():

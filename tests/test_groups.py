@@ -8,6 +8,8 @@ import tracemalloc
 
 import numpy as np
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 
 from sumgraph import (
     BadParameterError,
@@ -21,6 +23,7 @@ from sumgraph import (
     abelian_isomorphism_types,
     abelian_type,
     all_subgroups,
+    build_group,
     conjugacy_classes,
     coset_has_involution,
     coset_square_membership,
@@ -36,6 +39,7 @@ from sumgraph import (
     is_abelian,
     is_dedekind,
     normal_subgroups,
+    parse_group_expr,
     quaternion,
     right_cosets,
     right_transversal,
@@ -111,6 +115,71 @@ def _dicyclic_loop(n):
     return table, tuple(labels)
 
 
+def _closure_reference(table, seed):
+    """Reference closure: smallest product-closed superset of ``seed``,
+    re-multiplying the whole set by itself until it stops growing."""
+    idx = np.unique(np.fromiter(seed, dtype=np.int64))
+    while True:
+        prods = table[np.ix_(idx, idx)].ravel()
+        merged = np.union1d(idx, prods)
+        if merged.size == idx.size:
+            return frozenset(int(v) for v in idx)
+        idx = merged
+
+
+def _normal_subgroups_reference(G):
+    """Reference lattice: extend each known normal subgroup by one whole
+    conjugacy class and re-close, to a fixed point."""
+    classes = [np.fromiter(c, dtype=np.int64) for c in conjugacy_classes(G)]
+    class_sets = [frozenset(int(v) for v in c) for c in classes]
+    seed = frozenset([G.identity])
+    found = {seed}
+    queue = [seed]
+    while queue:
+        base = queue.pop()
+        for cls in class_sets:
+            if cls <= base:
+                continue
+            ext = _closure_reference(G.table, base | cls)
+            if ext not in found:
+                found.add(ext)
+                queue.append(ext)
+    return [tuple(sorted(s)) for s in sorted(found, key=lambda s: (len(s), tuple(sorted(s))))]
+
+
+def _all_subgroups_reference(G):
+    """Reference lattice of a non-abelian group: extend each known subgroup
+    by one element and re-close, to a fixed point."""
+    seed = frozenset([G.identity])
+    found = {seed}
+    queue = [seed]
+    while queue:
+        base = queue.pop()
+        for g in range(G.order):
+            if g in base:
+                continue
+            ext = _closure_reference(G.table, base | {g})
+            if ext not in found:
+                found.add(ext)
+                queue.append(ext)
+    return [tuple(sorted(s)) for s in sorted(found, key=lambda s: (len(s), tuple(sorted(s))))]
+
+
+# The groups of the benchmark's ``verify`` workload, orders 32-256.
+VERIFY_GROUPS = (
+    "Q8 x Z2 x Z2 x Z2",
+    "E2^5",
+    "D16 x D8",
+    "Q8 x Q8",
+    "Dic6 x Z4",
+    "D24 x Z4",
+    "Q8 x Z12",
+    "Z2 x Z2 x Z24",
+    "D256",
+    "Dic48",
+)
+
+
 def test_cyclic_is_modular_addition():
     G = cyclic(6)
     assert G.order == 6
@@ -183,6 +252,16 @@ def test_elementary_abelian_two_group():
     for g in range(1, 8):
         assert element_order(G, g) == 2
     assert elementary_abelian_2(0).order == 1
+
+
+def test_abelian_matches_product_of_cyclic_factors():
+    types = [f for f in abelian_isomorphism_types(128) if len(f) > 1] + [(2,) * 9, (1, 2), (3, 1)]
+    for factors in types:
+        G = abelian(list(factors))
+        P = direct_product(*(cyclic(f) for f in factors))
+        assert G.table.dtype == P.table.dtype
+        assert G.table.tobytes() == P.table.tobytes(), factors
+        assert G.labels == P.labels and G.tag == P.tag, factors
 
 
 def test_squares_are_doubles_in_additive_groups():
@@ -387,6 +466,29 @@ def test_subgroup_generated():
     assert tuple(H.members) == (0, 2, 4, 6)
     assert subgroup_generated(G, []).members == (0,)
     assert len(subgroup_generated(G, [1])) == 4
+    assert subgroup_generated(G, [np.int64(2)]).members == (0, 2)
+    C = cyclic(12)
+    with pytest.raises(BadParameterError, match="not an element index"):
+        subgroup_generated(C, [1.5])  # not truncated to <1>
+    with pytest.raises(BadParameterError, match="not an element index"):
+        subgroup_generated(C, ["3"])
+    with pytest.raises(BadParameterError, match="out of range"):
+        subgroup_generated(C, [12])
+
+
+def test_subgroup_generated_matches_reference_closure():
+    rng = random.Random(20241217)
+    groups = [dihedral(8), dicyclic(6), quaternion(), direct_product(quaternion(), cyclic(2)),
+              abelian([2, 2, 6]), cyclic(60), build_group(parse_group_expr("D8 x D8 x Z2"))]
+    for G in groups:
+        e = G.identity
+        cases = [[], [e], [e, e]]
+        for _ in range(40):
+            gens = [rng.randrange(G.order) for _ in range(rng.randint(1, 4))]
+            cases.append(gens + gens[: rng.randint(0, len(gens))])  # some duplicated
+        for gens in cases:
+            want = tuple(sorted(_closure_reference(G.table, gens + [e])))
+            assert subgroup_generated(G, gens).members == want, (G, gens)
 
 
 def test_trivial_and_whole_subgroups():
@@ -418,11 +520,51 @@ def test_normal_subgroups_match_filtered_enumeration():
         assert got == sorted(expected, key=lambda m: (len(m), m))
 
 
+def test_normal_subgroups_match_reference():
+    groups = [G for _, G in sweep_groups()]
+    groups += [build_group(parse_group_expr(text)) for text in VERIFY_GROUPS]
+    groups += [build_group(parse_group_expr(text)) for text in ("D8 x D8 x Z2", "Q8 x Z2 x Z4")]
+    for G in groups:
+        got = [H.members for H in normal_subgroups(G)]
+        assert got == _normal_subgroups_reference(G), G
+
+
+def test_all_subgroups_match_reference():
+    groups = [G for _, G in sweep_groups(32) if not G.abelian]
+    groups += [direct_product(dihedral(4), cyclic(2)), direct_product(quaternion(), cyclic(2))]
+    for G in groups:
+        got = [H.members for H in all_subgroups(G)]
+        assert got == _all_subgroups_reference(G), G
+
+
+def test_lattice_lists_are_fresh():
+    G = dihedral(4)
+    first = normal_subgroups(G)
+    first.clear()
+    assert len(normal_subgroups(G)) == 6
+    assert all_subgroups(G) is not all_subgroups(G)
+
+
+@settings(max_examples=40, deadline=None)
+@given(st.data())
+def test_normal_lattice_is_invariant_under_relabelling(data):
+    groups = sweep_groups()
+    _, G = groups[data.draw(st.integers(0, len(groups) - 1), label="group")]
+    perm = np.array(data.draw(st.permutations(range(G.order)), label="perm"))
+    table = np.empty_like(G.table)
+    table[np.ix_(perm, perm)] = perm[G.table]  # element x is relabelled perm[x]
+    R = group_from_cayley_table(table)
+    mapped = sorted(tuple(sorted(int(perm[x]) for x in H.members)) for H in normal_subgroups(G))
+    assert sorted(H.members for H in normal_subgroups(R)) == mapped
+
+
 def test_subgroup_counts_against_known_values():
     assert len(all_subgroups(elementary_abelian_2(3))) == 16
     assert len(all_subgroups(quaternion())) == 6
     assert len(all_subgroups(dihedral(4))) == 10
     assert len(normal_subgroups(cyclic(60))) == 12
+    assert len(normal_subgroups(cyclic(48))) == 10
+    assert len(all_subgroups(elementary_abelian_2(6))) == 2825  # the rank bounds the lattice
 
 
 def test_right_cosets_partition():
