@@ -524,9 +524,12 @@ def cyclic(n: int) -> Group:
     if n < 1:
         raise BadParameterError(f"cyclic order must be >= 1, got {n}")
     _check_order(n)
+    return group_from_cayley_table(_cyclic_table(n), tag=Tag("cyclic", n))
+
+
+def _cyclic_table(n: int) -> np.ndarray:
     i = np.arange(n)
-    table = (i[:, None] + i[None, :]) % n
-    return group_from_cayley_table(table, tag=Tag("cyclic", n))
+    return (i[:, None] + i[None, :]) % n
 
 
 def _power_label(i: int, suffix: str) -> str:
@@ -611,32 +614,12 @@ def direct_product(*factors: Group) -> Group:
         raise BadParameterError("direct_product needs at least one factor")
     if len(factors) == 1:
         return factors[0]
-    sizes = [g.order for g in factors]
-    n = math.prod(sizes)
-    _check_order(n)
-
-    strides = [math.prod(sizes[k + 1 :]) for k in range(len(sizes))]
-    table = np.zeros((n, n), dtype=np.int64)
-    coords = []
-    for g, size, stride in zip(factors, sizes, strides):
-        c = (np.arange(n) // stride) % size
-        coords.append(c)
-        table += g.table.astype(np.int64)[np.ix_(c, c)] * stride
-    labels = [
-        "(" + ",".join(g.labels[int(c[x])] for g, c in zip(factors, coords)) + ")"
-        for x in range(n)
-    ]
-    tag = Tag("product", parts=tuple(g.tag for g in factors))
-    return group_from_cayley_table(table, labels, tag)
+    return _product([g.table for g in factors], [g.labels for g in factors], [g.tag for g in factors])
 
 
 def abelian(factor_orders: Sequence[int]) -> Group:
-    """Direct product of cyclic groups of the given orders.
-
-    The table is built in one mixed-radix pass, one digit per factor, and
-    validated once; table, labels and tag equal those of
-    ``direct_product(*(cyclic(f) for f in factor_orders))``.
-    """
+    """Direct product of cyclic groups of the given orders; equal to
+    ``direct_product`` of the cyclic factors, but validated only once."""
     if any(f < 1 for f in factor_orders):
         raise BadParameterError(f"cyclic factor orders must be >= 1: {factor_orders}")
     if not factor_orders:
@@ -644,15 +627,24 @@ def abelian(factor_orders: Sequence[int]) -> Group:
     if len(factor_orders) == 1:
         return cyclic(factor_orders[0])
     _check_order(math.prod(factor_orders))
+    return _product(
+        [_cyclic_table(f) for f in factor_orders],
+        [[str(i) for i in range(f)] for f in factor_orders],
+        [Tag("cyclic", f) for f in factor_orders],
+    )
+
+
+def _product(tables: Sequence[np.ndarray], labels: Sequence[Sequence[str]], tags: Sequence[Tag]) -> Group:
+    """Product of the factors' tables, appending one mixed-radix digit per
+    factor (x -> x*f + d); labels are the "(x,y,...)" tuples in the same
+    lexicographic order."""
+    _check_order(math.prod(len(t) for t in tables))
     table = np.zeros((1, 1), dtype=np.int64)
-    for f in factor_orders:  # append one mixed-radix digit: x -> x*f + d
-        d = np.arange(f)
-        digit = (d[:, None] + d[None, :]) % f
-        m = table.shape[0]
-        table = (table[:, None, :, None] * f + digit[None, :, None, :]).reshape(m * f, m * f)
-    labels = ["(" + ",".join(map(str, ds)) + ")" for ds in itertools.product(*map(range, factor_orders))]
-    tag = Tag("product", parts=tuple(Tag("cyclic", f) for f in factor_orders))
-    return group_from_cayley_table(table, labels, tag)
+    for t in tables:
+        f, m = len(t), len(table)
+        table = (table[:, None, :, None] * f + t[None, :, None, :]).reshape(m * f, m * f)
+    names = ["(" + ",".join(parts) + ")" for parts in itertools.product(*labels)]
+    return group_from_cayley_table(table, names, Tag("product", parts=tuple(tags)))
 
 
 def elementary_abelian_2(t: int) -> Group:

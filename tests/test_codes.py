@@ -341,7 +341,6 @@ def _nonabelian_products(max_order):
     return out
 
 
-@pytest.mark.slow
 def test_cross_check_nonabelian_products_up_to_64():
     groups = _nonabelian_products(64)
     assert len(groups) == 72

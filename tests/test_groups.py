@@ -115,6 +115,24 @@ def _dicyclic_loop(n):
     return table, tuple(labels)
 
 
+def _direct_product_reference(*factors):
+    """Reference product table and labels: one fancy-indexed add per factor."""
+    sizes = [g.order for g in factors]
+    n = math.prod(sizes)
+    strides = [math.prod(sizes[k + 1 :]) for k in range(len(sizes))]
+    table = np.zeros((n, n), dtype=np.int64)
+    coords = []
+    for g, size, stride in zip(factors, sizes, strides):
+        c = (np.arange(n) // stride) % size
+        coords.append(c)
+        table += g.table.astype(np.int64)[np.ix_(c, c)] * stride
+    labels = tuple(
+        "(" + ",".join(g.labels[int(c[x])] for g, c in zip(factors, coords)) + ")"
+        for x in range(n)
+    )
+    return table, labels
+
+
 def _closure_reference(table, seed):
     """Reference closure: smallest product-closed superset of ``seed``,
     re-multiplying the whole set by itself until it stops growing."""
@@ -244,6 +262,15 @@ def test_direct_product_componentwise():
     y = G.label_index["(3,2)"]
     assert G.labels[G.mul(x, y)] == "(0,1)"
     assert is_abelian(G)
+    factor_lists = [
+        (dihedral(4), cyclic(3)), (quaternion(), cyclic(2), cyclic(4)), (dicyclic(3), dihedral(3)),
+        (dihedral(4), dihedral(4), cyclic(2)), (quaternion(), quaternion()), (cyclic(1), dihedral(5)),
+    ]
+    for factors in factor_lists:
+        G = direct_product(*factors)
+        table, labels = _direct_product_reference(*factors)
+        assert np.array_equal(G.table, table) and G.labels == labels, factors
+        assert G.tag.parts == tuple(g.tag for g in factors)
 
 
 def test_elementary_abelian_two_group():
@@ -259,9 +286,11 @@ def test_abelian_matches_product_of_cyclic_factors():
     for factors in types:
         G = abelian(list(factors))
         P = direct_product(*(cyclic(f) for f in factors))
+        table, labels = _direct_product_reference(*(cyclic(f) for f in factors))
         assert G.table.dtype == P.table.dtype
         assert G.table.tobytes() == P.table.tobytes(), factors
-        assert G.labels == P.labels and G.tag == P.tag, factors
+        assert np.array_equal(G.table, table), factors
+        assert G.labels == P.labels == labels and G.tag == P.tag, factors
 
 
 def test_squares_are_doubles_in_additive_groups():
