@@ -23,7 +23,7 @@ from __future__ import annotations
 import argparse
 import json
 import sys
-from typing import Iterable, Iterator, TextIO
+from typing import Iterator, TextIO
 
 from . import __version__
 from .codes import (
@@ -35,7 +35,7 @@ from .codes import (
     verdict_to_json,
 )
 from .errors import BadParameterError, SumGraphError
-from .exprs import build_group, format_group_expr, parse_group_expr
+from .exprs import CyclicExpr, DicyclicExpr, DihedralExpr, ProductExpr, build_group, parse_group_expr
 from .families import (
     abelian_2group_perfect_code,
     abelian_total_perfect_code,
@@ -45,19 +45,9 @@ from .families import (
     is_code_perfect,
 )
 from .graphs import build_graph, graph_to_json, to_dot
-from .groups import (
-    Group,
-    Subgroup,
-    abelian,
-    abelian_isomorphism_types,
-    cyclic,
-    dicyclic,
-    dihedral,
-    normal_subgroups,
-    subgroup_generated,
-)
+from .groups import SWEEP_FAMILIES, Group, Subgroup, normal_subgroups, subgroup_generated, sweep_groups
 
-SCAN_FAMILIES = ("cyclic", "dihedral", "dicyclic", "abelian")
+SCAN_FAMILIES = ("cyclic", "dihedral", "dicyclic", "abelian")  # the default; "quaternion" adds Q8
 DEFAULT_SCAN_MAX_ORDER = 48
 
 
@@ -91,7 +81,7 @@ def resolve_subgroup(G: Group, selector: str) -> Subgroup:
             idx = G.label_index.get(label)
             if idx is None:
                 raise BadParameterError(
-                    f"no element labelled {label!r} in {G.tag} "
+                    f"no element labelled {label!r} in {G.name} "
                     f"(labels look like {G.labels[min(1, G.order - 1)]!r})"
                 )
             generators.append(idx)
@@ -105,7 +95,7 @@ def resolve_subgroup(G: Group, selector: str) -> Subgroup:
         normals = normal_subgroups(G)
         if not 0 <= k < len(normals):
             raise BadParameterError(
-                f"subgroup index {k} out of range: {G.tag} has {len(normals)} normal subgroups"
+                f"subgroup index {k} out of range: {G.name} has {len(normals)} normal subgroups"
             )
         return normals[k]
     raise BadParameterError(
@@ -127,15 +117,9 @@ def _minimal_generators(G: Group, H: Subgroup) -> list[int]:
     return chosen
 
 
-def _group_for(text: str) -> tuple[Group, str]:
-    """Build the group named by ``text``; also return the canonical name.
-
-    The canonical expression ("Q8", "E2^3") beats the structural tag as a
-    display name: constructors without a dedicated tag kind fall back to a
-    generic tag that prints nothing useful.
-    """
-    expr = parse_group_expr(text)
-    return build_group(expr), format_group_expr(expr)
+def _group_for(text: str) -> Group:
+    """Build the group named by the expression ``text``."""
+    return build_group(parse_group_expr(text))
 
 
 def _open_out(path: str | None) -> tuple[TextIO, bool]:
@@ -149,7 +133,7 @@ def _open_out(path: str | None) -> tuple[TextIO, bool]:
 
 
 def _cmd_normals(args: argparse.Namespace) -> int:
-    G, _ = _group_for(args.expr)
+    G = _group_for(args.expr)
     for k, H in enumerate(normal_subgroups(G)):
         generators = _minimal_generators(G, H)
         record = {
@@ -164,7 +148,7 @@ def _cmd_normals(args: argparse.Namespace) -> int:
 
 
 def _cmd_graph(args: argparse.Namespace) -> int:
-    G, _ = _group_for(args.expr)
+    G = _group_for(args.expr)
     H = resolve_subgroup(G, args.subgroup)
     graph = build_graph(G, H, extended=args.extended)
     if args.format == "dot":
@@ -181,7 +165,7 @@ def _cmd_graph(args: argparse.Namespace) -> int:
 
 
 def _cmd_code(args: argparse.Namespace) -> int:
-    G, name = _group_for(args.expr)
+    G = _group_for(args.expr)
     H = resolve_subgroup(G, args.subgroup)
     if args.oracle:
         graph = build_graph(G, H, extended=args.extended)
@@ -198,7 +182,6 @@ def _cmd_code(args: argparse.Namespace) -> int:
     else:
         verdict = decide_code(G, H, extended=args.extended, total=args.total)
     payload = verdict_to_json(G, H, verdict)
-    payload["group"]["tag"] = name
     if not args.construct:
         payload["witness"] = None
     print(json.dumps(payload, indent=2))
@@ -213,9 +196,9 @@ _DECIDER_NAMES = {
 }
 
 
-def _entry_record(name: str, G: Group, entry) -> dict:
+def _entry_record(G: Group, entry) -> dict:
     record = {
-        "group": name,
+        "group": G.name,
         "order": G.order,
         "subgroup": list(entry.subgroup),
         "decider": _DECIDER_NAMES[(entry.flavor, entry.kind)],
@@ -230,58 +213,33 @@ def _entry_record(name: str, G: Group, entry) -> dict:
 
 
 def _cmd_crosscheck(args: argparse.Namespace) -> int:
-    G, name = _group_for(args.expr)
+    G = _group_for(args.expr)
     report = cross_check(G)
     for entry in report.entries:
-        print(json.dumps(_entry_record(name, G, entry)))
+        print(json.dumps(_entry_record(G, entry)))
     bad = report.disagreements
     print(
-        f"crosscheck {name}: {len(report.entries)} checks, "
+        f"crosscheck {G.name}: {len(report.entries)} checks, "
         f"{len(bad)} disagreements ({report.seconds:.2f}s)",
         file=sys.stderr,
     )
     return 1 if bad else 0
 
 
-def _scan_groups(families: Iterable[str], max_order: int) -> Iterator[tuple[Group, str, dict]]:
-    for family in families:
-        if family == "cyclic":
-            for n in range(1, max_order + 1):
-                yield cyclic(n), family, {"n": n}
-        elif family == "dihedral":
-            n = 3
-            while 2 * n <= max_order:
-                yield dihedral(n), family, {"n": n}
-                n += 1
-        elif family == "dicyclic":
-            n = 2
-            while 4 * n <= max_order:
-                yield dicyclic(n), family, {"n": n}
-                n += 1
-        elif family == "abelian":
-            for factors in abelian_isomorphism_types(max_order):
-                if len(factors) < 2:
-                    continue  # single-factor types re-run the cyclic family
-                yield abelian(factors), family, {"factors": factors}
-        else:
-            raise BadParameterError(
-                f"unknown scan family {family!r}: choose from {', '.join(SCAN_FAMILIES)}"
-            )
-
-
-def _family_checks(G: Group, family: str, meta: dict, H: Subgroup) -> Iterator[tuple[str, bool, str]]:
-    """Yield (decider name, verdict, oracle kind) triples for one subgroup."""
-    if family == "cyclic":
-        n = meta["n"]
-        step = n if len(H) == 1 else min(v for v in H.members if v != 0)
-        yield "family_cyclic", cyclic_perfect_code(n, step), "perfect"
+def _family_checks(G: Group, H: Subgroup) -> Iterator[tuple[str, bool, str]]:
+    """Yield (decider name, verdict, oracle kind) triples for one subgroup of
+    a sweep group, whose family and parameters are read from its tag."""
+    tag = G.tag
+    if isinstance(tag, CyclicExpr):
+        step = tag.n if len(H) == 1 else min(v for v in H.members if v != 0)
+        yield "family_cyclic", cyclic_perfect_code(tag.n, step), "perfect"
         yield "family_abelian_total", abelian_total_perfect_code(G, H), "total"
-    elif family == "dihedral":
+    elif isinstance(tag, DihedralExpr):
         yield "family_dihedral", dihedral_perfect_code(G, H), "perfect"
-    elif family == "dicyclic":
+    elif isinstance(tag, DicyclicExpr):
         yield "family_dicyclic", dicyclic_perfect_code(G, H), "perfect"
-    elif family == "abelian":
-        factors = meta["factors"]
+    elif isinstance(tag, ProductExpr):  # an abelian type: cyclic factors
+        factors = [part.n for part in tag.parts]
         if len(H) >= 3 and all(f & (f - 1) == 0 for f in factors):
             yield "family_abelian_2group", abelian_2group_perfect_code(factors, H), "perfect"
         yield "family_abelian_total", abelian_total_perfect_code(G, H), "total"
@@ -289,11 +247,7 @@ def _family_checks(G: Group, family: str, meta: dict, H: Subgroup) -> Iterator[t
 
 def _cmd_scan(args: argparse.Namespace) -> int:
     families = [f.strip() for f in args.families.split(",") if f.strip()]
-    for family in families:
-        if family not in SCAN_FAMILIES:
-            raise BadParameterError(
-                f"unknown scan family {family!r}: choose from {', '.join(SCAN_FAMILIES)}"
-            )
+    groups = sweep_groups(args.max_order, families)
     if args.max_order < 1:
         raise BadParameterError("--max-order must be at least 1")
     stream, owned = _open_out(args.out)
@@ -301,22 +255,21 @@ def _cmd_scan(args: argparse.Namespace) -> int:
     checks = 0
     disagreements = 0
     try:
-        for G, family, meta in _scan_groups(families, args.max_order):
+        for G in groups:
             groups_seen += 1
-            group_name = str(G.tag)
             report = cross_check(G)
             oracle = {}
             for entry in report.entries:
                 oracle[(entry.subgroup, entry.flavor, entry.kind)] = entry.oracle
-                record = _entry_record(group_name, G, entry)
+                record = _entry_record(G, entry)
                 checks += 1
                 disagreements += not record["agree"]
                 stream.write(json.dumps(record) + "\n")
             for H in normal_subgroups(G):
-                for name, verdict, kind in _family_checks(G, family, meta, H):
+                for name, verdict, kind in _family_checks(G, H):
                     truth = oracle[(H.members, "plain", kind)]
                     record = {
-                        "group": group_name,
+                        "group": G.name,
                         "order": G.order,
                         "subgroup": list(H.members),
                         "decider": name,
@@ -338,12 +291,12 @@ def _cmd_scan(args: argparse.Namespace) -> int:
 
 
 def _cmd_classify(args: argparse.Namespace) -> int:
-    G, name = _group_for(args.expr)
+    G = _group_for(args.expr)
     result = is_code_perfect(G, method=args.method)
     print(
         json.dumps(
             {
-                "group": name,
+                "group": G.name,
                 "order": G.order,
                 "method": args.method,
                 "code_perfect": result,
@@ -396,7 +349,7 @@ def _build_parser() -> argparse.ArgumentParser:
     p.add_argument(
         "--families",
         default=",".join(SCAN_FAMILIES),
-        help=f"comma-separated subset of: {', '.join(SCAN_FAMILIES)}",
+        help=f"comma-separated subset of: {', '.join(SWEEP_FAMILIES)}",
     )
     p.add_argument("--out", help="write JSON lines to this file instead of stdout")
     p.set_defaults(func=_cmd_scan)

@@ -24,11 +24,12 @@ from .errors import (
     NotNormalError,
     PreconditionViolatedError,
 )
-from .graphs import SumGraph, build_graph, components
+from .graphs import SumGraph, _bits, _mask_of, build_graph, components
 from .groups import (
     Group,
     Subgroup,
     abelian_type,
+    coset_units,
     normal_subgroups,
     right_cosets,
     right_transversal,
@@ -81,22 +82,6 @@ class Verdict:
     rule: str
     witness: Code | None
     certificate: dict | None
-
-
-def _bits(mask: int) -> list[int]:
-    out = []
-    while mask:
-        v = (mask & -mask).bit_length() - 1
-        out.append(v)
-        mask &= mask - 1
-    return out
-
-
-def _mask_of(vertices) -> int:
-    m = 0
-    for v in vertices:
-        m |= 1 << v
-    return m
 
 
 # ---------------------------------------------------------------------------
@@ -231,18 +216,10 @@ def decide_perfect_code(G: Group, H: Subgroup) -> Verdict:
         witness = Code(_matching_code(graph), kind)
         return _validated(G, H, Verdict(flavor, kind, True, "order-two-subgroup", witness, None))
     chosen: list[int] = []
-    used = set()
-    cosets = right_cosets(G, H)
-    rep_of = {}
-    for c in cosets:
-        for v in c.members:
-            rep_of[v] = c.representative
-    for c in cosets:
-        if c.representative in used:
-            continue
-        used.add(c.representative)
+    for unit in coset_units(G, H):
+        c = unit[0]
         x = c.representative
-        if G.mul(x, x) in H:
+        if len(unit) == 1:  # x*x in H
             pivots = [v for v in c.members if G.inv(v) == v]
             if not pivots:
                 return Verdict(
@@ -258,7 +235,6 @@ def decide_perfect_code(G: Group, H: Subgroup) -> Verdict:
                 )
             chosen.append(pivots[0])
         else:
-            used.add(rep_of[G.inv(x)])
             chosen.extend([x, G.inv(x)])
     witness = Code(tuple(sorted(chosen)), kind)
     return _validated(
@@ -415,7 +391,7 @@ def construct_perfect_code(
 
 def verdict_to_json(G: Group, H: Subgroup, verdict: Verdict) -> dict:
     return {
-        "group": {"tag": str(G.tag), "order": G.order},
+        "group": {"tag": G.name, "order": G.order},
         "subgroup": list(H.members),
         "flavor": verdict.flavor,
         "kind": verdict.kind,
@@ -486,7 +462,7 @@ def cross_check(G: Group, subgroups: list[Subgroup] | None = None) -> CrossCheck
                     )
                 )
     return CrossCheckReport(
-        group=str(G.tag),
+        group=G.name,
         group_order=G.order,
         entries=tuple(entries),
         seconds=time.perf_counter() - start,

@@ -13,17 +13,12 @@ from __future__ import annotations
 
 import re
 from dataclasses import dataclass
+from typing import TYPE_CHECKING
 
 from .errors import ParseError
-from .groups import (
-    Group,
-    cyclic,
-    dicyclic,
-    dihedral,
-    direct_product,
-    elementary_abelian_2,
-    quaternion,
-)
+
+if TYPE_CHECKING:
+    from .groups import Group
 
 __all__ = [
     "GroupExpr",
@@ -39,33 +34,40 @@ __all__ = [
 ]
 
 
+class _Expr:
+    """Prints as its canonical text, :func:`format_group_expr`."""
+
+    def __str__(self) -> str:
+        return format_group_expr(self)
+
+
 @dataclass(frozen=True)
-class CyclicExpr:
+class CyclicExpr(_Expr):
     n: int
 
 
 @dataclass(frozen=True)
-class DihedralExpr:
+class DihedralExpr(_Expr):
     order: int  # group order 2n, even and >= 6
 
 
 @dataclass(frozen=True)
-class DicyclicExpr:
+class DicyclicExpr(_Expr):
     n: int  # group order is 4n
 
 
 @dataclass(frozen=True)
-class QuaternionExpr:
+class QuaternionExpr(_Expr):
     pass
 
 
 @dataclass(frozen=True)
-class ElementaryAbelianExpr:
+class ElementaryAbelianExpr(_Expr):
     t: int
 
 
 @dataclass(frozen=True)
-class ProductExpr:
+class ProductExpr(_Expr):
     parts: tuple["GroupExpr", ...]
 
 
@@ -220,7 +222,11 @@ def format_group_expr(expr: GroupExpr) -> str:
 
 
 def build_group(expr: GroupExpr) -> Group:
-    """Evaluate an expression to a concrete group."""
+    """Evaluate an expression to a concrete group; its ``tag`` is ``expr``."""
+    # groups imports the expression types to tag what it builds, so the
+    # constructors can only be reached once both modules are loaded.
+    from .groups import cyclic, dicyclic, dihedral, direct_product, elementary_abelian_2, quaternion
+
     if isinstance(expr, CyclicExpr):
         return cyclic(expr.n)
     if isinstance(expr, DihedralExpr):

@@ -16,6 +16,9 @@ from __future__ import annotations
 import math
 from typing import Iterable, Sequence
 
+import numpy as np
+
+from .codes import _is_elementary_two_times_three, decide_perfect_code
 from .errors import (
     BadParameterError,
     InternalInconsistencyError,
@@ -24,6 +27,7 @@ from .errors import (
     NotDedekindError,
     NotNormalError,
 )
+from .exprs import DicyclicExpr, DihedralExpr
 from .groups import (
     Group,
     Subgroup,
@@ -37,7 +41,6 @@ from .groups import (
 __all__ = [
     "cyclic_perfect_code",
     "abelian_2group_perfect_code",
-    "coordinate_product_form",
     "dihedral_perfect_code",
     "dicyclic_perfect_code",
     "abelian_total_perfect_code",
@@ -66,24 +69,22 @@ def cyclic_perfect_code(n: int, a: int) -> bool:
 # ---------------------------------------------------------------------------
 
 
-def _decode(index: int, orders: Sequence[int]) -> tuple[int, ...]:
-    out = []
-    for f in reversed(orders):
-        out.append(index % f)
-        index //= f
-    return tuple(reversed(out))
+def abelian_2group_perfect_code(invariants: Sequence[int], K: Subgroup | Iterable[int]) -> bool:
+    """Does the sum graph of a non-cyclic abelian 2-group over K have a perfect code?
 
+    ``invariants`` are the cyclic factor orders (powers of two, at least
+    two factors); ``K`` a subgroup of order at least 3, as a Subgroup or as
+    mixed-radix element indices.  A perfect code exists exactly when every
+    element whose double lies in K is itself within K plus the socle
+    {w : 2w = 0}: such elements head the cosets whose blocks are complete
+    graphs, and the socle shift is what supplies each block's self-paired
+    vertex.  (Coordinate-aligned subgroups are the easy special case; the
+    condition here is basis-free and also settles the diagonal ones.)
 
-def _encode(coords: Sequence[int], orders: Sequence[int]) -> int:
-    acc = 0
-    for c, f in zip(coords, orders):
-        acc = acc * f + c
-    return acc
-
-
-def _validate_2group_subgroup(
-    invariants: Sequence[int], K: Subgroup | Iterable[int]
-) -> tuple[tuple[int, ...], list[int]]:
+    Elements are handled as coordinate vectors (``np.unravel_index``, last
+    factor fastest) and never through the Cayley table, so this decider
+    stays an independent cross-check of the generic one.
+    """
     orders = tuple(int(f) for f in invariants)
     if len(orders) < 2:
         raise BadParameterError("the ambient group must be a non-cyclic abelian 2-group")
@@ -103,64 +104,30 @@ def _validate_2group_subgroup(
         members = sorted({int(v) for v in K})
     if not members or members[0] < 0 or members[-1] >= n:
         raise BadParameterError(f"subgroup members must be indices in 0..{n - 1}")
-    mset = set(members)
-    if 0 not in mset:
+    if members[0] != 0:
         raise NotASubgroupError("member set does not contain the identity")
-    coords = {m: _decode(m, orders) for m in members}
-    for a in members:
-        for b in members:
-            s = _encode([(x + y) % f for x, y, f in zip(coords[a], coords[b], orders)], orders)
-            if s not in mset:
-                raise NotASubgroupError(f"not closed under products: {a} + {b} is outside")
-    return orders, members
 
+    def index(coords) -> np.ndarray:
+        return np.ravel_multi_index(coords, orders, mode="wrap")  # "wrap" reduces mod each order
 
-def abelian_2group_perfect_code(invariants: Sequence[int], K: Subgroup | Iterable[int]) -> bool:
-    """Does the sum graph of a non-cyclic abelian 2-group over K have a perfect code?
+    def sums(a: np.ndarray, b: np.ndarray) -> np.ndarray:
+        """Index of every sum a[i] + b[j], as an |a| x |b| array."""
+        ca, cb = np.unravel_index(a, orders), np.unravel_index(b, orders)
+        return index(tuple(x[:, None] + y[None, :] for x, y in zip(ca, cb)))
 
-    ``invariants`` are the cyclic factor orders (powers of two, at least
-    two factors); ``K`` a subgroup of order at least 3, as a Subgroup or as
-    mixed-radix element indices.  A perfect code exists exactly when every
-    element whose double lies in K is itself within K plus the socle
-    {w : 2w = 0}: such elements head the cosets whose blocks are complete
-    graphs, and the socle shift is what supplies each block's self-paired
-    vertex.  (Coordinate-aligned subgroups are the easy special case; the
-    condition here is basis-free and also settles the diagonal ones.)
-    """
-    orders, members = _validate_2group_subgroup(invariants, K)
+    ks = np.array(members)
+    in_k = np.zeros(n, dtype=bool)
+    in_k[ks] = True
+    outside = ~in_k[sums(ks, ks)]
+    if outside.any():
+        i, j = np.argwhere(outside)[0]
+        raise NotASubgroupError(f"not closed under products: {members[i]} + {members[j]} is outside")
     if len(members) < 3:
         raise BadParameterError("the decider applies to subgroups of order at least 3")
-    n = math.prod(orders)
-    mset = set(members)
-
-    def double(i: int) -> int:
-        return _encode([(2 * c) % f for c, f in zip(_decode(i, orders), orders)], orders)
-
-    socle = [i for i in range(n) if double(i) == 0]
-    reach = set()
-    for k in members:
-        kc = _decode(k, orders)
-        for w in socle:
-            wc = _decode(w, orders)
-            reach.add(_encode([(x + y) % f for x, y, f in zip(kc, wc, orders)], orders))
-    return all(double(x) not in mset or x in reach for x in range(n))
-
-
-def coordinate_product_form(
-    invariants: Sequence[int], K: Subgroup | Iterable[int]
-) -> tuple[int, ...] | None:
-    """Per-coordinate projection orders when K is the product of its projections.
-
-    Returns one order per factor if K splits coordinate-wise, else None.
-    A split subgroup whose projections are each trivial or the full factor
-    is the easy positive case of :func:`abelian_2group_perfect_code`.
-    """
-    orders, members = _validate_2group_subgroup(invariants, K)
-    coords = [_decode(m, orders) for m in members]
-    projections = [sorted({c[i] for c in coords}) for i in range(len(orders))]
-    if math.prod(len(p) for p in projections) != len(members):
-        return None
-    return tuple(len(p) for p in projections)
+    doubles = index(tuple(2 * c for c in np.unravel_index(np.arange(n), orders)))
+    reach = np.zeros(n, dtype=bool)  # K + socle
+    reach[sums(ks, np.flatnonzero(doubles == 0))] = True
+    return bool(np.all(reach | ~in_k[doubles]))
 
 
 # ---------------------------------------------------------------------------
@@ -182,13 +149,13 @@ def dihedral_perfect_code(G: Group, H: Subgroup) -> bool:
     rotation order n is even, and for rotation subgroups <a^t> exactly when
     n/t is odd, equals 2, or is even >= 4 with t odd.
     """
-    if G.tag.kind != "dihedral":
+    if not isinstance(G.tag, DihedralExpr):
         raise BadParameterError("expected a group built by the dihedral constructor")
     if H.parent is not G:
         raise NotASubgroupError("subgroup belongs to a different group")
     if not H.is_normal:
         raise NotNormalError("subgroup is not normal in the dihedral group")
-    n = G.tag.param
+    n = G.tag.order // 2
     if H.order == 2 * n:
         return True
     if all(m < n for m in H.members):
@@ -208,13 +175,13 @@ def dicyclic_perfect_code(G: Group, H: Subgroup) -> bool:
 
     True exactly for H = G and for subgroups of <a> of odd order or order 2.
     """
-    if G.tag.kind != "dicyclic":
+    if not isinstance(G.tag, DicyclicExpr):
         raise BadParameterError("expected a group built by the dicyclic constructor")
     if H.parent is not G:
         raise NotASubgroupError("subgroup belongs to a different group")
     if not H.is_normal:
         raise NotNormalError("subgroup is not normal in the dicyclic group")
-    n = G.tag.param
+    n = G.tag.n
     if H.order == 4 * n:
         return True
     if all(m < 2 * n for m in H.members):
@@ -225,15 +192,6 @@ def dicyclic_perfect_code(G: Group, H: Subgroup) -> bool:
 # ---------------------------------------------------------------------------
 # Total perfect codes in abelian groups
 # ---------------------------------------------------------------------------
-
-
-def _elementary_two_times_three(A: Group) -> bool:
-    primary = dict(abelian_type(A).primary)
-    if set(primary) - {2, 3}:
-        return False
-    if primary.get(3) != (1,):
-        return False
-    return all(e == 1 for e in primary.get(2, ()))
 
 
 def abelian_total_perfect_code(A: Group, H: Subgroup) -> bool:
@@ -256,7 +214,7 @@ def abelian_total_perfect_code(A: Group, H: Subgroup) -> bool:
                 return False
         return True
     if H.order == 3:
-        return _elementary_two_times_three(A)
+        return _is_elementary_two_times_three(A)
     return False
 
 
@@ -296,8 +254,6 @@ def is_code_perfect(G: Group, method: str = "bruteforce") -> bool:
     with an odd abelian group qualify; non-abelian Dedekind groups never do.
     """
     if method == "bruteforce":
-        from .codes import decide_perfect_code
-
         return all(decide_perfect_code(G, H).exists for H in normal_subgroups(G))
     if method == "dedekind":
         if not is_dedekind(G):

@@ -17,7 +17,7 @@ from dataclasses import dataclass
 import numpy as np
 
 from .errors import InternalInconsistencyError, NotASubgroupError, NotNormalError
-from .groups import Group, Subgroup, right_cosets
+from .groups import Group, Subgroup, coset_units
 
 __all__ = [
     "SumGraph",
@@ -32,12 +32,21 @@ __all__ = [
 
 
 def _bits(mask: int) -> list[int]:
+    """The set bits of ``mask``, ascending."""
     out = []
     while mask:
         v = (mask & -mask).bit_length() - 1
         out.append(v)
         mask &= mask - 1
     return out
+
+
+def _mask_of(vertices) -> int:
+    """The bitmask with one bit per vertex."""
+    m = 0
+    for v in vertices:
+        m |= 1 << v
+    return m
 
 
 class SumGraph:
@@ -162,18 +171,11 @@ class StructureReport:
     divergent_vertices: tuple[int, ...]
 
 
-def _mask_of(vertices) -> int:
-    m = 0
-    for v in vertices:
-        m |= 1 << v
-    return m
-
-
 def _check_block(
     G: Group,
     graph: SumGraph,
     flavor: str,
-    unit: list,
+    unit: tuple,
     square_in: bool,
 ) -> BlockRecord:
     vertices = tuple(sorted(v for c in unit for v in c.members))
@@ -248,30 +250,9 @@ def verify_structure(G: Group, H: Subgroup) -> StructureReport:
     """
     plain = build_graph(G, H, extended=False)
     extended = build_graph(G, H, extended=True)
-    cosets = right_cosets(G, H)
-    by_rep = {c.representative: c for c in cosets}
-    rep_of = {}
-    for c in cosets:
-        for v in c.members:
-            rep_of[v] = c.representative
-
-    units: list[tuple[list, bool]] = []
-    used = set()
-    for c in cosets:
-        if c.representative in used:
-            continue
-        x = c.representative
-        if G.mul(x, x) in H:
-            units.append(([c], True))
-            used.add(x)
-        else:
-            partner = by_rep[rep_of[G.inv(x)]]
-            units.append(([c, partner], False))
-            used.add(x)
-            used.add(partner.representative)
-
     blocks = []
-    for unit, square_in in units:
+    for unit in coset_units(G, H):
+        square_in = len(unit) == 1
         blocks.append(_check_block(G, plain, "plain", unit, square_in))
         blocks.append(_check_block(G, extended, "extended", unit, square_in))
     divergent = tuple(sorted({v for b in blocks for v in b.square_universal_divergence}))
@@ -292,7 +273,7 @@ def verify_structure(G: Group, H: Subgroup) -> StructureReport:
 def graph_to_json(graph: SumGraph) -> dict:
     """A portable description: labels, subgroup, flavour, adjacency lists."""
     return {
-        "group": str(graph.group.tag),
+        "group": graph.group.name,
         "order": graph.n,
         "labels": list(graph.group.labels),
         "subgroup": list(graph.subgroup.members),

@@ -12,6 +12,10 @@ that subgroups can be named stably in tests and on the command line:
   final index carries ``b`` itself); same label style.
 * ``direct_product`` -- tuples in lexicographic order, labels ``"(x,y)"``.
 
+Each constructor tags its group with the expression that rebuilds it
+(:mod:`sumgraph.exprs`), so ``str(G.tag)`` is the group's canonical name;
+a group built from a bare table has no tag and is named ``generic``.
+
 Groups and subgroups are immutable once constructed, so they may be shared
 freely between threads.
 """
@@ -24,7 +28,7 @@ import operator
 import os
 from dataclasses import dataclass
 from functools import cached_property
-from typing import Iterable, Sequence
+from typing import Iterable, Iterator, Sequence
 
 import numpy as np
 
@@ -36,13 +40,24 @@ from .errors import (
     NotASubgroupError,
     NotAssociativeError,
     NotLatinSquareError,
+    ParseError,
+)
+from .exprs import (
+    CyclicExpr,
+    DicyclicExpr,
+    DihedralExpr,
+    ElementaryAbelianExpr,
+    GroupExpr,
+    ProductExpr,
+    QuaternionExpr,
+    build_group,
+    parse_group_expr,
 )
 
 __all__ = [
     "DEFAULT_MAX_ORDER",
     "MAX_ORDER_ENV",
     "max_supported_order",
-    "Tag",
     "Group",
     "Subgroup",
     "Coset",
@@ -69,12 +84,14 @@ __all__ = [
     "all_subgroups",
     "right_cosets",
     "right_transversal",
-    "coset_square_membership",
+    "coset_units",
     "coset_has_involution",
     "abelian_type",
     "is_dedekind",
     "subgroup_as_group",
     "abelian_isomorphism_types",
+    "SWEEP_FAMILIES",
+    "sweep_groups",
 ]
 
 DEFAULT_MAX_ORDER = 512
@@ -95,55 +112,6 @@ def max_supported_order() -> int:
     return value
 
 
-@dataclass(frozen=True)
-class Tag:
-    """Structural descriptor attached by the family constructors."""
-
-    kind: str  # "cyclic" | "dihedral" | "dicyclic" | "product" | "generic"
-    param: int | None = None
-    parts: tuple["Tag", ...] = ()
-
-    def __str__(self) -> str:
-        if self.kind == "cyclic":
-            return f"Z{self.param}"
-        if self.kind == "dihedral":
-            return f"D{2 * self.param}"
-        if self.kind == "dicyclic":
-            return f"Dic{self.param}"
-        if self.kind == "product":
-            bits = []
-            for p in self.parts:
-                text = str(p)
-                bits.append(f"({text})" if p.kind == "product" else text)
-            return " x ".join(bits)
-        return "generic"
-
-    def to_json(self) -> dict:
-        out: dict = {"kind": self.kind}
-        if self.param is not None:
-            out["param"] = self.param
-        if self.parts:
-            out["parts"] = [p.to_json() for p in self.parts]
-        return out
-
-    @staticmethod
-    def from_json(data: dict | None) -> "Tag | None":
-        if data is None:
-            return None
-        if not isinstance(data, dict) or "kind" not in data:
-            raise BadParameterError(f"a tag must be an object with a 'kind', got {data!r}")
-        if not isinstance(data.get("parts", ()), (list, tuple)):
-            raise BadParameterError(f"tag parts must be a list, got {data['parts']!r}")
-        return Tag(
-            kind=data["kind"],
-            param=data.get("param"),
-            parts=tuple(Tag.from_json(p) for p in data.get("parts", ())),
-        )
-
-
-GENERIC = Tag("generic")
-
-
 class Group:
     """A finite group on elements ``0..order-1`` with a validated table.
 
@@ -155,7 +123,7 @@ class Group:
         self,
         table: np.ndarray,
         labels: tuple[str, ...],
-        tag: Tag,
+        tag: GroupExpr | None,
         identity: int,
         inverses: tuple[int, ...],
     ):
@@ -255,16 +223,21 @@ class Group:
             return tuple(normal_subgroups(self))
         return tuple(Subgroup(self, ms) for ms in _lattice(self, ([g] for g in range(self.order))))
 
+    @cached_property
+    def name(self) -> str:
+        """The canonical expression of the tag, or ``generic`` for a bare table."""
+        return "generic" if self.tag is None else str(self.tag)
+
     def to_json_dict(self) -> dict:
         return {
             "order": self.order,
             "labels": list(self.labels),
             "table": self.table.tolist(),
-            "tag": self.tag.to_json() if self.tag is not None else None,
+            "tag": None if self.tag is None else str(self.tag),
         }
 
     def __repr__(self) -> str:
-        return f"<Group order={self.order} tag={self.tag}>"
+        return f"<Group order={self.order} {self.name}>"
 
 
 class Subgroup:
@@ -450,7 +423,7 @@ def _check_associative(table: np.ndarray, identity: int) -> None:
 def group_from_cayley_table(
     table: Sequence[Sequence[int]] | np.ndarray,
     labels: Sequence[str] | None = None,
-    tag: Tag | None = None,
+    tag: GroupExpr | None = None,
 ) -> Group:
     """Validate a multiplication table and wrap it in a :class:`Group`.
 
@@ -501,7 +474,7 @@ def group_from_cayley_table(
             raise BadParameterError(f"labels must be a sequence, got {kind}") from None
         if len(labels) != n:
             raise BadParameterError(f"expected {n} labels, got {len(labels)}")
-    return Group(arr, labels, tag if tag is not None else GENERIC, e, tuple(int(v) for v in inv))
+    return Group(arr, labels, tag, e, tuple(int(v) for v in inv))
 
 
 def group_from_json(data: dict) -> Group:
@@ -509,9 +482,19 @@ def group_from_json(data: dict) -> Group:
     :class:`BadParameterError`."""
     if not isinstance(data, dict) or "table" not in data:
         raise BadParameterError("group JSON must be an object with a 'table' key")
-    return group_from_cayley_table(
-        data["table"], data.get("labels"), Tag.from_json(data.get("tag"))
-    )
+    tag = data.get("tag")
+    if tag is not None:
+        if not isinstance(tag, str):
+            raise BadParameterError(f"a tag must be a group expression string, got {tag!r}")
+        try:
+            tag = parse_group_expr(tag)
+        except ParseError as exc:
+            raise BadParameterError(f"bad tag {data['tag']!r}: {exc}") from None
+    G = group_from_cayley_table(data["table"], data.get("labels"), tag)
+    # the family deciders trust the tag, so it must name exactly this table
+    if tag is not None and not np.array_equal(build_group(tag).table, G.table):
+        raise BadParameterError(f"tag {data['tag']!r} does not name this table")
+    return G
 
 
 # ---------------------------------------------------------------------------
@@ -523,8 +506,7 @@ def cyclic(n: int) -> Group:
     """The cyclic group Z_n on ``0..n-1`` under addition mod n."""
     if n < 1:
         raise BadParameterError(f"cyclic order must be >= 1, got {n}")
-    _check_order(n)
-    return group_from_cayley_table(_cyclic_table(n), tag=Tag("cyclic", n))
+    return _cyclic_product([n], CyclicExpr(n))
 
 
 def _cyclic_table(n: int) -> np.ndarray:
@@ -551,7 +533,7 @@ def dihedral(n: int) -> Group:
     rot = (i[:, None] + np.where(flip, -1, 1)[:, None] * i[None, :]) % n
     table = rot + n * (flip[:, None] ^ flip[None, :])
     labels = [_power_label(i, "") for i in range(n)] + [_power_label(i, "b") for i in range(n)]
-    return group_from_cayley_table(table, labels, Tag("dihedral", n))
+    return group_from_cayley_table(table, labels, DihedralExpr(size))
 
 
 def dicyclic(n: int) -> Group:
@@ -575,7 +557,7 @@ def dicyclic(n: int) -> Group:
     table = (k + shift) % m + m * (xf ^ yf)
     labels = [_power_label(i, "") for i in range(m)]
     labels += [_power_label((i + 1) % m, "b") for i in range(m)]
-    return group_from_cayley_table(table, labels, Tag("dicyclic", n))
+    return group_from_cayley_table(table, labels, DicyclicExpr(n))
 
 
 _Q8_LABELS = ("1", "-1", "i", "-i", "j", "-j", "k", "-k")
@@ -605,7 +587,7 @@ def quaternion() -> Group:
             uy, sy = split(y)
             uz, s = _Q8_UNIT_MUL[(ux, uy)]
             table[x, y] = join(uz, sx * sy * s)
-    return group_from_cayley_table(table, _Q8_LABELS, GENERIC)
+    return group_from_cayley_table(table, _Q8_LABELS, QuaternionExpr())
 
 
 def direct_product(*factors: Group) -> Group:
@@ -614,7 +596,9 @@ def direct_product(*factors: Group) -> Group:
         raise BadParameterError("direct_product needs at least one factor")
     if len(factors) == 1:
         return factors[0]
-    return _product([g.table for g in factors], [g.labels for g in factors], [g.tag for g in factors])
+    tags = tuple(g.tag for g in factors)
+    tag = None if None in tags else ProductExpr(tags)  # a bare table has no expression
+    return _product([g.table for g in factors], [g.labels for g in factors], tag)
 
 
 def abelian(factor_orders: Sequence[int]) -> Group:
@@ -622,19 +606,33 @@ def abelian(factor_orders: Sequence[int]) -> Group:
     ``direct_product`` of the cyclic factors, but validated only once."""
     if any(f < 1 for f in factor_orders):
         raise BadParameterError(f"cyclic factor orders must be >= 1: {factor_orders}")
-    if not factor_orders:
-        return cyclic(1)
-    if len(factor_orders) == 1:
-        return cyclic(factor_orders[0])
-    _check_order(math.prod(factor_orders))
+    if len(factor_orders) < 2:
+        return cyclic(math.prod(factor_orders))
+    return _cyclic_product(factor_orders, ProductExpr(tuple(CyclicExpr(f) for f in factor_orders)))
+
+
+def elementary_abelian_2(t: int) -> Group:
+    """The group Z_2^t (the trivial group when t == 0)."""
+    if t < 0:
+        raise BadParameterError(f"exponent must be >= 0, got {t}")
+    return _cyclic_product([2] * t, ElementaryAbelianExpr(t))
+
+
+def _cyclic_product(factor_orders: Sequence[int], tag: GroupExpr) -> Group:
+    """``abelian(factor_orders)`` under another tag; fewer than two factors
+    give the cyclic group of their product, with labels "0".."n-1"."""
+    n = math.prod(factor_orders)
+    _check_order(n)
+    if len(factor_orders) < 2:
+        return group_from_cayley_table(_cyclic_table(n), tag=tag)
     return _product(
         [_cyclic_table(f) for f in factor_orders],
         [[str(i) for i in range(f)] for f in factor_orders],
-        [Tag("cyclic", f) for f in factor_orders],
+        tag,
     )
 
 
-def _product(tables: Sequence[np.ndarray], labels: Sequence[Sequence[str]], tags: Sequence[Tag]) -> Group:
+def _product(tables: Sequence[np.ndarray], labels: Sequence[Sequence[str]], tag: GroupExpr | None) -> Group:
     """Product of the factors' tables, appending one mixed-radix digit per
     factor (x -> x*f + d); labels are the "(x,y,...)" tuples in the same
     lexicographic order."""
@@ -644,14 +642,7 @@ def _product(tables: Sequence[np.ndarray], labels: Sequence[Sequence[str]], tags
         f, m = len(t), len(table)
         table = (table[:, None, :, None] * f + t[None, :, None, :]).reshape(m * f, m * f)
     names = ["(" + ",".join(parts) + ")" for parts in itertools.product(*labels)]
-    return group_from_cayley_table(table, names, Tag("product", parts=tuple(tags)))
-
-
-def elementary_abelian_2(t: int) -> Group:
-    """The group Z_2^t (the trivial group when t == 0)."""
-    if t < 0:
-        raise BadParameterError(f"exponent must be >= 0, got {t}")
-    return abelian([2] * t)
+    return group_from_cayley_table(table, names, tag)
 
 
 # ---------------------------------------------------------------------------
@@ -817,9 +808,28 @@ def right_transversal(G: Group, H: Subgroup) -> list[int]:
     return [c.representative for c in right_cosets(G, H)]
 
 
-def coset_square_membership(G: Group, H: Subgroup, x: int) -> bool:
-    """Whether x*x lies in H (constant across the coset Hx when H is normal)."""
-    return G.mul(x, x) in H
+def coset_units(G: Group, H: Subgroup) -> list[tuple[Coset, ...]]:
+    """The right cosets grouped into units, in :func:`right_cosets` order.
+
+    A unit is ``(Hx,)`` when x*x lies in H, which makes Hx closed under
+    inverses, and ``(Hx, Hx^-1)`` otherwise, the partner holding x^-1.
+    The sum graphs over a normal H decompose into one block per unit.
+    """
+    cosets = right_cosets(G, H)
+    coset_of = {v: c for c in cosets for v in c.members}
+    units: list[tuple[Coset, ...]] = []
+    paired = set()
+    for c in cosets:
+        x = c.representative
+        if x in paired:
+            continue
+        if G.mul(x, x) in H:
+            units.append((c,))
+        else:
+            partner = coset_of[G.inv(x)]
+            paired.add(partner.representative)
+            units.append((c, partner))
+    return units
 
 
 def coset_has_involution(G: Group, H: Subgroup, x: int) -> bool:
@@ -909,7 +919,7 @@ def is_dedekind(G: Group) -> bool:
     return True
 
 
-def subgroup_as_group(G: Group, H: Subgroup, tag: Tag | None = None) -> tuple[Group, dict[int, int]]:
+def subgroup_as_group(G: Group, H: Subgroup, tag: GroupExpr | None = None) -> tuple[Group, dict[int, int]]:
     """Restrict the table to H's members and reindex them densely.
 
     Returns the new group and the mapping from parent indices to new ones.
@@ -958,3 +968,34 @@ def abelian_isomorphism_types(max_order: int) -> list[tuple[int, ...]]:
         for combo in combos:
             types.append(tuple(sorted(combo)))
     return types
+
+
+SWEEP_FAMILIES = ("cyclic", "dihedral", "dicyclic", "abelian", "quaternion")
+
+
+def sweep_groups(max_order: int, families: Sequence[str] = SWEEP_FAMILIES) -> Iterator[Group]:
+    """The built-in groups of order <= max_order, family by family, built lazily.
+
+    Cyclic groups by order, dihedral and dicyclic groups by parameter, one
+    group per abelian isomorphism type with at least two factors (the
+    others are cyclic), and Q8.  Unknown families raise
+    :class:`BadParameterError` here, before any group is built.
+    """
+    for family in families:
+        if family not in SWEEP_FAMILIES:
+            raise BadParameterError(
+                f"unknown family {family!r}: choose from {', '.join(SWEEP_FAMILIES)}"
+            )
+    return (G for family in families for G in _family_groups(family, max_order))
+
+
+def _family_groups(family: str, max_order: int) -> Iterator[Group]:
+    if family == "cyclic":
+        return (cyclic(n) for n in range(1, max_order + 1))
+    if family == "dihedral":
+        return (dihedral(n) for n in range(3, max_order // 2 + 1))
+    if family == "dicyclic":
+        return (dicyclic(n) for n in range(2, max_order // 4 + 1))
+    if family == "abelian":
+        return (abelian(f) for f in abelian_isomorphism_types(max_order) if len(f) > 1)
+    return iter([quaternion()] if max_order >= 8 else [])

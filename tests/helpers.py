@@ -9,53 +9,22 @@ from __future__ import annotations
 
 from functools import cache
 
-from sumgraph import (
-    CrossCheckReport,
-    Group,
-    abelian,
-    abelian_isomorphism_types,
-    cross_check,
-    cyclic,
-    dicyclic,
-    dihedral,
-    quaternion,
-)
+from sumgraph import CrossCheckReport, Group, cross_check, sweep_groups
 
 SWEEP_MAX_ORDER = 48
 
 
 @cache
-def sweep_groups(max_order: int = SWEEP_MAX_ORDER) -> tuple[tuple[str, Group], ...]:
-    """Every built-in group of order <= max_order, canonically ordered.
-
-    Cyclic groups, dihedral and dicyclic groups in range, one group per
-    abelian isomorphism type (the non-cyclic ones; cyclic types are already
-    present), and the quaternion group.
-    """
-    out: list[tuple[str, Group]] = []
-    for n in range(1, max_order + 1):
-        out.append((f"Z{n}", cyclic(n)))
-    n = 3
-    while 2 * n <= max_order:
-        out.append((f"D{2 * n}", dihedral(n)))
-        n += 1
-    n = 2
-    while 4 * n <= max_order:
-        out.append((f"Dic{n}", dicyclic(n)))
-        n += 1
-    for factors in abelian_isomorphism_types(max_order):
-        if len(factors) < 2:
-            continue
-        name = " x ".join(f"Z{f}" for f in factors)
-        out.append((name, abelian(factors)))
-    out.append(("Q8", quaternion()))
-    return tuple(out)
+def sweep(max_order: int = SWEEP_MAX_ORDER) -> tuple[Group, ...]:
+    """Every built-in group of order <= max_order, in the order of
+    :func:`sumgraph.sweep_groups` (all its families, Q8 last)."""
+    return tuple(sweep_groups(max_order))
 
 
 @cache
-def sweep_reports(max_order: int = SWEEP_MAX_ORDER) -> tuple[tuple[str, Group, CrossCheckReport], ...]:
+def sweep_reports(max_order: int = SWEEP_MAX_ORDER) -> tuple[tuple[Group, CrossCheckReport], ...]:
     """cross_check report for every sweep group (deciders vs brute force)."""
-    return tuple((name, G, cross_check(G)) for name, G in sweep_groups(max_order))
+    return tuple((G, cross_check(G)) for G in sweep(max_order))
 
 
 def subset_perfect_codes(adjacency: list[list[int]]) -> list[tuple[int, ...]]:

@@ -37,7 +37,7 @@ from sumgraph import (
     verify_structure,
 )
 
-from helpers import SWEEP_MAX_ORDER, sweep_groups, sweep_reports
+from helpers import SWEEP_MAX_ORDER, sweep, sweep_reports
 
 
 def _report(n, ok, detail=""):
@@ -51,14 +51,14 @@ def test_criterion_01_perfect_code_decider_matches_oracle():
     reports = sweep_reports(SWEEP_MAX_ORDER)
     bad = []
     checks = 0
-    for name, _, report in reports:
+    for G, report in reports:
         for e in report.entries:
             if e.flavor == "plain" and e.kind == "perfect":
                 checks += 1
                 if not e.agree:
-                    bad.append((name, e.subgroup))
+                    bad.append((G.name, e.subgroup))
     elapsed = time.perf_counter() - started
-    names = {name for name, _ in sweep_groups(SWEEP_MAX_ORDER)}
+    names = {G.name for G in sweep(SWEEP_MAX_ORDER)}
     coverage = {"Z48", "D48", "Dic12", "Q8", "Z2 x Z2 x Z11"} <= names
     _report(
         1,
@@ -126,24 +126,24 @@ def test_criterion_06_extended_components_are_complete_or_bipartite():
     other = []
     sized_wrong = []
     divergences = []
-    for name, G in sweep_groups(SWEEP_MAX_ORDER):
+    for G in sweep(SWEEP_MAX_ORDER):
         for H in normal_subgroups(G):
             if len(H) < 2:
                 continue
             report = verify_structure(G, H)
             if report.divergent_vertices:
-                divergences.append((name, H.members, report.divergent_vertices))
+                divergences.append((G.name, H.members, report.divergent_vertices))
             for block in report.blocks:
                 if block.flavor != "extended":
                     continue
                 if block.kind == "complete":
                     if len(block.vertices) != len(H):
-                        sized_wrong.append((name, H.members, block.vertices))
+                        sized_wrong.append((G.name, H.members, block.vertices))
                 elif block.kind == "complete_bipartite":
                     if len(block.vertices) != 2 * len(H):
-                        sized_wrong.append((name, H.members, block.vertices))
+                        sized_wrong.append((G.name, H.members, block.vertices))
                 else:
-                    other.append((name, H.members, block.kind))
+                    other.append((G.name, H.members, block.kind))
     # divergences are between the plain graph and its textbook description;
     # they are reported, never asserted against
     for name, members, vertices in divergences[:5]:
@@ -157,17 +157,17 @@ def test_criterion_06_extended_components_are_complete_or_bipartite():
 
 def test_criterion_07_total_codes_match_oracle_and_abelian_rule():
     bad = []
-    for name, _, report in sweep_reports(SWEEP_MAX_ORDER):
+    for G, report in sweep_reports(SWEEP_MAX_ORDER):
         for e in report.entries:
             if e.flavor == "plain" and e.kind == "total" and not e.agree:
-                bad.append((name, e.subgroup))
+                bad.append((G.name, e.subgroup))
     rule_bad = []
-    for name, G in sweep_groups(SWEEP_MAX_ORDER):
+    for G in sweep(SWEEP_MAX_ORDER):
         if not G.abelian:
             continue
         for H in normal_subgroups(G):
             if abelian_total_perfect_code(G, H) != decide_total_perfect_code(G, H).exists:
-                rule_bad.append((name, H.members))
+                rule_bad.append((G.name, H.members))
     _report(
         7,
         not bad and not rule_bad,
@@ -177,10 +177,10 @@ def test_criterion_07_total_codes_match_oracle_and_abelian_rule():
 
 def test_criterion_08_extended_deciders_and_even_cyclic_positives():
     bad = []
-    for name, _, report in sweep_reports(SWEEP_MAX_ORDER):
+    for G, report in sweep_reports(SWEEP_MAX_ORDER):
         for e in report.entries:
             if e.flavor == "extended" and not e.agree:
-                bad.append((name, e.kind, e.subgroup))
+                bad.append((G.name, e.kind, e.subgroup))
     shape_bad = []
     for n in range(2, SWEEP_MAX_ORDER + 1, 2):
         G = cyclic(n)
@@ -208,11 +208,11 @@ def test_criterion_09_code_perfect_groups_are_classified():
         if is_code_perfect(G) != expected:
             mismatched.append(factors)
     dedekind_bad = []
-    for name, G in sweep_groups(32):
+    for G in sweep(32):
         if not is_dedekind(G):
             continue
         if is_code_perfect(G, method="dedekind") != is_code_perfect(G):
-            dedekind_bad.append(name)
+            dedekind_bad.append(G.name)
     _report(
         9,
         not mismatched and not dedekind_bad,
@@ -223,7 +223,7 @@ def test_criterion_09_code_perfect_groups_are_classified():
 def test_criterion_10_positive_verdicts_carry_valid_witnesses():
     failures = 0
     positives = 0
-    for name, G in sweep_groups(SWEEP_MAX_ORDER):
+    for G in sweep(SWEEP_MAX_ORDER):
         for H in normal_subgroups(G):
             for extended in (False, True):
                 for total in (False, True):

@@ -70,6 +70,22 @@ def test_graph_json_output_and_out_file(capsys, tmp_path):
     assert sorted(payload["adjacency"][1]) == [2, 5]
 
 
+def test_reports_name_q8_and_e2_by_their_expressions(capsys):
+    rc, out, _ = run(capsys, "graph", "Q8", "--subgroup", "gen:-1", "--format", "json")
+    assert rc == 0
+    payload = json.loads(out)
+    assert payload["group"] == "Q8"
+    assert payload["subgroup"] == [0, 1]
+
+    rc, out, _ = run(capsys, "graph", "Q8 x Z2", "--subgroup", "index:0", "--format", "json")
+    assert rc == 0
+    assert json.loads(out)["group"] == "Q8 x Z2"
+
+    rc, out, _ = run(capsys, "code", "E2^2", "--subgroup", "index:1")
+    assert rc == 0
+    assert json.loads(out)["group"] == {"tag": "E2^2", "order": 4}
+
+
 def test_graph_subgroup_by_index(capsys):
     rc, out, _ = run(capsys, "graph", "Z6", "--subgroup", "index:2", "--format", "json")
     assert rc == 0
@@ -202,9 +218,10 @@ def test_scan_families_filter_and_out_file(capsys, tmp_path):
         "family_abelian_total",
     }
 
-    rc, _, err = run(capsys, "scan", "--families", "klein")
+    rc, _, err = run(capsys, "scan", "--families", "klein", "--out", str(tmp_path / "none.jsonl"))
     assert rc == 2
-    assert "error:" in err
+    assert "error:" in err and "klein" in err
+    assert not (tmp_path / "none.jsonl").exists()  # checked before the file is opened
 
 
 def test_classify_code_perfect(capsys):

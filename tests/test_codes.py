@@ -39,7 +39,7 @@ from helpers import (
     adjacency_matrix,
     subset_perfect_codes,
     subset_total_perfect_codes,
-    sweep_groups,
+    sweep,
 )
 
 
@@ -137,7 +137,7 @@ def test_decide_perfect_code_rules():
 
 
 def test_odd_order_subgroups_always_admit_codes():
-    for _, G in sweep_groups(24):
+    for G in sweep(24):
         for H in normal_subgroups(G):
             if len(H) % 2 == 0:
                 continue
@@ -145,7 +145,7 @@ def test_odd_order_subgroups_always_admit_codes():
 
 
 def test_order_two_subgroup_means_matching():
-    for _, G in sweep_groups(20):
+    for G in sweep(20):
         for H in normal_subgroups(G):
             if len(H) != 2:
                 continue
@@ -285,7 +285,7 @@ def test_decide_code_dispatch():
 
 
 def test_positive_verdicts_carry_validated_witnesses():
-    for _, G in sweep_groups(20):
+    for G in sweep(20):
         for H in normal_subgroups(G):
             for extended in (False, True):
                 for total in (False, True):
@@ -324,6 +324,12 @@ def test_cross_check_trivial_group():
     report = cross_check(cyclic(1))
     assert report.all_agree
     assert len(report.entries) == 4
+
+
+def test_cross_check_names_the_group_by_its_expression():
+    assert cross_check(quaternion()).group == "Q8"
+    assert cross_check(direct_product(quaternion(), cyclic(2))).group == "Q8 x Z2"
+    assert cross_check(elementary_abelian_2(2)).group == "E2^2"
 
 
 def _nonabelian_products(max_order):

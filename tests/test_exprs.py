@@ -1,5 +1,6 @@
 """Group expression parsing, formatting, and construction."""
 
+import math
 import random
 
 import pytest
@@ -14,6 +15,7 @@ from sumgraph import (
     QuaternionExpr,
     build_group,
     format_group_expr,
+    max_supported_order,
     parse_group_expr,
 )
 
@@ -94,20 +96,22 @@ def test_parse_rejects_bad_parameters():
     assert exc.value.offset == 6
 
 
+ROUND_TRIP_CASES = [
+    "Z1",
+    "Z12",
+    "D8",
+    "Dic2",
+    "Q8",
+    "E2^4",
+    "Z2 x Z3",
+    "Z2 x Z2 x Z3",
+    "(Z2 x Z2) x Z3",
+    "Z3 x (Z4 x Q8) x D10",
+]
+
+
 def test_format_round_trip_fixed_cases():
-    cases = [
-        "Z1",
-        "Z12",
-        "D8",
-        "Dic2",
-        "Q8",
-        "E2^4",
-        "Z2 x Z3",
-        "Z2 x Z2 x Z3",
-        "(Z2 x Z2) x Z3",
-        "Z3 x (Z4 x Q8) x D10",
-    ]
-    for text in cases:
+    for text in ROUND_TRIP_CASES:
         expr = parse_group_expr(text)
         printed = format_group_expr(expr)
         assert parse_group_expr(printed) == expr, text
@@ -136,6 +140,45 @@ def test_format_round_trip_random_expressions():
     for _ in range(300):
         expr = _random_expr(rng, 0)
         assert parse_group_expr(format_group_expr(expr)) == expr
+
+
+def _order(expr):
+    if isinstance(expr, CyclicExpr):
+        return expr.n
+    if isinstance(expr, DihedralExpr):
+        return expr.order
+    if isinstance(expr, DicyclicExpr):
+        return 4 * expr.n
+    if isinstance(expr, QuaternionExpr):
+        return 8
+    if isinstance(expr, ElementaryAbelianExpr):
+        return 2**expr.t
+    return math.prod(_order(p) for p in expr.parts)
+
+
+def _assert_tagged(expr):
+    G = build_group(expr)
+    assert G.tag == expr, format_group_expr(expr)
+    assert str(G.tag) == G.name == format_group_expr(expr)
+    assert G.order == _order(expr)
+
+
+def test_build_group_tags_the_expression_fixed_cases():
+    exprs = [parse_group_expr(t) for t in ROUND_TRIP_CASES + ["E2^0", "E2^1 x Z3", "Dic3 x (D8 x E2^2)"]]
+    within_cap = [e for e in exprs if _order(e) <= max_supported_order()]
+    assert len(within_cap) == len(exprs) - 1  # Z3 x (Z4 x Q8) x D10 has order 960
+    for expr in within_cap:
+        _assert_tagged(expr)
+
+
+def test_build_group_tags_the_expression_random():
+    rng = random.Random(20261018)
+    built = 0
+    while built < 60:
+        expr = _random_expr(rng, 0)
+        if _order(expr) <= max_supported_order():
+            _assert_tagged(expr)
+            built += 1
 
 
 def test_build_group_shapes():

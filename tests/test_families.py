@@ -1,5 +1,9 @@
 """Family-specific deciders and whole-group classification."""
 
+import math
+import random
+import re
+
 import pytest
 
 from sumgraph import (
@@ -13,7 +17,6 @@ from sumgraph import (
     abelian_isomorphism_types,
     abelian_total_perfect_code,
     all_subgroups,
-    coordinate_product_form,
     cyclic,
     cyclic_perfect_code,
     decide_perfect_code,
@@ -33,7 +36,7 @@ from sumgraph import (
     whole_group,
 )
 
-from helpers import sweep_groups
+from helpers import sweep
 
 
 def test_cyclic_rule_known_values():
@@ -106,10 +109,67 @@ def test_abelian_2group_matches_generic_decider():
             ), (factors, K.members)
 
 
-def test_coordinate_product_form():
-    assert coordinate_product_form((4, 4), [0, 4, 8, 12]) == (4, 1)
-    assert coordinate_product_form((2, 4), [0, 2, 4, 6]) == (2, 2)
-    assert coordinate_product_form((4, 4), [0, 5, 10, 15]) is None
+def _decode(index, orders):
+    out = []
+    for f in reversed(orders):
+        out.append(index % f)
+        index //= f
+    return tuple(reversed(out))
+
+
+def _encode(coords, orders):
+    acc = 0
+    for c, f in zip(coords, orders):
+        acc = acc * f + c
+    return acc
+
+
+def _abelian_2group_reference(orders, members):
+    """The decider's earlier per-element loop version, closure check included."""
+    mset = set(members)
+    coords = {m: _decode(m, orders) for m in members}
+    for a in members:
+        for b in members:
+            s = _encode([(x + y) % f for x, y, f in zip(coords[a], coords[b], orders)], orders)
+            if s not in mset:
+                raise NotASubgroupError(f"not closed under products: {a} + {b} is outside")
+    n = math.prod(orders)
+
+    def double(i):
+        return _encode([(2 * c) % f for c, f in zip(_decode(i, orders), orders)], orders)
+
+    socle = [i for i in range(n) if double(i) == 0]
+    reach = set()
+    for k in members:
+        kc = _decode(k, orders)
+        for w in socle:
+            wc = _decode(w, orders)
+            reach.add(_encode([(x + y) % f for x, y, f in zip(kc, wc, orders)], orders))
+    return all(double(x) not in mset or x in reach for x in range(n))
+
+
+def test_abelian_2group_matches_loop_reference_up_to_64():
+    types = [f for f in abelian_isomorphism_types(64) if len(f) > 1 and not any(x & (x - 1) for x in f)]
+    assert len(types) == 23
+    rng = random.Random(64)
+    for factors in types:
+        subgroups = [K for K in all_subgroups(abelian(factors)) if len(K) >= 3]
+        if math.prod(factors) == 64:  # every subgroup up to order 32, a sample at 64
+            subgroups = rng.sample(subgroups, min(len(subgroups), 40))
+        for K in subgroups:
+            expected = _abelian_2group_reference(factors, K.members)
+            assert abelian_2group_perfect_code(factors, K) == expected, (factors, K.members)
+    for factors in types:
+        n = math.prod(factors)
+        for _ in range(5):  # random sets: the same closure failure, or the same verdict
+            members = sorted({0, *rng.sample(range(1, n), min(n - 1, 3))})
+            try:
+                expected = _abelian_2group_reference(factors, members)
+            except NotASubgroupError as exc:
+                with pytest.raises(NotASubgroupError, match=re.escape(str(exc))):
+                    abelian_2group_perfect_code(factors, members)
+            else:
+                assert abelian_2group_perfect_code(factors, members) == expected
 
 
 def test_dihedral_catalogue():
@@ -223,7 +283,7 @@ def test_order_three_scan_equivalent_to_total_code_existence():
     # the scan conditions recognize exactly the groups Z2^n x Z3 with H the
     # order-3 subgroup, which by the total-code catalogue are exactly the
     # |H|=3 cases admitting a total perfect code
-    for _, G in sweep_groups(24):
+    for G in sweep(24):
         for H in normal_subgroups(G):
             if len(H) != 3:
                 continue

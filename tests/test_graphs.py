@@ -21,7 +21,7 @@ from sumgraph import (
     whole_group,
 )
 
-from helpers import sweep_groups
+from helpers import sweep
 
 
 def test_plain_graph_edges_of_z6():
@@ -46,7 +46,7 @@ def test_extended_graph_adds_inverse_pairs():
 
 
 def test_extended_minus_plain_is_exactly_the_inverse_matching():
-    for _, G in sweep_groups(20):
+    for G in sweep(20):
         for H in normal_subgroups(G):
             plain = set(build_graph(G, H).edges())
             extended = set(build_graph(G, H, extended=True).edges())
@@ -60,7 +60,7 @@ def test_extended_minus_plain_is_exactly_the_inverse_matching():
 
 
 def test_extended_degrees_are_subgroup_sized():
-    for _, G in sweep_groups(16):
+    for G in sweep(16):
         for H in normal_subgroups(G):
             graph = build_graph(G, H, extended=True)
             t = len(H)
@@ -146,7 +146,7 @@ def test_structure_divergence_is_reported_not_asserted():
 
 
 def test_structure_sweep_matches_everywhere():
-    for _, G in sweep_groups(24):
+    for G in sweep(24):
         for H in normal_subgroups(G):
             if len(H) == 1:
                 continue
@@ -164,7 +164,7 @@ def test_structure_sweep_matches_everywhere():
 def test_extended_components_shape_check_is_independent():
     # criterion-6 style check done from raw degrees and 2-coloring,
     # without verify_structure
-    for _, G in sweep_groups(20):
+    for G in sweep(20):
         for H in normal_subgroups(G):
             if len(H) == 1:
                 continue

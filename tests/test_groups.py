@@ -1,5 +1,6 @@
 """Group construction, validation, subgroup and coset machinery."""
 
+import json
 import math
 import os
 import random
@@ -26,7 +27,7 @@ from sumgraph import (
     build_group,
     conjugacy_classes,
     coset_has_involution,
-    coset_square_membership,
+    coset_units,
     cyclic,
     dicyclic,
     dihedral,
@@ -51,7 +52,7 @@ from sumgraph import (
     whole_group,
 )
 
-from helpers import sweep_groups
+from helpers import sweep
 
 
 def _full_scan_violation(table):
@@ -411,13 +412,15 @@ def test_order_cap_is_checked_before_allocation(monkeypatch):
         {"table": [[0]], "tag": {"param": 1}},
         {"table": [[0]], "tag": "cyclic"},
         {"table": [[0]], "tag": {"kind": "product", "parts": 5}},
+        {"table": [[0]], "tag": "Z2 x"},
+        {"table": [[0, 1, 2, 3], [1, 2, 3, 0], [2, 3, 0, 1], [3, 0, 1, 2]], "tag": "E2^2"},
         {"table": [[0, 1], [1]]},
         {"table": [[0]], "labels": 7},
         [[0]],
         None,
     ],
     ids=["empty", "tag-without-kind", "tag-not-object", "tag-parts-not-list",
-         "ragged-table", "labels-not-list", "list", "none"],
+         "tag-does-not-parse", "tag-names-another-group", "ragged-table", "labels-not-list", "list", "none"],
 )
 def test_group_from_json_rejects_malformed_input(data):
     with pytest.raises(BadParameterError):
@@ -458,13 +461,25 @@ def test_order_cap_and_env_override():
 
 
 def test_group_json_round_trip():
-    for G in (cyclic(7), dihedral(4), quaternion(), direct_product(cyclic(2), cyclic(4))):
+    groups = (
+        cyclic(7), dihedral(4), quaternion(), direct_product(cyclic(2), cyclic(4)),
+        elementary_abelian_2(3), direct_product(quaternion(), dicyclic(3)),
+    )
+    names = ["Z7", "D8", "Q8", "Z2 x Z4", "E2^3", "Q8 x Dic3"]
+    for G, name in zip(groups, names):
         data = G.to_json_dict()
-        back = group_from_json(data)
+        assert data["tag"] == name
+        back = group_from_json(json.loads(json.dumps(data)))
         assert back.order == G.order
         assert back.labels == G.labels
         assert np.array_equal(back.table, G.table)
-        assert str(back.tag) == str(G.tag)
+        assert back.tag == G.tag
+    bare = group_from_cayley_table(cyclic(3).table)
+    assert bare.tag is None and bare.name == "generic"
+    assert bare.to_json_dict()["tag"] is None
+    assert group_from_json(bare.to_json_dict()).tag is None
+    # a product with a bare factor has no expression either
+    assert direct_product(bare, cyclic(2)).name == "generic"
 
 
 def test_rebuilding_from_table_revalidates():
@@ -550,7 +565,7 @@ def test_normal_subgroups_match_filtered_enumeration():
 
 
 def test_normal_subgroups_match_reference():
-    groups = [G for _, G in sweep_groups()]
+    groups = [G for G in sweep()]
     groups += [build_group(parse_group_expr(text)) for text in VERIFY_GROUPS]
     groups += [build_group(parse_group_expr(text)) for text in ("D8 x D8 x Z2", "Q8 x Z2 x Z4")]
     for G in groups:
@@ -559,7 +574,7 @@ def test_normal_subgroups_match_reference():
 
 
 def test_all_subgroups_match_reference():
-    groups = [G for _, G in sweep_groups(32) if not G.abelian]
+    groups = [G for G in sweep(32) if not G.abelian]
     groups += [direct_product(dihedral(4), cyclic(2)), direct_product(quaternion(), cyclic(2))]
     for G in groups:
         got = [H.members for H in all_subgroups(G)]
@@ -577,8 +592,8 @@ def test_lattice_lists_are_fresh():
 @settings(max_examples=40, deadline=None)
 @given(st.data())
 def test_normal_lattice_is_invariant_under_relabelling(data):
-    groups = sweep_groups()
-    _, G = groups[data.draw(st.integers(0, len(groups) - 1), label="group")]
+    groups = sweep()
+    G = groups[data.draw(st.integers(0, len(groups) - 1), label="group")]
     perm = np.array(data.draw(st.permutations(range(G.order)), label="perm"))
     table = np.empty_like(G.table)
     table[np.ix_(perm, perm)] = perm[G.table]  # element x is relabelled perm[x]
@@ -607,12 +622,26 @@ def test_right_cosets_partition():
     assert seen == list(range(12))
 
 
-def test_coset_square_membership_and_involutions():
+def test_coset_units_pair_each_coset_with_its_inverse():
     G = cyclic(12)
     H = subgroup(G, [0, 4, 8])
-    # coset of 2: squares of its members are 4, 12 mod 12 = 0, 8: all in H
-    assert coset_square_membership(G, H, 2)
-    assert not coset_square_membership(G, H, 1)
+    units = coset_units(G, H)
+    # 2 + 2 = 4 lies in H, so H+2 stands alone; H+1 pairs with H+11 = H+3
+    assert [[c.representative for c in unit] for unit in units] == [[0], [1, 3], [2]]
+    for G in sweep(24):
+        for H in normal_subgroups(G):
+            units = coset_units(G, H)
+            reps = sorted(c.representative for unit in units for c in unit)
+            assert reps == sorted(right_transversal(G, H))
+            for unit in units:
+                x = unit[0].representative
+                assert (len(unit) == 1) == (G.mul(x, x) in H)
+                assert G.inv(x) in unit[-1].members
+
+
+def test_coset_has_involution():
+    G = cyclic(12)
+    H = subgroup(G, [0, 4, 8])
     assert coset_has_involution(G, H, 6)
     assert not coset_has_involution(G, H, 1)
 
@@ -621,7 +650,7 @@ def test_square_cosets_are_inverse_closed():
     # for normal H: if x^2 in H then every y in Hx has y^2 in H and Hx is
     # inverse-closed; if x^2 not in H then Hx united with the coset of the
     # inverse is inverse-closed and contains no involution
-    for _, G in sweep_groups(24):
+    for G in sweep(24):
         for H in normal_subgroups(G):
             mem = set(H.members)
             for coset in right_cosets(G, H):
@@ -682,7 +711,7 @@ def test_abelian_type_round_trips_order_multiset():
 
 
 def test_lagrange_and_involution_consistency():
-    for _, G in sweep_groups(24):
+    for G in sweep(24):
         for g in range(G.order):
             assert G.order % element_order(G, g) == 0
         assert set(involutions(G)) == {g for g in range(G.order)
