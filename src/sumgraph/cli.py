@@ -125,7 +125,10 @@ def _group_for(text: str) -> Group:
 def _open_out(path: str | None) -> tuple[TextIO, bool]:
     if path is None or path == "-":
         return sys.stdout, False
-    return open(path, "w", encoding="utf-8"), True
+    try:
+        return open(path, "w", encoding="utf-8"), True
+    except OSError as exc:
+        raise BadParameterError(f"cannot write --out {path}: {exc.strerror}") from None
 
 
 # ---------------------------------------------------------------------------

@@ -16,14 +16,11 @@ normal subgroup of a group.
 
 from __future__ import annotations
 
+import functools
 import time
 from dataclasses import dataclass
 
-from .errors import (
-    InternalInconsistencyError,
-    NotNormalError,
-    PreconditionViolatedError,
-)
+from .errors import InternalInconsistencyError, PreconditionViolatedError
 from .graphs import SumGraph, _bits, _mask_of, build_graph, components
 from .groups import (
     Group,
@@ -31,6 +28,7 @@ from .groups import (
     abelian_type,
     coset_units,
     normal_subgroups,
+    require_normal,
     right_cosets,
     right_transversal,
 )
@@ -89,28 +87,25 @@ class Verdict:
 # ---------------------------------------------------------------------------
 
 
-def is_perfect_code(graph: SumGraph, code) -> bool:
-    """Whether the closed neighbourhoods of ``code`` partition the vertices."""
-    full = (1 << graph.n) - 1
+def _partitions(graph: SumGraph, code, closed: bool) -> bool:
+    """Whether the closed (or open) neighbourhoods of ``code`` partition the vertices."""
     covered = 0
     for c in code:
-        nb = graph.rows[c] | (1 << c)
+        nb = graph.rows[c] | (1 << c) if closed else graph.rows[c]
         if covered & nb:
             return False
         covered |= nb
-    return covered == full
+    return covered == (1 << graph.n) - 1
+
+
+def is_perfect_code(graph: SumGraph, code) -> bool:
+    """Whether the closed neighbourhoods of ``code`` partition the vertices."""
+    return _partitions(graph, code, closed=True)
 
 
 def is_total_perfect_code(graph: SumGraph, code) -> bool:
     """Whether the open neighbourhoods of ``code`` partition the vertices."""
-    full = (1 << graph.n) - 1
-    covered = 0
-    for c in code:
-        nb = graph.rows[c]
-        if covered & nb:
-            return False
-        covered |= nb
-    return covered == full
+    return _partitions(graph, code, closed=False)
 
 
 def _cover_component(graph: SumGraph, comp_mask: int, closed: bool) -> int | None:
@@ -163,58 +158,49 @@ def find_total_perfect_code_bruteforce(graph: SumGraph) -> Code | None:
 # ---------------------------------------------------------------------------
 
 
-def _require_normal(H: Subgroup) -> None:
-    if not H.is_normal:
-        raise NotNormalError("the sum graph is only defined over normal subgroups")
+def _decider(rule):
+    """Give a rule body, ``rule(G, H) -> Verdict``, the contract every
+    decider shares: H must be a normal subgroup of G, and a positive
+    witness is re-checked against the graph of its verdict's flavour."""
+
+    @functools.wraps(rule)
+    def decide(G: Group, H: Subgroup) -> Verdict:
+        require_normal(G, H)
+        verdict = rule(G, H)
+        if verdict.witness is not None:
+            graph = build_graph(G, H, extended=verdict.flavor == "extended")
+            if not _partitions(graph, verdict.witness, closed=verdict.kind == "perfect"):
+                raise InternalInconsistencyError(f"constructed witness fails validation: {verdict!r}")
+        return verdict
+
+    return decide
 
 
-def _validated(G: Group, H: Subgroup, verdict: Verdict) -> Verdict:
-    """Re-check a positive witness against the actual graph before returning."""
-    if verdict.witness is not None:
-        graph = build_graph(G, H, extended=verdict.flavor == "extended")
-        ok = (
-            is_total_perfect_code(graph, verdict.witness)
-            if verdict.kind == "total"
-            else is_perfect_code(graph, verdict.witness)
-        )
-        if not ok:
-            raise InternalInconsistencyError(
-                f"constructed witness fails validation: {verdict!r}"
-            )
-    return verdict
+def _refuted(flavor: str, kind: str, reason: str, **detail) -> Verdict:
+    """A negative verdict whose certificate repeats the rule that settled it."""
+    return Verdict(flavor, kind, False, reason, None, {"reason": reason, **detail})
 
 
-def _matching_code(graph: SumGraph) -> tuple[int, ...]:
-    """Least endpoint of every edge plus all isolated vertices.
-
-    Only valid when every vertex has degree at most one.
-    """
-    out = []
-    for v in range(graph.n):
-        row = graph.rows[v]
-        if row == 0 or (row & -row).bit_length() - 1 > v:
-            out.append(v)
-    return tuple(out)
-
-
+@_decider
 def decide_perfect_code(G: Group, H: Subgroup) -> Verdict:
     """Does the sum graph of G over H admit a perfect code?
 
     Positive for the trivial subgroup (empty graph: take everything) and
-    for order two (the graph is a partial matching).  For larger H a code
-    exists exactly when every coset Hx with x*x in H holds a self-inverse
-    element; such an element dominates its whole block, while the paired
-    blocks Hx with Hx^-1 are always handled by taking x and its inverse.
+    for order two (the graph is a partial matching: take the lesser end of
+    every edge, x and x^-1 h, and every isolated vertex).  For larger H a
+    code exists exactly when every coset Hx with x*x in H holds a
+    self-inverse element; such an element dominates its whole block, while
+    the paired blocks Hx with Hx^-1 are always handled by taking x and its
+    inverse.
     """
     flavor, kind = "plain", "perfect"
-    _require_normal(H)
     if H.order == 1:
         witness = Code(tuple(range(G.order)), kind)
-        return _validated(G, H, Verdict(flavor, kind, True, "trivial-subgroup", witness, None))
+        return Verdict(flavor, kind, True, "trivial-subgroup", witness, None)
     if H.order == 2:
-        graph = build_graph(G, H)
-        witness = Code(_matching_code(graph), kind)
-        return _validated(G, H, Verdict(flavor, kind, True, "order-two-subgroup", witness, None))
+        h = next(m for m in H.members if m != G.identity)
+        witness = Code(tuple(x for x in range(G.order) if G.mul(G.inv(x), h) >= x), kind)
+        return Verdict(flavor, kind, True, "order-two-subgroup", witness, None)
     chosen: list[int] = []
     for unit in coset_units(G, H):
         c = unit[0]
@@ -222,24 +208,13 @@ def decide_perfect_code(G: Group, H: Subgroup) -> Verdict:
         if len(unit) == 1:  # x*x in H
             pivots = [v for v in c.members if G.inv(v) == v]
             if not pivots:
-                return Verdict(
-                    flavor,
-                    kind,
-                    False,
-                    "square-coset-without-involution",
-                    None,
-                    {
-                        "reason": "square-coset-without-involution",
-                        "coset_representative": x,
-                    },
-                )
+                reason = "square-coset-without-involution"
+                return _refuted(flavor, kind, reason, coset_representative=x)
             chosen.append(pivots[0])
         else:
             chosen.extend([x, G.inv(x)])
     witness = Code(tuple(sorted(chosen)), kind)
-    return _validated(
-        G, H, Verdict(flavor, kind, True, "square-cosets-have-involutions", witness, None)
-    )
+    return Verdict(flavor, kind, True, "square-cosets-have-involutions", witness, None)
 
 
 def _is_elementary_two_times_three(G: Group) -> bool:
@@ -254,6 +229,7 @@ def _is_elementary_two_times_three(G: Group) -> bool:
     return all(e == 1 for e in primary.get(2, ()))
 
 
+@_decider
 def decide_total_perfect_code(G: Group, H: Subgroup) -> Verdict:
     """Does the sum graph of G over H admit a total perfect code?
 
@@ -264,50 +240,27 @@ def decide_total_perfect_code(G: Group, H: Subgroup) -> Verdict:
     block is then a three-vertex star, covered by its centre plus one leaf.
     """
     flavor, kind = "plain", "total"
-    _require_normal(H)
     if H.order == 2:
         h = next(m for m in H.members if m != G.identity)
         for x in range(G.order):
             if G.mul(x, x) == h:
-                return Verdict(
-                    flavor,
-                    kind,
-                    False,
-                    "square-element-not-involution",
-                    None,
-                    {"reason": "square-element-not-involution", "element": x},
-                )
+                return _refuted(flavor, kind, "square-element-not-involution", element=x)
         witness = Code(tuple(range(G.order)), kind)
-        return _validated(G, H, Verdict(flavor, kind, True, "order-two-matching", witness, None))
+        return Verdict(flavor, kind, True, "order-two-matching", witness, None)
     if H.order == 3:
         if not _is_elementary_two_times_three(G):
-            return Verdict(
-                flavor,
-                kind,
-                False,
-                "not-elementary-two-times-three",
-                None,
-                {"reason": "not-elementary-two-times-three", "group_order": G.order},
-            )
+            return _refuted(flavor, kind, "not-elementary-two-times-three", group_order=G.order)
         chosen = []
         for c in right_cosets(G, H):
             centre = next(v for v in c.members if G.inv(v) == v)
             leaf = min(v for v in c.members if v != centre)
             chosen.extend([centre, leaf])
         witness = Code(tuple(sorted(chosen)), kind)
-        return _validated(
-            G, H, Verdict(flavor, kind, True, "elementary-two-times-three", witness, None)
-        )
-    return Verdict(
-        flavor,
-        kind,
-        False,
-        "subgroup-order-unsuitable",
-        None,
-        {"reason": "subgroup-order-unsuitable", "subgroup_order": H.order},
-    )
+        return Verdict(flavor, kind, True, "elementary-two-times-three", witness, None)
+    return _refuted(flavor, kind, "subgroup-order-unsuitable", subgroup_order=H.order)
 
 
+@_decider
 def decide_perfect_code_extended(G: Group, H: Subgroup) -> Verdict:
     """Does the extended sum graph of G over H admit a perfect code?
 
@@ -317,28 +270,19 @@ def decide_perfect_code_extended(G: Group, H: Subgroup) -> Verdict:
     one coset each, and any transversal is a code.
     """
     flavor, kind = "extended", "perfect"
-    _require_normal(H)
     if H.order == 1:
         witness = Code(tuple(v for v in range(G.order) if G.inv(v) >= v), kind)
-        return _validated(G, H, Verdict(flavor, kind, True, "trivial-subgroup", witness, None))
+        return Verdict(flavor, kind, True, "trivial-subgroup", witness, None)
     outside = sorted(G.square_set - H.member_set)
     if not outside:
         witness = Code(tuple(sorted(right_transversal(G, H))), kind)
-        return _validated(
-            G, H, Verdict(flavor, kind, True, "squares-inside-subgroup", witness, None)
-        )
+        return Verdict(flavor, kind, True, "squares-inside-subgroup", witness, None)
     sq = outside[0]
     element = min(x for x in range(G.order) if G.mul(x, x) == sq)
-    return Verdict(
-        flavor,
-        kind,
-        False,
-        "square-outside-subgroup",
-        None,
-        {"reason": "square-outside-subgroup", "element": element, "square": sq},
-    )
+    return _refuted(flavor, kind, "square-outside-subgroup", element=element, square=sq)
 
 
+@_decider
 def decide_total_perfect_code_extended(G: Group, H: Subgroup) -> Verdict:
     """Does the extended sum graph of G over H admit a total perfect code?
 
@@ -347,23 +291,14 @@ def decide_total_perfect_code_extended(G: Group, H: Subgroup) -> Verdict:
     No other subgroup order works, whatever the group.
     """
     flavor, kind = "extended", "total"
-    _require_normal(H)
     if H.order != 2:
-        return Verdict(
-            flavor,
-            kind,
-            False,
-            "subgroup-order-not-two",
-            None,
-            {"reason": "subgroup-order-not-two", "subgroup_order": H.order},
-        )
-    graph = build_graph(G, H, extended=True)
-    witness = find_total_perfect_code_bruteforce(graph)
+        return _refuted(flavor, kind, "subgroup-order-not-two", subgroup_order=H.order)
+    witness = find_total_perfect_code_bruteforce(build_graph(G, H, extended=True))
     if witness is None:
         raise InternalInconsistencyError(
             "order-two subgroup yielded no total code in the extended graph"
         )
-    return _validated(G, H, Verdict(flavor, kind, True, "order-two-subgroup", witness, None))
+    return Verdict(flavor, kind, True, "order-two-subgroup", witness, None)
 
 
 def decide_code(G: Group, H: Subgroup, extended: bool = False, total: bool = False) -> Verdict:

@@ -92,6 +92,7 @@ _TOKEN_RE = re.compile(
 )
 
 _ATOM_TOKENS = ("Z", "D", "Dic", "Q8", "E2^", "(")
+_MAX_NESTING = 100  # parenthesis depth; bounds the parser's recursion
 
 
 def _tokenize(text: str) -> list[tuple[str, str, int]]:
@@ -115,6 +116,7 @@ class _Parser:
         self.text = text
         self.tokens = _tokenize(text)
         self.pos = 0
+        self.depth = 0
 
     def peek(self) -> tuple[str, str, int] | None:
         return self.tokens[self.pos] if self.pos < len(self.tokens) else None
@@ -172,8 +174,12 @@ class _Parser:
                 raise ParseError("exponent must be non-negative", t_at, ("integer >= 0",))
             return ElementaryAbelianExpr(t)
         if kind == "lparen":
+            if self.depth == _MAX_NESTING:
+                raise ParseError(f"parentheses nested deeper than {_MAX_NESTING}", at)
             self.take()
+            self.depth += 1
             inner = self.expr()
+            self.depth -= 1
             tok = self.peek()
             if tok is None or tok[0] != "rparen":
                 raise ParseError("unclosed parenthesis", self.offset, (")",))

@@ -25,16 +25,17 @@ from .errors import (
     NotAbelianError,
     NotASubgroupError,
     NotDedekindError,
-    NotNormalError,
 )
 from .exprs import DicyclicExpr, DihedralExpr
 from .groups import (
     Group,
     Subgroup,
+    _check_order,
     abelian_type,
     is_dedekind,
-    max_supported_order,
     normal_subgroups,
+    require_normal,
+    require_subgroup,
     right_cosets,
 )
 
@@ -92,8 +93,7 @@ def abelian_2group_perfect_code(invariants: Sequence[int], K: Subgroup | Iterabl
         if f < 2 or f & (f - 1):
             raise BadParameterError(f"factor orders must be powers of two >= 2, got {f}")
     n = math.prod(orders)
-    if n > max_supported_order():
-        raise BadParameterError(f"order {n} exceeds the supported cap")
+    _check_order(n)
     if isinstance(K, Subgroup):
         if K.parent.order != n:
             raise BadParameterError(
@@ -135,13 +135,6 @@ def abelian_2group_perfect_code(invariants: Sequence[int], K: Subgroup | Iterabl
 # ---------------------------------------------------------------------------
 
 
-def _cyclic_part_verdict(subgroup_order: int, step: int) -> bool:
-    """Shared arithmetic for a subgroup <a^step> of order ``subgroup_order``
-    inside the rotation subgroup: code exists iff the order is odd, equals
-    2, or is even >= 4 with the step odd."""
-    return subgroup_order % 2 == 1 or subgroup_order == 2 or step % 2 == 1
-
-
 def dihedral_perfect_code(G: Group, H: Subgroup) -> bool:
     """Does the sum graph of a dihedral group over normal H have a perfect code?
 
@@ -151,15 +144,12 @@ def dihedral_perfect_code(G: Group, H: Subgroup) -> bool:
     """
     if not isinstance(G.tag, DihedralExpr):
         raise BadParameterError("expected a group built by the dihedral constructor")
-    if H.parent is not G:
-        raise NotASubgroupError("subgroup belongs to a different group")
-    if not H.is_normal:
-        raise NotNormalError("subgroup is not normal in the dihedral group")
+    require_normal(G, H)
     n = G.tag.order // 2
     if H.order == 2 * n:
         return True
-    if all(m < n for m in H.members):
-        return _cyclic_part_verdict(H.order, n // H.order)
+    if all(m < n for m in H.members):  # H = <a^t> with t = n / |H|
+        return H.order % 2 == 1 or H.order == 2 or (n // H.order) % 2 == 1
     even_rotations = set(range(0, n, 2))
     half_b = even_rotations | {n + i for i in range(0, n, 2)}
     half_ab = even_rotations | {n + i for i in range(1, n, 2)}
@@ -177,10 +167,7 @@ def dicyclic_perfect_code(G: Group, H: Subgroup) -> bool:
     """
     if not isinstance(G.tag, DicyclicExpr):
         raise BadParameterError("expected a group built by the dicyclic constructor")
-    if H.parent is not G:
-        raise NotASubgroupError("subgroup belongs to a different group")
-    if not H.is_normal:
-        raise NotNormalError("subgroup is not normal in the dicyclic group")
+    require_normal(G, H)
     n = G.tag.n
     if H.order == 4 * n:
         return True
@@ -203,8 +190,7 @@ def abelian_total_perfect_code(A: Group, H: Subgroup) -> bool:
     """
     if not A.abelian:
         raise NotAbelianError("this decider applies to abelian groups only")
-    if H.parent is not A:
-        raise NotASubgroupError("subgroup belongs to a different group")
+    require_subgroup(A, H)
     if H.order == 2:
         for x in range(A.order):
             if x in H:
@@ -228,14 +214,12 @@ def order_three_coset_scan(G: Group, H: Subgroup) -> bool:
     """
     if H.order != 3:
         raise BadParameterError(f"the scan applies to subgroups of order 3, got {H.order}")
-    if not H.is_normal:
-        raise NotNormalError("the scan applies to normal subgroups")
-    G_ = H.parent
-    for x in range(G_.order):
-        if x not in H and G_.mul(x, x) not in H:
+    require_normal(G, H)
+    for x in range(G.order):
+        if x not in H and G.mul(x, x) not in H:
             return False
-    for coset in right_cosets(G_, H):
-        if all(G_.element_orders[v] <= 2 for v in coset.members):
+    for coset in right_cosets(G, H):
+        if all(G.element_orders[v] <= 2 for v in coset.members):
             return False
     return True
 

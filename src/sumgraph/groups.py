@@ -39,6 +39,7 @@ from .errors import (
     NotAbelianError,
     NotASubgroupError,
     NotAssociativeError,
+    NotNormalError,
     NotLatinSquareError,
     ParseError,
 )
@@ -80,6 +81,8 @@ __all__ = [
     "subgroup_generated",
     "trivial_subgroup",
     "whole_group",
+    "require_subgroup",
+    "require_normal",
     "normal_subgroups",
     "all_subgroups",
     "right_cosets",
@@ -295,6 +298,20 @@ class Subgroup:
 
     def __repr__(self) -> str:
         return f"<Subgroup order={self.order} of {self.parent!r}>"
+
+
+def require_subgroup(G: Group, H: Subgroup) -> None:
+    """Raise unless H is a subgroup of G itself, not of another group."""
+    if H.parent is not G:
+        raise NotASubgroupError("subgroup belongs to a different group")
+
+
+def require_normal(G: Group, H: Subgroup) -> None:
+    """Raise unless H is a normal subgroup of G, the only kind the sum
+    graphs are defined over."""
+    require_subgroup(G, H)
+    if not H.is_normal:
+        raise NotNormalError("subgroup is not normal, so the sum graph is not defined over it")
 
 
 @dataclass(frozen=True)
@@ -784,8 +801,7 @@ def all_subgroups(G: Group) -> list[Subgroup]:
 def right_cosets(G: Group, H: Subgroup) -> list[Coset]:
     """The partition of G into right cosets Hx; the identity's coset first,
     the rest ordered by minimal member (which is the representative)."""
-    if H.parent is not G:
-        raise NotASubgroupError("subgroup belongs to a different group")
+    require_subgroup(G, H)
     members = list(H.members)
     seen = [False] * G.order
     cosets: list[Coset] = []
@@ -924,8 +940,7 @@ def subgroup_as_group(G: Group, H: Subgroup, tag: GroupExpr | None = None) -> tu
 
     Returns the new group and the mapping from parent indices to new ones.
     """
-    if H.parent is not G:
-        raise NotASubgroupError("subgroup belongs to a different group")
+    require_subgroup(G, H)
     mapping = {old: new for new, old in enumerate(H.members)}
     idx = np.fromiter(H.members, dtype=np.int64)
     sub_table = G.table[np.ix_(idx, idx)]

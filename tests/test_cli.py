@@ -265,3 +265,20 @@ def test_usage_errors_exit_two(capsys):
     rc, _, err = run(capsys, "graph", "D8", "--subgroup", "gen:b")
     assert rc == 2  # <b> is not normal in D8
     assert "error:" in err
+
+    rc, _, err = run(capsys, "normals", "(" * 600 + "Z2" + ")" * 600)
+    assert rc == 2  # deep nesting is a parse error, not a RecursionError
+    assert "error:" in err and "offset 100" in err
+
+
+def test_unwritable_out_path_exits_two(capsys, tmp_path):
+    missing = str(tmp_path / "no-such-dir" / "out.txt")
+    for argv in (
+        ("graph", "Z6", "--subgroup", "gen:3", "--out", missing),
+        ("scan", "--max-order", "4", "--out", missing),
+        ("scan", "--max-order", "4", "--out", str(tmp_path)),  # a directory
+    ):
+        rc, out, err = run(capsys, *argv)
+        assert rc == 2, argv
+        assert out == ""
+        assert err.startswith("error:") and "--out" in err

@@ -1,10 +1,15 @@
 """Code deciders, constructions, brute-force oracle, cross-checking."""
 
+import gc
+import weakref
+
 import pytest
 
 from sumgraph import (
+    NotASubgroupError,
     NotNormalError,
     PreconditionViolatedError,
+    SumGraph,
     abelian,
     abelian_type,
     build_graph,
@@ -26,6 +31,7 @@ from sumgraph import (
     is_perfect_code,
     is_total_perfect_code,
     normal_subgroups,
+    order_three_coset_scan,
     quaternion,
     subgroup,
     subgroup_as_group,
@@ -257,16 +263,66 @@ def test_decide_extended_total_perfect_code():
 
 
 def test_deciders_require_normality():
-    G = dihedral(4)
-    H = subgroup(G, [0, 4])
-    for decider in (
+    deciders = (
         decide_perfect_code,
         decide_total_perfect_code,
         decide_perfect_code_extended,
         decide_total_perfect_code_extended,
-    ):
+    )
+    G = dihedral(4)
+    H = subgroup(G, [0, 4])
+    for decider in deciders:
         with pytest.raises(NotNormalError):
             decider(G, H)
+
+    # a subgroup of another group, even an equal one, is not a subgroup of G
+    foreign = [
+        (cyclic(8), subgroup(cyclic(8), [0, 4])),
+        (cyclic(12), subgroup(cyclic(6), [0, 2, 4])),
+        (cyclic(6), subgroup(cyclic(6), [0, 2, 4])),
+    ]
+    for G, H in foreign:
+        for decider in deciders:
+            with pytest.raises(NotASubgroupError):
+                decider(G, H)
+        if H.order == 3:
+            with pytest.raises(NotASubgroupError):
+                order_three_coset_scan(G, H)
+
+
+def test_cross_check_builds_each_graph_once(monkeypatch):
+    # constructions, not build_graph calls: the deciders re-check their
+    # witnesses against the very graph cross_check built for the oracle
+    built = []
+    init = SumGraph.__init__
+
+    def counting_init(self, group, subgroup, extended, rows):
+        built.append((subgroup.members, extended))
+        init(self, group, subgroup, extended, rows)
+
+    monkeypatch.setattr(SumGraph, "__init__", counting_init)
+    for G in (cyclic(12), dihedral(6), dicyclic(3), quaternion(), elementary_abelian_2(3)):
+        built.clear()
+        expected = [(H.members, ext) for H in normal_subgroups(G) for ext in (False, True)]
+        cross_check(G)
+        assert sorted(built) == sorted(expected), G.name
+
+
+def test_decide_code_leaves_no_graph_or_group_alive():
+    # the graph a decider re-checks its witness on is held weakly only
+    G = dihedral(256)
+    centre = subgroup(G, [0, 128])
+    verdicts = [
+        decide_code(G, H, extended=extended, total=total)
+        for H in (trivial_subgroup(G), centre)
+        for extended in (False, True)
+        for total in (False, True)
+    ]
+    assert sum(v.witness is not None for v in verdicts) == 4
+    ref = weakref.ref(G)
+    del G, centre
+    gc.collect()
+    assert ref() is None
 
 
 def test_decide_code_dispatch():

@@ -85,6 +85,13 @@ def test_parse_errors_carry_offset_and_expectations():
     assert exc.value.offset == 5
     assert "at offset 5" in str(exc.value)
 
+    # nesting is capped at 100 levels, a parse error rather than a RecursionError
+    assert str(parse_group_expr("(" * 99 + "Z2 x (Z3)" + ")" * 99)) == "Z2 x Z3"
+    for depth in (101, 600, 5000):
+        with pytest.raises(ParseError) as exc:
+            parse_group_expr("(" * depth + "Z2" + ")" * depth)
+        assert exc.value.offset == 100
+
 
 def test_parse_rejects_bad_parameters():
     for bad in ("Z0", "D5", "D4", "D2", "Dic1", "Dic0", "Q16", "Q4"):

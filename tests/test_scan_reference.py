@@ -1,0 +1,42 @@
+"""``scan --max-order 48`` against the benchmark's recorded reference.
+
+``perfbench/expected_sweep.json`` holds one digest per group of the default
+scan (``perfbench/workloads.py`` writes it).  Comparing every group's
+records with it, in order, shows that a change kept every verdict and
+oracle answer of the sweep.  The benchmark module is loaded by path and
+only read.
+"""
+
+import importlib.util
+import itertools
+import json
+import sys
+from pathlib import Path
+
+from sumgraph.cli import main
+
+PERFBENCH = Path(__file__).resolve().parent.parent / "perfbench"
+
+
+def _workloads():
+    spec = importlib.util.spec_from_file_location("perfbench_workloads", PERFBENCH / "workloads.py")
+    module = importlib.util.module_from_spec(spec)
+    sys.modules[spec.name] = module  # its dataclasses look their module up here
+    spec.loader.exec_module(module)
+    return module
+
+
+def test_scan_matches_the_recorded_sweep(capsys):
+    workloads = _workloads()
+    expected = json.loads(workloads.EXPECTED_SWEEP.read_text())
+    assert expected["command"] == f"sumgraph scan --max-order {workloads.SWEEP_MAX_ORDER}"
+
+    rc = main(["scan", "--max-order", str(workloads.SWEEP_MAX_ORDER)])
+    out = capsys.readouterr().out
+    assert rc == 0
+    records = [json.loads(line) for line in out.splitlines()]
+    got = []
+    for _, group in itertools.groupby(records, key=lambda r: (r["group"], r["order"])):
+        group = list(group)
+        got.append([workloads.group_digest(group), len(group)])
+    assert got == expected["groups"]
