@@ -45,7 +45,7 @@ from .families import (
     is_code_perfect,
 )
 from .graphs import build_graph, graph_to_json, to_dot
-from .groups import SWEEP_FAMILIES, Group, Subgroup, normal_subgroups, subgroup_generated, sweep_groups
+from .groups import SWEEP_FAMILIES, Group, Subgroup, _Closure, normal_subgroups, subgroup_generated, sweep_groups
 
 SCAN_FAMILIES = ("cyclic", "dihedral", "dicyclic", "abelian")  # the default; "quaternion" adds Q8
 DEFAULT_SCAN_MAX_ORDER = 48
@@ -104,17 +104,12 @@ def resolve_subgroup(G: Group, selector: str) -> Subgroup:
 
 
 def _minimal_generators(G: Group, H: Subgroup) -> list[int]:
-    """A short generating set for H, grown greedily from its least members."""
-    chosen: list[int] = []
-    have = {G.identity}
+    """A short generating set for H, grown greedily from its least members:
+    a member becomes a generator when the ones before it do not reach it."""
+    closure = _Closure(G.table, G.identity)
     for v in H.members:
-        if v in have:
-            continue
-        chosen.append(v)
-        have = set(subgroup_generated(G, chosen).members)
-        if len(have) == len(H):
-            break
-    return chosen
+        closure.add(v)
+    return closure.gens
 
 
 def _group_for(text: str) -> Group:

@@ -20,7 +20,7 @@ import functools
 import time
 from dataclasses import dataclass
 
-from .errors import InternalInconsistencyError, PreconditionViolatedError
+from .errors import InternalInconsistencyError
 from .graphs import SumGraph, _bits, _mask_of, build_graph, components
 from .groups import (
     Group,
@@ -45,7 +45,6 @@ __all__ = [
     "decide_perfect_code_extended",
     "decide_total_perfect_code_extended",
     "decide_code",
-    "construct_perfect_code",
     "verdict_to_json",
     "CrossCheckEntry",
     "CrossCheckReport",
@@ -108,35 +107,36 @@ def is_total_perfect_code(graph: SumGraph, code) -> bool:
     return _partitions(graph, code, closed=False)
 
 
-def _cover_component(graph: SumGraph, comp_mask: int, closed: bool) -> int | None:
+def _cover_component(
+    rows: tuple[int, ...], comp_mask: int, closed: bool, covered: int, chosen: int
+) -> int | None:
     """Exact cover of one component by (closed or open) neighbourhoods.
 
-    Branches on the dominators of the lowest uncovered vertex, ascending,
+    Extends the partial cover ``covered``, made by the code ``chosen``,
+    branching on the dominators of the lowest uncovered vertex, ascending,
     so the first solution found is lexicographically least as a vertex set.
+    A plain module function, not a closure, so a search leaves no reference
+    cycle that would keep the graph alive until the cyclic collector runs.
     """
-
-    def rec(covered: int, chosen: int) -> int | None:
-        rem = comp_mask & ~covered
-        if not rem:
-            return chosen
-        v = (rem & -rem).bit_length() - 1
-        candidates = graph.rows[v] | (1 << v) if closed else graph.rows[v]
-        for c in _bits(candidates):
-            nb = graph.rows[c] | (1 << c) if closed else graph.rows[c]
-            if nb & covered:
-                continue
-            got = rec(covered | nb, chosen | (1 << c))
-            if got is not None:
-                return got
-        return None
-
-    return rec(0, 0)
+    rem = comp_mask & ~covered
+    if not rem:
+        return chosen
+    v = (rem & -rem).bit_length() - 1
+    candidates = rows[v] | (1 << v) if closed else rows[v]
+    for c in _bits(candidates):
+        nb = rows[c] | (1 << c) if closed else rows[c]
+        if nb & covered:
+            continue
+        got = _cover_component(rows, comp_mask, closed, covered | nb, chosen | (1 << c))
+        if got is not None:
+            return got
+    return None
 
 
 def _find_code(graph: SumGraph, closed: bool) -> Code | None:
     chosen = 0
     for comp in components(graph):
-        got = _cover_component(graph, _mask_of(comp), closed)
+        got = _cover_component(graph.rows, _mask_of(comp), closed, 0, 0)
         if got is None:
             return None
         chosen |= got
@@ -310,18 +310,6 @@ def decide_code(G: Group, H: Subgroup, extended: bool = False, total: bool = Fal
     if total:
         return decide_total_perfect_code(G, H)
     return decide_perfect_code(G, H)
-
-
-def construct_perfect_code(
-    G: Group, H: Subgroup, extended: bool = False, total: bool = False
-) -> Code:
-    """The witness code from the decider; raises if none exists."""
-    verdict = decide_code(G, H, extended=extended, total=total)
-    if not verdict.exists or verdict.witness is None:
-        raise PreconditionViolatedError(
-            f"no {verdict.kind} code exists here (rule: {verdict.rule})"
-        )
-    return verdict.witness
 
 
 def verdict_to_json(G: Group, H: Subgroup, verdict: Verdict) -> dict:

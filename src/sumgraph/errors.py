@@ -13,7 +13,6 @@ __all__ = [
     "NotNormalError",
     "NotAbelianError",
     "NotDedekindError",
-    "PreconditionViolatedError",
     "InternalInconsistencyError",
     "ParseError",
 ]
@@ -57,10 +56,6 @@ class NotAbelianError(SumGraphError, ValueError):
 
 class NotDedekindError(SumGraphError, ValueError):
     """A group has a non-normal subgroup where all must be normal."""
-
-
-class PreconditionViolatedError(SumGraphError):
-    """A documented precondition of an operation does not hold."""
 
 
 class InternalInconsistencyError(SumGraphError, RuntimeError):

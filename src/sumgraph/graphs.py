@@ -60,14 +60,8 @@ class SumGraph:
         self.n = group.order
         self.rows = rows
 
-    def has_edge(self, u: int, v: int) -> bool:
-        return bool(self.rows[u] >> v & 1)
-
     def neighbors(self, v: int) -> list[int]:
         return _bits(self.rows[v])
-
-    def degree(self, v: int) -> int:
-        return self.rows[v].bit_count()
 
     def edges(self) -> list[tuple[int, int]]:
         out = []
@@ -75,10 +69,6 @@ class SumGraph:
             row = self.rows[u] >> (u + 1) << (u + 1)  # neighbours above u
             out.extend((u, v) for v in _bits(row))
         return out
-
-    @property
-    def num_edges(self) -> int:
-        return sum(r.bit_count() for r in self.rows) // 2
 
     def __repr__(self) -> str:
         kind = "extended sum graph" if self.extended else "sum graph"

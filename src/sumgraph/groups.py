@@ -72,23 +72,14 @@ __all__ = [
     "abelian",
     "elementary_abelian_2",
     "direct_product",
-    "element_order",
-    "involutions",
-    "squares",
-    "is_abelian",
     "conjugacy_classes",
-    "subgroup",
     "subgroup_generated",
-    "trivial_subgroup",
-    "whole_group",
     "require_subgroup",
     "require_normal",
     "normal_subgroups",
-    "all_subgroups",
     "right_cosets",
     "right_transversal",
     "coset_units",
-    "coset_has_involution",
     "abelian_type",
     "is_dedekind",
     "subgroup_as_group",
@@ -152,20 +143,6 @@ class Group:
     def inv(self, a: int) -> int:
         return self.inverses[a]
 
-    def power(self, g: int, k: int) -> int:
-        if k < 0:
-            g, k = self.inv(g), -k
-        result, base = self.identity, g
-        while k:
-            if k & 1:
-                result = self.rows[result][base]
-            base = self.rows[base][base]
-            k >>= 1
-        return result
-
-    def elements(self) -> range:
-        return range(self.order)
-
     @cached_property
     def label_index(self) -> dict[str, int]:
         out: dict[str, int] = {}
@@ -217,14 +194,7 @@ class Group:
 
     @cached_property
     def _normal_subgroups(self) -> tuple["Subgroup", ...]:
-        members = _lattice(self, conjugacy_classes(self))
-        return tuple(_mark_normal(Subgroup(self, ms), True) for ms in members)
-
-    @cached_property
-    def _all_subgroups(self) -> tuple["Subgroup", ...]:
-        if self.abelian:
-            return tuple(normal_subgroups(self))
-        return tuple(Subgroup(self, ms) for ms in _lattice(self, ([g] for g in range(self.order))))
+        return tuple(_mark_normal(Subgroup(self, ms)) for ms in _lattice(self))
 
     @cached_property
     def name(self) -> str:
@@ -667,35 +637,9 @@ def _product(tables: Sequence[np.ndarray], labels: Sequence[Sequence[str]], tag:
 # ---------------------------------------------------------------------------
 
 
-def element_order(G: Group, g: int) -> int:
-    """The least k >= 1 with g^k = e."""
-    if not 0 <= g < G.order:
-        raise BadParameterError(f"element {g} out of range 0..{G.order - 1}")
-    return G.element_orders[g]
-
-
-def involutions(G: Group) -> frozenset[int]:
-    """All elements of order exactly 2."""
-    return G.involution_set
-
-
-def squares(G: Group) -> frozenset[int]:
-    """The set {g*g : g in G} of square elements."""
-    return G.square_set
-
-
-def is_abelian(G: Group) -> bool:
-    return G.abelian
-
-
 def conjugacy_classes(G: Group) -> tuple[tuple[int, ...], ...]:
     """Conjugacy classes, each sorted, ordered by minimal member."""
     return G._classes
-
-
-def subgroup(G: Group, members: Iterable[int]) -> Subgroup:
-    """Validate ``members`` as a subgroup of G."""
-    return Subgroup(G, members)
 
 
 def subgroup_generated(G: Group, generators: Iterable[int]) -> Subgroup:
@@ -712,34 +656,30 @@ def subgroup_generated(G: Group, generators: Iterable[int]) -> Subgroup:
     return Subgroup(G, closure.members)
 
 
-def trivial_subgroup(G: Group) -> Subgroup:
-    return Subgroup(G, [G.identity])
-
-
-def whole_group(G: Group) -> Subgroup:
-    return Subgroup(G, range(G.order))
-
-
-def _mark_normal(sub: Subgroup, flag: bool) -> Subgroup:
-    sub.__dict__["is_normal"] = flag
+def _mark_normal(sub: Subgroup) -> Subgroup:
+    sub.__dict__["is_normal"] = True
     return sub
 
 
-def _lattice(G: Group, seeds: Iterable[Iterable[int]]) -> list[list[int]]:
-    """Every join of the subgroups generated by ``seeds`` (the atoms), as
-    sorted member lists ordered by (order, members).
+def _lattice(G: Group) -> list[list[int]]:
+    """Every normal subgroup of G, as sorted member lists ordered by
+    (order, members).
 
-    Each atom is closed once and atoms are deduplicated.  Starting from
-    {e}, every subgroup found is joined with every atom it does not
-    contain, by a BFS from its generators plus the atom's; joins are
-    deduplicated by their reached set.  Every join of atoms arises as such
-    a chain, so the fixed point is complete.  The cost is about
-    (#found x #atoms) joins of O(|join| * |gens|) each.
+    The atoms are the subgroups generated by the conjugacy classes; a class
+    is closed under conjugation, so each atom is the normal closure of any
+    of its elements.  Each atom is closed once and atoms are deduplicated.
+    Starting from {e}, every subgroup found is joined with every atom it
+    does not contain, by a BFS from its generators plus the atom's; joins
+    are deduplicated by their reached set.  Every normal subgroup is the
+    join of the atoms of the classes it contains, and the join of two
+    normal subgroups is their product, so the fixed point is the whole
+    normal lattice.  The cost is about (#found x #atoms) joins of
+    O(|join| * |gens|) each.
     """
     atoms: dict[bytes, _Closure] = {}
-    for seed in seeds:
+    for cls in conjugacy_classes(G):
         atom = _Closure(G.table, G.identity)
-        for g in seed:
+        for g in cls:
             atom.add(g)
         atoms.setdefault(bytes(atom.reached), atom)
     trivial = _Closure(G.table, G.identity)
@@ -764,13 +704,9 @@ def _lattice(G: Group, seeds: Iterable[Iterable[int]]) -> list[list[int]]:
 def normal_subgroups(G: Group) -> list[Subgroup]:
     """All normal subgroups, sorted by (order, member tuple).
 
-    The normal closure of each conjugacy class is generated once, as an
-    atom; a class is closed under conjugation, so the subgroup it generates
-    is normal.  Every normal subgroup is the join of the atoms of the
-    classes it contains, and the join of two normal subgroups is their
-    product N*M, so the lattice is the set of all joins of atoms (see
-    :func:`_lattice`).  In an abelian group the atoms are the cyclic
-    subgroups: Z48 has 9 distinct atoms, not 47.
+    They are the joins of the normal closures of the conjugacy classes (see
+    :func:`_lattice`).  In an abelian group those closures are the cyclic
+    subgroups: Z48 has 9 distinct ones, not 47.
 
     The result is computed once per group and returned as a fresh list.
     Its size is a hard limit that no algorithm avoids: in an abelian group
@@ -778,19 +714,6 @@ def normal_subgroups(G: Group) -> list[Subgroup]:
     E2^8 417,199, so the cost grows with the rank like the output does.
     """
     return list(G._normal_subgroups)
-
-
-def all_subgroups(G: Group) -> list[Subgroup]:
-    """Every subgroup, sorted by (order, member tuple).
-
-    The atoms are the cyclic subgroups <g>: every subgroup is the join of
-    the cyclic subgroups of its elements, so known subgroups are extended by
-    one element at a time through the same join as
-    :func:`normal_subgroups`, which an abelian group simply reuses.  The
-    same hard limit applies: E2^6 has 2825 subgroups, E2^7 29,212 and E2^8
-    417,199.
-    """
-    return list(G._all_subgroups)
 
 
 # ---------------------------------------------------------------------------
@@ -846,12 +769,6 @@ def coset_units(G: Group, H: Subgroup) -> list[tuple[Coset, ...]]:
             paired.add(partner.representative)
             units.append((c, partner))
     return units
-
-
-def coset_has_involution(G: Group, H: Subgroup, x: int) -> bool:
-    """Whether the coset Hx contains an element of order 2."""
-    inv2 = G.involution_set
-    return any(G.mul(h, x) in inv2 for h in H.members)
 
 
 # ---------------------------------------------------------------------------

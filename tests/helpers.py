@@ -71,4 +71,4 @@ def subset_total_perfect_codes(adjacency: list[list[int]]) -> list[tuple[int, ..
 def adjacency_matrix(graph) -> list[list[int]]:
     """Dense 0/1 adjacency matrix of a SumGraph, for the subset checkers."""
     n = graph.n
-    return [[1 if graph.has_edge(u, v) else 0 for v in range(n)] for u in range(n)]
+    return [[graph.rows[u] >> v & 1 for v in range(n)] for u in range(n)]

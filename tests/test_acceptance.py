@@ -7,6 +7,7 @@ prints; without ``-s`` the lines appear for failing criteria only.
 import time
 
 from sumgraph import (
+    Subgroup,
     abelian,
     abelian_isomorphism_types,
     abelian_total_perfect_code,
@@ -23,7 +24,6 @@ from sumgraph import (
     dihedral,
     dihedral_perfect_code,
     abelian_2group_perfect_code,
-    all_subgroups,
     find_perfect_code_bruteforce,
     is_code_perfect,
     is_dedekind,
@@ -31,7 +31,6 @@ from sumgraph import (
     is_total_perfect_code,
     normal_subgroups,
     quaternion,
-    subgroup,
     subgroup_as_group,
     subgroup_generated,
     verify_structure,
@@ -98,7 +97,7 @@ def test_criterion_03_quaternion_order_four_subgroup():
 def test_criterion_04_z2_x_z4_counterexample():
     G = abelian((2, 4))
     members = [i for i in range(8) if G.labels[i] in ("(0,0)", "(0,2)", "(1,0)", "(1,2)")]
-    H = subgroup(G, members)
+    H = Subgroup(G, members)
     verdict = decide_perfect_code(G, H)
     oracle = find_perfect_code_bruteforce(build_graph(G, H))
     _report(4, verdict.exists is False and oracle is None, f"rule={verdict.rule}")
@@ -110,7 +109,7 @@ def test_criterion_05_sylow_reduction_is_one_directional():
     assert H.members == (0, 3, 6, 18, 21, 24)
 
     A2, to_new = subgroup_as_group(A, abelian_type(A).sylow_two)
-    H2 = subgroup(A2, [to_new[m] for m in H.members if m in to_new])
+    H2 = Subgroup(A2, [to_new[m] for m in H.members if m in to_new])
     assert A2.order == 4 and len(H2) == 2
 
     small = find_perfect_code_bruteforce(build_graph(A2, H2))
@@ -263,7 +262,7 @@ def test_criterion_11_family_deciders_match_generic():
         if len(factors) < 2 or any(f & (f - 1) for f in factors):
             continue
         G = abelian(factors)
-        for K in all_subgroups(G):
+        for K in normal_subgroups(G):  # in an abelian group every subgroup is normal
             if len(K) < 3:
                 continue
             if abelian_2group_perfect_code(factors, K) != decide_perfect_code(G, K).exists:

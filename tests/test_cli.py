@@ -2,7 +2,10 @@
 
 import json
 
+from sumgraph import normal_subgroups, subgroup_generated
 from sumgraph.cli import main
+
+from helpers import sweep
 
 
 def run(capsys, *argv):
@@ -35,6 +38,37 @@ def test_normals_on_nonabelian_group(capsys):
     # every record names generators that are labels of the group
     for r in records:
         assert all(isinstance(g, str) for g in r["generators"])
+
+
+def _minimal_generators_reference(G, H):
+    """Greedy generators of H: regenerate the subgroup after each new one."""
+    chosen = []
+    have = {G.identity}
+    for v in H.members:
+        if v in have:
+            continue
+        chosen.append(v)
+        have = set(subgroup_generated(G, chosen).members)
+        if len(have) == len(H):
+            break
+    return chosen
+
+
+def test_normals_match_reference_generators(capsys):
+    for G in sweep(48):
+        rc, out, _ = run(capsys, "normals", G.name)
+        assert rc == 0
+        expected = [
+            {
+                "index": k,
+                "order": len(H),
+                "members": list(H.members),
+                "labels": [G.labels[v] for v in H.members],
+                "generators": [G.labels[v] for v in _minimal_generators_reference(G, H)],
+            }
+            for k, H in enumerate(normal_subgroups(G))
+        ]
+        assert [json.loads(line) for line in out.splitlines()] == expected, G.name
 
 
 def test_graph_dot_output(capsys):

@@ -12,11 +12,11 @@ from sumgraph import (
     NotASubgroupError,
     NotDedekindError,
     NotNormalError,
+    Subgroup,
     abelian,
     abelian_2group_perfect_code,
     abelian_isomorphism_types,
     abelian_total_perfect_code,
-    all_subgroups,
     cyclic,
     cyclic_perfect_code,
     decide_perfect_code,
@@ -31,9 +31,7 @@ from sumgraph import (
     normal_subgroups,
     order_three_coset_scan,
     quaternion,
-    subgroup,
     subgroup_generated,
-    whole_group,
 )
 
 from helpers import sweep
@@ -82,7 +80,7 @@ def test_abelian_2group_examples():
     assert abelian_2group_perfect_code((4, 4), [0, 5, 10, 15])
 
     G = direct_product(cyclic(2), cyclic(4))
-    K = subgroup(G, [0, 2, 4, 6])
+    K = Subgroup(G, [0, 2, 4, 6])
     assert not abelian_2group_perfect_code((2, 4), K)
 
     with pytest.raises(BadParameterError):
@@ -100,7 +98,7 @@ def test_abelian_2group_matches_generic_decider():
         if len(factors) < 2 or any(f & (f - 1) for f in factors):
             continue
         G = abelian(factors)
-        for K in all_subgroups(G):
+        for K in normal_subgroups(G):  # in an abelian group every subgroup is normal
             if len(K) < 3:
                 continue
             assert (
@@ -153,7 +151,7 @@ def test_abelian_2group_matches_loop_reference_up_to_64():
     assert len(types) == 23
     rng = random.Random(64)
     for factors in types:
-        subgroups = [K for K in all_subgroups(abelian(factors)) if len(K) >= 3]
+        subgroups = [K for K in normal_subgroups(abelian(factors)) if len(K) >= 3]  # all subgroups
         if math.prod(factors) == 64:  # every subgroup up to order 32, a sample at 64
             subgroups = rng.sample(subgroups, min(len(subgroups), 40))
         for K in subgroups:
@@ -183,13 +181,14 @@ def test_dihedral_catalogue():
     H = subgroup_generated(G, [2, 5])  # <a^2, ab>
     assert dihedral_perfect_code(G, H)
     with pytest.raises(NotNormalError):
-        dihedral_perfect_code(G, subgroup(G, [0, 4]))
+        dihedral_perfect_code(G, Subgroup(G, [0, 4]))
 
     G = dihedral(12)
     H = subgroup_generated(G, [2])  # <a^2>, order 6, even steps
     assert not dihedral_perfect_code(G, H)
     with pytest.raises(BadParameterError):
-        dihedral_perfect_code(cyclic(6), whole_group(cyclic(6)))
+        C = cyclic(6)
+        dihedral_perfect_code(C, Subgroup(C, range(6)))
 
 
 def test_dihedral_matches_generic_decider():
@@ -205,7 +204,7 @@ def test_dihedral_matches_generic_decider():
 def test_dicyclic_catalogue():
     G = dicyclic(2)
     assert not dicyclic_perfect_code(G, subgroup_generated(G, [1]))  # <a>, order 4
-    assert dicyclic_perfect_code(G, whole_group(G))
+    assert dicyclic_perfect_code(G, Subgroup(G, range(G.order)))
 
     G = dicyclic(3)
     assert dicyclic_perfect_code(G, subgroup_generated(G, [2]))  # <a^2>, 6/2=3 odd
@@ -221,7 +220,8 @@ def test_dicyclic_catalogue():
         G = dicyclic(3)
         dicyclic_perfect_code(G, subgroup_generated(G, [G.order - 1]))  # <b>
     with pytest.raises(BadParameterError):
-        dicyclic_perfect_code(cyclic(8), whole_group(cyclic(8)))
+        C = cyclic(8)
+        dicyclic_perfect_code(C, Subgroup(C, range(8)))
 
 
 def test_dicyclic_matches_generic_decider():
@@ -238,21 +238,22 @@ def test_abelian_total_known_values():
     G = direct_product(cyclic(2), cyclic(5))
     two = [g for g in range(10) if g and G.mul(g, g) == 0]
     assert len(two) == 1
-    assert abelian_total_perfect_code(G, subgroup(G, [0] + two))
+    assert abelian_total_perfect_code(G, Subgroup(G, [0] + two))
 
     G = cyclic(4)
-    assert not abelian_total_perfect_code(G, subgroup(G, [0, 2]))
+    assert not abelian_total_perfect_code(G, Subgroup(G, [0, 2]))
 
     G = cyclic(6)
-    assert abelian_total_perfect_code(G, subgroup(G, [0, 2, 4]))
+    assert abelian_total_perfect_code(G, Subgroup(G, [0, 2, 4]))
     # H = {0, 3}: nothing doubles to 3 in Z6, so the graph is a perfect
     # matching and the whole vertex set is a total perfect code
-    assert abelian_total_perfect_code(G, subgroup(G, [0, 3]))
+    assert abelian_total_perfect_code(G, Subgroup(G, [0, 3]))
     G = cyclic(8)
-    assert not abelian_total_perfect_code(G, subgroup(G, [0, 4]))
+    assert not abelian_total_perfect_code(G, Subgroup(G, [0, 4]))
 
     with pytest.raises(NotAbelianError):
-        abelian_total_perfect_code(dihedral(3), whole_group(dihedral(3)))
+        D = dihedral(3)
+        abelian_total_perfect_code(D, Subgroup(D, range(6)))
 
 
 def test_abelian_total_matches_generic_decider_up_to_48():
@@ -267,16 +268,16 @@ def test_abelian_total_matches_generic_decider_up_to_48():
 
 def test_order_three_coset_scan():
     G = cyclic(6)
-    assert order_three_coset_scan(G, subgroup(G, [0, 2, 4]))
+    assert order_three_coset_scan(G, Subgroup(G, [0, 2, 4]))
 
     G = dihedral(3)
     assert not order_three_coset_scan(G, subgroup_generated(G, [1]))
 
     G = cyclic(3)
-    assert order_three_coset_scan(G, whole_group(G))
+    assert order_three_coset_scan(G, Subgroup(G, range(G.order)))
 
     with pytest.raises(BadParameterError):
-        order_three_coset_scan(cyclic(6), subgroup(cyclic(6), [0, 3]))
+        order_three_coset_scan(cyclic(6), Subgroup(cyclic(6), [0, 3]))
 
 
 def test_order_three_scan_equivalent_to_total_code_existence():

@@ -7,6 +7,7 @@ import pytest
 from sumgraph import (
     NotASubgroupError,
     NotNormalError,
+    Subgroup,
     build_graph,
     components,
     cyclic,
@@ -14,11 +15,8 @@ from sumgraph import (
     graph_to_json,
     normal_subgroups,
     quaternion,
-    subgroup,
     to_dot,
-    trivial_subgroup,
     verify_structure,
-    whole_group,
 )
 
 from helpers import sweep
@@ -26,16 +24,16 @@ from helpers import sweep
 
 def test_plain_graph_edges_of_z6():
     G = cyclic(6)
-    H = subgroup(G, [0, 3])
+    H = Subgroup(G, [0, 3])
     graph = build_graph(G, H)
     assert sorted(graph.edges()) == [(0, 3), (1, 2), (4, 5)]
-    assert graph.degree(0) == 1
+    assert graph.rows[0].bit_count() == 1
     assert not graph.extended
 
 
 def test_extended_graph_adds_inverse_pairs():
     G = cyclic(6)
-    H = subgroup(G, [0, 3])
+    H = Subgroup(G, [0, 3])
     plain = build_graph(G, H)
     extended = build_graph(G, H, extended=True)
     plain_edges = set(plain.edges())
@@ -66,39 +64,39 @@ def test_extended_degrees_are_subgroup_sized():
             t = len(H)
             for v in range(G.order):
                 expected = t - 1 if G.mul(v, v) in H else t
-                assert graph.degree(v) == expected
+                assert graph.rows[v].bit_count() == expected
 
 
 def test_components_of_known_graphs():
     G = cyclic(6)
-    H = subgroup(G, [0, 3])
+    H = Subgroup(G, [0, 3])
     assert components(build_graph(G, H, extended=True)) == [(0, 3), (1, 2, 4, 5)]
 
     G = cyclic(12)
-    H = subgroup(G, [0, 4, 8])
+    H = Subgroup(G, [0, 4, 8])
     sizes = sorted(len(c) for c in components(build_graph(G, H)))
     assert sizes == [3, 3, 6]
 
 
 def test_trivial_subgroup_graphs():
     G = cyclic(5)
-    H = trivial_subgroup(G)
-    assert build_graph(G, H).num_edges == 0
+    H = Subgroup(G, [G.identity])
+    assert not any(build_graph(G, H).rows)
     extended = build_graph(G, H, extended=True)
     assert sorted(extended.edges()) == [(1, 4), (2, 3)]
 
 
 def test_whole_group_plain_graph_degrees():
     G = cyclic(6)
-    graph = build_graph(G, whole_group(G))
+    graph = build_graph(G, Subgroup(G, range(G.order)))
     # self-inverse vertices (0 and 3) are adjacent to everything else;
     # the rest miss only their own inverse
-    assert [graph.degree(v) for v in range(6)] == [5, 4, 4, 5, 4, 4]
+    assert [r.bit_count() for r in graph.rows] == [5, 4, 4, 5, 4, 4]
 
 
 def test_normality_is_required():
     G = dihedral(4)
-    H = subgroup(G, [0, 4])  # <b> is not normal in D8
+    H = Subgroup(G, [0, 4])  # <b> is not normal in D8
     assert not H.is_normal
     with pytest.raises(NotNormalError):
         build_graph(G, H)
@@ -107,14 +105,14 @@ def test_normality_is_required():
 def test_foreign_subgroup_rejected():
     G = cyclic(6)
     other = cyclic(6)
-    H = subgroup(other, [0, 3])
+    H = Subgroup(other, [0, 3])
     with pytest.raises(NotASubgroupError):
         build_graph(G, H)
 
 
 def test_structure_report_classifies_known_blocks():
     G = cyclic(6)
-    H = subgroup(G, [0, 3])
+    H = Subgroup(G, [0, 3])
     report = verify_structure(G, H)
     assert report.all_match
     kinds = {(b.flavor, b.kind) for b in report.blocks}
@@ -124,7 +122,7 @@ def test_structure_report_classifies_known_blocks():
     assert sorted(bipartite.vertices) == [1, 2, 4, 5]
 
     G = cyclic(12)
-    H = subgroup(G, [0, 4, 8])
+    H = Subgroup(G, [0, 4, 8])
     report = verify_structure(G, H)
     assert report.all_match
     plain_blocks = [b for b in report.blocks if b.flavor == "plain"]
@@ -133,13 +131,13 @@ def test_structure_report_classifies_known_blocks():
     assert sorted(h2_block.vertices) == [2, 6, 10]
     # K_3 on {2,6,10} minus the inverse pair {2,10}
     graph = build_graph(G, H)
-    assert graph.has_edge(2, 6) and graph.has_edge(6, 10)
-    assert not graph.has_edge(2, 10)
+    assert graph.rows[2] >> 6 & 1 and graph.rows[6] >> 10 & 1
+    assert not graph.rows[2] >> 10 & 1
 
 
 def test_structure_divergence_is_reported_not_asserted():
     G = cyclic(8)
-    H = subgroup(G, [0, 2, 4, 6])
+    H = Subgroup(G, [0, 2, 4, 6])
     report = verify_structure(G, H)
     assert report.all_match  # shapes still classify perfectly
     assert report.divergent_vertices == (2, 6)
@@ -171,7 +169,7 @@ def test_extended_components_shape_check_is_independent():
             graph = build_graph(G, H, extended=True)
             t = len(H)
             for comp in components(graph):
-                degrees = sorted(graph.degree(v) for v in comp)
+                degrees = sorted(graph.rows[v].bit_count() for v in comp)
                 if len(comp) == t:
                     assert degrees == [t - 1] * t  # complete block
                 else:
@@ -187,7 +185,7 @@ def test_extended_components_shape_check_is_independent():
 
 def test_graph_json_round_trip_shape():
     G = cyclic(6)
-    H = subgroup(G, [0, 3])
+    H = Subgroup(G, [0, 3])
     payload = graph_to_json(build_graph(G, H, extended=True))
     assert payload["order"] == 6
     assert payload["subgroup"] == [0, 3]
@@ -203,11 +201,11 @@ def test_graph_json_round_trip_shape():
 
 def test_dot_export_lists_all_edges_once():
     G = quaternion()
-    H = subgroup(G, [0, 1])
+    H = Subgroup(G, [0, 1])
     graph = build_graph(G, H)
     dot = to_dot(graph)
     assert dot.startswith("graph ")
     edge_lines = [line for line in dot.splitlines() if " -- " in line]
-    assert len(edge_lines) == graph.num_edges
+    assert len(edge_lines) == sum(r.bit_count() for r in graph.rows) // 2
     colored = to_dot(graph, color_components=True)
     assert "fillcolor" in colored

@@ -20,36 +20,28 @@ from sumgraph import (
     NotAssociativeError,
     NotDedekindError,
     NotLatinSquareError,
+    Subgroup,
     abelian,
     abelian_isomorphism_types,
     abelian_type,
-    all_subgroups,
     build_group,
     conjugacy_classes,
-    coset_has_involution,
     coset_units,
     cyclic,
     dicyclic,
     dihedral,
     direct_product,
-    element_order,
     elementary_abelian_2,
     group_from_cayley_table,
     group_from_json,
-    involutions,
-    is_abelian,
     is_dedekind,
     normal_subgroups,
     parse_group_expr,
     quaternion,
     right_cosets,
     right_transversal,
-    squares,
-    subgroup,
     subgroup_as_group,
     subgroup_generated,
-    trivial_subgroup,
-    whole_group,
 )
 
 from helpers import sweep
@@ -167,8 +159,8 @@ def _normal_subgroups_reference(G):
 
 
 def _all_subgroups_reference(G):
-    """Reference lattice of a non-abelian group: extend each known subgroup
-    by one element and re-close, to a fixed point."""
+    """Reference lattice of every subgroup: extend each known subgroup by
+    one element and re-close, to a fixed point."""
     seed = frozenset([G.identity])
     found = {seed}
     queue = [seed]
@@ -218,10 +210,10 @@ def test_dihedral_labels_and_relations():
     a, b = 1, 4
     # b has order 2, a has order 4, and conjugation by b inverts a
     assert G.mul(b, b) == G.identity
-    assert element_order(G, a) == 4
+    assert G.element_orders[a] == 4
     assert G.mul(G.mul(b, a), G.inv(b)) == G.inv(a)
     # flips are exactly the elements of order 2 together with a^2
-    assert set(involutions(G)) == {2, 4, 5, 6, 7}
+    assert G.involution_set == {2, 4, 5, 6, 7}
     assert str(G.tag) == "D8"
 
 
@@ -232,12 +224,12 @@ def test_dicyclic_relations():
     a = 1
     b = G.label_index["b"]
     assert G.labels[-1] == "b"
-    assert element_order(G, a) == 2 * n
+    assert G.element_orders[a] == 2 * n
     # b^2 = a^n and b a b^-1 = a^-1
-    assert G.mul(b, b) == G.power(a, n)
+    assert G.mul(b, b) == n  # a^n sits at index n
     assert G.mul(G.mul(b, a), G.inv(b)) == G.inv(a)
     # a^n is the unique involution
-    assert set(involutions(G)) == {G.power(a, n)}
+    assert G.involution_set == {n}
     assert str(G.tag) == "Dic3"
 
 
@@ -249,7 +241,7 @@ def test_quaternion_unit_multiplication():
     assert G.mul(li["j"], li["i"]) == li["-k"]
     assert G.mul(li["i"], li["i"]) == li["-1"]
     assert G.mul(li["-1"], li["-1"]) == li["1"]
-    assert set(involutions(G)) == {li["-1"]}
+    assert G.involution_set == {li["-1"]}
 
 
 def test_direct_product_componentwise():
@@ -262,7 +254,7 @@ def test_direct_product_componentwise():
     x = G.label_index["(1,2)"]
     y = G.label_index["(3,2)"]
     assert G.labels[G.mul(x, y)] == "(0,1)"
-    assert is_abelian(G)
+    assert G.abelian
     factor_lists = [
         (dihedral(4), cyclic(3)), (quaternion(), cyclic(2), cyclic(4)), (dicyclic(3), dihedral(3)),
         (dihedral(4), dihedral(4), cyclic(2)), (quaternion(), quaternion()), (cyclic(1), dihedral(5)),
@@ -278,7 +270,7 @@ def test_elementary_abelian_two_group():
     G = elementary_abelian_2(3)
     assert G.order == 8
     for g in range(1, 8):
-        assert element_order(G, g) == 2
+        assert G.element_orders[g] == 2
     assert elementary_abelian_2(0).order == 1
 
 
@@ -296,9 +288,9 @@ def test_abelian_matches_product_of_cyclic_factors():
 
 def test_squares_are_doubles_in_additive_groups():
     G = cyclic(8)
-    assert set(squares(G)) == {0, 2, 4, 6}
+    assert G.square_set == {0, 2, 4, 6}
     G = cyclic(5)
-    assert set(squares(G)) == {0, 1, 2, 3, 4}
+    assert G.square_set == {0, 1, 2, 3, 4}
 
 
 def test_rejects_non_latin_table():
@@ -494,14 +486,14 @@ def test_rebuilding_from_table_revalidates():
 
 def test_subgroup_validation():
     G = cyclic(12)
-    H = subgroup(G, [0, 4, 8])
+    H = Subgroup(G, [0, 4, 8])
     assert len(H) == 3 and H.is_normal
     with pytest.raises(NotASubgroupError):
-        subgroup(G, [0, 4, 7])  # not closed
+        Subgroup(G, [0, 4, 7])  # not closed
     with pytest.raises(NotASubgroupError):
-        subgroup(G, [4, 8])  # no identity
+        Subgroup(G, [4, 8])  # no identity
     with pytest.raises(NotASubgroupError):
-        subgroup(G, [0, 99])  # out of range
+        Subgroup(G, [0, 99])  # out of range
 
 
 def test_subgroup_generated():
@@ -537,8 +529,8 @@ def test_subgroup_generated_matches_reference_closure():
 
 def test_trivial_and_whole_subgroups():
     G = dihedral(3)
-    assert tuple(trivial_subgroup(G)) == (0,)
-    assert len(whole_group(G)) == 6
+    assert tuple(Subgroup(G, [G.identity])) == (0,)
+    assert len(Subgroup(G, range(G.order))) == 6
 
 
 def test_normal_subgroups_of_d8():
@@ -559,7 +551,7 @@ def test_normal_subgroups_match_filtered_enumeration():
     for G in (cyclic(24), dihedral(4), dihedral(6), dicyclic(3), quaternion(),
               direct_product(cyclic(2), cyclic(4)), elementary_abelian_2(3)):
         assert G.order <= 24
-        expected = [H.members for H in all_subgroups(G) if H.is_normal]
+        expected = [ms for ms in _all_subgroups_reference(G) if Subgroup(G, ms).is_normal]
         got = [H.members for H in normal_subgroups(G)]
         assert got == sorted(expected, key=lambda m: (len(m), m))
 
@@ -573,20 +565,11 @@ def test_normal_subgroups_match_reference():
         assert got == _normal_subgroups_reference(G), G
 
 
-def test_all_subgroups_match_reference():
-    groups = [G for G in sweep(32) if not G.abelian]
-    groups += [direct_product(dihedral(4), cyclic(2)), direct_product(quaternion(), cyclic(2))]
-    for G in groups:
-        got = [H.members for H in all_subgroups(G)]
-        assert got == _all_subgroups_reference(G), G
-
-
 def test_lattice_lists_are_fresh():
     G = dihedral(4)
     first = normal_subgroups(G)
     first.clear()
     assert len(normal_subgroups(G)) == 6
-    assert all_subgroups(G) is not all_subgroups(G)
 
 
 @settings(max_examples=40, deadline=None)
@@ -603,17 +586,17 @@ def test_normal_lattice_is_invariant_under_relabelling(data):
 
 
 def test_subgroup_counts_against_known_values():
-    assert len(all_subgroups(elementary_abelian_2(3))) == 16
-    assert len(all_subgroups(quaternion())) == 6
-    assert len(all_subgroups(dihedral(4))) == 10
+    assert len(normal_subgroups(elementary_abelian_2(3))) == 16  # abelian: every subgroup
+    assert len(normal_subgroups(quaternion())) == 6  # Hamiltonian: every subgroup
+    assert len(_all_subgroups_reference(dihedral(4))) == 10
     assert len(normal_subgroups(cyclic(60))) == 12
     assert len(normal_subgroups(cyclic(48))) == 10
-    assert len(all_subgroups(elementary_abelian_2(6))) == 2825  # the rank bounds the lattice
+    assert len(normal_subgroups(elementary_abelian_2(6))) == 2825  # the rank bounds the lattice
 
 
 def test_right_cosets_partition():
     G = cyclic(12)
-    H = subgroup(G, [0, 4, 8])
+    H = Subgroup(G, [0, 4, 8])
     cosets = right_cosets(G, H)
     assert cosets[0].representative == 0
     assert [c.members for c in cosets] == [(0, 4, 8), (1, 5, 9), (2, 6, 10), (3, 7, 11)]
@@ -624,7 +607,7 @@ def test_right_cosets_partition():
 
 def test_coset_units_pair_each_coset_with_its_inverse():
     G = cyclic(12)
-    H = subgroup(G, [0, 4, 8])
+    H = Subgroup(G, [0, 4, 8])
     units = coset_units(G, H)
     # 2 + 2 = 4 lies in H, so H+2 stands alone; H+1 pairs with H+11 = H+3
     assert [[c.representative for c in unit] for unit in units] == [[0], [1, 3], [2]]
@@ -637,13 +620,6 @@ def test_coset_units_pair_each_coset_with_its_inverse():
                 x = unit[0].representative
                 assert (len(unit) == 1) == (G.mul(x, x) in H)
                 assert G.inv(x) in unit[-1].members
-
-
-def test_coset_has_involution():
-    G = cyclic(12)
-    H = subgroup(G, [0, 4, 8])
-    assert coset_has_involution(G, H, 6)
-    assert not coset_has_involution(G, H, 1)
 
 
 def test_square_cosets_are_inverse_closed():
@@ -673,7 +649,7 @@ def test_odd_abelian_square_roots_stay_in_subgroup():
         if any(f % 2 == 0 for f in factors):
             continue
         G = abelian(factors) if factors else cyclic(1)
-        for H in all_subgroups(G):
+        for H in normal_subgroups(G):  # in an abelian group every subgroup is normal
             mem = set(H.members)
             for g in range(G.order):
                 if G.mul(g, g) in mem:
@@ -688,8 +664,8 @@ def test_abelian_type_examples():
     t = abelian_type(cyclic(60))
     assert t.invariant_factors == (60,)
     assert len(t.sylow_two) == 4  # the Sylow 2-part of Z60 is Z4
-    two_part = subgroup(cyclic(60), t.sylow_two)
-    assert max(element_order(cyclic(60), g) for g in two_part.members) == 4
+    two_part = Subgroup(cyclic(60), t.sylow_two)
+    assert max(cyclic(60).element_orders[g] for g in two_part.members) == 4
 
     t = abelian_type(elementary_abelian_2(3))
     assert t.invariant_factors == (2, 2, 2)
@@ -705,16 +681,16 @@ def test_abelian_type_round_trips_order_multiset():
         G = abelian(factors)
         t = abelian_type(G)
         rebuilt = abelian(t.invariant_factors)
-        orders = sorted(element_order(G, g) for g in range(G.order))
-        orders2 = sorted(element_order(rebuilt, g) for g in range(rebuilt.order))
+        orders = sorted(G.element_orders[g] for g in range(G.order))
+        orders2 = sorted(rebuilt.element_orders[g] for g in range(rebuilt.order))
         assert orders == orders2
 
 
 def test_lagrange_and_involution_consistency():
     for G in sweep(24):
         for g in range(G.order):
-            assert G.order % element_order(G, g) == 0
-        assert set(involutions(G)) == {g for g in range(G.order)
+            assert G.order % G.element_orders[g] == 0
+        assert G.involution_set == {g for g in range(G.order)
                                        if g != G.identity and G.mul(g, g) == G.identity}
 
 
@@ -738,7 +714,7 @@ def test_is_dedekind():
 
 def test_subgroup_as_group_is_homomorphic():
     G = cyclic(12)
-    H = subgroup(G, [0, 2, 4, 6, 8, 10])
+    H = Subgroup(G, [0, 2, 4, 6, 8, 10])
     S, mapping = subgroup_as_group(G, H)
     assert S.order == 6
     members = H.members

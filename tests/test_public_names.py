@@ -1,19 +1,30 @@
 """Every public name resolves: each module's ``__all__`` and the functions
-the benchmark tracer in ``perfbench/spans.py`` patches by name."""
+the benchmark tracer in ``perfbench/spans.py`` patches by name.  Every name
+the package exports is also used outside the tests."""
 
+import ast
 import importlib
 import importlib.util
+import re
 from pathlib import Path
 
 import pytest
 
 import sumgraph
 
+ROOT = Path(__file__).resolve().parents[1]
 MODULES = ("codes", "errors", "exprs", "families", "graphs", "groups")
+
+# Exported although nothing outside the tests calls them, one reason each.
+UNUSED_ALLOWED = {
+    "group_from_json",  # reads what Group.to_json_dict writes: serialisation input
+    "subgroup_as_group",  # the Sylow reduction of acceptance criterion 05
+    "order_three_coset_scan",  # the structural scan behind the order-3 total-code rule
+}
 
 
 def _spans_layers():
-    path = Path(__file__).resolve().parents[1] / "perfbench" / "spans.py"
+    path = ROOT / "perfbench" / "spans.py"
     spec = importlib.util.spec_from_file_location("perfbench_spans", path)
     spans = importlib.util.module_from_spec(spec)
     spec.loader.exec_module(spans)
@@ -33,3 +44,41 @@ def test_traced_layer_functions_resolve():
     for name in names:
         module, func = name.split(".")
         assert callable(getattr(importlib.import_module(f"sumgraph.{module}"), func, None)), name
+
+
+def _identifiers(code: str) -> set[str]:
+    """Names, attributes and imported names in ``code``; words in strings
+    and docstrings do not count."""
+    out = set()
+    for node in ast.walk(ast.parse(code)):
+        if isinstance(node, ast.Name):
+            out.add(node.id)
+        elif isinstance(node, ast.Attribute):
+            out.add(node.attr)
+        elif isinstance(node, ast.alias):
+            out.add(node.name.rpartition(".")[2])
+    return out
+
+
+def _readme_identifiers() -> set[str]:
+    """Identifiers in the README's Python blocks and inline code spans."""
+    text = (ROOT / "README.md").read_text(encoding="utf-8")
+    snippets = re.findall(r"```python\n(.*?)```", text, re.S)
+    snippets += re.findall(r"`([^`\n]+)`", re.sub(r"```.*?```", "", text, flags=re.S))
+    out = set()
+    for code in snippets:
+        try:
+            out |= _identifiers(code)
+        except SyntaxError:  # a shell command or a group expression
+            pass
+    return out
+
+
+def test_every_export_is_used_outside_the_tests():
+    used = _readme_identifiers()
+    sources = [p for p in (ROOT / "src" / "sumgraph").glob("*.py") if p.name != "__init__.py"]
+    for path in sources + sorted((ROOT / "perfbench").glob("*.py")):
+        used |= _identifiers(path.read_text(encoding="utf-8"))
+    unused = [name for name in sumgraph.__all__ if name not in used and name not in UNUSED_ALLOWED]
+    assert not unused, unused
+    assert UNUSED_ALLOWED <= set(sumgraph.__all__)
