@@ -8,10 +8,11 @@ neighbour in C, i.e. the open neighbourhoods partition the vertex set.
 
 Each flavour/kind combination has a fast decider that reads the answer off
 the group structure, produces an explicit witness code when one exists and
-a small refuting certificate when none does.  Brute-force searchers (exact
-cover over neighbourhoods, component by component) double as independent
-oracles; :func:`cross_check` runs deciders against oracles over every
-normal subgroup of a group.
+a small refuting certificate when none does; it reads only the Cayley table,
+re-checking its witness there too.  Brute-force searchers (exact cover over
+a built graph, component by component) are the independent oracles;
+:func:`cross_check` runs deciders against oracles over every normal
+subgroup of a group.
 """
 
 from __future__ import annotations
@@ -20,11 +21,12 @@ import functools
 import time
 from dataclasses import dataclass
 
-from .errors import InternalInconsistencyError
+from .errors import BadParameterError, InternalInconsistencyError
 from .graphs import SumGraph, _bits, _mask_of, build_graph, components
 from .groups import (
     Group,
     Subgroup,
+    _index,
     abelian_type,
     coset_units,
     normal_subgroups,
@@ -86,25 +88,45 @@ class Verdict:
 # ---------------------------------------------------------------------------
 
 
-def _partitions(graph: SumGraph, code, closed: bool) -> bool:
-    """Whether the closed (or open) neighbourhoods of ``code`` partition the vertices."""
+def _partitions(n: int, neighbourhoods) -> bool:
+    """Whether the vertex masks are pairwise disjoint and cover ``0..n-1``."""
     covered = 0
-    for c in code:
-        nb = graph.rows[c] | (1 << c) if closed else graph.rows[c]
+    for nb in neighbourhoods:
         if covered & nb:
             return False
         covered |= nb
-    return covered == (1 << graph.n) - 1
+    return covered == (1 << n) - 1
+
+
+def _graph_partitions(graph: SumGraph, code, closed: bool) -> bool:
+    vertices = [_index(c, "code member") for c in code]
+    if not all(0 <= v < graph.n for v in vertices):
+        raise BadParameterError(f"code members out of range 0..{graph.n - 1}: {vertices}")
+    return _partitions(graph.n, (graph.rows[v] | (1 << v) if closed else graph.rows[v] for v in vertices))
 
 
 def is_perfect_code(graph: SumGraph, code) -> bool:
     """Whether the closed neighbourhoods of ``code`` partition the vertices."""
-    return _partitions(graph, code, closed=True)
+    return _graph_partitions(graph, code, closed=True)
 
 
 def is_total_perfect_code(graph: SumGraph, code) -> bool:
     """Whether the open neighbourhoods of ``code`` partition the vertices."""
-    return _partitions(graph, code, closed=False)
+    return _graph_partitions(graph, code, closed=False)
+
+
+def _table_partitions(G: Group, H: Subgroup, code, extended: bool, closed: bool) -> bool:
+    """The graph checkers' test read off the table: the neighbours of c are
+    the c^-1 h other than c, for h in H (minus e in the plain graph)."""
+    hs = H.members if extended else [h for h in H.members if h != G.identity]
+    masks = []
+    for c in code:
+        row = G.rows[G.inverses[c]]
+        nb = 0
+        for h in hs:
+            nb |= 1 << row[h]
+        masks.append(nb | (1 << c) if closed else nb & ~(1 << c))
+    return _partitions(G.order, masks)
 
 
 def _cover_component(
@@ -161,15 +183,16 @@ def find_total_perfect_code_bruteforce(graph: SumGraph) -> Code | None:
 def _decider(rule):
     """Give a rule body, ``rule(G, H) -> Verdict``, the contract every
     decider shares: H must be a normal subgroup of G, and a positive
-    witness is re-checked against the graph of its verdict's flavour."""
+    witness is re-checked against the neighbourhoods of its verdict's
+    flavour, read off the table."""
 
     @functools.wraps(rule)
     def decide(G: Group, H: Subgroup) -> Verdict:
         require_normal(G, H)
         verdict = rule(G, H)
         if verdict.witness is not None:
-            graph = build_graph(G, H, extended=verdict.flavor == "extended")
-            if not _partitions(graph, verdict.witness, closed=verdict.kind == "perfect"):
+            extended, closed = verdict.flavor == "extended", verdict.kind == "perfect"
+            if not _table_partitions(G, H, verdict.witness, extended, closed):
                 raise InternalInconsistencyError(f"constructed witness fails validation: {verdict!r}")
         return verdict
 
@@ -286,18 +309,24 @@ def decide_perfect_code_extended(G: Group, H: Subgroup) -> Verdict:
 def decide_total_perfect_code_extended(G: Group, H: Subgroup) -> Verdict:
     """Does the extended sum graph of G over H admit a total perfect code?
 
-    Exactly when |H| = 2: components are then single edges or four-cycles,
-    each of which carries a total code (found here by the component search).
+    Exactly when |H| = 2.  With H = {e, h}, h is central and the neighbours
+    of x are x^-1 and x^-1 h, less x itself.  The component of x is then the
+    edge {x, xh} when x*x is in H, and the four-cycle x, x^-1, xh, x^-1 h
+    otherwise; both carry a total code made of their least vertex and its
+    least neighbour (the whole edge), the lexicographically least one.
     No other subgroup order works, whatever the group.
     """
     flavor, kind = "extended", "total"
     if H.order != 2:
         return _refuted(flavor, kind, "subgroup-order-not-two", subgroup_order=H.order)
-    witness = find_total_perfect_code_bruteforce(build_graph(G, H, extended=True))
-    if witness is None:
-        raise InternalInconsistencyError(
-            "order-two subgroup yielded no total code in the extended graph"
-        )
+    h = next(m for m in H.members if m != G.identity)
+    chosen = set()
+    for x in range(G.order):
+        y = G.inv(x)
+        component = (x, G.mul(x, h), y, G.mul(y, h))
+        if x == min(component):
+            chosen |= {x, min(v for v in component[2:] if v != x)}
+    witness = Code(tuple(sorted(chosen)), kind)
     return Verdict(flavor, kind, True, "order-two-subgroup", witness, None)
 
 

@@ -12,7 +12,6 @@ orders this package supports.
 
 from __future__ import annotations
 
-import weakref
 from dataclasses import dataclass
 
 import numpy as np
@@ -75,23 +74,8 @@ class SumGraph:
         return f"<{kind} on {self.group!r} over subgroup of order {self.subgroup.order}>"
 
 
-# Weak reference to the graph build_graph made last.  It is matched by the
-# identity of its group and subgroup, which it keeps alive, so a stale or
-# racing entry can only cost a rebuild, never return a wrong graph.
-_last_built = None
-
-
 def build_graph(G: Group, H: Subgroup, extended: bool = False) -> SumGraph:
-    """Construct the (extended) sum graph of G over the normal subgroup H.
-
-    Asking again for the graph built last returns that same graph while a
-    caller still holds it; the reference kept here is weak, so no graph or
-    group outlives its callers.
-    """
-    global _last_built
-    last = _last_built() if _last_built is not None else None
-    if last is not None and last.group is G and last.subgroup is H and last.extended == extended:
-        return last
+    """Construct the (extended) sum graph of G over the normal subgroup H."""
     require_normal(G, H)
     in_h = np.zeros(G.order, dtype=bool)
     in_h[list(H.members)] = True
@@ -103,9 +87,7 @@ def build_graph(G: Group, H: Subgroup, extended: bool = False) -> SumGraph:
         raise InternalInconsistencyError("adjacency came out asymmetric for a normal subgroup")
     packed = np.packbits(adj, axis=1, bitorder="little")
     rows = tuple(int.from_bytes(packed[v].tobytes(), "little") for v in range(G.order))
-    graph = SumGraph(G, H, extended, rows)
-    _last_built = weakref.ref(graph)
-    return graph
+    return SumGraph(G, H, extended, rows)
 
 
 def components(graph: SumGraph) -> list[tuple[int, ...]]:

@@ -217,7 +217,7 @@ class Subgroup:
     """A validated subgroup of a :class:`Group`, stored as sorted indices."""
 
     def __init__(self, parent: Group, members: Iterable[int]):
-        ms = sorted({int(m) for m in members})
+        ms = sorted({_index(m, "member") for m in members})
         if not ms:
             raise NotASubgroupError("a subgroup cannot be empty")
         if ms[0] < 0 or ms[-1] >= parent.order:
@@ -268,6 +268,14 @@ class Subgroup:
 
     def __repr__(self) -> str:
         return f"<Subgroup order={self.order} of {self.parent!r}>"
+
+
+def _index(value, what: str) -> int:
+    """``value`` as an element index; a float or a string is a BadParameterError."""
+    try:
+        return operator.index(value)
+    except TypeError:
+        raise BadParameterError(f"{what} {value!r} is not an element index") from None
 
 
 def require_subgroup(G: Group, H: Subgroup) -> None:
@@ -548,33 +556,14 @@ def dicyclic(n: int) -> Group:
 
 
 _Q8_LABELS = ("1", "-1", "i", "-i", "j", "-j", "k", "-k")
-_Q8_UNIT_MUL = {
-    ("1", "1"): ("1", 1), ("1", "i"): ("i", 1), ("1", "j"): ("j", 1), ("1", "k"): ("k", 1),
-    ("i", "1"): ("i", 1), ("j", "1"): ("j", 1), ("k", "1"): ("k", 1),
-    ("i", "i"): ("1", -1), ("j", "j"): ("1", -1), ("k", "k"): ("1", -1),
-    ("i", "j"): ("k", 1), ("j", "i"): ("k", -1),
-    ("j", "k"): ("i", 1), ("k", "j"): ("i", -1),
-    ("k", "i"): ("j", 1), ("i", "k"): ("j", -1),
-}
 
 
 def quaternion() -> Group:
-    """The quaternion group {1, -1, i, -i, j, -j, k, -k}."""
-    def split(x: int) -> tuple[str, int]:
-        return _Q8_LABELS[x & ~1].lstrip("-"), (-1 if x & 1 else 1)
-
-    def join(unit: str, sign: int) -> int:
-        base = _Q8_LABELS.index(unit)
-        return base + (1 if sign < 0 else 0)
-
-    table = np.empty((8, 8), dtype=np.int64)
-    for x in range(8):
-        ux, sx = split(x)
-        for y in range(8):
-            uy, sy = split(y)
-            uz, s = _Q8_UNIT_MUL[(ux, uy)]
-            table[x, y] = join(uz, sx * sy * s)
-    return group_from_cayley_table(table, _Q8_LABELS, QuaternionExpr())
+    """The quaternion group {1, -1, i, -i, j, -j, k, -k}: ``dicyclic(2)``
+    relabelled with a = i and b = j."""
+    dic = np.array((0, 2, 1, 3, 7, 5, 4, 6))  # index in dicyclic(2) of each Q8 element
+    rank = np.argsort(dic)
+    return group_from_cayley_table(rank[dicyclic(2).table[np.ix_(dic, dic)]], _Q8_LABELS, QuaternionExpr())
 
 
 def direct_product(*factors: Group) -> Group:
@@ -646,10 +635,7 @@ def subgroup_generated(G: Group, generators: Iterable[int]) -> Subgroup:
     """The subgroup generated by the given elements (indices into G)."""
     closure = _Closure(G.table, G.identity)
     for g in generators:
-        try:
-            g = operator.index(g)
-        except TypeError:
-            raise BadParameterError(f"generator {g!r} is not an element index") from None
+        g = _index(g, "generator")
         if not 0 <= g < G.order:
             raise BadParameterError(f"generator {g} out of range 0..{G.order - 1}")
         closure.add(g)
@@ -910,9 +896,10 @@ def sweep_groups(max_order: int, families: Sequence[str] = SWEEP_FAMILIES) -> It
 
     Cyclic groups by order, dihedral and dicyclic groups by parameter, one
     group per abelian isomorphism type with at least two factors (the
-    others are cyclic), and Q8.  Unknown families raise
-    :class:`BadParameterError` here, before any group is built.
+    others are cyclic), and Q8.  Unknown families and a ``max_order`` above
+    the cap raise :class:`BadParameterError` here, before any group is built.
     """
+    _check_order(max_order)
     for family in families:
         if family not in SWEEP_FAMILIES:
             raise BadParameterError(

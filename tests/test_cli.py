@@ -258,6 +258,15 @@ def test_scan_families_filter_and_out_file(capsys, tmp_path):
     assert not (tmp_path / "none.jsonl").exists()  # checked before the file is opened
 
 
+def test_scan_above_the_order_cap_fails_before_any_work(capsys, monkeypatch, tmp_path):
+    monkeypatch.delenv("SUMGRAPH_MAX_ORDER", raising=False)
+    target = tmp_path / "scan.jsonl"
+    rc, out, err = run(capsys, "scan", "--max-order", "513", "--out", str(target))
+    assert rc == 2
+    assert out == "" and "error:" in err and "513" in err
+    assert not target.exists()
+
+
 def test_classify_code_perfect(capsys):
     rc, out, _ = run(capsys, "classify", "code-perfect", "Z4")
     assert rc == 0

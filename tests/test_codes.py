@@ -3,9 +3,13 @@
 import gc
 import weakref
 
+import numpy as np
 import pytest
 
+import sumgraph.codes as codes
 from sumgraph import (
+    BadParameterError,
+    InternalInconsistencyError,
     NotASubgroupError,
     NotNormalError,
     Subgroup,
@@ -43,6 +47,8 @@ from helpers import (
     sweep,
 )
 
+QUESTIONS = [(extended, total) for extended in (False, True) for total in (False, True)]
+
 
 def test_definition_checkers_on_tiny_graphs():
     # edgeless graph: the only perfect code is all vertices
@@ -67,6 +73,16 @@ def test_definition_checkers_on_tiny_graphs():
     assert sum(r.bit_count() for r in k3.rows) // 2 == 3
     assert is_perfect_code(k3, [1])
     assert not is_perfect_code(k3, [0, 1])
+
+
+def test_definition_checkers_reject_non_vertices():
+    G = cyclic(2)
+    edge = build_graph(G, Subgroup(G, range(G.order)))
+    for checker in (is_perfect_code, is_total_perfect_code):
+        for code in ([-1, 0], [7], [0, 2], [1.5], ["1"], [None]):
+            with pytest.raises(BadParameterError):
+                checker(edge, code)
+    assert is_total_perfect_code(edge, [np.int64(0), np.int64(1)])
 
 
 def test_bruteforce_golden_cases():
@@ -286,8 +302,8 @@ def test_deciders_require_normality():
 
 
 def test_cross_check_builds_each_graph_once(monkeypatch):
-    # constructions, not build_graph calls: the deciders re-check their
-    # witnesses against the very graph cross_check built for the oracle
+    # the deciders build no graph, so the oracle's one graph per
+    # (subgroup, flavour) is the only one
     built = []
     init = SumGraph.__init__
 
@@ -304,7 +320,7 @@ def test_cross_check_builds_each_graph_once(monkeypatch):
 
 
 def test_decide_code_leaves_no_graph_or_group_alive():
-    # the graph a decider re-checks its witness on is held weakly only
+    # a decider keeps nothing that refers to the group once it returns
     G = dihedral(256)
     centre = Subgroup(G, [0, 128])
     verdicts = [
@@ -318,6 +334,107 @@ def test_decide_code_leaves_no_graph_or_group_alive():
     del G, centre
     gc.collect()
     assert ref() is None
+
+
+def test_decide_code_builds_no_graph(monkeypatch):
+    built = []
+    init = SumGraph.__init__
+
+    def counting_init(self, *args):
+        built.append(args)
+        init(self, *args)
+
+    monkeypatch.setattr(SumGraph, "__init__", counting_init)
+    for G in sweep(24):
+        for H in normal_subgroups(G):
+            for extended, total in QUESTIONS:
+                decide_code(G, H, extended=extended, total=total)
+    assert built == []
+
+
+def test_extended_total_witness_is_the_oracle_code():
+    # the closed form returns the lexicographically least total code, the
+    # one the component search finds first
+    checked = 0
+    for G in sweep(64):
+        for H in normal_subgroups(G):
+            if H.order != 2:
+                continue
+            witness = decide_total_perfect_code_extended(G, H).witness
+            oracle = find_total_perfect_code_bruteforce(build_graph(G, H, extended=True))
+            assert witness == oracle, (G.name, H.members)
+            checked += 1
+    assert checked > 300
+
+
+def _one_vertex_mutations(code, n):
+    """Every set that differs from ``code`` by one vertex: removed, added or
+    replaced."""
+    members = set(code)
+    outside = [v for v in range(n) if v not in members]
+    yield from (sorted(members - {c}) for c in members)
+    yield from (sorted(members | {v}) for v in outside)
+    yield from (sorted(members - {c} | {v}) for c in members for v in outside)
+
+
+def test_table_check_agrees_with_graph_checkers():
+    results = set()
+    for G in sweep(16):
+        for H in normal_subgroups(G):
+            for extended, total in QUESTIONS:
+                witness = decide_code(G, H, extended=extended, total=total).witness
+                if witness is None:
+                    continue
+                graph = build_graph(G, H, extended=extended)
+                checker = is_total_perfect_code if total else is_perfect_code
+                for code in [list(witness), *_one_vertex_mutations(witness, G.order)]:
+                    by_table = codes._table_partitions(G, H, code, extended, closed=not total)
+                    assert by_table == checker(graph, code), (G.name, H.members, extended, total, code)
+                    results.add(by_table)
+    assert results == {True, False}
+
+
+def test_decider_rejects_a_wrong_witness():
+    G = cyclic(4)
+    H = Subgroup(G, [0, 2])
+    cases = [  # plain edges: 0-2; extended edges: 0-2 and 1-3
+        ("plain", "perfect", (0,)),  # leaves 1 and 3 undominated
+        ("plain", "total", (0, 2)),  # 1 and 3 have no neighbours
+        ("extended", "perfect", (0, 2)),  # both dominate 0 and 2
+        ("extended", "total", (0, 1)),  # covers 2 and 3 only
+    ]
+    for flavor, kind, vertices in cases:
+
+        def rule(G, H):
+            return codes.Verdict(flavor, kind, True, "wrong", codes.Code(vertices, kind), None)
+
+        with pytest.raises(InternalInconsistencyError, match="fails validation"):
+            codes._decider(rule)(G, H)
+
+
+def test_oracle_nodes_stay_below_the_square_of_the_component(monkeypatch):
+    # a search of a component with m vertices visits at most m^2 + 1 nodes
+    # (calls of _cover_component, the root included); the recursion looks
+    # the function up in the module, so the patched counter sees every call
+    searches = []
+    search = codes._cover_component
+
+    def counting(rows, comp_mask, closed, covered, chosen):
+        if not covered:  # the root call of one component's search
+            searches.append([comp_mask.bit_count(), 0])
+        searches[-1][1] += 1
+        return search(rows, comp_mask, closed, covered, chosen)
+
+    monkeypatch.setattr(codes, "_cover_component", counting)
+    for G in sweep(48) + (cyclic(512), dihedral(256)):
+        for H in normal_subgroups(G):
+            for extended in (False, True):
+                graph = build_graph(G, H, extended=extended)
+                find_perfect_code_bruteforce(graph)
+                find_total_perfect_code_bruteforce(graph)
+    assert len(searches) > 30_000
+    over = [(size, nodes) for size, nodes in searches if nodes > size**2 + 1]
+    assert not over, over[:3]
 
 
 def test_oracle_leaves_no_reference_cycle():

@@ -244,6 +244,34 @@ def test_quaternion_unit_multiplication():
     assert G.involution_set == {li["-1"]}
 
 
+# Hamilton's rules on the units 1, i, j, k: (x, y) -> (unit, sign) of x*y.
+_Q8_UNIT_MUL = {
+    ("1", "1"): ("1", 1), ("1", "i"): ("i", 1), ("1", "j"): ("j", 1), ("1", "k"): ("k", 1),
+    ("i", "1"): ("i", 1), ("j", "1"): ("j", 1), ("k", "1"): ("k", 1),
+    ("i", "i"): ("1", -1), ("j", "j"): ("1", -1), ("k", "k"): ("1", -1),
+    ("i", "j"): ("k", 1), ("j", "i"): ("k", -1),
+    ("j", "k"): ("i", 1), ("k", "j"): ("i", -1),
+    ("k", "i"): ("j", 1), ("i", "k"): ("j", -1),
+}
+
+
+def test_quaternion_matches_hamilton_rules():
+    # reference construction: index 2u + (sign < 0) for the unit u of 1, i, j, k
+    labels = ("1", "-1", "i", "-i", "j", "-j", "k", "-k")
+    units = ("1", "i", "j", "k")
+    table = np.empty((8, 8), dtype=np.int64)
+    for x in range(8):
+        for y in range(8):
+            unit, sign = _Q8_UNIT_MUL[(units[x // 2], units[y // 2])]
+            negative = (x & 1) ^ (y & 1) ^ (sign < 0)
+            table[x, y] = 2 * units.index(unit) + negative
+    reference = group_from_cayley_table(table, labels)
+    G = quaternion()
+    assert np.array_equal(G.table, reference.table)
+    assert G.labels == reference.labels
+    assert G.tag == parse_group_expr("Q8")
+
+
 def test_direct_product_componentwise():
     G = direct_product(cyclic(4), cyclic(3))
     assert G.order == 12
@@ -494,6 +522,11 @@ def test_subgroup_validation():
         Subgroup(G, [4, 8])  # no identity
     with pytest.raises(NotASubgroupError):
         Subgroup(G, [0, 99])  # out of range
+    assert Subgroup(G, [np.int64(0), np.int64(6)]).members == (0, 6)
+    C = cyclic(4)
+    for members in ([0, 2.7], ["0", "2"], ["a"], [None]):  # 2.7 is not truncated to 2
+        with pytest.raises(BadParameterError, match="not an element index"):
+            Subgroup(C, members)
 
 
 def test_subgroup_generated():
