@@ -27,12 +27,10 @@ from .groups import (
     Group,
     Subgroup,
     _index,
-    abelian_type,
     coset_units,
     normal_subgroups,
     require_normal,
     right_cosets,
-    right_transversal,
 )
 
 __all__ = [
@@ -240,18 +238,6 @@ def decide_perfect_code(G: Group, H: Subgroup) -> Verdict:
     return Verdict(flavor, kind, True, "square-cosets-have-involutions", witness, None)
 
 
-def _is_elementary_two_times_three(G: Group) -> bool:
-    """Whether G is a direct product of copies of Z2 with a single Z3."""
-    if not G.abelian:
-        return False
-    primary = dict(abelian_type(G).primary)
-    if set(primary) - {2, 3}:
-        return False
-    if primary.get(3) != (1,):
-        return False
-    return all(e == 1 for e in primary.get(2, ()))
-
-
 @_decider
 def decide_total_perfect_code(G: Group, H: Subgroup) -> Verdict:
     """Does the sum graph of G over H admit a total perfect code?
@@ -271,7 +257,8 @@ def decide_total_perfect_code(G: Group, H: Subgroup) -> Verdict:
         witness = Code(tuple(range(G.order)), kind)
         return Verdict(flavor, kind, True, "order-two-matching", witness, None)
     if H.order == 3:
-        if not _is_elementary_two_times_three(G):
+        orders = G.element_orders  # Z2^k x Z3: exponent divides 6, one subgroup of order 3
+        if not (G.abelian and all(6 % o == 0 for o in orders) and sum(3 % o == 0 for o in orders) == 3):
             return _refuted(flavor, kind, "not-elementary-two-times-three", group_order=G.order)
         chosen = []
         for c in right_cosets(G, H):
@@ -298,7 +285,7 @@ def decide_perfect_code_extended(G: Group, H: Subgroup) -> Verdict:
         return Verdict(flavor, kind, True, "trivial-subgroup", witness, None)
     outside = sorted(G.square_set - H.member_set)
     if not outside:
-        witness = Code(tuple(sorted(right_transversal(G, H))), kind)
+        witness = Code(tuple(sorted(c.representative for c in right_cosets(G, H))), kind)
         return Verdict(flavor, kind, True, "squares-inside-subgroup", witness, None)
     sq = outside[0]
     element = min(x for x in range(G.order) if G.mul(x, x) == sq)

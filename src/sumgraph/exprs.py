@@ -137,7 +137,10 @@ class _Parser:
         if tok is None or tok[0] != "int":
             raise ParseError(f"expected {what}", self.offset, ("integer",))
         self.take()
-        return int(tok[1]), tok[2]
+        try:
+            return int(tok[1]), tok[2]
+        except ValueError:  # more digits than int() converts
+            raise ParseError(f"{what} has too many digits", tok[2]) from None
 
     def atom(self) -> GroupExpr:
         tok = self.peek()

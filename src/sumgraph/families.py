@@ -1,11 +1,13 @@
 """Closed-form code deciders for specific group families.
 
 Each decider answers "does the sum graph admit a perfect (or total perfect)
-code?" from arithmetic on the family's parameters alone, without building
-the graph.  They deliberately duplicate ground covered by the generic
-deciders in :mod:`sumgraph.codes` so the two can be cross-checked; the test
-suite runs every family decider against the generic one and the brute-force
-oracle over its whole family at desk scale.
+code?" from the family's parameters, or from a scan of squares and cosets
+for abelian total codes, without building the graph.  They deliberately
+duplicate ground covered by the generic deciders in :mod:`sumgraph.codes`
+so the two can be cross-checked, and so share none of their rules: the only
+import from there is the brute-force method of :func:`is_code_perfect`.  The
+test suite runs every family decider against the generic one and the
+brute-force oracle over its whole family at desk scale.
 
 Abelian 2-group subgroups use the mixed-radix element indexing fixed by
 :func:`sumgraph.groups.abelian` (last factor varies fastest).
@@ -18,7 +20,7 @@ from typing import Iterable, Sequence
 
 import numpy as np
 
-from .codes import _is_elementary_two_times_three, decide_perfect_code
+from .codes import decide_perfect_code
 from .errors import (
     BadParameterError,
     InternalInconsistencyError,
@@ -31,7 +33,7 @@ from .groups import (
     Group,
     Subgroup,
     _check_order,
-    abelian_type,
+    _index,
     is_dedekind,
     normal_subgroups,
     require_normal,
@@ -101,7 +103,7 @@ def abelian_2group_perfect_code(invariants: Sequence[int], K: Subgroup | Iterabl
             )
         members = list(K.members)
     else:
-        members = sorted({int(v) for v in K})
+        members = sorted({_index(v, "member") for v in K})
     if not members or members[0] < 0 or members[-1] >= n:
         raise BadParameterError(f"subgroup members must be indices in 0..{n - 1}")
     if members[0] != 0:
@@ -185,8 +187,9 @@ def abelian_total_perfect_code(A: Group, H: Subgroup) -> bool:
     """Does the sum graph of abelian A over H admit a total perfect code?
 
     True when |H| = 2 and no element outside H squares into H without being
-    an involution (the matching is then perfect), or when |H| = 3 and A is
-    a product of Z2 factors with one Z3 (every block is then a 3-star).
+    an involution (the matching is then perfect), or when |H| = 3 and
+    :func:`order_three_coset_scan` passes, which in an abelian group means A
+    is a product of Z2 factors with one Z3 (every block is then a 3-star).
     """
     if not A.abelian:
         raise NotAbelianError("this decider applies to abelian groups only")
@@ -200,17 +203,18 @@ def abelian_total_perfect_code(A: Group, H: Subgroup) -> bool:
                 return False
         return True
     if H.order == 3:
-        return _is_elementary_two_times_three(A)
+        return order_three_coset_scan(A, H)
     return False
 
 
 def order_three_coset_scan(G: Group, H: Subgroup) -> bool:
-    """Structural scan behind the order-3 total-code shape.
+    """The family rule for total codes over a subgroup of order 3.
 
     For normal H of order 3: every element outside H must square into H,
     and every coset must contain an element of order at least 3 (so each
     block is a 3-star rather than a triangle).  Equivalent, by the theory
-    and by the test suite's sweep, to G being Z2-factors times one Z3.
+    and by the test suite's sweep, to G being Z2-factors times one Z3, the
+    generic decider's test on element orders, which it cross-checks.
     """
     if H.order != 3:
         raise BadParameterError(f"the scan applies to subgroups of order 3, got {H.order}")
@@ -244,8 +248,6 @@ def is_code_perfect(G: Group, method: str = "bruteforce") -> bool:
             raise NotDedekindError("the dedekind method requires all subgroups normal")
         if not G.abelian:
             return False
-        at = abelian_type(G)
-        if at.invariant_factors == (4,):
-            return True
-        return all(e == 1 for e in at.exponents_at(2))
+        orders = G.element_orders  # Z4, or a Sylow 2-subgroup without elements of order 4
+        return G.order == 4 and 4 in orders or all(o % 4 for o in orders)
     raise BadParameterError(f"unknown method {method!r}; use 'bruteforce' or 'dedekind'")

@@ -36,7 +36,6 @@ from .errors import (
     BadParameterError,
     NoIdentityError,
     NoInverseError,
-    NotAbelianError,
     NotASubgroupError,
     NotAssociativeError,
     NotNormalError,
@@ -62,7 +61,6 @@ __all__ = [
     "Group",
     "Subgroup",
     "Coset",
-    "AbelianType",
     "group_from_cayley_table",
     "group_from_json",
     "cyclic",
@@ -78,9 +76,7 @@ __all__ = [
     "require_normal",
     "normal_subgroups",
     "right_cosets",
-    "right_transversal",
     "coset_units",
-    "abelian_type",
     "is_dedekind",
     "subgroup_as_group",
     "abelian_isomorphism_types",
@@ -298,22 +294,6 @@ class Coset:
 
     representative: int
     members: tuple[int, ...]
-
-
-@dataclass(frozen=True)
-class AbelianType:
-    """Invariant factors and primary decomposition of an abelian group."""
-
-    invariant_factors: tuple[int, ...]
-    primary: tuple[tuple[int, tuple[int, ...]], ...]  # (prime, ascending exponents)
-    sylow_two: Subgroup
-    odd_part: Subgroup
-
-    def exponents_at(self, p: int) -> tuple[int, ...]:
-        for q, exps in self.primary:
-            if q == p:
-                return exps
-        return ()
 
 
 # ---------------------------------------------------------------------------
@@ -591,6 +571,9 @@ def elementary_abelian_2(t: int) -> Group:
     """The group Z_2^t (the trivial group when t == 0)."""
     if t < 0:
         raise BadParameterError(f"exponent must be >= 0, got {t}")
+    cap = max_supported_order()
+    if t >= cap.bit_length():  # 2^t > cap, decided before 2^t or t factors exist
+        raise BadParameterError(f"order 2^{t} exceeds the supported cap {cap}")
     return _cyclic_product([2] * t, ElementaryAbelianExpr(t))
 
 
@@ -728,11 +711,6 @@ def right_cosets(G: Group, H: Subgroup) -> list[Coset]:
     return cosets
 
 
-def right_transversal(G: Group, H: Subgroup) -> list[int]:
-    """Minimal-index representatives of the right cosets, identity's first."""
-    return [c.representative for c in right_cosets(G, H)]
-
-
 def coset_units(G: Group, H: Subgroup) -> list[tuple[Coset, ...]]:
     """The right cosets grouped into units, in :func:`right_cosets` order.
 
@@ -757,72 +735,6 @@ def coset_units(G: Group, H: Subgroup) -> list[tuple[Coset, ...]]:
     return units
 
 
-# ---------------------------------------------------------------------------
-# Abelian structure
-# ---------------------------------------------------------------------------
-
-
-def _prime_factors(n: int) -> list[int]:
-    out, p = [], 2
-    while p * p <= n:
-        if n % p == 0:
-            out.append(p)
-            while n % p == 0:
-                n //= p
-        p += 1 if p == 2 else 2
-    if n > 1:
-        out.append(n)
-    return out
-
-
-def abelian_type(G: Group) -> AbelianType:
-    """Recognise the isomorphism type of an abelian group.
-
-    Derived from the multiset of element orders: for each prime p the
-    count of elements killed by p^k determines how many cyclic factors
-    have exponent >= k, which pins the primary decomposition.
-    """
-    if not G.abelian:
-        raise NotAbelianError("abelian_type requires an abelian group")
-    n = G.order
-    orders = G.element_orders
-    primary: list[tuple[int, tuple[int, ...]]] = []
-    for p in _prime_factors(n):
-        counts = [1]  # counts[k] = #{g : order(g) divides p^k}
-        pk = 1
-        while True:
-            pk *= p
-            c = sum(1 for o in orders if pk % o == 0)
-            counts.append(c)
-            if c == counts[-2]:
-                counts.pop()
-                break
-        logs = [c.bit_length() - 1 if p == 2 else round(math.log(c, p)) for c in counts]
-        at_least = [logs[k] - logs[k - 1] for k in range(1, len(logs))]
-        at_least.append(0)
-        exps: list[int] = []
-        for k in range(1, len(at_least) + 1):
-            if k - 1 < len(at_least) - 1:
-                exps.extend([k] * (at_least[k - 1] - at_least[k]))
-        primary.append((p, tuple(sorted(exps))))
-    width = max((len(e) for _, e in primary), default=0)
-    factors = []
-    for j in range(width):
-        f = 1
-        for p, exps in primary:
-            padded = (0,) * (width - len(exps)) + exps
-            f *= p ** padded[j]
-        factors.append(f)
-    sylow_two = Subgroup(G, [g for g, o in enumerate(orders) if o & (o - 1) == 0])
-    odd_part = Subgroup(G, [g for g, o in enumerate(orders) if o % 2 == 1])
-    return AbelianType(
-        invariant_factors=tuple(f for f in factors if f > 1),
-        primary=tuple(primary),
-        sylow_two=sylow_two,
-        odd_part=odd_part,
-    )
-
-
 def is_dedekind(G: Group) -> bool:
     """Whether every subgroup is normal (checked on cyclic subgroups)."""
     rows = G.rows
@@ -838,7 +750,7 @@ def is_dedekind(G: Group) -> bool:
     return True
 
 
-def subgroup_as_group(G: Group, H: Subgroup, tag: GroupExpr | None = None) -> tuple[Group, dict[int, int]]:
+def subgroup_as_group(G: Group, H: Subgroup) -> tuple[Group, dict[int, int]]:
     """Restrict the table to H's members and reindex them densely.
 
     Returns the new group and the mapping from parent indices to new ones.
@@ -849,7 +761,20 @@ def subgroup_as_group(G: Group, H: Subgroup, tag: GroupExpr | None = None) -> tu
     sub_table = G.table[np.ix_(idx, idx)]
     relabeled = np.vectorize(mapping.__getitem__)(sub_table) if len(idx) else sub_table
     labels = [G.labels[m] for m in H.members]
-    return group_from_cayley_table(relabeled, labels, tag), mapping
+    return group_from_cayley_table(relabeled, labels), mapping
+
+
+def _prime_factors(n: int) -> list[int]:
+    out, p = [], 2
+    while p * p <= n:
+        if n % p == 0:
+            out.append(p)
+            while n % p == 0:
+                n //= p
+        p += 1 if p == 2 else 2
+    if n > 1:
+        out.append(n)
+    return out
 
 
 def _partitions(k: int) -> list[tuple[int, ...]]:

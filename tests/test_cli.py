@@ -1,6 +1,7 @@
 """Command-line interface: output shapes, exit codes, error reporting."""
 
 import json
+import time
 
 from sumgraph import normal_subgroups, subgroup_generated
 from sumgraph.cli import main
@@ -312,6 +313,20 @@ def test_usage_errors_exit_two(capsys):
     rc, _, err = run(capsys, "normals", "(" * 600 + "Z2" + ")" * 600)
     assert rc == 2  # deep nesting is a parse error, not a RecursionError
     assert "error:" in err and "offset 100" in err
+
+    # oversized orders fail before any table, factor list or huge number is built
+    for argv in (
+        ("normals", "E2^100000000"),
+        ("code", "E2^1000000", "--subgroup", "index:0"),
+        ("normals", "E2^10000000000"),
+        ("normals", "Z" + "9" * 5000),
+    ):
+        start = time.perf_counter()
+        rc, _, err = run(capsys, *argv)
+        assert rc == 2, argv
+        assert err.startswith("error:"), argv
+        assert time.perf_counter() - start < 1, argv
+    assert "offset 1" in err  # the literal int() refuses is a parse error at its offset
 
 
 def test_unwritable_out_path_exits_two(capsys, tmp_path):

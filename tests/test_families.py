@@ -1,11 +1,14 @@
 """Family-specific deciders and whole-group classification."""
 
+import ast
+import inspect
 import math
 import random
 import re
 
 import pytest
 
+import sumgraph.families as families
 from sumgraph import (
     BadParameterError,
     NotAbelianError,
@@ -17,6 +20,8 @@ from sumgraph import (
     abelian_2group_perfect_code,
     abelian_isomorphism_types,
     abelian_total_perfect_code,
+    build_graph,
+    build_group,
     cyclic,
     cyclic_perfect_code,
     decide_perfect_code,
@@ -27,14 +32,29 @@ from sumgraph import (
     dihedral_perfect_code,
     direct_product,
     elementary_abelian_2,
+    find_total_perfect_code_bruteforce,
     is_code_perfect,
     normal_subgroups,
     order_three_coset_scan,
+    parse_group_expr,
     quaternion,
     subgroup_generated,
 )
 
 from helpers import sweep
+
+
+def test_families_share_no_rule_with_the_generic_deciders():
+    # the family deciders cross-check the generic ones, so they may not call
+    # them; is_code_perfect's brute-force method is the one exception
+    imported = [
+        (getattr(node, "module", None) or "", alias.name)
+        for node in ast.walk(ast.parse(inspect.getsource(families)))
+        if isinstance(node, (ast.Import, ast.ImportFrom))
+        for alias in node.names
+    ]
+    from_codes = [name for module, name in imported if "codes" in (module + "." + name).split(".")]
+    assert from_codes == ["decide_perfect_code"]
 
 
 def test_cyclic_rule_known_values():
@@ -91,6 +111,10 @@ def test_abelian_2group_examples():
         abelian_2group_perfect_code((2, 6), [0, 1, 2])  # not a 2-group
     with pytest.raises(NotASubgroupError):
         abelian_2group_perfect_code((2, 4), [0, 1, 2])  # not closed
+    with pytest.raises(BadParameterError):
+        abelian_2group_perfect_code((2, 4), [0, 2.9, 4, 6.5])  # floats are not indices
+    with pytest.raises(BadParameterError):
+        abelian_2group_perfect_code((2, 4), ["0", "2", "4", "6"])  # nor are strings
 
 
 def test_abelian_2group_matches_generic_decider():
@@ -289,6 +313,15 @@ def test_order_three_scan_equivalent_to_total_code_existence():
             if len(H) != 3:
                 continue
             assert order_three_coset_scan(G, H) == decide_total_perfect_code(G, H).exists
+    # past the sweep: order 96 admits a code, the non-abelian D6 x E2^2 does not
+    for text, expected in (("E2^5 x Z3", True), ("D6 x E2^2", False)):
+        G = build_group(parse_group_expr(text))
+        threes = [H for H in normal_subgroups(G) if len(H) == 3]
+        assert threes, text
+        for H in threes:
+            oracle = find_total_perfect_code_bruteforce(build_graph(G, H)) is not None
+            assert order_three_coset_scan(G, H) == decide_total_perfect_code(G, H).exists
+            assert order_three_coset_scan(G, H) == oracle == expected, text
 
 
 def test_is_code_perfect_bruteforce():

@@ -19,7 +19,6 @@ MODULES = ("codes", "errors", "exprs", "families", "graphs", "groups")
 UNUSED_ALLOWED = {
     "group_from_json",  # reads what Group.to_json_dict writes: serialisation input
     "subgroup_as_group",  # the Sylow reduction of acceptance criterion 05
-    "order_three_coset_scan",  # the structural scan behind the order-3 total-code rule
 }
 
 
