@@ -6,179 +6,23 @@ extended variant allows x·y = e as well).  This package builds those
 graphs, decides when they admit perfect and total perfect codes, verifies
 every decision against brute-force search, and classifies the groups whose
 every normal subgroup yields a perfect code.
+
+Each module's ``__all__`` is its public API, and every name in it is
+importable from the package itself.
 """
 
-from .codes import (
-    Code,
-    CrossCheckEntry,
-    CrossCheckReport,
-    Verdict,
-    cross_check,
-    decide_code,
-    decide_perfect_code,
-    decide_perfect_code_extended,
-    decide_total_perfect_code,
-    decide_total_perfect_code_extended,
-    find_perfect_code_bruteforce,
-    find_total_perfect_code_bruteforce,
-    is_perfect_code,
-    is_total_perfect_code,
-    verdict_to_json,
-)
-from .errors import (
-    BadParameterError,
-    InternalInconsistencyError,
-    NoIdentityError,
-    NoInverseError,
-    NotAbelianError,
-    NotASubgroupError,
-    NotAssociativeError,
-    NotDedekindError,
-    NotLatinSquareError,
-    NotNormalError,
-    ParseError,
-    SumGraphError,
-)
-from .exprs import (
-    CyclicExpr,
-    DicyclicExpr,
-    DihedralExpr,
-    ElementaryAbelianExpr,
-    GroupExpr,
-    ProductExpr,
-    QuaternionExpr,
-    build_group,
-    format_group_expr,
-    parse_group_expr,
-)
-from .families import (
-    abelian_2group_perfect_code,
-    abelian_total_perfect_code,
-    cyclic_perfect_code,
-    dicyclic_perfect_code,
-    dihedral_perfect_code,
-    is_code_perfect,
-    order_three_coset_scan,
-)
-from .graphs import (
-    BlockRecord,
-    StructureReport,
-    SumGraph,
-    build_graph,
-    components,
-    graph_to_json,
-    to_dot,
-    verify_structure,
-)
-from .groups import (
-    SWEEP_FAMILIES,
-    Coset,
-    Group,
-    Subgroup,
-    abelian,
-    abelian_isomorphism_types,
-    conjugacy_classes,
-    coset_units,
-    cyclic,
-    dicyclic,
-    dihedral,
-    direct_product,
-    elementary_abelian_2,
-    group_from_cayley_table,
-    group_from_json,
-    is_dedekind,
-    max_supported_order,
-    normal_subgroups,
-    quaternion,
-    right_cosets,
-    subgroup_as_group,
-    subgroup_generated,
-    sweep_groups,
-)
+from . import codes, errors, exprs, families, graphs, groups
+from .codes import *
+from .errors import *
+from .exprs import *
+from .families import *
+from .graphs import *
+from .groups import *
 
 __version__ = "0.1.0"
 
 __all__ = [
     "__version__",
-    # groups
-    "Group",
-    "Subgroup",
-    "Coset",
-    "group_from_cayley_table",
-    "group_from_json",
-    "cyclic",
-    "dihedral",
-    "dicyclic",
-    "quaternion",
-    "direct_product",
-    "abelian",
-    "elementary_abelian_2",
-    "conjugacy_classes",
-    "subgroup_generated",
-    "normal_subgroups",
-    "right_cosets",
-    "coset_units",
-    "abelian_isomorphism_types",
-    "SWEEP_FAMILIES",
-    "sweep_groups",
-    "is_dedekind",
-    "subgroup_as_group",
-    "max_supported_order",
-    # graphs
-    "SumGraph",
-    "BlockRecord",
-    "StructureReport",
-    "build_graph",
-    "components",
-    "verify_structure",
-    "graph_to_json",
-    "to_dot",
-    # codes
-    "Code",
-    "Verdict",
-    "CrossCheckEntry",
-    "CrossCheckReport",
-    "is_perfect_code",
-    "is_total_perfect_code",
-    "find_perfect_code_bruteforce",
-    "find_total_perfect_code_bruteforce",
-    "decide_perfect_code",
-    "decide_total_perfect_code",
-    "decide_perfect_code_extended",
-    "decide_total_perfect_code_extended",
-    "decide_code",
-    "verdict_to_json",
-    "cross_check",
-    # families / classifiers
-    "cyclic_perfect_code",
-    "abelian_2group_perfect_code",
-    "dihedral_perfect_code",
-    "dicyclic_perfect_code",
-    "abelian_total_perfect_code",
-    "order_three_coset_scan",
-    "is_code_perfect",
-    # expressions
-    "GroupExpr",
-    "CyclicExpr",
-    "DihedralExpr",
-    "DicyclicExpr",
-    "QuaternionExpr",
-    "ElementaryAbelianExpr",
-    "ProductExpr",
-    "parse_group_expr",
-    "format_group_expr",
-    "build_group",
-    # errors
-    "SumGraphError",
-    "BadParameterError",
-    "NotLatinSquareError",
-    "NoIdentityError",
-    "NoInverseError",
-    "NotAssociativeError",
-    "NotASubgroupError",
-    "NotNormalError",
-    "NotAbelianError",
-    "NotDedekindError",
-    "InternalInconsistencyError",
-    "ParseError",
+    *codes.__all__, *errors.__all__, *exprs.__all__,
+    *families.__all__, *graphs.__all__, *groups.__all__,
 ]

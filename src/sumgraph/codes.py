@@ -34,7 +34,6 @@ from .groups import (
 )
 
 __all__ = [
-    "Code",
     "Verdict",
     "is_perfect_code",
     "is_total_perfect_code",
@@ -53,23 +52,6 @@ __all__ = [
 
 
 @dataclass(frozen=True)
-class Code:
-    """A candidate code: sorted vertex indices plus which kind it claims to be."""
-
-    vertices: tuple[int, ...]
-    kind: str  # "perfect" | "total"
-
-    def __iter__(self):
-        return iter(self.vertices)
-
-    def __len__(self) -> int:
-        return len(self.vertices)
-
-    def __contains__(self, v: int) -> bool:
-        return v in self.vertices
-
-
-@dataclass(frozen=True)
 class Verdict:
     """Outcome of one decider: existence, the rule that settled it, evidence."""
 
@@ -77,7 +59,7 @@ class Verdict:
     kind: str  # "perfect" | "total"
     exists: bool
     rule: str
-    witness: Code | None
+    witness: tuple[int, ...] | None  # sorted vertex indices
     certificate: dict | None
 
 
@@ -153,22 +135,22 @@ def _cover_component(
     return None
 
 
-def _find_code(graph: SumGraph, closed: bool) -> Code | None:
+def _find_code(graph: SumGraph, closed: bool) -> tuple[int, ...] | None:
     chosen = 0
     for comp in components(graph):
         got = _cover_component(graph.rows, _mask_of(comp), closed, 0, 0)
         if got is None:
             return None
         chosen |= got
-    return Code(tuple(_bits(chosen)), "perfect" if closed else "total")
+    return tuple(_bits(chosen))
 
 
-def find_perfect_code_bruteforce(graph: SumGraph) -> Code | None:
+def find_perfect_code_bruteforce(graph: SumGraph) -> tuple[int, ...] | None:
     """Search for a perfect code by exact cover, component by component."""
     return _find_code(graph, closed=True)
 
 
-def find_total_perfect_code_bruteforce(graph: SumGraph) -> Code | None:
+def find_total_perfect_code_bruteforce(graph: SumGraph) -> tuple[int, ...] | None:
     """Search for a total perfect code by exact cover, component by component."""
     return _find_code(graph, closed=False)
 
@@ -216,11 +198,10 @@ def decide_perfect_code(G: Group, H: Subgroup) -> Verdict:
     """
     flavor, kind = "plain", "perfect"
     if H.order == 1:
-        witness = Code(tuple(range(G.order)), kind)
-        return Verdict(flavor, kind, True, "trivial-subgroup", witness, None)
+        return Verdict(flavor, kind, True, "trivial-subgroup", tuple(range(G.order)), None)
     if H.order == 2:
         h = next(m for m in H.members if m != G.identity)
-        witness = Code(tuple(x for x in range(G.order) if G.mul(G.inv(x), h) >= x), kind)
+        witness = tuple(x for x in range(G.order) if G.mul(G.inv(x), h) >= x)
         return Verdict(flavor, kind, True, "order-two-subgroup", witness, None)
     chosen: list[int] = []
     for unit in coset_units(G, H):
@@ -234,7 +215,7 @@ def decide_perfect_code(G: Group, H: Subgroup) -> Verdict:
             chosen.append(pivots[0])
         else:
             chosen.extend([x, G.inv(x)])
-    witness = Code(tuple(sorted(chosen)), kind)
+    witness = tuple(sorted(chosen))
     return Verdict(flavor, kind, True, "square-cosets-have-involutions", witness, None)
 
 
@@ -254,8 +235,7 @@ def decide_total_perfect_code(G: Group, H: Subgroup) -> Verdict:
         for x in range(G.order):
             if G.mul(x, x) == h:
                 return _refuted(flavor, kind, "square-element-not-involution", element=x)
-        witness = Code(tuple(range(G.order)), kind)
-        return Verdict(flavor, kind, True, "order-two-matching", witness, None)
+        return Verdict(flavor, kind, True, "order-two-matching", tuple(range(G.order)), None)
     if H.order == 3:
         orders = G.element_orders  # Z2^k x Z3: exponent divides 6, one subgroup of order 3
         if not (G.abelian and all(6 % o == 0 for o in orders) and sum(3 % o == 0 for o in orders) == 3):
@@ -265,7 +245,7 @@ def decide_total_perfect_code(G: Group, H: Subgroup) -> Verdict:
             centre = next(v for v in c.members if G.inv(v) == v)
             leaf = min(v for v in c.members if v != centre)
             chosen.extend([centre, leaf])
-        witness = Code(tuple(sorted(chosen)), kind)
+        witness = tuple(sorted(chosen))
         return Verdict(flavor, kind, True, "elementary-two-times-three", witness, None)
     return _refuted(flavor, kind, "subgroup-order-unsuitable", subgroup_order=H.order)
 
@@ -281,11 +261,11 @@ def decide_perfect_code_extended(G: Group, H: Subgroup) -> Verdict:
     """
     flavor, kind = "extended", "perfect"
     if H.order == 1:
-        witness = Code(tuple(v for v in range(G.order) if G.inv(v) >= v), kind)
+        witness = tuple(v for v in range(G.order) if G.inv(v) >= v)
         return Verdict(flavor, kind, True, "trivial-subgroup", witness, None)
     outside = sorted(G.square_set - H.member_set)
     if not outside:
-        witness = Code(tuple(sorted(c.representative for c in right_cosets(G, H))), kind)
+        witness = tuple(sorted(c.representative for c in right_cosets(G, H)))
         return Verdict(flavor, kind, True, "squares-inside-subgroup", witness, None)
     sq = outside[0]
     element = min(x for x in range(G.order) if G.mul(x, x) == sq)
@@ -313,8 +293,7 @@ def decide_total_perfect_code_extended(G: Group, H: Subgroup) -> Verdict:
         component = (x, G.mul(x, h), y, G.mul(y, h))
         if x == min(component):
             chosen |= {x, min(v for v in component[2:] if v != x)}
-    witness = Code(tuple(sorted(chosen)), kind)
-    return Verdict(flavor, kind, True, "order-two-subgroup", witness, None)
+    return Verdict(flavor, kind, True, "order-two-subgroup", tuple(sorted(chosen)), None)
 
 
 def decide_code(G: Group, H: Subgroup, extended: bool = False, total: bool = False) -> Verdict:
@@ -336,7 +315,7 @@ def verdict_to_json(G: Group, H: Subgroup, verdict: Verdict) -> dict:
         "kind": verdict.kind,
         "exists": verdict.exists,
         "rule": verdict.rule,
-        "witness": list(verdict.witness.vertices) if verdict.witness is not None else None,
+        "witness": list(verdict.witness) if verdict.witness is not None else None,
         "certificate": verdict.certificate,
     }
 

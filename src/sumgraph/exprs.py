@@ -234,7 +234,7 @@ def build_group(expr: GroupExpr) -> Group:
     """Evaluate an expression to a concrete group; its ``tag`` is ``expr``."""
     # groups imports the expression types to tag what it builds, so the
     # constructors can only be reached once both modules are loaded.
-    from .groups import cyclic, dicyclic, dihedral, direct_product, elementary_abelian_2, quaternion
+    from .groups import _check_order, cyclic, dicyclic, dihedral, direct_product, elementary_abelian_2, quaternion
 
     if isinstance(expr, CyclicExpr):
         return cyclic(expr.n)
@@ -246,4 +246,9 @@ def build_group(expr: GroupExpr) -> Group:
         return quaternion()
     if isinstance(expr, ElementaryAbelianExpr):
         return elementary_abelian_2(expr.t)
-    return direct_product(*(build_group(p) for p in expr.parts))
+    factors, order = [], 1
+    for part in expr.parts:
+        factors.append(build_group(part))
+        order *= factors[-1].order
+        _check_order(order)  # before the next factor is built
+    return direct_product(*factors)

@@ -59,6 +59,7 @@ def cyclic_perfect_code(n: int, a: int) -> bool:
     a = n encoding the trivial subgroup.  True exactly when n is odd, or
     |H| = n/a is odd, or |H| = 2, or |H| >= 4 is even with a odd.
     """
+    n, a = _index(n, "group order"), _index(a, "least member")
     if n < 1:
         raise BadParameterError(f"group order must be positive, got {n}")
     if a < 1 or a > n or n % a != 0:
@@ -88,7 +89,7 @@ def abelian_2group_perfect_code(invariants: Sequence[int], K: Subgroup | Iterabl
     factor fastest) and never through the Cayley table, so this decider
     stays an independent cross-check of the generic one.
     """
-    orders = tuple(int(f) for f in invariants)
+    orders = tuple(_index(f, "factor order") for f in invariants)
     if len(orders) < 2:
         raise BadParameterError("the ambient group must be a non-cyclic abelian 2-group")
     for f in orders:

@@ -267,11 +267,12 @@ class Subgroup:
 
 
 def _index(value, what: str) -> int:
-    """``value`` as an element index; a float or a string is a BadParameterError."""
+    """``value`` as a Python int: an element index or a constructor
+    parameter.  A float or a string is a BadParameterError, not truncated."""
     try:
         return operator.index(value)
     except TypeError:
-        raise BadParameterError(f"{what} {value!r} is not an element index") from None
+        raise BadParameterError(f"{what} {value!r} is not an integer") from None
 
 
 def require_subgroup(G: Group, H: Subgroup) -> None:
@@ -305,7 +306,16 @@ def _check_order(n: int) -> None:
     """Reject an order above :func:`max_supported_order` before any table exists."""
     cap = max_supported_order()
     if n > cap:
-        raise BadParameterError(f"order {n} exceeds the supported cap {cap}")
+        raise BadParameterError(f"order {_shown(n)} exceeds the supported cap {cap}")
+
+
+def _shown(n: int) -> str:
+    """``n`` in full, or its digit count once it is too long to read (or
+    past ``int``'s 4300-digit string limit)."""
+    if n < 10**20:
+        return str(n)
+    digits = math.floor((n.bit_length() - 1) * math.log10(2)) + 1  # or one more
+    return f"<{digits + (n >= 10**digits)}-digit number>"
 
 
 class _Closure:
@@ -479,6 +489,7 @@ def group_from_json(data: dict) -> Group:
 
 def cyclic(n: int) -> Group:
     """The cyclic group Z_n on ``0..n-1`` under addition mod n."""
+    n = _index(n, "cyclic order")
     if n < 1:
         raise BadParameterError(f"cyclic order must be >= 1, got {n}")
     return _cyclic_product([n], CyclicExpr(n))
@@ -498,6 +509,7 @@ def _power_label(i: int, suffix: str) -> str:
 
 def dihedral(n: int) -> Group:
     """The dihedral group of order 2n (n >= 3): rotations first, then flips."""
+    n = _index(n, "dihedral parameter")
     if n < 3:
         raise BadParameterError(f"dihedral parameter must be >= 3, got {n}")
     size = 2 * n
@@ -517,6 +529,7 @@ def dicyclic(n: int) -> Group:
     Generators a, b with a of order 2n, b^2 = a^n and b a b^-1 = a^-1.
     Indices ``0..2n-1`` are ``a^i``; index ``2n + i`` is ``a^{i+1} b``.
     """
+    n = _index(n, "dicyclic parameter")
     if n < 2:
         raise BadParameterError(f"dicyclic parameter must be >= 2, got {n}")
     m = 2 * n
@@ -560,6 +573,7 @@ def direct_product(*factors: Group) -> Group:
 def abelian(factor_orders: Sequence[int]) -> Group:
     """Direct product of cyclic groups of the given orders; equal to
     ``direct_product`` of the cyclic factors, but validated only once."""
+    factor_orders = [_index(f, "cyclic factor order") for f in factor_orders]
     if any(f < 1 for f in factor_orders):
         raise BadParameterError(f"cyclic factor orders must be >= 1: {factor_orders}")
     if len(factor_orders) < 2:
@@ -569,11 +583,12 @@ def abelian(factor_orders: Sequence[int]) -> Group:
 
 def elementary_abelian_2(t: int) -> Group:
     """The group Z_2^t (the trivial group when t == 0)."""
+    t = _index(t, "exponent")
     if t < 0:
         raise BadParameterError(f"exponent must be >= 0, got {t}")
     cap = max_supported_order()
     if t >= cap.bit_length():  # 2^t > cap, decided before 2^t or t factors exist
-        raise BadParameterError(f"order 2^{t} exceeds the supported cap {cap}")
+        raise BadParameterError(f"order 2^{_shown(t)} exceeds the supported cap {cap}")
     return _cyclic_product([2] * t, ElementaryAbelianExpr(t))
 
 
@@ -824,6 +839,7 @@ def sweep_groups(max_order: int, families: Sequence[str] = SWEEP_FAMILIES) -> It
     others are cyclic), and Q8.  Unknown families and a ``max_order`` above
     the cap raise :class:`BadParameterError` here, before any group is built.
     """
+    max_order = _index(max_order, "max_order")
     _check_order(max_order)
     for family in families:
         if family not in SWEEP_FAMILIES:

@@ -314,17 +314,24 @@ def test_usage_errors_exit_two(capsys):
     assert rc == 2  # deep nesting is a parse error, not a RecursionError
     assert "error:" in err and "offset 100" in err
 
-    # oversized orders fail before any table, factor list or huge number is built
+    # oversized orders fail before any table, factor list or huge number is
+    # built, and the error line stays short however long the number is
     for argv in (
         ("normals", "E2^100000000"),
         ("code", "E2^1000000", "--subgroup", "index:0"),
         ("normals", "E2^10000000000"),
+        ("code", "Dic" + "9" * 4300, "--subgroup", "index:0"),  # 4n has 4301 digits
+        ("normals", "D" + "8" * 4300),
+        ("normals", "E2^" + "9" * 4300),
+        ("normals", " x ".join(["Z512"] * 1000)),  # rejected at the second factor
+        ("normals", " x ".join(["D512"] * 300)),
         ("normals", "Z" + "9" * 5000),
     ):
         start = time.perf_counter()
         rc, _, err = run(capsys, *argv)
         assert rc == 2, argv
         assert err.startswith("error:"), argv
+        assert len(err.splitlines()[0]) < 200, argv
         assert time.perf_counter() - start < 1, argv
     assert "offset 1" in err  # the literal int() refuses is a parse error at its offset
 

@@ -405,7 +405,7 @@ def test_decider_rejects_a_wrong_witness():
     for flavor, kind, vertices in cases:
 
         def rule(G, H):
-            return codes.Verdict(flavor, kind, True, "wrong", codes.Code(vertices, kind), None)
+            return codes.Verdict(flavor, kind, True, "wrong", vertices, None)
 
         with pytest.raises(InternalInconsistencyError, match="fails validation"):
             codes._decider(rule)(G, H)

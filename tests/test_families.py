@@ -76,6 +76,10 @@ def test_cyclic_rule_known_values():
         cyclic_perfect_code(12, 5)
     with pytest.raises(BadParameterError):
         cyclic_perfect_code(12, 0)
+    with pytest.raises(BadParameterError):
+        cyclic_perfect_code(12.0, 4)
+    with pytest.raises(BadParameterError):
+        cyclic_perfect_code(12, "4")
 
 
 def test_cyclic_rule_matches_generic_decider():
@@ -115,6 +119,8 @@ def test_abelian_2group_examples():
         abelian_2group_perfect_code((2, 4), [0, 2.9, 4, 6.5])  # floats are not indices
     with pytest.raises(BadParameterError):
         abelian_2group_perfect_code((2, 4), ["0", "2", "4", "6"])  # nor are strings
+    with pytest.raises(BadParameterError):
+        abelian_2group_perfect_code((2, 4.9), [0, 1, 2, 3])  # 4.9 is not truncated to 4
 
 
 def test_abelian_2group_matches_generic_decider():

@@ -40,6 +40,7 @@ from sumgraph import (
     right_cosets,
     subgroup_as_group,
     subgroup_generated,
+    sweep_groups,
 )
 
 from helpers import sweep
@@ -461,6 +462,13 @@ def test_constructor_parameter_validation():
         dicyclic(1)
     with pytest.raises(BadParameterError):
         abelian([3, 0])
+    # a float or a string is not truncated or parsed into an order
+    for build, arg in (
+        (cyclic, 2.5), (cyclic, 6.0), (cyclic, "6"), (dihedral, 4.0), (dicyclic, 2.5),
+        (abelian, [2.0, 3]), (elementary_abelian_2, "3"), (sweep_groups, 8.5),
+    ):
+        with pytest.raises(BadParameterError, match="is not an integer"):
+            build(arg)
 
 
 def test_order_cap_and_env_override():
@@ -523,7 +531,7 @@ def test_subgroup_validation():
     assert Subgroup(G, [np.int64(0), np.int64(6)]).members == (0, 6)
     C = cyclic(4)
     for members in ([0, 2.7], ["0", "2"], ["a"], [None]):  # 2.7 is not truncated to 2
-        with pytest.raises(BadParameterError, match="not an element index"):
+        with pytest.raises(BadParameterError, match="is not an integer"):
             Subgroup(C, members)
 
 
@@ -535,9 +543,9 @@ def test_subgroup_generated():
     assert len(subgroup_generated(G, [1])) == 4
     assert subgroup_generated(G, [np.int64(2)]).members == (0, 2)
     C = cyclic(12)
-    with pytest.raises(BadParameterError, match="not an element index"):
+    with pytest.raises(BadParameterError, match="is not an integer"):
         subgroup_generated(C, [1.5])  # not truncated to <1>
-    with pytest.raises(BadParameterError, match="not an element index"):
+    with pytest.raises(BadParameterError, match="is not an integer"):
         subgroup_generated(C, ["3"])
     with pytest.raises(BadParameterError, match="out of range"):
         subgroup_generated(C, [12])

@@ -1,6 +1,7 @@
 """Every public name resolves: each module's ``__all__`` and the functions
-the benchmark tracer in ``perfbench/spans.py`` patches by name.  Every name
-the package exports is also used outside the tests."""
+the benchmark tracer in ``perfbench/spans.py`` patches by name.  Each name
+is declared in one module only, and every name the package exports is also
+used outside the tests."""
 
 import ast
 import importlib
@@ -35,6 +36,19 @@ def test_all_names_resolve(module):
     mod = sumgraph if module == "__init__" else importlib.import_module(f"sumgraph.{module}")
     missing = [name for name in mod.__all__ if not hasattr(mod, name)]
     assert not missing, (module, missing)
+
+
+def test_each_public_name_is_declared_once():
+    """The package re-exports every module's ``__all__`` with a star
+    import, so a name in two modules' lists would silently shadow one."""
+    owners = {}
+    for module in MODULES:
+        for name in importlib.import_module(f"sumgraph.{module}").__all__:
+            owners.setdefault(name, []).append(module)
+    shared = {name: mods for name, mods in owners.items() if len(mods) > 1}
+    assert not shared, shared
+    assert len(sumgraph.__all__) == len(set(sumgraph.__all__))
+    assert set(sumgraph.__all__) == {"__version__", *owners}
 
 
 def test_traced_layer_functions_resolve():
