@@ -45,7 +45,16 @@ from .families import (
     is_code_perfect,
 )
 from .graphs import build_graph, graph_to_json, to_dot
-from .groups import SWEEP_FAMILIES, Group, Subgroup, _Closure, normal_subgroups, subgroup_generated, sweep_groups
+from .groups import (
+    SWEEP_FAMILIES,
+    Group,
+    Subgroup,
+    _Closure,
+    _index,
+    normal_subgroups,
+    subgroup_generated,
+    sweep_groups,
+)
 
 SCAN_FAMILIES = ("cyclic", "dihedral", "dicyclic", "abelian")  # the default; "quaternion" adds Q8
 DEFAULT_SCAN_MAX_ORDER = 48
@@ -88,16 +97,15 @@ def resolve_subgroup(G: Group, selector: str) -> Subgroup:
         return subgroup_generated(G, generators)
     if selector.startswith("index:"):
         raw = selector[len("index:"):]
+        normals = normal_subgroups(G)
         try:
             k = int(raw)
         except ValueError:
-            raise BadParameterError(f"subgroup index must be an integer, got {raw!r}") from None
-        normals = normal_subgroups(G)
-        if not 0 <= k < len(normals):
-            raise BadParameterError(
-                f"subgroup index {k} out of range: {G.name} has {len(normals)} normal subgroups"
-            )
-        return normals[k]
+            if not raw.strip().isdecimal():
+                shown = repr(raw) if len(raw) <= 20 else f"<{len(raw)}-character text>"
+                raise BadParameterError(f"subgroup index must be an integer, got {shown}") from None
+            k = 10 ** (len(raw.strip()) - 1)  # past int()'s digit limit: a stand-in of as many digits
+        return normals[_index(k, f"{G.name} subgroup index", 0, len(normals) - 1)]
     raise BadParameterError(
         f"bad subgroup selector {selector!r}: use gen:<label>[,<label>...] or index:<k>"
     )
@@ -226,28 +234,24 @@ def _cmd_crosscheck(args: argparse.Namespace) -> int:
 
 def _family_checks(G: Group, H: Subgroup) -> Iterator[tuple[str, bool, str]]:
     """Yield (decider name, verdict, oracle kind) triples for one subgroup of
-    a sweep group, whose family and parameters are read from its tag."""
+    a sweep group, whose family is read from its tag."""
     tag = G.tag
     if isinstance(tag, CyclicExpr):
-        step = tag.n if len(H) == 1 else min(v for v in H.members if v != 0)
-        yield "family_cyclic", cyclic_perfect_code(tag.n, step), "perfect"
+        yield "family_cyclic", cyclic_perfect_code(G, H), "perfect"
         yield "family_abelian_total", abelian_total_perfect_code(G, H), "total"
     elif isinstance(tag, DihedralExpr):
         yield "family_dihedral", dihedral_perfect_code(G, H), "perfect"
     elif isinstance(tag, DicyclicExpr):
         yield "family_dicyclic", dicyclic_perfect_code(G, H), "perfect"
-    elif isinstance(tag, ProductExpr):  # an abelian type: cyclic factors
-        factors = [part.n for part in tag.parts]
-        if len(H) >= 3 and all(f & (f - 1) == 0 for f in factors):
-            yield "family_abelian_2group", abelian_2group_perfect_code(factors, H), "perfect"
+    elif isinstance(tag, ProductExpr):  # an abelian type: a 2-group when its order is a power of two
+        if len(H) >= 3 and G.order & (G.order - 1) == 0:
+            yield "family_abelian_2group", abelian_2group_perfect_code(G, H), "perfect"
         yield "family_abelian_total", abelian_total_perfect_code(G, H), "total"
 
 
 def _cmd_scan(args: argparse.Namespace) -> int:
     families = [f.strip() for f in args.families.split(",") if f.strip()]
     groups = sweep_groups(args.max_order, families)
-    if args.max_order < 1:
-        raise BadParameterError("--max-order must be at least 1")
     stream, owned = _open_out(args.out)
     groups_seen = 0
     checks = 0

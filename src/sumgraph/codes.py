@@ -21,7 +21,7 @@ import functools
 import time
 from dataclasses import dataclass
 
-from .errors import BadParameterError, InternalInconsistencyError
+from .errors import InternalInconsistencyError
 from .graphs import SumGraph, _bits, _mask_of, build_graph, components
 from .groups import (
     Group,
@@ -79,9 +79,7 @@ def _partitions(n: int, neighbourhoods) -> bool:
 
 
 def _graph_partitions(graph: SumGraph, code, closed: bool) -> bool:
-    vertices = [_index(c, "code member") for c in code]
-    if not all(0 <= v < graph.n for v in vertices):
-        raise BadParameterError(f"code members out of range 0..{graph.n - 1}: {vertices}")
+    vertices = [_index(c, "code member", 0, graph.n - 1) for c in code]
     return _partitions(graph.n, (graph.rows[v] | (1 << v) if closed else graph.rows[v] for v in vertices))
 
 

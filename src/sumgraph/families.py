@@ -1,12 +1,13 @@
 """Closed-form code deciders for specific group families.
 
-Each decider answers "does the sum graph admit a perfect (or total perfect)
-code?" from the family's parameters, or from a scan of squares and cosets
-for abelian total codes, without building the graph.  They deliberately
-duplicate ground covered by the generic deciders in :mod:`sumgraph.codes`
-so the two can be cross-checked, and so share none of their rules: the only
-import from there is the brute-force method of :func:`is_code_perfect`.  The
-test suite runs every family decider against the generic one and the
+Each decider takes a group G and a subgroup H and answers "does the sum
+graph admit a perfect (or total perfect) code?" without building the graph:
+the family rules read their parameters off ``G.tag``, and abelian total
+codes come from a scan of squares and cosets.  They deliberately duplicate
+ground covered by the generic deciders in :mod:`sumgraph.codes` so the two
+can be cross-checked, and so share none of their rules: the only import
+from there is the brute-force method of :func:`is_code_perfect`.  The test
+suite runs every family decider against the generic one and the
 brute-force oracle over its whole family at desk scale.
 
 Abelian 2-group subgroups use the mixed-radix element indexing fixed by
@@ -15,9 +16,6 @@ Abelian 2-group subgroups use the mixed-radix element indexing fixed by
 
 from __future__ import annotations
 
-import math
-from typing import Iterable, Sequence
-
 import numpy as np
 
 from .codes import decide_perfect_code
@@ -25,15 +23,12 @@ from .errors import (
     BadParameterError,
     InternalInconsistencyError,
     NotAbelianError,
-    NotASubgroupError,
     NotDedekindError,
 )
-from .exprs import DicyclicExpr, DihedralExpr
+from .exprs import CyclicExpr, DicyclicExpr, DihedralExpr, ElementaryAbelianExpr, ProductExpr
 from .groups import (
     Group,
     Subgroup,
-    _check_order,
-    _index,
     is_dedekind,
     normal_subgroups,
     require_normal,
@@ -52,20 +47,17 @@ __all__ = [
 ]
 
 
-def cyclic_perfect_code(n: int, a: int) -> bool:
-    """Does the sum graph of Z_n over H = <a> admit a perfect code?
+def cyclic_perfect_code(G: Group, H: Subgroup) -> bool:
+    """Does the sum graph of Z_n over H have a perfect code?
 
-    ``a`` is the least positive member of H, hence a divisor of n, with
-    a = n encoding the trivial subgroup.  True exactly when n is odd, or
-    |H| = n/a is odd, or |H| = 2, or |H| >= 4 is even with a odd.
+    n is read off ``G.tag``, and H = <a> with a = n/|H|.  True exactly when
+    |H| is odd (as it is whenever n is), or |H| = 2, or |H| >= 4 is even
+    with a odd.
     """
-    n, a = _index(n, "group order"), _index(a, "least member")
-    if n < 1:
-        raise BadParameterError(f"group order must be positive, got {n}")
-    if a < 1 or a > n or n % a != 0:
-        raise BadParameterError(f"{a} does not divide {n}, so it generates no canonical subgroup")
-    order = n // a
-    return n % 2 == 1 or order % 2 == 1 or order == 2 or a % 2 == 1
+    require_normal(G, H)
+    if not isinstance(G.tag, CyclicExpr):
+        raise BadParameterError("expected a group built by the cyclic constructor")
+    return H.order % 2 == 1 or H.order == 2 or (G.tag.n // H.order) % 2 == 1
 
 
 # ---------------------------------------------------------------------------
@@ -73,63 +65,42 @@ def cyclic_perfect_code(n: int, a: int) -> bool:
 # ---------------------------------------------------------------------------
 
 
-def abelian_2group_perfect_code(invariants: Sequence[int], K: Subgroup | Iterable[int]) -> bool:
+def abelian_2group_perfect_code(G: Group, K: Subgroup) -> bool:
     """Does the sum graph of a non-cyclic abelian 2-group over K have a perfect code?
 
-    ``invariants`` are the cyclic factor orders (powers of two, at least
-    two factors); ``K`` a subgroup of order at least 3, as a Subgroup or as
-    mixed-radix element indices.  A perfect code exists exactly when every
-    element whose double lies in K is itself within K plus the socle
-    {w : 2w = 0}: such elements head the cosets whose blocks are complete
-    graphs, and the socle shift is what supplies each block's self-paired
-    vertex.  (Coordinate-aligned subgroups are the easy special case; the
-    condition here is basis-free and also settles the diagonal ones.)
+    The cyclic factor orders are read off ``G.tag``: a product of cyclic
+    2-power factors, or E2^t with t >= 2.  K is a subgroup of order at
+    least 3.  A perfect code exists exactly when every element whose double
+    lies in K is itself within K plus the socle {w : 2w = 0}: such elements
+    head the cosets whose blocks are complete graphs, and the socle shift
+    is what supplies each block's self-paired vertex.  (Coordinate-aligned
+    subgroups are the easy special case; the condition here is basis-free
+    and also settles the diagonal ones.)
 
     Elements are handled as coordinate vectors (``np.unravel_index``, last
     factor fastest) and never through the Cayley table, so this decider
     stays an independent cross-check of the generic one.
     """
-    orders = tuple(_index(f, "factor order") for f in invariants)
-    if len(orders) < 2:
-        raise BadParameterError("the ambient group must be a non-cyclic abelian 2-group")
-    for f in orders:
-        if f < 2 or f & (f - 1):
-            raise BadParameterError(f"factor orders must be powers of two >= 2, got {f}")
-    n = math.prod(orders)
-    _check_order(n)
-    if isinstance(K, Subgroup):
-        if K.parent.order != n:
-            raise BadParameterError(
-                f"subgroup lives in a group of order {K.parent.order}, expected {n}"
-            )
-        members = list(K.members)
-    else:
-        members = sorted({_index(v, "member") for v in K})
-    if not members or members[0] < 0 or members[-1] >= n:
-        raise BadParameterError(f"subgroup members must be indices in 0..{n - 1}")
-    if members[0] != 0:
-        raise NotASubgroupError("member set does not contain the identity")
+    require_subgroup(G, K)
+    tag = G.tag
+    orders = (2,) * tag.t if isinstance(tag, ElementaryAbelianExpr) else ()
+    if isinstance(tag, ProductExpr) and all(isinstance(p, CyclicExpr) for p in tag.parts):
+        orders = tuple(p.n for p in tag.parts)
+    if len(orders) < 2 or any(f < 2 or f & (f - 1) for f in orders):
+        raise BadParameterError("expected a product of at least two cyclic 2-groups")
+    if K.order < 3:
+        raise BadParameterError("the decider applies to subgroups of order at least 3")
 
     def index(coords) -> np.ndarray:
         return np.ravel_multi_index(coords, orders, mode="wrap")  # "wrap" reduces mod each order
 
-    def sums(a: np.ndarray, b: np.ndarray) -> np.ndarray:
-        """Index of every sum a[i] + b[j], as an |a| x |b| array."""
-        ca, cb = np.unravel_index(a, orders), np.unravel_index(b, orders)
-        return index(tuple(x[:, None] + y[None, :] for x, y in zip(ca, cb)))
-
-    ks = np.array(members)
-    in_k = np.zeros(n, dtype=bool)
+    coords = np.unravel_index(np.arange(G.order), orders)
+    doubles = index(tuple(2 * c for c in coords))
+    ks, socle = np.array(K.members), np.flatnonzero(doubles == 0)
+    in_k = np.zeros(G.order, dtype=bool)
     in_k[ks] = True
-    outside = ~in_k[sums(ks, ks)]
-    if outside.any():
-        i, j = np.argwhere(outside)[0]
-        raise NotASubgroupError(f"not closed under products: {members[i]} + {members[j]} is outside")
-    if len(members) < 3:
-        raise BadParameterError("the decider applies to subgroups of order at least 3")
-    doubles = index(tuple(2 * c for c in np.unravel_index(np.arange(n), orders)))
-    reach = np.zeros(n, dtype=bool)  # K + socle
-    reach[sums(ks, np.flatnonzero(doubles == 0))] = True
+    reach = np.zeros(G.order, dtype=bool)  # K + socle
+    reach[index(tuple(c[ks][:, None] + c[socle][None, :] for c in coords))] = True
     return bool(np.all(reach | ~in_k[doubles]))
 
 

@@ -97,9 +97,7 @@ def max_supported_order() -> int:
         value = int(raw)
     except ValueError:
         raise BadParameterError(f"{MAX_ORDER_ENV} must be an integer, got {raw!r}")
-    if value < 1:
-        raise BadParameterError(f"{MAX_ORDER_ENV} must be positive, got {value}")
-    return value
+    return _index(value, MAX_ORDER_ENV, low=1)
 
 
 class Group:
@@ -217,7 +215,8 @@ class Subgroup:
         if not ms:
             raise NotASubgroupError("a subgroup cannot be empty")
         if ms[0] < 0 or ms[-1] >= parent.order:
-            raise NotASubgroupError(f"member out of range 0..{parent.order - 1}: {ms}")
+            bad = ms[0] if ms[0] < 0 else ms[-1]
+            raise NotASubgroupError(f"member {_shown(bad)} out of range 0..{parent.order - 1}")
         member_set = frozenset(ms)
         if parent.identity not in member_set:
             raise NotASubgroupError("member set does not contain the identity")
@@ -266,13 +265,19 @@ class Subgroup:
         return f"<Subgroup order={self.order} of {self.parent!r}>"
 
 
-def _index(value, what: str) -> int:
+def _index(value, what: str, low: int | None = None, high: int | None = None) -> int:
     """``value`` as a Python int: an element index or a constructor
-    parameter.  A float or a string is a BadParameterError, not truncated."""
+    parameter, at least ``low`` and at most ``high`` when given (``high``
+    only with ``low``).  A float or a string is a BadParameterError, not
+    truncated; so is a value out of range, named by :func:`_shown`."""
     try:
-        return operator.index(value)
+        value = operator.index(value)
     except TypeError:
         raise BadParameterError(f"{what} {value!r} is not an integer") from None
+    if low is not None and value < low or high is not None and value > high:
+        want = f">= {low}" if high is None else f"in {low}..{high}"
+        raise BadParameterError(f"{what} {_shown(value)} out of range: must be {want}")
+    return value
 
 
 def require_subgroup(G: Group, H: Subgroup) -> None:
@@ -312,6 +317,8 @@ def _check_order(n: int) -> None:
 def _shown(n: int) -> str:
     """``n`` in full, or its digit count once it is too long to read (or
     past ``int``'s 4300-digit string limit)."""
+    if n < 0:
+        return "-" + _shown(-n)
     if n < 10**20:
         return str(n)
     digits = math.floor((n.bit_length() - 1) * math.log10(2)) + 1  # or one more
@@ -489,9 +496,7 @@ def group_from_json(data: dict) -> Group:
 
 def cyclic(n: int) -> Group:
     """The cyclic group Z_n on ``0..n-1`` under addition mod n."""
-    n = _index(n, "cyclic order")
-    if n < 1:
-        raise BadParameterError(f"cyclic order must be >= 1, got {n}")
+    n = _index(n, "cyclic order", low=1)
     return _cyclic_product([n], CyclicExpr(n))
 
 
@@ -509,9 +514,7 @@ def _power_label(i: int, suffix: str) -> str:
 
 def dihedral(n: int) -> Group:
     """The dihedral group of order 2n (n >= 3): rotations first, then flips."""
-    n = _index(n, "dihedral parameter")
-    if n < 3:
-        raise BadParameterError(f"dihedral parameter must be >= 3, got {n}")
+    n = _index(n, "dihedral parameter", low=3)
     size = 2 * n
     _check_order(size)
     x = np.arange(size)
@@ -529,9 +532,7 @@ def dicyclic(n: int) -> Group:
     Generators a, b with a of order 2n, b^2 = a^n and b a b^-1 = a^-1.
     Indices ``0..2n-1`` are ``a^i``; index ``2n + i`` is ``a^{i+1} b``.
     """
-    n = _index(n, "dicyclic parameter")
-    if n < 2:
-        raise BadParameterError(f"dicyclic parameter must be >= 2, got {n}")
+    n = _index(n, "dicyclic parameter", low=2)
     m = 2 * n
     size = 4 * n
     _check_order(size)
@@ -573,9 +574,9 @@ def direct_product(*factors: Group) -> Group:
 def abelian(factor_orders: Sequence[int]) -> Group:
     """Direct product of cyclic groups of the given orders; equal to
     ``direct_product`` of the cyclic factors, but validated only once."""
-    factor_orders = [_index(f, "cyclic factor order") for f in factor_orders]
-    if any(f < 1 for f in factor_orders):
-        raise BadParameterError(f"cyclic factor orders must be >= 1: {factor_orders}")
+    if not isinstance(factor_orders, Iterable):
+        raise BadParameterError(f"factor orders must be a sequence, got {type(factor_orders).__name__}")
+    factor_orders = [_index(f, "cyclic factor order", low=1) for f in factor_orders]
     if len(factor_orders) < 2:
         return cyclic(math.prod(factor_orders))
     return _cyclic_product(factor_orders, ProductExpr(tuple(CyclicExpr(f) for f in factor_orders)))
@@ -583,9 +584,7 @@ def abelian(factor_orders: Sequence[int]) -> Group:
 
 def elementary_abelian_2(t: int) -> Group:
     """The group Z_2^t (the trivial group when t == 0)."""
-    t = _index(t, "exponent")
-    if t < 0:
-        raise BadParameterError(f"exponent must be >= 0, got {t}")
+    t = _index(t, "exponent", low=0)
     cap = max_supported_order()
     if t >= cap.bit_length():  # 2^t > cap, decided before 2^t or t factors exist
         raise BadParameterError(f"order 2^{_shown(t)} exceeds the supported cap {cap}")
@@ -633,10 +632,7 @@ def subgroup_generated(G: Group, generators: Iterable[int]) -> Subgroup:
     """The subgroup generated by the given elements (indices into G)."""
     closure = _Closure(G.table, G.identity)
     for g in generators:
-        g = _index(g, "generator")
-        if not 0 <= g < G.order:
-            raise BadParameterError(f"generator {g} out of range 0..{G.order - 1}")
-        closure.add(g)
+        closure.add(_index(g, "generator", 0, G.order - 1))
     return Subgroup(G, closure.members)
 
 
@@ -836,10 +832,11 @@ def sweep_groups(max_order: int, families: Sequence[str] = SWEEP_FAMILIES) -> It
 
     Cyclic groups by order, dihedral and dicyclic groups by parameter, one
     group per abelian isomorphism type with at least two factors (the
-    others are cyclic), and Q8.  Unknown families and a ``max_order`` above
-    the cap raise :class:`BadParameterError` here, before any group is built.
+    others are cyclic), and Q8.  Unknown families and a ``max_order`` below 1
+    or above the cap raise :class:`BadParameterError` here, before any group
+    is built.
     """
-    max_order = _index(max_order, "max_order")
+    max_order = _index(max_order, "max_order", low=1)
     _check_order(max_order)
     for family in families:
         if family not in SWEEP_FAMILIES:

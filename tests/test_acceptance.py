@@ -246,7 +246,7 @@ def test_criterion_11_family_deciders_match_generic():
             if n % a:
                 continue
             H = subgroup_generated(G, [a % n])
-            if cyclic_perfect_code(n, a) != decide_perfect_code(G, H).exists:
+            if cyclic_perfect_code(G, H) != decide_perfect_code(G, H).exists:
                 bad.append(("cyclic", n, a))
     for n in range(3, 17):
         G = dihedral(n)
@@ -265,7 +265,7 @@ def test_criterion_11_family_deciders_match_generic():
         for K in normal_subgroups(G):  # in an abelian group every subgroup is normal
             if len(K) < 3:
                 continue
-            if abelian_2group_perfect_code(factors, K) != decide_perfect_code(G, K).exists:
+            if abelian_2group_perfect_code(G, K) != decide_perfect_code(G, K).exists:
                 bad.append(("abelian-2", factors, K.members))
     elapsed = time.perf_counter() - started
     _report(

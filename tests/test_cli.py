@@ -315,7 +315,8 @@ def test_usage_errors_exit_two(capsys):
     assert "error:" in err and "offset 100" in err
 
     # oversized orders fail before any table, factor list or huge number is
-    # built, and the error line stays short however long the number is
+    # built, and the error line stays short however long the number is (an
+    # order or a subgroup index)
     for argv in (
         ("normals", "E2^100000000"),
         ("code", "E2^1000000", "--subgroup", "index:0"),
@@ -325,6 +326,8 @@ def test_usage_errors_exit_two(capsys):
         ("normals", "E2^" + "9" * 4300),
         ("normals", " x ".join(["Z512"] * 1000)),  # rejected at the second factor
         ("normals", " x ".join(["D512"] * 300)),
+        ("code", "Z6", "--subgroup", "index:" + "9" * 4000),  # int() reads it; out of range
+        ("code", "Z6", "--subgroup", "index:" + "9" * 5000),  # past int()'s digit limit
         ("normals", "Z" + "9" * 5000),
     ):
         start = time.perf_counter()

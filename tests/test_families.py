@@ -4,7 +4,6 @@ import ast
 import inspect
 import math
 import random
-import re
 
 import pytest
 
@@ -57,10 +56,16 @@ def test_families_share_no_rule_with_the_generic_deciders():
     assert from_codes == ["decide_perfect_code"]
 
 
+def _cyclic_rule(n, a):
+    """The cyclic decider on H = <a> in Z_n."""
+    G = cyclic(n)
+    return cyclic_perfect_code(G, subgroup_generated(G, [a % n]))
+
+
 def test_cyclic_rule_known_values():
-    assert not cyclic_perfect_code(60, 2)
-    assert cyclic_perfect_code(60, 5)  # o(5)=12 even >= 4, 5 odd
-    failing = [a for a in range(1, 61) if 60 % a == 0 and not cyclic_perfect_code(60, a)]
+    assert not _cyclic_rule(60, 2)
+    assert _cyclic_rule(60, 5)  # o(5)=12 even >= 4, 5 odd
+    failing = [a for a in range(1, 61) if 60 % a == 0 and not _cyclic_rule(60, a)]
     assert failing == [2, 6, 10]
 
     # powers of two: works only for |H| in {1, 2, 2^k}
@@ -70,16 +75,7 @@ def test_cyclic_rule_known_values():
             if n % a:
                 continue
             expected = (n // a) in (1, 2, n)
-            assert cyclic_perfect_code(n, a) == expected
-
-    with pytest.raises(BadParameterError):
-        cyclic_perfect_code(12, 5)
-    with pytest.raises(BadParameterError):
-        cyclic_perfect_code(12, 0)
-    with pytest.raises(BadParameterError):
-        cyclic_perfect_code(12.0, 4)
-    with pytest.raises(BadParameterError):
-        cyclic_perfect_code(12, "4")
+            assert _cyclic_rule(n, a) == expected
 
 
 def test_cyclic_rule_matches_generic_decider():
@@ -89,38 +85,43 @@ def test_cyclic_rule_matches_generic_decider():
             if n % a:
                 continue
             H = subgroup_generated(G, [a % n])
-            assert cyclic_perfect_code(n, a) == decide_perfect_code(G, H).exists, (n, a)
+            assert cyclic_perfect_code(G, H) == decide_perfect_code(G, H).exists, (n, a)
+
+
+def _abelian_2group_rule(factors, members):
+    """The 2-group decider on the subgroup with these mixed-radix indices."""
+    G = abelian(factors)
+    return abelian_2group_perfect_code(G, Subgroup(G, members))
 
 
 def test_abelian_2group_examples():
     # Z2 x Z4, the order-8 counterexample subgroup {(0,0),(0,2),(1,0),(1,2)}
-    assert not abelian_2group_perfect_code((2, 4), [0, 2, 4, 6])
+    assert not _abelian_2group_rule((2, 4), [0, 2, 4, 6])
     # {0} x Z4 splits into trivial-or-full factors
-    assert abelian_2group_perfect_code((2, 4), [0, 1, 2, 3])
+    assert _abelian_2group_rule((2, 4), [0, 1, 2, 3])
     # Z4 x Z4 axis and non-split cases
-    assert abelian_2group_perfect_code((4, 4), [0, 4, 8, 12])
-    assert not abelian_2group_perfect_code((4, 4), [0, 2, 8, 10])
+    assert _abelian_2group_rule((4, 4), [0, 4, 8, 12])
+    assert not _abelian_2group_rule((4, 4), [0, 2, 8, 10])
     # the diagonal <(1,1)> is not a coordinate product but admits a code
-    assert abelian_2group_perfect_code((4, 4), [0, 5, 10, 15])
+    assert _abelian_2group_rule((4, 4), [0, 5, 10, 15])
 
     G = direct_product(cyclic(2), cyclic(4))
     K = Subgroup(G, [0, 2, 4, 6])
-    assert not abelian_2group_perfect_code((2, 4), K)
+    assert not abelian_2group_perfect_code(G, K)
+
+    # E2^t is read as t factors Z2, in the same element order as abelian()
+    E = elementary_abelian_2(3)
+    for K in normal_subgroups(E):
+        if len(K) >= 3:
+            assert abelian_2group_perfect_code(E, K) == _abelian_2group_rule((2, 2, 2), K.members)
 
     with pytest.raises(BadParameterError):
-        abelian_2group_perfect_code((2, 4), [0, 2])  # |K| < 3
+        _abelian_2group_rule((2, 4), [0, 2])  # |K| < 3
     with pytest.raises(BadParameterError):
-        abelian_2group_perfect_code((8,), [0, 2, 4, 6])  # ambient cyclic
+        C = cyclic(8)
+        abelian_2group_perfect_code(C, Subgroup(C, [0, 2, 4, 6]))  # ambient cyclic
     with pytest.raises(BadParameterError):
-        abelian_2group_perfect_code((2, 6), [0, 1, 2])  # not a 2-group
-    with pytest.raises(NotASubgroupError):
-        abelian_2group_perfect_code((2, 4), [0, 1, 2])  # not closed
-    with pytest.raises(BadParameterError):
-        abelian_2group_perfect_code((2, 4), [0, 2.9, 4, 6.5])  # floats are not indices
-    with pytest.raises(BadParameterError):
-        abelian_2group_perfect_code((2, 4), ["0", "2", "4", "6"])  # nor are strings
-    with pytest.raises(BadParameterError):
-        abelian_2group_perfect_code((2, 4.9), [0, 1, 2, 3])  # 4.9 is not truncated to 4
+        _abelian_2group_rule((2, 6), [0, 2, 4])  # not a 2-group
 
 
 def test_abelian_2group_matches_generic_decider():
@@ -132,7 +133,7 @@ def test_abelian_2group_matches_generic_decider():
             if len(K) < 3:
                 continue
             assert (
-                abelian_2group_perfect_code(factors, K)
+                abelian_2group_perfect_code(G, K)
                 == decide_perfect_code(G, K).exists
             ), (factors, K.members)
 
@@ -153,14 +154,8 @@ def _encode(coords, orders):
 
 
 def _abelian_2group_reference(orders, members):
-    """The decider's earlier per-element loop version, closure check included."""
+    """The decider's earlier per-element loop version."""
     mset = set(members)
-    coords = {m: _decode(m, orders) for m in members}
-    for a in members:
-        for b in members:
-            s = _encode([(x + y) % f for x, y, f in zip(coords[a], coords[b], orders)], orders)
-            if s not in mset:
-                raise NotASubgroupError(f"not closed under products: {a} + {b} is outside")
     n = math.prod(orders)
 
     def double(i):
@@ -181,23 +176,39 @@ def test_abelian_2group_matches_loop_reference_up_to_64():
     assert len(types) == 23
     rng = random.Random(64)
     for factors in types:
-        subgroups = [K for K in normal_subgroups(abelian(factors)) if len(K) >= 3]  # all subgroups
+        G = abelian(factors)
+        subgroups = [K for K in normal_subgroups(G) if len(K) >= 3]  # all subgroups
         if math.prod(factors) == 64:  # every subgroup up to order 32, a sample at 64
             subgroups = rng.sample(subgroups, min(len(subgroups), 40))
         for K in subgroups:
             expected = _abelian_2group_reference(factors, K.members)
-            assert abelian_2group_perfect_code(factors, K) == expected, (factors, K.members)
-    for factors in types:
-        n = math.prod(factors)
-        for _ in range(5):  # random sets: the same closure failure, or the same verdict
-            members = sorted({0, *rng.sample(range(1, n), min(n - 1, 3))})
-            try:
-                expected = _abelian_2group_reference(factors, members)
-            except NotASubgroupError as exc:
-                with pytest.raises(NotASubgroupError, match=re.escape(str(exc))):
-                    abelian_2group_perfect_code(factors, members)
-            else:
-                assert abelian_2group_perfect_code(factors, members) == expected
+            assert abelian_2group_perfect_code(G, K) == expected, (factors, K.members)
+
+
+def test_family_deciders_check_the_family_and_the_parent():
+    own = {
+        cyclic_perfect_code: cyclic(8),
+        abelian_2group_perfect_code: abelian((2, 4)),
+        dihedral_perfect_code: dihedral(4),
+        dicyclic_perfect_code: dicyclic(2),
+        abelian_total_perfect_code: cyclic(6),
+        order_three_coset_scan: cyclic(6),
+    }
+    assert {d.__name__ for d in own} == set(families.__all__) - {"is_code_perfect"}
+    # the four that read G.tag refuse a group of another family
+    readers = (cyclic_perfect_code, abelian_2group_perfect_code, dihedral_perfect_code, dicyclic_perfect_code)
+    for decider in readers:
+        for other in readers:
+            G = own[other]
+            if other is not decider:
+                with pytest.raises(BadParameterError, match="expected"):
+                    decider(G, Subgroup(G, range(G.order)))
+    # every (G, H) decider refuses a subgroup of another group, even an equal one
+    for decider, G in own.items():
+        twin = build_group(G.tag)
+        H = Subgroup(twin, [0, 2, 4]) if twin.order == 6 else Subgroup(twin, range(twin.order))
+        with pytest.raises(NotASubgroupError):
+            decider(G, H)
 
 
 def test_dihedral_catalogue():

@@ -462,6 +462,15 @@ def test_constructor_parameter_validation():
         dicyclic(1)
     with pytest.raises(BadParameterError):
         abelian([3, 0])
+    with pytest.raises(BadParameterError, match="sequence"):
+        abelian(5)  # a bare order, not a list of factor orders
+    # a huge negative parameter is named by its digit count, not printed
+    for build, arg in (
+        (cyclic, -10**5000), (dihedral, -10**5000), (dicyclic, -10**5000),
+        (abelian, [-10**5000, 2]), (elementary_abelian_2, -10**5000), (sweep_groups, -10**5000),
+    ):
+        with pytest.raises(BadParameterError, match="-<5001-digit number> out of range"):
+            build(arg)
     # a float or a string is not truncated or parsed into an order
     for build, arg in (
         (cyclic, 2.5), (cyclic, 6.0), (cyclic, "6"), (dihedral, 4.0), (dicyclic, 2.5),
@@ -528,6 +537,8 @@ def test_subgroup_validation():
         Subgroup(G, [4, 8])  # no identity
     with pytest.raises(NotASubgroupError):
         Subgroup(G, [0, 99])  # out of range
+    with pytest.raises(NotASubgroupError, match="<5001-digit number> out of range"):
+        Subgroup(G, [0, 10**5000])
     assert Subgroup(G, [np.int64(0), np.int64(6)]).members == (0, 6)
     C = cyclic(4)
     for members in ([0, 2.7], ["0", "2"], ["a"], [None]):  # 2.7 is not truncated to 2

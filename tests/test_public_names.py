@@ -1,11 +1,13 @@
 """Every public name resolves: each module's ``__all__`` and the functions
 the benchmark tracer in ``perfbench/spans.py`` patches by name.  Each name
-is declared in one module only, and every name the package exports is also
-used outside the tests."""
+is declared in one module only, every name the package exports is also
+used outside the tests, and every decider of a (G, H) pair takes just those
+two parameters."""
 
 import ast
 import importlib
 import importlib.util
+import inspect
 import re
 from pathlib import Path
 
@@ -95,3 +97,19 @@ def test_every_export_is_used_outside_the_tests():
     unused = [name for name in sumgraph.__all__ if name not in used and name not in UNUSED_ALLOWED]
     assert not unused, unused
     assert UNUSED_ALLOWED <= set(sumgraph.__all__)
+
+
+def test_every_family_and_rule_decider_takes_g_and_h():
+    """One signature for every decider of a (G, H) pair: the family
+    deciders and the four rule deciders that ``decide_code`` dispatches to."""
+    codes = importlib.import_module("sumgraph.codes")
+    families = importlib.import_module("sumgraph.families")
+    source = ast.parse(inspect.getsource(codes.decide_code))
+    dispatched = [node.func.id for node in ast.walk(source) if isinstance(node, ast.Call)]
+    assert len(set(dispatched)) == 4, dispatched
+    deciders = [getattr(families, name) for name in families.__all__ if name != "is_code_perfect"]
+    P = inspect.Parameter
+    expected = [(P.POSITIONAL_OR_KEYWORD, P.empty, cls) for cls in (sumgraph.Group, sumgraph.Subgroup)]
+    for decider in deciders + [getattr(codes, name) for name in dispatched]:
+        params = inspect.signature(decider, eval_str=True).parameters.values()
+        assert [(p.kind, p.default, p.annotation) for p in params] == expected, decider
