@@ -51,6 +51,7 @@ from .groups import (
     Subgroup,
     _Closure,
     _index,
+    _quoted,
     normal_subgroups,
     subgroup_generated,
     sweep_groups,
@@ -86,11 +87,11 @@ def resolve_subgroup(G: Group, selector: str) -> Subgroup:
         generators = []
         for label in labels:
             if not label:
-                raise BadParameterError(f"empty label in selector {selector!r}")
+                raise BadParameterError(f"empty label in selector {_quoted(selector)}")
             idx = G.label_index.get(label)
             if idx is None:
                 raise BadParameterError(
-                    f"no element labelled {label!r} in {G.name} "
+                    f"no element labelled {_quoted(label)} in {G.name} "
                     f"(labels look like {G.labels[min(1, G.order - 1)]!r})"
                 )
             generators.append(idx)
@@ -102,12 +103,11 @@ def resolve_subgroup(G: Group, selector: str) -> Subgroup:
             k = int(raw)
         except ValueError:
             if not raw.strip().isdecimal():
-                shown = repr(raw) if len(raw) <= 20 else f"<{len(raw)}-character text>"
-                raise BadParameterError(f"subgroup index must be an integer, got {shown}") from None
+                raise BadParameterError(f"subgroup index must be an integer, got {_quoted(raw)}") from None
             k = 10 ** (len(raw.strip()) - 1)  # past int()'s digit limit: a stand-in of as many digits
         return normals[_index(k, f"{G.name} subgroup index", 0, len(normals) - 1)]
     raise BadParameterError(
-        f"bad subgroup selector {selector!r}: use gen:<label>[,<label>...] or index:<k>"
+        f"bad subgroup selector {_quoted(selector)}: use gen:<label>[,<label>...] or index:<k>"
     )
 
 

@@ -22,7 +22,7 @@ import time
 from dataclasses import dataclass
 
 from .errors import InternalInconsistencyError
-from .graphs import SumGraph, _bits, _mask_of, build_graph, components
+from .graphs import SumGraph, _bits, build_graph
 from .groups import (
     Group,
     Subgroup,
@@ -123,11 +123,15 @@ def _cover_component(
         return chosen
     v = (rem & -rem).bit_length() - 1
     candidates = rows[v] | (1 << v) if closed else rows[v]
-    for c in _bits(candidates):
-        nb = rows[c] | (1 << c) if closed else rows[c]
+    while candidates:
+        low = candidates & -candidates
+        candidates ^= low
+        nb = rows[low.bit_length() - 1]
+        if closed:
+            nb |= low
         if nb & covered:
             continue
-        got = _cover_component(rows, comp_mask, closed, covered | nb, chosen | (1 << c))
+        got = _cover_component(rows, comp_mask, closed, covered | nb, chosen | low)
         if got is not None:
             return got
     return None
@@ -135,8 +139,8 @@ def _cover_component(
 
 def _find_code(graph: SumGraph, closed: bool) -> tuple[int, ...] | None:
     chosen = 0
-    for comp in components(graph):
-        got = _cover_component(graph.rows, _mask_of(comp), closed, 0, 0)
+    for comp in graph._component_masks:
+        got = _cover_component(graph.rows, comp, closed, 0, 0)
         if got is None:
             return None
         chosen |= got

@@ -13,6 +13,7 @@ orders this package supports.
 from __future__ import annotations
 
 from dataclasses import dataclass
+from functools import cached_property
 
 import numpy as np
 
@@ -59,6 +60,27 @@ class SumGraph:
         self.n = group.order
         self.rows = rows
 
+    @cached_property
+    def _component_masks(self) -> tuple[int, ...]:
+        """Connected components as bitmasks, ordered by least vertex: one
+        BFS per component, walking each frontier low bit by low bit."""
+        rows = self.rows
+        remaining = (1 << self.n) - 1
+        out = []
+        while remaining:
+            comp = frontier = remaining & -remaining
+            while frontier:
+                reached = 0
+                while frontier:
+                    low = frontier & -frontier
+                    frontier ^= low
+                    reached |= rows[low.bit_length() - 1]
+                frontier = reached & ~comp
+                comp |= frontier
+            remaining &= ~comp
+            out.append(comp)
+        return tuple(out)
+
     def neighbors(self, v: int) -> list[int]:
         return _bits(self.rows[v])
 
@@ -86,27 +108,14 @@ def build_graph(G: Group, H: Subgroup, extended: bool = False) -> SumGraph:
     if not np.array_equal(adj, adj.T):
         raise InternalInconsistencyError("adjacency came out asymmetric for a normal subgroup")
     packed = np.packbits(adj, axis=1, bitorder="little")
-    rows = tuple(int.from_bytes(packed[v].tobytes(), "little") for v in range(G.order))
+    data, width = packed.tobytes(), packed.shape[1]
+    rows = tuple(int.from_bytes(data[v * width : (v + 1) * width], "little") for v in range(G.order))
     return SumGraph(G, H, extended, rows)
 
 
 def components(graph: SumGraph) -> list[tuple[int, ...]]:
     """Connected components as sorted vertex tuples, ordered by least vertex."""
-    remaining = (1 << graph.n) - 1
-    out = []
-    while remaining:
-        start = remaining & -remaining
-        comp = 0
-        frontier = start
-        while frontier:
-            comp |= frontier
-            reached = 0
-            for v in _bits(frontier):
-                reached |= graph.rows[v]
-            frontier = reached & ~comp
-        remaining &= ~comp
-        out.append(tuple(_bits(comp)))
-    return out
+    return [tuple(_bits(comp)) for comp in graph._component_masks]
 
 
 # ---------------------------------------------------------------------------

@@ -57,6 +57,7 @@ from .exprs import (
 __all__ = [
     "DEFAULT_MAX_ORDER",
     "MAX_ORDER_ENV",
+    "SUBGROUP_BUDGET",
     "max_supported_order",
     "Group",
     "Subgroup",
@@ -86,6 +87,7 @@ __all__ = [
 
 DEFAULT_MAX_ORDER = 512
 MAX_ORDER_ENV = "SUMGRAPH_MAX_ORDER"
+SUBGROUP_BUDGET = 40_000  # normal subgroups listed at most: E2^7 has 29,212, E2^8 417,199
 
 
 def max_supported_order() -> int:
@@ -96,7 +98,7 @@ def max_supported_order() -> int:
     try:
         value = int(raw)
     except ValueError:
-        raise BadParameterError(f"{MAX_ORDER_ENV} must be an integer, got {raw!r}")
+        raise BadParameterError(f"{MAX_ORDER_ENV} must be an integer, got {_quoted(raw)}") from None
     return _index(value, MAX_ORDER_ENV, low=1)
 
 
@@ -323,6 +325,12 @@ def _shown(n: int) -> str:
         return str(n)
     digits = math.floor((n.bit_length() - 1) * math.log10(2)) + 1  # or one more
     return f"<{digits + (n >= 10**digits)}-digit number>"
+
+
+def _quoted(text: str) -> str:
+    """``text`` quoted in full, or its length once it is too long to read:
+    the one way a message echoes text from outside."""
+    return repr(text) if len(text) <= 40 else f"<{len(text)}-character text>"
 
 
 class _Closure:
@@ -641,41 +649,130 @@ def _mark_normal(sub: Subgroup) -> Subgroup:
     return sub
 
 
+def _subspace_count(r: int, p: int) -> int:
+    """The subspaces of F_p^r, every dimension: the sum over k of the
+    Gaussian binomials [r choose k]_p."""
+    total = 0
+    for k in range(r + 1):
+        num = den = 1
+        for i in range(k):
+            num *= p**r - p**i
+            den *= p**k - p**i
+        total += num // den
+    return total
+
+
+def _normal_subgroup_bound(G: Group) -> int:
+    """A lower bound on the number of normal subgroups of G.
+
+    Every subgroup of the abelian quotient G/G' lifts to a normal subgroup
+    of G, and the elementary abelian p-layer of G/G', of order p^r_p, has
+    :func:`_subspace_count` (r_p, p) subgroups.  Its order is the number of
+    cosets xG' with x^p in G'.  G' is the closure of the commutators
+    [x, s] = x^-1 s^-1 x s of every x with the generators s of G: that
+    closure is normal, as [x, s]^y = [xy, s] [y, s]^-1, and every s is
+    central modulo it.
+    """
+    n, table = G.order, G.table
+    derived = _Closure(table, G.identity)
+    if not G.abelian:
+        generators = _Closure(table, G.identity)
+        for g in range(n):
+            generators.add(g)
+        inv = np.fromiter(G.inverses, dtype=np.int64)
+        commutators = np.zeros(n, dtype=bool)
+        for s in generators.gens:
+            commutators[table[table[inv, inv[s]], table[:, s]]] = True
+        for c in np.flatnonzero(commutators).tolist():
+            derived.add(c)
+    in_derived = np.frombuffer(derived.reached, dtype=bool)
+    everything = np.arange(n)
+    bound = 1
+    for p in _prime_factors(n // len(derived.members)):
+        power = np.full(n, G.identity)
+        for _ in range(p):
+            power = table[power, everything]  # x -> x^p
+        layer = int(in_derived[power].sum()) // len(derived.members)  # p^r_p
+        r = 0
+        while layer > 1:
+            layer //= p
+            r += 1
+        bound *= _subspace_count(r, p)
+    return bound
+
+
 def _lattice(G: Group) -> list[list[int]]:
     """Every normal subgroup of G, as sorted member lists ordered by
     (order, members).
 
     The atoms are the subgroups generated by the conjugacy classes; a class
-    is closed under conjugation, so each atom is the normal closure of any
-    of its elements.  Each atom is closed once and atoms are deduplicated.
-    Starting from {e}, every subgroup found is joined with every atom it
-    does not contain, by a BFS from its generators plus the atom's; joins
-    are deduplicated by their reached set.  Every normal subgroup is the
-    join of the atoms of the classes it contains, and the join of two
-    normal subgroups is their product, so the fixed point is the whole
-    normal lattice.  The cost is about (#found x #atoms) joins of
-    O(|join| * |gens|) each.
+    is closed under conjugation, so the atom of g is the normal closure of
+    g.  Each atom is closed once and atoms are deduplicated.  Starting from
+    {e}, every subgroup B found is joined with atoms by a BFS from its
+    generators plus the atom's; joins are deduplicated by their reached
+    set.  Every normal subgroup is the join of the atoms of the classes it
+    contains, so the fixed point is the whole normal lattice.
+
+    Two guards keep the joins few, as in Neubüser's cyclic extension method.  The join
+    of B with the atom of g depends only on the coset gB, since B is normal:
+    the walk over g skips every element of a coset already tried, B itself
+    included, so no atom inside B is joined.  Elements of one class lie in
+    many cosets, so each atom is joined at most once per base as well.  The
+    cost is then at most (#found x min(#cosets, #atoms)) joins of
+    O(|join| * |gens|) each, plus O(n) coset marking per base.
+
+    The lattice can be far too large to list (E2^8 has 417,199 normal
+    subgroups), so a lower bound on its size (:func:`_normal_subgroup_bound`)
+    is checked against :data:`SUBGROUP_BUDGET` before any join, and the
+    count of subgroups found is checked as they are found; over the budget
+    is a :class:`BadParameterError` that names the count.
     """
-    atoms: dict[bytes, _Closure] = {}
+    bound = _normal_subgroup_bound(G)
+    if bound > SUBGROUP_BUDGET:
+        raise BadParameterError(
+            f"{G.name} has at least {bound} normal subgroups, over the budget of {SUBGROUP_BUDGET}"
+        )
+    atoms: list[_Closure] = []
+    atom_of = [0] * G.order  # atom_of[g]: index in atoms of the normal closure of g
+    index: dict[bytes, int] = {}
     for cls in conjugacy_classes(G):
         atom = _Closure(G.table, G.identity)
         for g in cls:
             atom.add(g)
-        atoms.setdefault(bytes(atom.reached), atom)
+        k = index.setdefault(bytes(atom.reached), len(atoms))
+        if k == len(atoms):
+            atoms.append(atom)
+        for g in cls:
+            atom_of[g] = k
+    rows = G.rows
     trivial = _Closure(G.table, G.identity)
     found = {bytes(trivial.reached): trivial}
     queue = [trivial]
     while queue:
         base = queue.pop()
-        reached = base.reached
-        for atom in atoms.values():
-            if all(reached[g] for g in atom.gens):
+        members = base.members
+        tried = base.reached[:]  # elements of the cosets gB tried so far
+        atom_tried = bytearray(len(atoms))
+        for g in range(G.order):
+            if tried[g]:
                 continue
+            row = rows[g]
+            for b in members:
+                tried[row[b]] = 1
+            k = atom_of[g]
+            if atom_tried[k]:
+                continue
+            atom_tried[k] = 1
             join = base.copy()
-            for g, column in zip(atom.gens, atom.columns):
-                join.add(g, column)
+            atom = atoms[k]
+            for h, column in zip(atom.gens, atom.columns):
+                join.add(h, column)
             key = bytes(join.reached)
             if key not in found:
+                if len(found) == SUBGROUP_BUDGET:
+                    raise BadParameterError(
+                        f"{G.name} has more than the budget of {SUBGROUP_BUDGET} normal subgroups"
+                    )
                 found[key] = join
                 queue.append(join)
     return sorted((sorted(c.members) for c in found.values()), key=lambda m: (len(m), m))
@@ -684,14 +781,18 @@ def _lattice(G: Group) -> list[list[int]]:
 def normal_subgroups(G: Group) -> list[Subgroup]:
     """All normal subgroups, sorted by (order, member tuple).
 
-    They are the joins of the normal closures of the conjugacy classes (see
-    :func:`_lattice`).  In an abelian group those closures are the cyclic
-    subgroups: Z48 has 9 distinct ones, not 47.
+    They are the joins of the normal closures of the conjugacy classes,
+    found by joining each subgroup found with one atom per coset and per
+    atom (see :func:`_lattice`).  In an abelian group those closures are the
+    cyclic subgroups: Z48 has 9 distinct ones, not 47.
 
     The result is computed once per group and returned as a fresh list.
     Its size is a hard limit that no algorithm avoids: in an abelian group
     every subgroup is normal, and E2^6 has 2825 subgroups, E2^7 29,212 and
-    E2^8 417,199, so the cost grows with the rank like the output does.
+    E2^8 417,199.  A group with more than
+    :data:`SUBGROUP_BUDGET` normal subgroups raises
+    :class:`BadParameterError` instead, before any join when a lower bound
+    read off G/G' already exceeds it.
     """
     return list(G._normal_subgroups)
 
@@ -841,7 +942,7 @@ def sweep_groups(max_order: int, families: Sequence[str] = SWEEP_FAMILIES) -> It
     for family in families:
         if family not in SWEEP_FAMILIES:
             raise BadParameterError(
-                f"unknown family {family!r}: choose from {', '.join(SWEEP_FAMILIES)}"
+                f"unknown family {_quoted(str(family))}: choose from {', '.join(SWEEP_FAMILIES)}"
             )
     return (G for family in families for G in _family_groups(family, max_order))
 

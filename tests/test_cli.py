@@ -289,7 +289,7 @@ def test_classify_code_perfect(capsys):
     assert "error:" in err
 
 
-def test_usage_errors_exit_two(capsys):
+def test_usage_errors_exit_two(capsys, monkeypatch):
     rc, _, err = run(capsys, "normals", "Z4 %")
     assert rc == 2
     assert "error:" in err and "offset" in err
@@ -337,6 +337,20 @@ def test_usage_errors_exit_two(capsys):
         assert len(err.splitlines()[0]) < 200, argv
         assert time.perf_counter() - start < 1, argv
     assert "offset 1" in err  # the literal int() refuses is a parse error at its offset
+
+    # text from outside is echoed clipped, on every line of the message
+    monkeypatch.setenv("SUMGRAPH_MAX_ORDER", "9" * 5000)  # past int()'s digit limit
+    results = [run(capsys, "normals", "Z4")]
+    monkeypatch.delenv("SUMGRAPH_MAX_ORDER")
+    results += [
+        run(capsys, "code", "Z6", "--subgroup", "gen:" + "x" * 5000),
+        run(capsys, "code", "Z6", "--subgroup", "y" * 5000),  # neither gen: nor index:
+        run(capsys, "scan", "--max-order", "4", "--families", "z" * 5000),
+    ]
+    for rc, _, err in results:
+        assert rc == 2
+        assert err.startswith("error:")
+        assert max(len(line) for line in err.splitlines()) < 200, err[:300]
 
 
 def test_unwritable_out_path_exits_two(capsys, tmp_path):

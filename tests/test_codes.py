@@ -1,5 +1,6 @@
 """Code deciders, constructions, brute-force oracle, cross-checking."""
 
+import functools
 import gc
 import weakref
 
@@ -316,6 +317,25 @@ def test_cross_check_builds_each_graph_once(monkeypatch):
         expected = [(H.members, ext) for H in normal_subgroups(G) for ext in (False, True)]
         cross_check(G)
         assert sorted(built) == sorted(expected), G.name
+
+
+def test_cross_check_walks_each_graph_components_once(monkeypatch):
+    # both oracle kinds read the components one graph walked once
+    walked = []
+    walk = SumGraph._component_masks.func
+
+    def counting_walk(graph):
+        walked.append((graph.subgroup.members, graph.extended))
+        return walk(graph)
+
+    counted = functools.cached_property(counting_walk)
+    counted.__set_name__(SumGraph, "_component_masks")
+    monkeypatch.setattr(SumGraph, "_component_masks", counted)
+    for G in (cyclic(12), dihedral(6), dicyclic(3), quaternion(), elementary_abelian_2(3)):
+        walked.clear()
+        expected = [(H.members, ext) for H in normal_subgroups(G) for ext in (False, True)]
+        cross_check(G)
+        assert sorted(walked) == sorted(expected), G.name
 
 
 def test_decide_code_leaves_no_graph_or_group_alive():

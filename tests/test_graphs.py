@@ -67,6 +67,41 @@ def test_extended_degrees_are_subgroup_sized():
                 assert graph.rows[v].bit_count() == expected
 
 
+def _components_reference(graph):
+    """Reference components: a BFS over bitmasks that lists each frontier's
+    set bits before reading their rows."""
+
+    def bits(mask):
+        out = []
+        while mask:
+            out.append((mask & -mask).bit_length() - 1)
+            mask &= mask - 1
+        return out
+
+    remaining = (1 << graph.n) - 1
+    out = []
+    while remaining:
+        comp = 0
+        frontier = remaining & -remaining
+        while frontier:
+            comp |= frontier
+            reached = 0
+            for v in bits(frontier):
+                reached |= graph.rows[v]
+            frontier = reached & ~comp
+        remaining &= ~comp
+        out.append(tuple(bits(comp)))
+    return out
+
+
+def test_components_match_reference_bfs():
+    for G in (*sweep(32), cyclic(512), dihedral(256)):  # Z512, D512
+        for H in normal_subgroups(G):
+            for extended in (False, True):
+                graph = build_graph(G, H, extended=extended)
+                assert components(graph) == _components_reference(graph), (G, H.members, extended)
+
+
 def test_components_of_known_graphs():
     G = cyclic(6)
     H = Subgroup(G, [0, 3])

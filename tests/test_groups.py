@@ -5,6 +5,7 @@ import math
 import os
 import random
 import re
+import time
 import tracemalloc
 
 import numpy as np
@@ -42,6 +43,8 @@ from sumgraph import (
     subgroup_generated,
     sweep_groups,
 )
+
+from sumgraph import groups as groups_module
 
 from helpers import sweep
 
@@ -642,6 +645,31 @@ def test_subgroup_counts_against_known_values():
     assert len(normal_subgroups(cyclic(60))) == 12
     assert len(normal_subgroups(cyclic(48))) == 10
     assert len(normal_subgroups(elementary_abelian_2(6))) == 2825  # the rank bounds the lattice
+
+
+def test_subgroup_budget_fails_fast(monkeypatch):
+    # the bound counts the subgroups of the elementary abelian layers of
+    # G/G', read off the table without listing a single subgroup
+    for text, bound in (("E2^7", 29_212), ("Q8 x E2^5", 29_212), ("E2^8", 417_199), ("Q8 x E2^6", 417_199)):
+        assert groups_module._normal_subgroup_bound(build_group(parse_group_expr(text))) == bound, text
+    assert 31_663 <= groups_module.SUBGROUP_BUDGET < 417_199  # Q8 x E2^5 has 31,663 normal subgroups
+    for G in sweep():
+        assert groups_module._normal_subgroup_bound(G) <= len(normal_subgroups(G)), G
+    for text in ("E2^8", "Q8 x E2^6"):
+        G = build_group(parse_group_expr(text))
+        start = time.perf_counter()
+        with pytest.raises(BadParameterError, match="at least 417199 normal subgroups"):
+            normal_subgroups(G)
+        assert time.perf_counter() - start < 1, text
+    # the running count is the backstop where the bound falls short:
+    # Q8 x E2^3 has 425 normal subgroups, its bound is 374
+    G = build_group(parse_group_expr("Q8 x E2^3"))
+    assert groups_module._normal_subgroup_bound(G) == 374
+    monkeypatch.setattr(groups_module, "SUBGROUP_BUDGET", 400)
+    with pytest.raises(BadParameterError, match="more than the budget of 400 normal subgroups"):
+        normal_subgroups(G)
+    monkeypatch.setattr(groups_module, "SUBGROUP_BUDGET", 425)
+    assert len(normal_subgroups(G)) == 425
 
 
 def test_right_cosets_partition():
