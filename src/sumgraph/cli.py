@@ -21,6 +21,7 @@ Exit status: 0 on success, 1 if a crosscheck/scan found a disagreement,
 from __future__ import annotations
 
 import argparse
+import functools
 import json
 import sys
 from typing import Iterator, TextIO
@@ -34,7 +35,7 @@ from .codes import (
     find_total_perfect_code_bruteforce,
     verdict_to_json,
 )
-from .errors import BadParameterError, SumGraphError
+from .errors import BadParameterError, SumGraphError, _quoted
 from .exprs import CyclicExpr, DicyclicExpr, DihedralExpr, ProductExpr, build_group, parse_group_expr
 from .families import (
     abelian_2group_perfect_code,
@@ -51,7 +52,6 @@ from .groups import (
     Subgroup,
     _Closure,
     _index,
-    _quoted,
     normal_subgroups,
     subgroup_generated,
     sweep_groups,
@@ -312,7 +312,10 @@ def _cmd_classify(args: argparse.Namespace) -> int:
 # wiring
 
 
+@functools.cache
 def _build_parser() -> argparse.ArgumentParser:
+    """The argument parser, built once per process: every :func:`main`
+    call parses into a fresh namespace, so reuse carries no state."""
     parser = argparse.ArgumentParser(
         prog="sumgraph",
         description="Perfect codes in subgroup sum graphs of finite groups.",
@@ -366,8 +369,7 @@ def _build_parser() -> argparse.ArgumentParser:
 
 
 def main(argv: list[str] | None = None) -> int:
-    parser = _build_parser()
-    args = parser.parse_args(argv)
+    args = _build_parser().parse_args(argv)
     try:
         return args.func(args)
     except SumGraphError as exc:

@@ -2,6 +2,8 @@
 
 from __future__ import annotations
 
+import math
+
 __all__ = [
     "SumGraphError",
     "BadParameterError",
@@ -76,3 +78,20 @@ class ParseError(SumGraphError, ValueError):
         if expected:
             detail += f" (expected: {', '.join(expected)})"
         super().__init__(detail)
+
+
+def _shown(n: int) -> str:
+    """``n`` in full, or its digit count once it is too long to read (or
+    past ``int``'s 4300-digit string limit)."""
+    if n < 0:
+        return "-" + _shown(-n)
+    if n < 10**20:
+        return str(n)
+    digits = math.floor((n.bit_length() - 1) * math.log10(2)) + 1  # or one more
+    return f"<{digits + (n >= 10**digits)}-digit number>"
+
+
+def _quoted(text: str) -> str:
+    """``text`` quoted in full, or its length once it is too long to read:
+    the one way a message echoes text from outside."""
+    return repr(text) if len(text) <= 40 else f"<{len(text)}-character text>"

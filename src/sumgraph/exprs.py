@@ -15,7 +15,7 @@ import re
 from dataclasses import dataclass
 from typing import TYPE_CHECKING
 
-from .errors import ParseError
+from .errors import ParseError, _quoted
 
 if TYPE_CHECKING:
     from .groups import Group
@@ -188,7 +188,7 @@ class _Parser:
                 raise ParseError("unclosed parenthesis", self.offset, (")",))
             self.take()
             return inner
-        raise ParseError(f"expected a group atom, found {tok[1]!r}", at, _ATOM_TOKENS)
+        raise ParseError(f"expected a group atom, found {_quoted(tok[1])}", at, _ATOM_TOKENS)
 
     def expr(self) -> GroupExpr:
         parts = [self.atom()]
@@ -207,7 +207,7 @@ def parse_group_expr(text: str) -> GroupExpr:
     expr = parser.expr()
     tok = parser.peek()
     if tok is not None:
-        raise ParseError(f"unexpected trailing input {tok[1]!r}", tok[2], ("x", "end of input"))
+        raise ParseError(f"unexpected trailing input {_quoted(tok[1])}", tok[2], ("x", "end of input"))
     return expr
 
 

@@ -1,9 +1,12 @@
 """Command-line interface: output shapes, exit codes, error reporting."""
 
+import argparse
 import json
 import time
 
-from sumgraph import normal_subgroups, subgroup_generated
+import pytest
+
+from sumgraph import cli, normal_subgroups, subgroup_generated
 from sumgraph.cli import main
 
 from helpers import sweep
@@ -346,11 +349,48 @@ def test_usage_errors_exit_two(capsys, monkeypatch):
         run(capsys, "code", "Z6", "--subgroup", "gen:" + "x" * 5000),
         run(capsys, "code", "Z6", "--subgroup", "y" * 5000),  # neither gen: nor index:
         run(capsys, "scan", "--max-order", "4", "--families", "z" * 5000),
+        run(capsys, "normals", "9" * 5000 + "x"),  # a number where an atom belongs
+        run(capsys, "normals", "Z4 " + "9" * 5000),  # trailing input
     ]
     for rc, _, err in results:
         assert rc == 2
         assert err.startswith("error:")
         assert max(len(line) for line in err.splitlines()) < 200, err[:300]
+
+
+def test_one_parser_serves_every_call(capsys, monkeypatch):
+    built = []
+    original = argparse.ArgumentParser.__init__
+
+    def counting_init(self, *args, **kwargs):
+        built.append(kwargs.get("prog"))
+        original(self, *args, **kwargs)
+
+    monkeypatch.setattr(argparse.ArgumentParser, "__init__", counting_init)
+    cli._build_parser.cache_clear()
+    run(capsys, "code", "Z6", "--subgroup", "gen:2")
+    tree = len(built)
+    assert built.count("sumgraph") == 1
+    for _ in range(20):
+        run(capsys, "code", "Z6", "--subgroup", "gen:3", "--total")
+        run(capsys, "normals", "Z4")
+    assert len(built) == tree
+
+
+def test_reused_parser_carries_no_state_between_calls(capsys):
+    cli._build_parser.cache_clear()  # the first call below builds it afresh
+    plain = ("code", "Z12", "--subgroup", "gen:4")
+    expected = run(capsys, *plain)
+    assert expected[0] == 0
+    flagged = run(capsys, *plain, "--total", "--extended", "--construct")
+    assert flagged[0] == 0 and flagged[1] != expected[1]
+    assert run(capsys, *plain) == expected  # no flag leaks into the next call
+
+    with pytest.raises(SystemExit) as exc:  # a usage error argparse reports
+        run(capsys, "code", "Z12", "--no-such-flag")
+    assert exc.value.code == 2
+    capsys.readouterr()
+    assert run(capsys, *plain) == expected
 
 
 def test_unwritable_out_path_exits_two(capsys, tmp_path):

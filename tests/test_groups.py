@@ -412,6 +412,15 @@ def test_vectorised_constructors_match_loops():
         table, labels = reference(n)
         assert np.array_equal(G.table, table), (build.__name__, n)
         assert G.labels == labels, (build.__name__, n)
+        if G.order == 512:  # D512 and Dic128: the loops' table, int32 and byte for byte
+            assert G.table.dtype == np.int32, (build.__name__, n)
+            assert G.table.tobytes() == table.astype(np.int32).tobytes(), (build.__name__, n)
+
+    i = np.arange(512)
+    for G, table in ((cyclic(512), np.add.outer(i, i) % 512),
+                     (elementary_abelian_2(9), np.bitwise_xor.outer(i, i))):
+        assert G.table.dtype == np.int32, G
+        assert G.table.tobytes() == table.astype(np.int32).tobytes(), G
 
 
 def test_order_cap_is_checked_before_allocation(monkeypatch):
@@ -454,6 +463,46 @@ def test_rejects_out_of_range_entries():
         group_from_cayley_table([[0, 1], [1, 7]])
     with pytest.raises(BadParameterError):
         group_from_cayley_table([[0, 1]])
+
+
+def _z256():
+    return [[(i + j) % 256 for j in range(256)] for i in range(256)]
+
+
+def _swap_intercalate(t, r1, r2, c1, c2):
+    t[r1][c1], t[r1][c2] = t[r1][c2], t[r1][c1]
+    t[r2][c1], t[r2][c2] = t[r2][c2], t[r2][c1]
+    return t
+
+
+def test_narrowed_validation_keeps_every_failure_at_order_256():
+    """Validation narrows the table to int16 after the range check, so an
+    entry that would wrap round in int16 (2**16 + 1 -> 1) must still be
+    refused, and every later check must name what it named in int64."""
+    cases = []
+    for value in (-1, 256, 2**15, 2**16 + 1, 2**40):
+        t = _z256()
+        t[3][5] = value
+        cases.append((t, BadParameterError, "table entries must lie in 0..255"))
+    t = _z256()
+    t[5][7] = t[5][8]
+    cases.append((t, NotLatinSquareError, "row 5 is not a permutation"))
+    t = _z256()
+    t[5][7], t[5][8] = t[5][8], t[5][7]
+    cases.append((t, NotLatinSquareError, "column 7 is not a permutation"))
+    t = _z256()
+    t[1], t[2] = t[2], t[1]
+    cases.append((t, NoIdentityError, "no two-sided identity element"))
+    # 1*127 = 0 but 127*1 = 128: a right inverse that is not a left one
+    cases.append((_swap_intercalate(_z256(), 1, 129, 255, 127), NoInverseError,
+                  "element 1 has no two-sided inverse"))
+    cases.append((_swap_intercalate(_z256(), 1, 129, 2, 130), NotAssociativeError,
+                  "associativity fails at (1, 1, 1): (1*1)*1 != 1*(1*1)"))
+    for table, error, message in cases:
+        for form in (table, np.array(table, dtype=np.int64)):
+            with pytest.raises(error) as exc:
+                group_from_cayley_table(form)
+            assert type(exc.value) is error and str(exc.value) == message
 
 
 def test_constructor_parameter_validation():
