@@ -96,21 +96,33 @@ class SumGraph:
         return f"<{kind} on {self.group!r} over subgroup of order {self.subgroup.order}>"
 
 
-def build_graph(G: Group, H: Subgroup, extended: bool = False) -> SumGraph:
-    """Construct the (extended) sum graph of G over the normal subgroup H."""
+def _sum_graphs(G: Group, H: Subgroup) -> tuple[SumGraph, SumGraph]:
+    """The plain and the extended sum graph of G over the normal subgroup H,
+    from one gather of the table.
+
+    The extended rows come from ``in_h.take(table)``, the diagonal cleared;
+    the plain graph is the extended one less each pair {x, x^-1}, since
+    x * x^-1 = e is the one product the plain graph leaves out.  That pair
+    is symmetric, so the extended graph's symmetry check covers both.
+    """
     require_normal(G, H)
     in_h = np.zeros(G.order, dtype=bool)
     in_h[list(H.members)] = True
-    adj = in_h[G.table]
-    if not extended:
-        adj &= G.table != G.identity
+    adj = in_h.take(G.table)
     np.fill_diagonal(adj, False)
     if not np.array_equal(adj, adj.T):
         raise InternalInconsistencyError("adjacency came out asymmetric for a normal subgroup")
     packed = np.packbits(adj, axis=1, bitorder="little")
     data, width = packed.tobytes(), packed.shape[1]
     rows = tuple(int.from_bytes(data[v * width : (v + 1) * width], "little") for v in range(G.order))
-    return SumGraph(G, H, extended, rows)
+    plain = tuple(row & ~(1 << y) for row, y in zip(rows, G.inverses))
+    return SumGraph(G, H, False, plain), SumGraph(G, H, True, rows)
+
+
+def build_graph(G: Group, H: Subgroup, extended: bool = False) -> SumGraph:
+    """Construct the (extended) sum graph of G over the normal subgroup H."""
+    plain, full = _sum_graphs(G, H)
+    return full if extended else plain
 
 
 def components(graph: SumGraph) -> list[tuple[int, ...]]:
@@ -242,8 +254,7 @@ def verify_structure(G: Group, H: Subgroup) -> StructureReport:
     compared bit-for-bit against the built graph, so any leaked edge between
     units or missing edge inside one is caught and reported as a witness.
     """
-    plain = build_graph(G, H, extended=False)
-    extended = build_graph(G, H, extended=True)
+    plain, extended = _sum_graphs(G, H)
     blocks = []
     for unit in coset_units(G, H):
         square_in = len(unit) == 1

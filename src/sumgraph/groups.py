@@ -660,29 +660,43 @@ def _mark_normal(sub: Subgroup) -> Subgroup:
     return sub
 
 
-def _subspace_count(r: int, p: int) -> int:
-    """The subspaces of F_p^r, every dimension: the sum over k of the
-    Gaussian binomials [r choose k]_p."""
+def _gaussian(a: int, b: int, p: int) -> int:
+    """The Gaussian binomial [a choose b]_p: the b-dimensional subspaces of F_p^a."""
+    num = den = 1
+    for i in range(b):
+        num *= p**a - p**i
+        den *= p**b - p**i
+    return num // den
+
+
+def _p_subgroup_count(conjugate: Sequence[int], p: int) -> int:
+    """The subgroups of the abelian p-group whose type has the conjugate
+    partition ``conjugate``: Birkhoff's count of the subgroups of type mu,
+    prod_i p^(mu'_(i+1) (lambda'_i - mu'_i)) [lambda'_i - mu'_(i+1) choose
+    mu'_i - mu'_(i+1)]_p, summed over every partition mu' below lambda'."""
     total = 0
-    for k in range(r + 1):
-        num = den = 1
-        for i in range(k):
-            num *= p**r - p**i
-            den *= p**k - p**i
-        total += num // den
+    for mu in itertools.product(*(range(c + 1) for c in conjugate)):
+        if any(a < b for a, b in zip(mu, mu[1:])):
+            continue
+        count = 1
+        for lam, m, after in zip(conjugate, mu, (*mu[1:], 0)):
+            count *= p ** (after * (lam - m)) * _gaussian(lam - after, m - after, p)
+        total += count
     return total
 
 
 def _normal_subgroup_bound(G: Group) -> int:
     """A lower bound on the number of normal subgroups of G.
 
-    Every subgroup of the abelian quotient G/G' lifts to a normal subgroup
-    of G, and the elementary abelian p-layer of G/G', of order p^r_p, has
-    :func:`_subspace_count` (r_p, p) subgroups.  Its order is the number of
-    cosets xG' with x^p in G'.  G' is the closure of the commutators
-    [x, s] = x^-1 s^-1 x s of every x with the generators s of G: that
-    closure is normal, as [x, s]^y = [xy, s] [y, s]^-1, and every s is
-    central modulo it.
+    Every subgroup of the abelian quotient A = G/G' lifts to a normal
+    subgroup of G, so the bound is the number of subgroups of A, the
+    product over the primes p of :func:`_p_subgroup_count` of A's p-part.
+    That part's type is read off its torsion layers: |A[p^k]|, the number
+    of cosets xG' with x^(p^k) in G', is p^(lambda'_1 + ... + lambda'_k).
+    For an abelian G, G' is trivial and the bound is exact.  G' is the
+    closure of the commutators [x, s] = x^-1 s^-1 x s of every x with the
+    generators s of G: that closure is normal, as [x, s]^y = [xy, s]
+    [y, s]^-1, and every s is central modulo it.
     """
     n, table = G.order, G.table
     derived = _Closure(table, G.identity)
@@ -697,18 +711,25 @@ def _normal_subgroup_bound(G: Group) -> int:
         for c in np.flatnonzero(commutators).tolist():
             derived.add(c)
     in_derived = np.frombuffer(derived.reached, dtype=bool)
-    everything = np.arange(n)
+    d = len(derived.members)
     bound = 1
-    for p in _prime_factors(n // len(derived.members)):
-        power = np.full(n, G.identity)
-        for _ in range(p):
-            power = table[power, everything]  # x -> x^p
-        layer = int(in_derived[power].sum()) // len(derived.members)  # p^r_p
-        r = 0
-        while layer > 1:
-            layer //= p
-            r += 1
-        bound *= _subspace_count(r, p)
+    for p in _prime_factors(n // d):
+        conjugate: list[int] = []
+        power, torsion = np.arange(n), 1
+        while True:
+            base = power
+            for _ in range(p - 1):
+                power = table[power, base]  # x^(p^(k-1)) -> x^(p^k)
+            layer = int(in_derived[power].sum()) // d  # |A[p^k]|
+            if layer == torsion:
+                break
+            step, r = layer // torsion, 0
+            while step > 1:
+                step //= p
+                r += 1
+            conjugate.append(r)
+            torsion = layer
+        bound *= _p_subgroup_count(conjugate, p)
     return bound
 
 

@@ -2,6 +2,7 @@
 
 import functools
 import gc
+import random
 import weakref
 
 import numpy as np
@@ -431,18 +432,26 @@ def test_decider_rejects_a_wrong_witness():
             codes._decider(rule)(G, H)
 
 
-def test_oracle_nodes_stay_below_the_square_of_the_component(monkeypatch):
-    # a search of a component with m vertices visits at most m^2 + 1 nodes
-    # (calls of _cover_component, the root included); the recursion looks
-    # the function up in the module, so the patched counter sees every call
+def _oracle_searches(monkeypatch) -> list[list[int]]:
+    """[vertices, nodes, row reads] of every component search of both
+    oracles over the sum graphs of sweep(48), Z512 and D512, both flavours.
+    Nodes are calls of _cover_component, the root included; the recursion
+    looks the function up in the module, so the patched counter sees every
+    call, and it hands the root's rows down, so every read is counted."""
     searches = []
     search = codes._cover_component
 
-    def counting(rows, comp_mask, closed, covered, chosen):
+    class CountedRows(tuple):
+        def __getitem__(self, v):
+            searches[-1][2] += 1
+            return tuple.__getitem__(self, v)
+
+    def counting(rows, comp_mask, closed, least, covered, chosen):
         if not covered:  # the root call of one component's search
-            searches.append([comp_mask.bit_count(), 0])
+            searches.append([comp_mask.bit_count(), 0, 0])
+            rows = CountedRows(rows)
         searches[-1][1] += 1
-        return search(rows, comp_mask, closed, covered, chosen)
+        return search(rows, comp_mask, closed, least, covered, chosen)
 
     monkeypatch.setattr(codes, "_cover_component", counting)
     for G in sweep(48) + (cyclic(512), dihedral(256)):
@@ -451,9 +460,96 @@ def test_oracle_nodes_stay_below_the_square_of_the_component(monkeypatch):
                 graph = build_graph(G, H, extended=extended)
                 find_perfect_code_bruteforce(graph)
                 find_total_perfect_code_bruteforce(graph)
+    return searches
+
+
+def test_oracle_nodes_stay_below_the_square_of_the_component(monkeypatch):
+    # a search of a component with m vertices visits at most m^2 + 1 nodes
+    searches = _oracle_searches(monkeypatch)
     assert len(searches) > 30_000
-    over = [(size, nodes) for size, nodes in searches if nodes > size**2 + 1]
+    over = [(size, nodes) for size, nodes, _ in searches if nodes > size**2 + 1]
     assert not over, over[:3]
+
+
+def test_oracle_size_cut_keeps_searches_linear(monkeypatch):
+    # a component of m vertices costs at most m + 1 nodes and 4m row reads.
+    # The reads pin the size cut: without it, a node left with fewer
+    # vertices than any neighbourhood still reads every dominator of its
+    # lowest one, and a refuted complete block of m vertices (the total
+    # code on K_m, as in the extended graph of Z512 over H = G) costs
+    # about m^2 reads
+    searches = _oracle_searches(monkeypatch)
+    over = [record for record in searches if record[1] > record[0] + 1 or record[2] > 4 * record[0]]
+    assert not over, over[:3]
+    assert any(nodes == size + 1 for size, nodes, _ in searches)
+    assert max(size for size, _, _ in searches) == 512
+
+
+def _reference_code(adjacency: list[list[int]], closed: bool) -> tuple[int, ...] | None:
+    """The oracle's search without the size cut and without the split into
+    components: cover the lowest uncovered vertex by each of its dominators
+    in ascending order, depth first, on plain vertex sets."""
+    n = len(adjacency)
+
+    def hood(u):
+        return {v for v in range(n) if adjacency[u][v] or closed and v == u}
+
+    def search(covered, chosen):
+        free = [v for v in range(n) if v not in covered]
+        if not free:
+            return chosen
+        for u in sorted(hood(free[0])):
+            if not hood(u) & covered:
+                got = search(covered | hood(u), chosen + [u])
+                if got is not None:
+                    return got
+        return None
+
+    got = search(set(), [])
+    return None if got is None else tuple(sorted(got))
+
+
+def _shell(adjacency: list[list[int]]) -> SumGraph:
+    """A SumGraph holding only rows and n, for a graph no group yields."""
+    graph = SumGraph.__new__(SumGraph)
+    graph.n = len(adjacency)
+    graph.rows = tuple(sum(bit << v for v, bit in enumerate(row)) for row in adjacency)
+    return graph
+
+
+def test_oracle_matches_a_cut_free_search_on_random_graphs():
+    # random graphs are almost never sum graphs: isolated vertices, paths,
+    # components of mixed degree; the cut must not change the code found
+    rng = random.Random(13)
+    found = {True: 0, False: 0}
+    for _ in range(600):
+        n = rng.randint(1, 10)
+        density = rng.random()
+        adjacency = [[0] * n for _ in range(n)]
+        for u in range(n):
+            for v in range(u + 1, n):
+                if rng.random() < density:
+                    adjacency[u][v] = adjacency[v][u] = 1
+        graph = _shell(adjacency)
+        for closed, every in ((True, subset_perfect_codes), (False, subset_total_perfect_codes)):
+            code = codes._find_code(graph, closed)
+            assert code == _reference_code(adjacency, closed), (adjacency, closed)
+            codes_by_subsets = every(adjacency)
+            assert (code is None) == (codes_by_subsets == []), (adjacency, closed)
+            assert code is None or code in codes_by_subsets
+            found[code is not None] += 1
+    assert min(found.values()) > 100
+
+
+def test_oracle_code_is_not_always_the_least():
+    # the search branches on the dominators of the lowest uncovered vertex,
+    # which does not make its code the lexicographically least one
+    edges = ((0, 1), (0, 3), (0, 4), (1, 2), (1, 3), (2, 4))
+    adjacency = [[0] * 5 for _ in range(5)]
+    for u, v in edges:
+        adjacency[u][v] = adjacency[v][u] = 1
+    assert find_total_perfect_code_bruteforce(_shell(adjacency)) == (1, 2)
+    assert min(subset_total_perfect_codes(adjacency)) == (0, 4)
 
 
 def test_oracle_leaves_no_reference_cycle():

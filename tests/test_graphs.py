@@ -4,12 +4,15 @@ import json
 
 import pytest
 
+import sumgraph.graphs as graphs_module
 from sumgraph import (
+    InternalInconsistencyError,
     NotASubgroupError,
     NotNormalError,
     Subgroup,
     build_graph,
     components,
+    cross_check,
     cyclic,
     dihedral,
     graph_to_json,
@@ -100,6 +103,21 @@ def test_components_match_reference_bfs():
             for extended in (False, True):
                 graph = build_graph(G, H, extended=extended)
                 assert components(graph) == _components_reference(graph), (G, H.members, extended)
+
+
+def test_asymmetric_adjacency_is_an_internal_error(monkeypatch):
+    # with the normality check switched off, the non-normal <b> of D6 has
+    # x*y in H but y*x outside it; the build's own symmetry check catches
+    # that, for both flavours and inside cross_check
+    monkeypatch.setattr(graphs_module, "require_normal", lambda G, H: None)
+    G = dihedral(3)
+    H = Subgroup(G, [G.identity, G.label_index["b"]])
+    assert not H.is_normal
+    for extended in (False, True):
+        with pytest.raises(InternalInconsistencyError, match="asymmetric"):
+            build_graph(G, H, extended=extended)
+    with pytest.raises(InternalInconsistencyError, match="asymmetric"):
+        cross_check(G, [H])
 
 
 def test_components_of_known_graphs():

@@ -697,8 +697,8 @@ def test_subgroup_counts_against_known_values():
 
 
 def test_subgroup_budget_fails_fast(monkeypatch):
-    # the bound counts the subgroups of the elementary abelian layers of
-    # G/G', read off the table without listing a single subgroup
+    # the bound counts the subgroups of G/G', read off the table without
+    # listing a single subgroup
     for text, bound in (("E2^7", 29_212), ("Q8 x E2^5", 29_212), ("E2^8", 417_199), ("Q8 x E2^6", 417_199)):
         assert groups_module._normal_subgroup_bound(build_group(parse_group_expr(text))) == bound, text
     assert 31_663 <= groups_module.SUBGROUP_BUDGET < 417_199  # Q8 x E2^5 has 31,663 normal subgroups
@@ -719,6 +719,23 @@ def test_subgroup_budget_fails_fast(monkeypatch):
         normal_subgroups(G)
     monkeypatch.setattr(groups_module, "SUBGROUP_BUDGET", 425)
     assert len(normal_subgroups(G)) == 425
+
+
+def test_subgroup_bound_counts_every_subgroup_of_the_abelianisation():
+    # the bound counts all of G/G', not only its elementary layers: exact
+    # for an abelian group, and E2^6 x Z4 (55,599 subgroups) is refused
+    # before any join
+    for text, bound in (("Z4", 3), ("Z2 x Z4", 8), ("E2^7", 29_212), ("E2^6 x Z4", 55_599)):
+        assert groups_module._normal_subgroup_bound(build_group(parse_group_expr(text))) == bound, text
+    abelian_groups = [G for G in sweep() if G.abelian]
+    assert len(abelian_groups) > 50
+    for G in abelian_groups:
+        assert groups_module._normal_subgroup_bound(G) == len(normal_subgroups(G)), G
+    G = build_group(parse_group_expr("E2^6 x Z4"))
+    start = time.perf_counter()
+    with pytest.raises(BadParameterError, match="at least 55599 normal subgroups"):
+        normal_subgroups(G)
+    assert time.perf_counter() - start < 1
 
 
 def test_right_cosets_partition():
