@@ -9,13 +9,15 @@ neighbour in C, i.e. the open neighbourhoods partition the vertex set.
 Each flavour/kind combination has a fast decider that reads the answer off
 the group structure, produces an explicit witness code when one exists and
 a small refuting certificate when none does; it reads only the Cayley table,
-re-checking its witness there too.  Brute-force searchers (exact cover over
-a built graph, component by component) are the independent oracles; a
+re-checking its witness there too.  The coset rules read the least member
+of every right coset from one gather of the table and walk those
+representatives, building no coset.  Brute-force searchers (exact cover
+over a built graph, component by component) are the independent oracles; a
 search node with fewer uncovered vertices than the component's smallest
-neighbourhood is refuted at once, so a refuted dense block costs linear,
-not quadratic, work.  :func:`cross_check` runs deciders against oracles
-over every normal subgroup of a group, building both graph flavours of a
-subgroup from one gather of the table.
+neighbourhood, which the component walk records, is refuted at once, so a
+refuted dense block costs linear, not quadratic, work.  :func:`cross_check`
+runs deciders against oracles over every normal subgroup of a group,
+building both graph flavours of a subgroup from one gather of the table.
 """
 
 from __future__ import annotations
@@ -24,13 +26,15 @@ import functools
 import time
 from dataclasses import dataclass
 
+import numpy as np
+
 from .errors import InternalInconsistencyError
 from .graphs import SumGraph, _bits, _sum_graphs
 from .groups import (
     Group,
     Subgroup,
+    _coset_least,
     _index,
-    coset_units,
     normal_subgroups,
     require_normal,
     right_cosets,
@@ -149,18 +153,18 @@ def _find_code(graph: SumGraph, closed: bool) -> tuple[int, ...] | None:
     """A code of ``graph`` (closed: perfect, open: total) or ``None``.
 
     Each component is covered on its own, with the size cut of
-    :func:`_cover_component` set to its smallest neighbourhood (a vertex's
-    degree, plus one for the closed neighbourhood).  A node it refutes is
-    one where every candidate would meet the cover already made, so the
-    same nodes are entered and the same code is found; what the cut saves
-    is their scans of candidates: a refuted dense block of m vertices
-    costs O(m) row reads instead of O(m^2).
+    :func:`_cover_component` set to its smallest neighbourhood: the least
+    degree the component walk recorded, plus one for the closed
+    neighbourhood.  A node the cut refutes is one where every candidate
+    would meet the cover already made, so the same nodes are entered and
+    the same code is found; what the cut saves is their scans of
+    candidates: a refuted dense block of m vertices costs O(m) row reads
+    instead of O(m^2).
     """
     rows = graph.rows
     chosen = 0
-    for comp in graph._component_masks:
-        least = min(rows[v].bit_count() for v in _bits(comp)) + closed
-        got = _cover_component(rows, comp, closed, least, 0, 0)
+    for comp, least in graph._component_masks:
+        got = _cover_component(rows, comp, closed, least + closed, 0, 0)
         if got is None:
             return None
         chosen |= got
@@ -216,27 +220,33 @@ def decide_perfect_code(G: Group, H: Subgroup) -> Verdict:
     code exists exactly when every coset Hx with x*x in H holds a
     self-inverse element; such an element dominates its whole block, while
     the paired blocks Hx with Hx^-1 are always handled by taking x and its
-    inverse.
+    inverse.  The cosets are read off one gather of their least members
+    (:func:`~sumgraph.groups._coset_least`): each coset Hx is visited at
+    its least member x, takes its least self-inverse member when x*x is in
+    H, and otherwise takes x and x^-1 when x is the lesser of the pair's
+    two representatives.
     """
     flavor, kind = "plain", "perfect"
+    n, inv = G.order, G.inverses
     if H.order == 1:
-        return Verdict(flavor, kind, True, "trivial-subgroup", tuple(range(G.order)), None)
+        return Verdict(flavor, kind, True, "trivial-subgroup", tuple(range(n)), None)
     if H.order == 2:
         h = next(m for m in H.members if m != G.identity)
-        witness = tuple(x for x in range(G.order) if G.mul(G.inv(x), h) >= x)
+        times_h = G.table[:, h].tolist()  # x -> x*h
+        witness = tuple(x for x in range(n) if times_h[inv[x]] >= x)
         return Verdict(flavor, kind, True, "order-two-subgroup", witness, None)
+    least = _coset_least(G, H)
+    squares = np.diagonal(G.table).tolist()
+    pivot = {least[v]: v for v in reversed(range(n)) if inv[v] == v}  # least self-inverse v of each coset
     chosen: list[int] = []
-    for unit in coset_units(G, H):
-        c = unit[0]
-        x = c.representative
-        if len(unit) == 1:  # x*x in H
-            pivots = [v for v in c.members if G.inv(v) == v]
-            if not pivots:
+    for x in [x for x, rep in enumerate(least) if rep == x]:
+        if squares[x] in H.member_set:  # the unit is Hx alone
+            if x not in pivot:  # the least such x: the identity's coset always has a pivot
                 reason = "square-coset-without-involution"
                 return _refuted(flavor, kind, reason, coset_representative=x)
-            chosen.append(pivots[0])
-        else:
-            chosen.extend([x, G.inv(x)])
+            chosen.append(pivot[x])
+        elif least[inv[x]] > x:  # the unit is Hx with Hx^-1, met first here
+            chosen.extend([x, inv[x]])
     witness = tuple(sorted(chosen))
     return Verdict(flavor, kind, True, "square-cosets-have-involutions", witness, None)
 
@@ -254,9 +264,9 @@ def decide_total_perfect_code(G: Group, H: Subgroup) -> Verdict:
     flavor, kind = "plain", "total"
     if H.order == 2:
         h = next(m for m in H.members if m != G.identity)
-        for x in range(G.order):
-            if G.mul(x, x) == h:
-                return _refuted(flavor, kind, "square-element-not-involution", element=x)
+        if h in G.square_set:
+            element = np.diagonal(G.table).tolist().index(h)
+            return _refuted(flavor, kind, "square-element-not-involution", element=element)
         return Verdict(flavor, kind, True, "order-two-matching", tuple(range(G.order)), None)
     if H.order == 3:
         orders = G.element_orders  # Z2^k x Z3: exponent divides 6, one subgroup of order 3
@@ -279,18 +289,21 @@ def decide_perfect_code_extended(G: Group, H: Subgroup) -> Verdict:
     With the trivial subgroup the graph pairs each element with its inverse,
     so picking the lesser of each pair works.  Otherwise a code exists
     exactly when every square lies in H: all blocks are then complete on
-    one coset each, and any transversal is a code.
+    one coset each, and any transversal is a code; the witness is the
+    least member of every coset.
     """
     flavor, kind = "extended", "perfect"
+    n, inv = G.order, G.inverses
     if H.order == 1:
-        witness = tuple(v for v in range(G.order) if G.inv(v) >= v)
+        witness = tuple(v for v in range(n) if inv[v] >= v)
         return Verdict(flavor, kind, True, "trivial-subgroup", witness, None)
     outside = sorted(G.square_set - H.member_set)
     if not outside:
-        witness = tuple(sorted(c.representative for c in right_cosets(G, H)))
+        least = _coset_least(G, H)
+        witness = tuple(x for x, rep in enumerate(least) if rep == x)
         return Verdict(flavor, kind, True, "squares-inside-subgroup", witness, None)
     sq = outside[0]
-    element = min(x for x in range(G.order) if G.mul(x, x) == sq)
+    element = np.diagonal(G.table).tolist().index(sq)
     return _refuted(flavor, kind, "square-outside-subgroup", element=element, square=sq)
 
 
@@ -309,10 +322,12 @@ def decide_total_perfect_code_extended(G: Group, H: Subgroup) -> Verdict:
     if H.order != 2:
         return _refuted(flavor, kind, "subgroup-order-not-two", subgroup_order=H.order)
     h = next(m for m in H.members if m != G.identity)
+    times_h = G.table[:, h].tolist()  # x -> x*h
+    inv = G.inverses
     chosen = set()
     for x in range(G.order):
-        y = G.inv(x)
-        component = (x, G.mul(x, h), y, G.mul(y, h))
+        y = inv[x]
+        component = (x, times_h[x], y, times_h[y])
         if x == min(component):
             chosen |= {x, min(v for v in component[2:] if v != x)}
     return Verdict(flavor, kind, True, "order-two-subgroup", tuple(sorted(chosen)), None)

@@ -61,24 +61,31 @@ class SumGraph:
         self.rows = rows
 
     @cached_property
-    def _component_masks(self) -> tuple[int, ...]:
-        """Connected components as bitmasks, ordered by least vertex: one
-        BFS per component, walking each frontier low bit by low bit."""
+    def _component_masks(self) -> tuple[tuple[int, int], ...]:
+        """Connected components as ``(mask, least)`` pairs, ordered by least
+        vertex, where ``least`` is the smallest degree in the component:
+        one BFS per component, walking each frontier low bit by low bit, so
+        every row is read once and its degree taken as it is read."""
         rows = self.rows
         remaining = (1 << self.n) - 1
         out = []
         while remaining:
             comp = frontier = remaining & -remaining
+            least = self.n
             while frontier:
                 reached = 0
                 while frontier:
                     low = frontier & -frontier
                     frontier ^= low
-                    reached |= rows[low.bit_length() - 1]
+                    row = rows[low.bit_length() - 1]
+                    reached |= row
+                    degree = row.bit_count()
+                    if degree < least:
+                        least = degree
                 frontier = reached & ~comp
                 comp |= frontier
             remaining &= ~comp
-            out.append(comp)
+            out.append((comp, least))
         return tuple(out)
 
     def neighbors(self, v: int) -> list[int]:
@@ -127,7 +134,7 @@ def build_graph(G: Group, H: Subgroup, extended: bool = False) -> SumGraph:
 
 def components(graph: SumGraph) -> list[tuple[int, ...]]:
     """Connected components as sorted vertex tuples, ordered by least vertex."""
-    return [tuple(_bits(comp)) for comp in graph._component_masks]
+    return [tuple(_bits(comp)) for comp, _ in graph._component_masks]
 
 
 # ---------------------------------------------------------------------------

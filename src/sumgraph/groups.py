@@ -177,18 +177,17 @@ class Group:
 
     @cached_property
     def _classes(self) -> tuple[tuple[int, ...], ...]:
-        inv_col = np.fromiter(self.inverses, dtype=np.int64)
-        all_idx = np.arange(self.order)
-        seen = np.zeros(self.order, dtype=bool)
-        classes = []
-        for g in range(self.order):
-            if seen[g]:
-                continue
-            conj = self.table[self.table[inv_col, g], all_idx]  # inv(x) * g * x for all x
-            orbit = np.unique(conj)
-            seen[orbit] = True
-            classes.append(tuple(int(v) for v in orbit))
-        return tuple(classes)
+        """The conjugacy classes from one n x n gather: column g of
+        ``conj`` is the class of g, so its minimum names the class, and one
+        sort by (least member, element) lists every class sorted, in order
+        of least member."""
+        idx = np.arange(self.order)
+        conj = self.table[self.table[self.inverses, :], idx[:, None]]  # conj[x, g] = inv(x) * g * x
+        least = conj.min(axis=0)
+        order = np.lexsort((idx, least))
+        bounds = (np.flatnonzero(np.diff(least[order])) + 1).tolist()
+        members = order.tolist()
+        return tuple(tuple(members[a:b]) for a, b in zip([0, *bounds], [*bounds, self.order]))
 
     @cached_property
     def _normal_subgroups(self) -> tuple["Subgroup", ...]:
@@ -855,6 +854,12 @@ def right_cosets(G: Group, H: Subgroup) -> list[Coset]:
     return cosets
 
 
+def _coset_least(G: Group, H: Subgroup) -> list[int]:
+    """The least member of each right coset: entry x is min(Hx), so the
+    representatives are the x equal to their entry.  One |H| x n gather."""
+    return G.table[list(H.members)].min(axis=0).tolist()
+
+
 def coset_units(G: Group, H: Subgroup) -> list[tuple[Coset, ...]]:
     """The right cosets grouped into units, in :func:`right_cosets` order.
 
@@ -965,17 +970,20 @@ def sweep_groups(max_order: int, families: Sequence[str] = SWEEP_FAMILIES) -> It
 
     Cyclic groups by order, dihedral and dicyclic groups by parameter, one
     group per abelian isomorphism type with at least two factors (the
-    others are cyclic), and Q8.  Unknown families and a ``max_order`` below 1
-    or above the cap raise :class:`BadParameterError` here, before any group
-    is built.
+    others are cyclic), and Q8.  An empty family list, an unknown or repeated
+    family and a ``max_order`` below 1 or above the cap raise
+    :class:`BadParameterError` here, before any group is built.
     """
     max_order = _index(max_order, "max_order", low=1)
     _check_order(max_order)
-    for family in families:
+    choices = ", ".join(SWEEP_FAMILIES)
+    if not families:
+        raise BadParameterError(f"no family to sweep: choose from {choices}")
+    for k, family in enumerate(families):
         if family not in SWEEP_FAMILIES:
-            raise BadParameterError(
-                f"unknown family {_quoted(str(family))}: choose from {', '.join(SWEEP_FAMILIES)}"
-            )
+            raise BadParameterError(f"unknown family {_quoted(str(family))}: choose from {choices}")
+        if family in families[:k]:
+            raise BadParameterError(f"family {_quoted(family)} is listed twice")
     return (G for family in families for G in _family_groups(family, max_order))
 
 

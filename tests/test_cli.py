@@ -1,10 +1,16 @@
 """Command-line interface: output shapes, exit codes, error reporting."""
 
 import argparse
+import contextlib
+import io
 import json
+import os
 import time
+from unittest import mock
 
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 
 from sumgraph import cli, normal_subgroups, subgroup_generated
 from sumgraph.cli import main
@@ -404,3 +410,98 @@ def test_unwritable_out_path_exits_two(capsys, tmp_path):
         assert rc == 2, argv
         assert out == ""
         assert err.startswith("error:") and "--out" in err
+
+
+def test_scan_rejects_an_empty_or_repeated_family_list(capsys, tmp_path):
+    target = tmp_path / "scan.jsonl"
+    for families, wanted in (
+        ("", "no family to sweep"),
+        (" , ", "no family to sweep"),
+        ("cyclic,cyclic", "family 'cyclic' is listed twice"),
+        ("dihedral, cyclic ,dihedral", "family 'dihedral' is listed twice"),
+    ):
+        rc, out, err = run(capsys, "scan", "--max-order", "4", "--families", families, "--out", str(target))
+        assert rc == 2, families
+        assert out == "" and err.startswith("error:") and wanted in err, (families, err)
+        assert not target.exists()  # refused before the file is opened
+
+
+# A small grammar of CLI inputs: group expressions of one or two atoms
+# with valid, out-of-range and oversized parameters, junk text, subgroup
+# selectors of both kinds, and values of the order cap variable.  Valid
+# parameters stay small (Z, D and Dic up to 32, E2^t up to t = 2), so every
+# valid input is answered well inside the one-second bound: a large lattice,
+# such as the 2825 subgroups of E2^3 x E2^3, is slow to list by its size,
+# not by a failure to fail fast.
+
+
+def _mostly(valid, junk):
+    """``valid`` three times in four, else ``junk``."""
+    return st.sampled_from([valid, valid, valid, junk]).flatmap(lambda strategy: strategy)
+
+
+_JUNK_NUMBERS = st.sampled_from(["", "-2", "0", "00", "+6", "1_0", "9" * 60, "8" * 4300, "9" * 5000])
+_ATOMS = _mostly(
+    st.one_of(
+        st.builds("{}{}".format, st.sampled_from(["Z", "D", "Dic"]), st.integers(1, 32)),
+        st.builds("E2^{}".format, st.integers(0, 2)),
+        st.just("Q8"),
+    ),
+    st.one_of(
+        st.builds("{}{}".format, st.sampled_from(["Z", "D", "Dic", "E2^", "Q", "E3^"]), _JUNK_NUMBERS),
+        st.text(alphabet="ZDQEic^x()29 -,%", max_size=8),
+    ),
+)
+_EXPRS = _mostly(st.lists(_ATOMS, min_size=1, max_size=2).map(" x ".join), st.text(max_size=12))
+_LABELS = _mostly(
+    st.sampled_from(["0", "1", "2", "3", "a", "b", "a^2", "ab", "i", "-1", "(1,0)", "(0,1)", "(1,1)"]),
+    st.one_of(st.text(alphabet="ab^()-,0123i", max_size=6), st.just("x" * 5000)),
+)
+_SELECTORS = _mostly(
+    st.one_of(
+        st.lists(_LABELS, min_size=1, max_size=3).map(lambda labels: "gen:" + ",".join(labels)),
+        st.integers(-2, 40).map("index:{}".format),
+    ),
+    st.one_of(_JUNK_NUMBERS.map("index:{}".format), st.text(max_size=10), st.just("y" * 5000)),
+)
+_CAPS = _mostly(
+    st.sampled_from([None, "16", "64", "512"]),
+    st.sampled_from(["0", "-3", "abc", "", "9" * 5000]),
+)
+_FLAGS = st.lists(st.sampled_from(["--extended", "--total", "--construct", "--oracle"]), unique=True)
+
+
+@st.composite
+def _cli_calls(draw) -> tuple[list[str], str | None]:
+    expr = draw(_EXPRS)
+    command = draw(st.sampled_from(["normals", "code", "graph"]))
+    if command == "normals":
+        argv = ["normals", expr]
+    elif command == "code":
+        argv = ["code", expr, "--subgroup", draw(_SELECTORS), *draw(_FLAGS)]
+    else:
+        argv = ["graph", expr, "--subgroup", draw(_SELECTORS), "--format", draw(st.sampled_from(["dot", "json"]))]
+    return argv, draw(_CAPS)
+
+
+@settings(max_examples=300, deadline=None, derandomize=True, database=None)
+@given(_cli_calls())
+def test_cli_fails_fast_and_briefly_on_any_input(call):
+    # whatever the input: exit 0, 1 or 2, no traceback, every error line
+    # short, and an answer in under a second; main runs in this process
+    argv, cap = call
+    out, err = io.StringIO(), io.StringIO()
+    env = {} if cap is None else {"SUMGRAPH_MAX_ORDER": cap}
+    start = time.perf_counter()
+    with mock.patch.dict(os.environ, env), contextlib.redirect_stdout(out), contextlib.redirect_stderr(err):
+        if cap is None:
+            os.environ.pop("SUMGRAPH_MAX_ORDER", None)
+        try:
+            rc = main(argv)
+        except SystemExit as exc:  # argparse reports a usage error
+            rc = exc.code
+    seconds = time.perf_counter() - start
+    assert rc in (0, 1, 2), (argv, cap, rc)
+    assert "Traceback" not in err.getvalue() + out.getvalue(), argv
+    assert all(len(line) < 200 for line in err.getvalue().splitlines()), (argv, err.getvalue()[:300])
+    assert seconds < 1, (argv, cap, seconds)

@@ -18,6 +18,7 @@ from sumgraph import (
     SumGraph,
     abelian,
     build_graph,
+    build_group,
     cross_check,
     cyclic,
     decide_code,
@@ -35,6 +36,7 @@ from sumgraph import (
     is_total_perfect_code,
     normal_subgroups,
     order_three_coset_scan,
+    parse_group_expr,
     quaternion,
     subgroup_as_group,
     subgroup_generated,
@@ -43,6 +45,8 @@ from sumgraph import (
 
 from helpers import (
     adjacency_matrix,
+    reference_verdict,
+    relabelled,
     subset_perfect_codes,
     subset_total_perfect_codes,
     sweep,
@@ -517,11 +521,12 @@ def _shell(adjacency: list[list[int]]) -> SumGraph:
     return graph
 
 
-def test_oracle_matches_a_cut_free_search_on_random_graphs():
-    # random graphs are almost never sum graphs: isolated vertices, paths,
-    # components of mixed degree; the cut must not change the code found
+def _random_adjacencies() -> list[list[list[int]]]:
+    """600 seeded random graphs of 1 to 10 vertices, each of its own density.
+    Random graphs are almost never sum graphs: isolated vertices, paths,
+    components of mixed degree."""
     rng = random.Random(13)
-    found = {True: 0, False: 0}
+    out = []
     for _ in range(600):
         n = rng.randint(1, 10)
         density = rng.random()
@@ -530,6 +535,42 @@ def test_oracle_matches_a_cut_free_search_on_random_graphs():
             for v in range(u + 1, n):
                 if rng.random() < density:
                     adjacency[u][v] = adjacency[v][u] = 1
+        out.append(adjacency)
+    return out
+
+
+def test_component_walk_gives_connected_masks_and_their_least_degrees():
+    # the walk's masks partition the vertices in order of least vertex, no
+    # row leaves its mask, each mask is connected, and the least degree it
+    # hands the oracle's size cut is the minimum over the mask
+    for adjacency in _random_adjacencies():
+        graph = _shell(adjacency)
+        n = graph.n
+        covered = 0
+        lowest = []
+        for mask, least in graph._component_masks:
+            assert mask and not mask & covered, adjacency
+            covered |= mask
+            vertices = [v for v in range(n) if mask >> v & 1]
+            lowest.append(vertices[0])
+            assert all(graph.rows[v] & ~mask == 0 for v in vertices), adjacency
+            reached, stack = {vertices[0]}, [vertices[0]]
+            while stack:
+                u = stack.pop()
+                for v in range(n):
+                    if adjacency[u][v] and v not in reached:
+                        reached.add(v)
+                        stack.append(v)
+            assert sorted(reached) == vertices, adjacency
+            assert least == min(sum(adjacency[v]) for v in vertices), adjacency
+        assert covered == (1 << n) - 1
+        assert lowest == sorted(lowest)
+
+
+def test_oracle_matches_a_cut_free_search_on_random_graphs():
+    # the cut must not change the code found
+    found = {True: 0, False: 0}
+    for adjacency in _random_adjacencies():
         graph = _shell(adjacency)
         for closed, every in ((True, subset_perfect_codes), (False, subset_total_perfect_codes)):
             code = codes._find_code(graph, closed)
@@ -581,6 +622,45 @@ def test_decide_code_dispatch():
         decide_code(G, H, extended=True, total=True).rule
         == decide_total_perfect_code_extended(G, H).rule
     )
+
+
+def test_deciders_give_the_unit_by_unit_verdicts():
+    # whole verdicts, not only existence: the scan JSONL records neither
+    # witnesses nor certificates, so this pins them against the rules read
+    # coset by coset.  The products cover the trivial subgroup and |H| = 2
+    # and 3 with both outcomes; the relabellings move the identity off 0
+    products = [
+        build_group(parse_group_expr(text))
+        for text in ("D8 x Z4", "Q8 x Z4", "Dic3 x Z4", "Z2 x Z2 x Z3", "Z6 x Z6")
+    ]
+    sources = (dihedral(6), dicyclic(3), quaternion(), cyclic(12), *products[:3])
+    relabellings = [relabelled(G, seed)[0] for seed, G in enumerate(sources)]
+    assert all(R.identity != 0 for R in relabellings)
+    rules = set()
+    pairs = 0
+    for G in (*sweep(32), *products, *relabellings):
+        for H in normal_subgroups(G):
+            pairs += 1
+            for extended, total in QUESTIONS:
+                v = decide_code(G, H, extended=extended, total=total)
+                got = (v.exists, v.rule, v.witness, v.certificate)
+                assert got == reference_verdict(G, H, extended, total), (G.name, H.members, extended, total)
+                rules.add(v.rule)
+    assert pairs > 1000
+    assert rules == {
+        "trivial-subgroup",
+        "order-two-subgroup",
+        "square-cosets-have-involutions",
+        "square-coset-without-involution",
+        "order-two-matching",
+        "square-element-not-involution",
+        "elementary-two-times-three",
+        "not-elementary-two-times-three",
+        "subgroup-order-unsuitable",
+        "squares-inside-subgroup",
+        "square-outside-subgroup",
+        "subgroup-order-not-two",
+    }
 
 
 def test_positive_verdicts_carry_validated_witnesses():

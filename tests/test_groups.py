@@ -46,7 +46,7 @@ from sumgraph import (
 
 from sumgraph import groups as groups_module
 
-from helpers import sweep
+from helpers import relabelled, sweep
 
 
 def _full_scan_violation(table):
@@ -816,6 +816,34 @@ def test_conjugacy_classes_partition():
     assert seen == list(range(8))
     # abelian groups: all classes singletons
     assert all(len(c) == 1 for c in conjugacy_classes(cyclic(9)))
+
+
+def _orbit_of(G, g) -> set[int]:
+    """The conjugates inv(x) * g * x of g, one element x at a time."""
+    return {G.mul(G.mul(G.inv(x), g), x) for x in range(G.order)}
+
+
+def test_conjugacy_classes_are_the_conjugation_orbits():
+    products = [build_group(parse_group_expr(text)) for text in ("D8 x D8", "Q8 x Q8")]
+    relabellings = [relabelled(dihedral(6), 1)[0], relabelled(dicyclic(4), 2)[0]]
+    groups = (*sweep(24), *products, *relabellings)
+    assert any(G.name == "Q8" for G in groups)
+    assert not any(R.abelian for R in relabellings)
+    for G in groups:
+        classes = conjugacy_classes(G)
+        assert sorted(v for c in classes for v in c) == list(range(G.order)), G.name
+        assert all(list(c) == sorted(c) for c in classes), G.name
+        assert [c[0] for c in classes] == sorted(c[0] for c in classes), G.name
+        for c in classes:
+            assert all(_orbit_of(G, g) == set(c) for g in c), (G.name, c)
+
+
+def test_sweep_rejects_an_empty_or_repeated_family_list():
+    with pytest.raises(BadParameterError, match="no family"):
+        sweep_groups(8, [])
+    with pytest.raises(BadParameterError, match="'cyclic' is listed twice"):
+        sweep_groups(8, ["cyclic", "dihedral", "cyclic"])
+    assert [G.name for G in sweep_groups(8, ["quaternion", "cyclic"])][:2] == ["Q8", "Z1"]
 
 
 def test_is_dedekind():
