@@ -274,7 +274,7 @@ def decide_total_perfect_code(G: Group, H: Subgroup) -> Verdict:
             return _refuted(flavor, kind, "not-elementary-two-times-three", group_order=G.order)
         chosen = []
         for c in right_cosets(G, H):
-            centre = next(v for v in c.members if G.inv(v) == v)
+            centre = next(v for v in c.members if G.inverses[v] == v)
             leaf = min(v for v in c.members if v != centre)
             chosen.extend([centre, leaf])
         witness = tuple(sorted(chosen))

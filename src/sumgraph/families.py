@@ -170,7 +170,7 @@ def abelian_total_perfect_code(A: Group, H: Subgroup) -> bool:
         for x in range(A.order):
             if x in H:
                 continue
-            sq = A.mul(x, x)
+            sq = A.rows[x][x]
             if sq in H and sq != A.identity:
                 return False
         return True
@@ -192,7 +192,7 @@ def order_three_coset_scan(G: Group, H: Subgroup) -> bool:
         raise BadParameterError(f"the scan applies to subgroups of order 3, got {H.order}")
     require_normal(G, H)
     for x in range(G.order):
-        if x not in H and G.mul(x, x) not in H:
+        if x not in H and G.rows[x][x] not in H:
             return False
     for coset in right_cosets(G, H):
         if all(G.element_orders[v] <= 2 for v in coset.members):

@@ -201,11 +201,11 @@ def _check_block(
         for v in vertices:
             exp = unit_mask & ~(1 << v)
             if not extended:
-                exp &= ~(1 << G.inv(v))
+                exp &= ~(1 << G.inverses[v])
             expected[v] = exp
         if extended:
             kind = "complete"
-        elif all(G.inv(v) == v for v in vertices):
+        elif all(G.inverses[v] == v for v in vertices):
             kind = "complete"
         else:
             kind = "complete_minus_matching"
@@ -215,7 +215,7 @@ def _check_block(
         for v in vertices:
             exp = masks[1 - side[v]]
             if not extended:
-                exp &= ~(1 << G.inv(v))
+                exp &= ~(1 << G.inverses[v])
             expected[v] = exp
         kind = "complete_bipartite" if extended else "bipartite_minus_perfect_matching"
 

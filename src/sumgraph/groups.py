@@ -131,15 +131,10 @@ class Group:
     # -- scalar access helpers -------------------------------------------
 
     @cached_property
-    def rows(self) -> list[list[int]]:
-        """The table as plain Python lists, for fast scalar lookups."""
-        return self.table.tolist()
-
-    def mul(self, a: int, b: int) -> int:
-        return self.rows[a][b]
-
-    def inv(self, a: int) -> int:
-        return self.inverses[a]
+    def rows(self) -> tuple[memoryview, ...]:
+        """The table's rows as zero-copy views: ``rows[a][b]`` is the
+        product a*b as a Python int, read without numpy's per-call cost."""
+        return tuple(map(memoryview, self.table))
 
     @cached_property
     def label_index(self) -> dict[str, int]:
@@ -231,10 +226,10 @@ class Subgroup:
             bad = np.argwhere(~mask[products])[0]
             a, b = ms[int(bad[0])], ms[int(bad[1])]
             raise NotASubgroupError(
-                f"not closed under products: {a} * {b} = {parent.mul(a, b)} is outside"
+                f"not closed under products: {a} * {b} = {parent.rows[a][b]} is outside"
             )
         for m in ms:
-            if parent.inv(m) not in member_set:
+            if parent.inverses[m] not in member_set:
                 raise NotASubgroupError(f"not closed under inverses: inv({m}) is outside")
         self.parent = parent
         self.members = tuple(ms)
@@ -837,21 +832,10 @@ def right_cosets(G: Group, H: Subgroup) -> list[Coset]:
     """The partition of G into right cosets Hx; the identity's coset first,
     the rest ordered by minimal member (which is the representative)."""
     require_subgroup(G, H)
-    members = list(H.members)
-    seen = [False] * G.order
-    cosets: list[Coset] = []
-    ident = tuple(sorted(G.mul(h, G.identity) for h in members))
-    for v in ident:
-        seen[v] = True
-    cosets.append(Coset(min(ident), ident))
-    for x in range(G.order):
-        if seen[x]:
-            continue
-        mem = tuple(sorted(G.mul(h, x) for h in members))
-        for v in mem:
-            seen[v] = True
-        cosets.append(Coset(mem[0], mem))
-    return cosets
+    members: dict[int, list[int]] = {H.members[0]: []}  # He = H, so min(H) names it
+    for x, rep in enumerate(_coset_least(G, H)):  # x ascends: reps met in order, members sorted
+        members.setdefault(rep, []).append(x)
+    return [Coset(rep, tuple(ms)) for rep, ms in members.items()]
 
 
 def _coset_least(G: Group, H: Subgroup) -> list[int]:
@@ -864,37 +848,34 @@ def coset_units(G: Group, H: Subgroup) -> list[tuple[Coset, ...]]:
     """The right cosets grouped into units, in :func:`right_cosets` order.
 
     A unit is ``(Hx,)`` when x*x lies in H, which makes Hx closed under
-    inverses, and ``(Hx, Hx^-1)`` otherwise, the partner holding x^-1.
-    The sum graphs over a normal H decompose into one block per unit.
+    inverses, and ``(Hx, Hx^-1)`` otherwise, the partner holding x^-1,
+    listed at the lesser of the two representatives.  The sum graphs over
+    a normal H decompose into one block per unit; H must be normal, or
+    the inverses of a right coset need not form one.
     """
-    cosets = right_cosets(G, H)
-    coset_of = {v: c for c in cosets for v in c.members}
+    require_normal(G, H)
+    cosets = {c.representative: c for c in right_cosets(G, H)}
+    rows, inv = G.rows, G.inverses
     units: list[tuple[Coset, ...]] = []
-    paired = set()
-    for c in cosets:
-        x = c.representative
-        if x in paired:
-            continue
-        if G.mul(x, x) in H:
+    for x, c in cosets.items():
+        if rows[x][x] in H.member_set:
             units.append((c,))
         else:
-            partner = coset_of[G.inv(x)]
-            paired.add(partner.representative)
-            units.append((c, partner))
+            partner = min(inv[v] for v in c.members)  # the representative of Hx^-1
+            if partner > x:
+                units.append((c, cosets[partner]))
     return units
 
 
 def is_dedekind(G: Group) -> bool:
-    """Whether every subgroup is normal (checked on cyclic subgroups)."""
-    rows = G.rows
-    for g in range(G.order):
-        powers = {G.identity}
-        x = g
-        while x != G.identity:
-            powers.add(x)
-            x = rows[x][g]
-        for y in range(G.order):
-            if rows[rows[G.inv(y)][g]][y] not in powers:
+    """Whether every subgroup is normal: whether each cyclic <g> holds g's
+    conjugacy class.  Conjugates generate conjugate subgroups, so one
+    member per class is tested; a singleton class passes at once."""
+    for cls in G._classes:
+        if len(cls) > 1:
+            closure = _Closure(G.table, G.identity)
+            closure.add(cls[0])
+            if not all(closure.reached[g] for g in cls):
                 return False
     return True
 
@@ -970,13 +951,16 @@ def sweep_groups(max_order: int, families: Sequence[str] = SWEEP_FAMILIES) -> It
 
     Cyclic groups by order, dihedral and dicyclic groups by parameter, one
     group per abelian isomorphism type with at least two factors (the
-    others are cyclic), and Q8.  An empty family list, an unknown or repeated
-    family and a ``max_order`` below 1 or above the cap raise
-    :class:`BadParameterError` here, before any group is built.
+    others are cyclic), and Q8.  An empty family list, a lone name given
+    as a string, an unknown or repeated family and a ``max_order`` below 1
+    or above the cap raise :class:`BadParameterError` here, before any
+    group is built.
     """
     max_order = _index(max_order, "max_order", low=1)
     _check_order(max_order)
     choices = ", ".join(SWEEP_FAMILIES)
+    if isinstance(families, str):
+        raise BadParameterError(f"families must be a sequence of names, not the string {_quoted(families)}")
     if not families:
         raise BadParameterError(f"no family to sweep: choose from {choices}")
     for k, family in enumerate(families):

@@ -4,7 +4,8 @@ The heavyweight fixtures (every built-in group up to order 48, plus the
 brute-force cross-check report for each) are computed once per test run
 and shared by the module tests and the acceptance gate.  The reference
 deciders read the same rules as :mod:`sumgraph.codes` unit by unit, over
-:func:`~sumgraph.coset_units` and ``G.mul``, so whole verdicts -- rule,
+cosets read off the table by definition (:func:`cosets_by_definition`),
+not through the package's coset construction, so whole verdicts -- rule,
 witness and certificate -- can be compared with an independent reading.
 """
 
@@ -19,10 +20,8 @@ from sumgraph import (
     CrossCheckReport,
     Group,
     Subgroup,
-    coset_units,
     cross_check,
     group_from_cayley_table,
-    right_cosets,
     sweep_groups,
 )
 
@@ -104,6 +103,40 @@ def relabelled(G: Group, seed: int) -> tuple[Group, np.ndarray]:
     return group_from_cayley_table(table), perm
 
 
+def cosets_by_definition(G: Group, H: Subgroup) -> list[tuple[int, ...]]:
+    """The right cosets Hx = {h*x : h in H}, each sorted, read product by
+    product off the table: the identity's coset first, then the rest in the
+    order an ascending walk over x first meets them."""
+    seen: set[int] = set()
+    cosets = []
+    for x in (G.identity, *range(G.order)):
+        if x not in seen:
+            coset = tuple(sorted(G.rows[h][x] for h in H.members))
+            seen.update(coset)
+            cosets.append(coset)
+    return cosets
+
+
+def units_by_definition(G: Group, H: Subgroup) -> list[tuple[tuple[int, ...], ...]]:
+    """The cosets of :func:`cosets_by_definition` grouped into units:
+    ``(Hx,)`` when x*x is in H, else Hx with the coset holding x^-1, listed
+    where the first of the two is met."""
+    cosets = cosets_by_definition(G, H)
+    coset_of = {v: c for c in cosets for v in c}
+    units, paired = [], set()
+    for c in cosets:
+        if c in paired:
+            continue
+        x = c[0]
+        if G.rows[x][x] in H:
+            units.append((c,))
+        else:
+            partner = coset_of[G.inverses[x]]
+            paired.add(partner)
+            units.append((c, partner))
+    return units
+
+
 # ---------------------------------------------------------------------------
 # Reference deciders: (exists, rule, witness, certificate), unit by unit
 # ---------------------------------------------------------------------------
@@ -118,19 +151,19 @@ def _reference_perfect(G: Group, H: Subgroup) -> tuple:
         return True, "trivial-subgroup", tuple(range(G.order)), None
     if H.order == 2:
         h = next(m for m in H.members if m != G.identity)
-        witness = tuple(x for x in range(G.order) if G.mul(G.inv(x), h) >= x)
+        witness = tuple(x for x in range(G.order) if G.rows[G.inverses[x]][h] >= x)
         return True, "order-two-subgroup", witness, None
     chosen: list[int] = []
-    for unit in coset_units(G, H):
+    for unit in units_by_definition(G, H):
         c = unit[0]
-        x = c.representative
+        x = c[0]
         if len(unit) == 1:  # x*x in H: the pivot is the least self-inverse member
-            pivots = [v for v in c.members if G.inv(v) == v]
+            pivots = [v for v in c if G.inverses[v] == v]
             if not pivots:
                 return _refuted("square-coset-without-involution", coset_representative=x)
             chosen.append(pivots[0])
         else:
-            chosen.extend([x, G.inv(x)])
+            chosen.extend([x, G.inverses[x]])
     return True, "square-cosets-have-involutions", tuple(sorted(chosen)), None
 
 
@@ -138,7 +171,7 @@ def _reference_total(G: Group, H: Subgroup) -> tuple:
     if H.order == 2:
         h = next(m for m in H.members if m != G.identity)
         for x in range(G.order):
-            if G.mul(x, x) == h:
+            if G.rows[x][x] == h:
                 return _refuted("square-element-not-involution", element=x)
         return True, "order-two-matching", tuple(range(G.order)), None
     if H.order == 3:
@@ -146,22 +179,22 @@ def _reference_total(G: Group, H: Subgroup) -> tuple:
         if not (G.abelian and all(6 % o == 0 for o in orders) and sum(3 % o == 0 for o in orders) == 3):
             return _refuted("not-elementary-two-times-three", group_order=G.order)
         chosen = []
-        for c in right_cosets(G, H):
-            centre = next(v for v in c.members if G.inv(v) == v)
-            chosen.extend([centre, min(v for v in c.members if v != centre)])
+        for c in cosets_by_definition(G, H):
+            centre = next(v for v in c if G.inverses[v] == v)
+            chosen.extend([centre, min(v for v in c if v != centre)])
         return True, "elementary-two-times-three", tuple(sorted(chosen)), None
     return _refuted("subgroup-order-unsuitable", subgroup_order=H.order)
 
 
 def _reference_extended_perfect(G: Group, H: Subgroup) -> tuple:
     if H.order == 1:
-        return True, "trivial-subgroup", tuple(v for v in range(G.order) if G.inv(v) >= v), None
-    outside = sorted({G.mul(x, x) for x in range(G.order)} - set(H.members))
+        return True, "trivial-subgroup", tuple(v for v in range(G.order) if G.inverses[v] >= v), None
+    outside = sorted({G.rows[x][x] for x in range(G.order)} - set(H.members))
     if not outside:
-        witness = tuple(sorted(c.representative for c in right_cosets(G, H)))
+        witness = tuple(sorted(c[0] for c in cosets_by_definition(G, H)))
         return True, "squares-inside-subgroup", witness, None
     sq = outside[0]
-    element = min(x for x in range(G.order) if G.mul(x, x) == sq)
+    element = min(x for x in range(G.order) if G.rows[x][x] == sq)
     return _refuted("square-outside-subgroup", element=element, square=sq)
 
 
@@ -171,8 +204,8 @@ def _reference_extended_total(G: Group, H: Subgroup) -> tuple:
     h = next(m for m in H.members if m != G.identity)
     chosen = set()
     for x in range(G.order):
-        y = G.inv(x)
-        component = (x, G.mul(x, h), y, G.mul(y, h))
+        y = G.inverses[x]
+        component = (x, G.rows[x][h], y, G.rows[y][h])
         if x == min(component):
             chosen |= {x, min(v for v in component[2:] if v != x)}
     return True, "order-two-subgroup", tuple(sorted(chosen)), None

@@ -21,6 +21,7 @@ from sumgraph import (
     NotAssociativeError,
     NotDedekindError,
     NotLatinSquareError,
+    NotNormalError,
     Subgroup,
     abelian,
     abelian_isomorphism_types,
@@ -28,6 +29,7 @@ from sumgraph import (
     conjugacy_classes,
     coset_units,
     cyclic,
+    decide_code,
     dicyclic,
     dihedral,
     direct_product,
@@ -46,7 +48,7 @@ from sumgraph import (
 
 from sumgraph import groups as groups_module
 
-from helpers import relabelled, sweep
+from helpers import cosets_by_definition, relabelled, sweep, units_by_definition
 
 
 def _full_scan_violation(table):
@@ -199,9 +201,9 @@ def test_cyclic_is_modular_addition():
     assert G.labels == ("0", "1", "2", "3", "4", "5")
     for i in range(6):
         for j in range(6):
-            assert G.mul(i, j) == (i + j) % 6
+            assert G.rows[i][j] == (i + j) % 6
     assert G.identity == 0
-    assert G.inv(2) == 4
+    assert G.inverses[2] == 4
     assert str(G.tag) == "Z6"
 
 
@@ -211,9 +213,9 @@ def test_dihedral_labels_and_relations():
     assert G.labels == ("e", "a", "a^2", "a^3", "b", "ab", "a^2b", "a^3b")
     a, b = 1, 4
     # b has order 2, a has order 4, and conjugation by b inverts a
-    assert G.mul(b, b) == G.identity
+    assert G.rows[b][b] == G.identity
     assert G.element_orders[a] == 4
-    assert G.mul(G.mul(b, a), G.inv(b)) == G.inv(a)
+    assert G.rows[G.rows[b][a]][G.inverses[b]] == G.inverses[a]
     # flips are exactly the elements of order 2 together with a^2
     assert G.involution_set == {2, 4, 5, 6, 7}
     assert str(G.tag) == "D8"
@@ -228,8 +230,8 @@ def test_dicyclic_relations():
     assert G.labels[-1] == "b"
     assert G.element_orders[a] == 2 * n
     # b^2 = a^n and b a b^-1 = a^-1
-    assert G.mul(b, b) == n  # a^n sits at index n
-    assert G.mul(G.mul(b, a), G.inv(b)) == G.inv(a)
+    assert G.rows[b][b] == n  # a^n sits at index n
+    assert G.rows[G.rows[b][a]][G.inverses[b]] == G.inverses[a]
     # a^n is the unique involution
     assert G.involution_set == {n}
     assert str(G.tag) == "Dic3"
@@ -239,10 +241,10 @@ def test_quaternion_unit_multiplication():
     G = quaternion()
     assert G.labels == ("1", "-1", "i", "-i", "j", "-j", "k", "-k")
     li = G.label_index
-    assert G.mul(li["i"], li["j"]) == li["k"]
-    assert G.mul(li["j"], li["i"]) == li["-k"]
-    assert G.mul(li["i"], li["i"]) == li["-1"]
-    assert G.mul(li["-1"], li["-1"]) == li["1"]
+    assert G.rows[li["i"]][li["j"]] == li["k"]
+    assert G.rows[li["j"]][li["i"]] == li["-k"]
+    assert G.rows[li["i"]][li["i"]] == li["-1"]
+    assert G.rows[li["-1"]][li["-1"]] == li["1"]
     assert G.involution_set == {li["-1"]}
 
 
@@ -283,7 +285,7 @@ def test_direct_product_componentwise():
     # (1,2)*(3,2) = (0,1)
     x = G.label_index["(1,2)"]
     y = G.label_index["(3,2)"]
-    assert G.labels[G.mul(x, y)] == "(0,1)"
+    assert G.labels[G.rows[x][y]] == "(0,1)"
     assert G.abelian
     factor_lists = [
         (dihedral(4), cyclic(3)), (quaternion(), cyclic(2), cyclic(4)), (dicyclic(3), dihedral(3)),
@@ -762,8 +764,33 @@ def test_coset_units_pair_each_coset_with_its_inverse():
             assert reps == sorted(c.representative for c in right_cosets(G, H))
             for unit in units:
                 x = unit[0].representative
-                assert (len(unit) == 1) == (G.mul(x, x) in H)
-                assert G.inv(x) in unit[-1].members
+                assert (len(unit) == 1) == (G.rows[x][x] in H)
+                assert G.inverses[x] in unit[-1].members
+    D6 = dihedral(3)  # H = <b>: the inverses of the right coset {a^2, ab} are {a, ab}, not a right coset
+    with pytest.raises(NotNormalError):
+        coset_units(D6, subgroup_generated(D6, [3]))
+
+
+def test_cosets_on_relabelled_tables():
+    """With the identity off index 0, and for some H above H's least
+    member, the cosets are still the table's Hx: the identity's first, the
+    rest by least member, and the units pair each Hx with its inverse."""
+    texts = ("D12", "Dic4", "Q8 x Z2")
+    groups = [relabelled(build_group(parse_group_expr(t)), seed)[0] for seed, t in enumerate(texts, 1)]
+    identity_not_least = 0
+    for G in groups:
+        assert G.identity != 0, G
+        for H in normal_subgroups(G):
+            cosets = right_cosets(G, H)
+            assert [c.members for c in cosets] == cosets_by_definition(G, H)
+            assert G.identity in cosets[0].members
+            assert all(c.representative == c.members[0] for c in cosets)
+            rest = [c.representative for c in cosets[1:]]
+            assert rest == sorted(rest)
+            units = [tuple(c.members for c in unit) for unit in coset_units(G, H)]
+            assert units == units_by_definition(G, H)
+            identity_not_least += H.members[0] != G.identity
+    assert identity_not_least >= 3
 
 
 def test_square_cosets_are_inverse_closed():
@@ -776,16 +803,16 @@ def test_square_cosets_are_inverse_closed():
             for coset in right_cosets(G, H):
                 x = coset.representative
                 body = set(coset.members)
-                if G.mul(x, x) in mem:
+                if G.rows[x][x] in mem:
                     for y in body:
-                        assert G.mul(y, y) in mem
-                        assert G.inv(y) in body
+                        assert G.rows[y][y] in mem
+                        assert G.inverses[y] in body
                 else:
-                    other = {G.mul(h, G.inv(x)) for h in H.members}
+                    other = {G.rows[h][G.inverses[x]] for h in H.members}
                     union = body | other
                     for y in union:
-                        assert G.inv(y) in union
-                        assert G.mul(y, y) != G.identity
+                        assert G.inverses[y] in union
+                        assert G.rows[y][y] != G.identity
 
 
 def test_odd_abelian_square_roots_stay_in_subgroup():
@@ -796,7 +823,7 @@ def test_odd_abelian_square_roots_stay_in_subgroup():
         for H in normal_subgroups(G):  # in an abelian group every subgroup is normal
             mem = set(H.members)
             for g in range(G.order):
-                if G.mul(g, g) in mem:
+                if G.rows[g][g] in mem:
                     assert g in mem
 
 
@@ -805,7 +832,7 @@ def test_lagrange_and_involution_consistency():
         for g in range(G.order):
             assert G.order % G.element_orders[g] == 0
         assert G.involution_set == {g for g in range(G.order)
-                                       if g != G.identity and G.mul(g, g) == G.identity}
+                                       if g != G.identity and G.rows[g][g] == G.identity}
 
 
 def test_conjugacy_classes_partition():
@@ -820,7 +847,7 @@ def test_conjugacy_classes_partition():
 
 def _orbit_of(G, g) -> set[int]:
     """The conjugates inv(x) * g * x of g, one element x at a time."""
-    return {G.mul(G.mul(G.inv(x), g), x) for x in range(G.order)}
+    return {G.rows[G.rows[G.inverses[x]][g]][x] for x in range(G.order)}
 
 
 def test_conjugacy_classes_are_the_conjugation_orbits():
@@ -843,7 +870,22 @@ def test_sweep_rejects_an_empty_or_repeated_family_list():
         sweep_groups(8, [])
     with pytest.raises(BadParameterError, match="'cyclic' is listed twice"):
         sweep_groups(8, ["cyclic", "dihedral", "cyclic"])
+    with pytest.raises(BadParameterError, match="families must be a sequence of names"):
+        sweep_groups(8, "cyclic")  # one name, not read letter by letter
     assert [G.name for G in sweep_groups(8, ["quaternion", "cyclic"])][:2] == ["Q8", "Z1"]
+
+
+# Dedekind-Baer: every subgroup is normal exactly in the abelian groups and
+# in Q8 x E2^k x A with A abelian of odd order.
+DEDEKIND_PRODUCTS = {
+    "Q8 x Z2": True,
+    "Q8 x Z3": True,
+    "Q8 x E2^2": True,
+    "Q8 x Z3 x Z3": True,
+    "Q8 x Z4": False,
+    "D8 x Z2": False,
+    "Dic3 x Z2": False,
+}
 
 
 def test_is_dedekind():
@@ -852,6 +894,26 @@ def test_is_dedekind():
     assert is_dedekind(quaternion())
     assert not is_dedekind(dihedral(3))
     assert not is_dedekind(dicyclic(3))
+    for G in sweep():  # the non-abelian Dedekind groups here are Q8 and Dic2, which is Q8
+        assert is_dedekind(G) == (G.abelian or G.name in ("Q8", "Dic2")), G.name
+    for text, expected in DEDEKIND_PRODUCTS.items():
+        assert is_dedekind(build_group(parse_group_expr(text))) == expected, text
+    assert is_dedekind(relabelled(quaternion(), 3)[0])
+
+
+def test_reading_the_table_keeps_no_list_copy():
+    """Row reads, element orders and one decision at order 512 stay far
+    below the 6 MB that a copy of the table as Python lists costs."""
+    for G, generator in ((cyclic(512), 256), (dihedral(256), 2)):
+        tracemalloc.start()
+        try:
+            assert G.rows[generator][generator] == G.table[generator, generator]
+            assert len(G.element_orders) == 512
+            decide_code(G, subgroup_generated(G, [generator]))
+            _, peak = tracemalloc.get_traced_memory()
+        finally:
+            tracemalloc.stop()
+        assert peak < 2 << 20, (G.name, peak)
 
 
 def test_subgroup_as_group_is_homomorphic():
@@ -863,6 +925,6 @@ def test_subgroup_as_group_is_homomorphic():
     assert mapping == {m: i for i, m in enumerate(members)}
     for i in range(6):
         for j in range(6):
-            assert members[S.mul(i, j)] == G.mul(members[i], members[j])
+            assert members[S.rows[i][j]] == G.rows[members[i]][members[j]]
     # and it validates as a group in its own right
     assert math.gcd(S.order, G.order) == S.order

@@ -1,8 +1,8 @@
-"""Every public name resolves: each module's ``__all__`` and the functions
-the benchmark tracer in ``perfbench/spans.py`` patches by name.  Each name
-is declared in one module only, every name the package exports is also
-used outside the tests, and every decider of a (G, H) pair takes just those
-two parameters."""
+"""Every public name resolves: each module's ``__all__``, the functions
+the benchmark tracer in ``perfbench/spans.py`` patches by name, and every
+group attribute the README names.  Each name is declared in one module
+only, every name the package exports is also used outside the tests, and
+every decider of a (G, H) pair takes just those two parameters."""
 
 import ast
 import importlib
@@ -75,13 +75,17 @@ def _identifiers(code: str) -> set[str]:
     return out
 
 
-def _readme_identifiers() -> set[str]:
-    """Identifiers in the README's Python blocks and inline code spans."""
+def _readme_code() -> list[str]:
+    """The README's Python blocks and inline code spans."""
     text = (ROOT / "README.md").read_text(encoding="utf-8")
     snippets = re.findall(r"```python\n(.*?)```", text, re.S)
-    snippets += re.findall(r"`([^`\n]+)`", re.sub(r"```.*?```", "", text, flags=re.S))
+    return snippets + re.findall(r"`([^`\n]+)`", re.sub(r"```.*?```", "", text, flags=re.S))
+
+
+def _readme_identifiers() -> set[str]:
+    """Identifiers in the README's Python blocks and inline code spans."""
     out = set()
-    for code in snippets:
+    for code in _readme_code():
         try:
             out |= _identifiers(code)
         except SyntaxError:  # a shell command or a group expression
@@ -113,3 +117,12 @@ def test_every_family_and_rule_decider_takes_g_and_h():
     for decider in deciders + [getattr(codes, name) for name in dispatched]:
         params = inspect.signature(decider, eval_str=True).parameters.values()
         assert [(p.kind, p.default, p.annotation) for p in params] == expected, decider
+
+
+def test_readme_group_attributes_exist():
+    """Every ``G.<name>`` the README shows is an attribute of a group."""
+    names = {name for code in _readme_code() for name in re.findall(r"\bG\.([A-Za-z_]\w*)", code)}
+    assert {"table", "rows", "element_orders"} <= names, names
+    G = sumgraph.cyclic(4)
+    missing = sorted(name for name in names if not hasattr(G, name))
+    assert not missing, missing
