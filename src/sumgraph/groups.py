@@ -34,6 +34,7 @@ import numpy as np
 
 from .errors import (
     BadParameterError,
+    InternalInconsistencyError,
     NoIdentityError,
     NoInverseError,
     NotASubgroupError,
@@ -118,6 +119,7 @@ class Group:
         tag: GroupExpr | None,
         identity: int,
         inverses: tuple[int, ...],
+        generators: tuple[int, ...],
     ):
         self.order = int(table.shape[0])
         table = table.astype(np.int32, copy=True)
@@ -127,6 +129,7 @@ class Group:
         self.tag = tag
         self.identity = identity
         self.inverses = inverses
+        self._generators = generators  # the elements Light's test checked: they generate G
 
     # -- scalar access helpers -------------------------------------------
 
@@ -186,7 +189,7 @@ class Group:
 
     @cached_property
     def _normal_subgroups(self) -> tuple["Subgroup", ...]:
-        return tuple(_mark_normal(Subgroup(self, ms)) for ms in _lattice(self))
+        return tuple(map(_mark_normal, _lattice(self)))
 
     @cached_property
     def name(self) -> str:
@@ -235,20 +238,49 @@ class Subgroup:
         self.members = tuple(ms)
         self.member_set = member_set
 
+    @classmethod
+    def _of_closure(cls, parent: Group, closure: "_Closure") -> "Subgroup":
+        """The subgroup a :class:`_Closure` over ``parent``'s table reached,
+        without the |H| x |H| product block of ``__init__``.  Its members
+        are products of the closure's generators T, so closure under
+        products is the fact members * t in members for each t in T, an
+        O(|H| * |T|) check; inverses are powers in a finite group.  The
+        generators are kept for :attr:`is_normal`."""
+        members = closure.members
+        member_set = frozenset(members)
+        for t, column in zip(closure.gens, closure.columns):
+            if not member_set.issuperset(map(column.__getitem__, members)):
+                raise InternalInconsistencyError(f"a closure is not closed under its generator {t}")
+        sub = object.__new__(cls)
+        sub.parent = parent
+        sub.members = tuple(sorted(members))
+        sub.member_set = member_set
+        sub.__dict__["_generators"] = tuple(closure.gens)
+        return sub
+
     @property
     def order(self) -> int:
         return len(self.members)
 
     @cached_property
+    def _generators(self) -> tuple[int, ...]:
+        """A generating set of H, grown greedily from its least members."""
+        closure = _Closure(self.parent.table, self.parent.identity)
+        for m in self.members:
+            closure.add(m)
+        return tuple(closure.gens)
+
+    @cached_property
     def is_normal(self) -> bool:
+        """Whether s^-1 t s lies in H for every generator s of G and t of H:
+        then s^-1 H s = H for each s, so every conjugate of H is H.  That is
+        one |S| x |T| gather, with S the at most log2(n) elements Light's
+        test checked."""
         G = self.parent
-        idx = np.fromiter(self.members, dtype=np.int64)
-        inv_col = np.fromiter(G.inverses, dtype=np.int64)
-        left = G.table[np.ix_(inv_col, idx)]  # left[g, h] = inv(g) * h
-        conj = G.table[left, np.arange(G.order)[:, None]]  # inv(g) * h * g
-        mask = np.zeros(G.order, dtype=bool)
-        mask[idx] = True
-        return bool(mask[conj].all())
+        s = np.array(G._generators, dtype=np.intp)
+        inv_s = [G.inverses[g] for g in G._generators]
+        conj = G.table[G.table[np.ix_(inv_s, self._generators)], s[:, None]]  # conj[i, j] = s_i^-1 t_j s_i
+        return self.member_set.issuperset(conj.ravel().tolist())
 
     def __contains__(self, g: int) -> bool:
         return g in self.member_set
@@ -369,18 +401,25 @@ class _Closure:
         self.members.extend(fresh)
 
 
-def _check_associative(table: np.ndarray, identity: int) -> None:
-    """Light's associativity test, O(n^2 log n) on a group table.
+def _check_associative(table: np.ndarray, identity: int) -> tuple[int, ...]:
+    """Light's associativity test, O(n^2 log n) on a group table; returns
+    the elements it checked, which generate the group.
 
     An element ``a`` passes when ``(x*a)*y == x*(a*y)`` for all x and y.
-    Products of passing elements pass too, so only a generating set needs
-    checking: pick the least element not yet reached, check it with two
-    n x n gathers, then close the reached set under right multiplication by
-    the checked elements.  The identity passes because it is a two-sided
-    identity.  A group needs at most log2(n) checks; a table that is not
-    associative can need more, but never more than n.  The reached set is
-    grown by :class:`_Closure` in plain Python: array BFS rounds cost more
-    than the whole check at the small orders most tables have.  The table
+    Products of passing elements pass too, on any table, so only a
+    generating set needs checking: pick the least element not yet reached,
+    check it with two n x n gathers, then close the reached set under right
+    multiplication by the checked elements.  The identity passes because it
+    is a two-sided identity.  Each passing round at least doubles the
+    reached set, on any table with a two-sided identity and two-sided
+    inverses: the reached set is associative, since its members pass, and
+    x*u = x*v gives u = (x^-1*x)*u = x^-1*(x*u) = v, so it is a finite
+    cancellative monoid, a group, and a subgroup of the next round's
+    (Lagrange).  So at most log2(n) rounds pass, and a table that is not a
+    group fails by round log2(n) + 1, whether or not it is a Latin square.
+    The reached set is grown by :class:`_Closure` in plain Python: array
+    BFS rounds cost more than the whole check at the small orders most
+    tables have.  The table
     comes in the compact dtype :func:`group_from_cayley_table` narrows it
     to, so each n x n gather moves 2 bytes an entry: on D512 the test takes
     1.5 ms in int16 against 9.6 ms in int64, whose 2 MB operands fall out of
@@ -401,6 +440,19 @@ def _check_associative(table: np.ndarray, identity: int) -> None:
                 f"({x}*{a})*{y} != {x}*({a}*{y})"
             )
         closure.add(a)
+    return tuple(closure.gens)
+
+
+def _check_latin(table: np.ndarray) -> None:
+    """Raise :class:`NotLatinSquareError` naming the first row, else the
+    first column, that is not a permutation; two sorts of the table."""
+    expect = np.arange(table.shape[0], dtype=table.dtype)
+    row_ok = (np.sort(table, axis=1) == expect).all(axis=1)
+    if not row_ok.all():
+        raise NotLatinSquareError(f"row {int(np.argmin(row_ok))} is not a permutation")
+    col_ok = (np.sort(table, axis=0) == expect[:, None]).all(axis=0)
+    if not col_ok.all():
+        raise NotLatinSquareError(f"column {int(np.argmin(col_ok))} is not a permutation")
 
 
 def _compact_dtype(n: int) -> type[np.signedinteger]:
@@ -418,9 +470,17 @@ def group_from_cayley_table(
 ) -> Group:
     """Validate a multiplication table and wrap it in a :class:`Group`.
 
-    Checks, in order: shape, order cap and entry range, the Latin-square
-    property, a two-sided identity, two-sided inverses, and associativity
-    (Light's test, O(n^2 log n)).  Each failure names the offending indices.
+    Checks, in order of precedence: shape, order cap and entry range, the
+    Latin-square property (rows, then columns), a two-sided identity,
+    two-sided inverses, and associativity (Light's test, O(n^2 log n)).
+    Each failure names the offending indices.  A two-sided identity,
+    two-sided inverses and associativity make a group, whose rows and
+    columns are permutations, so the identity, inverse and associativity
+    checks run first, and the two sorts of the Latin-square check run only
+    when one of them fails, to name the fault: a table that is not a Latin
+    square still raises :class:`NotLatinSquareError`, never a later error,
+    after at most log2(n) + 1 rounds of Light's test (see
+    :func:`_check_associative`).
     The range check reads the table as given (an integer array as is,
     anything else as int64); every later check reads it narrowed to
     :func:`_compact_dtype`, a cast the range check makes exact.
@@ -440,26 +500,12 @@ def group_from_cayley_table(
     if table.min() < 0 or table.max() >= n:
         raise BadParameterError(f"table entries must lie in 0..{n - 1}")
     arr = table.astype(_compact_dtype(n), copy=False)
-
-    expect = np.arange(n, dtype=arr.dtype)
-    row_ok = (np.sort(arr, axis=1) == expect).all(axis=1)
-    if not row_ok.all():
-        raise NotLatinSquareError(f"row {int(np.argmin(row_ok))} is not a permutation")
-    col_ok = (np.sort(arr, axis=0) == expect[:, None]).all(axis=0)
-    if not col_ok.all():
-        raise NotLatinSquareError(f"column {int(np.argmin(col_ok))} is not a permutation")
-
-    idents = np.nonzero((arr == expect).all(axis=1) & (arr == expect[:, None]).all(axis=0))[0]
-    if len(idents) == 0:
-        raise NoIdentityError("no two-sided identity element")
-    e = int(idents[0])
-
-    inv = np.argmax(arr == e, axis=1)
-    if not (arr[inv, expect] == e).all():
-        g = int(np.argmin(arr[inv, expect] == e))
-        raise NoInverseError(f"element {g} has no two-sided inverse")
-
-    _check_associative(arr, e)
+    try:
+        e, inv = _identity_and_inverses(arr)
+        generators = _check_associative(arr, e)
+    except (NoIdentityError, NoInverseError, NotAssociativeError):
+        _check_latin(arr)
+        raise
 
     if labels is None:
         labels = tuple(map(str, range(n)))
@@ -471,7 +517,22 @@ def group_from_cayley_table(
             raise BadParameterError(f"labels must be a sequence, got {kind}") from None
         if len(labels) != n:
             raise BadParameterError(f"expected {n} labels, got {len(labels)}")
-    return Group(arr, labels, tag, e, tuple(inv.tolist()))
+    return Group(arr, labels, tag, e, inv, generators)
+
+
+def _identity_and_inverses(arr: np.ndarray) -> tuple[int, tuple[int, ...]]:
+    """The two-sided identity e and, for each x, the first y in row
+    x with x*y = e, which must also satisfy y*x = e."""
+    expect = np.arange(arr.shape[0], dtype=arr.dtype)
+    idents = np.nonzero((arr == expect).all(axis=1) & (arr == expect[:, None]).all(axis=0))[0]
+    if len(idents) == 0:
+        raise NoIdentityError("no two-sided identity element")
+    e = int(idents[0])
+    inv = np.argmax(arr == e, axis=1)
+    two_sided = (arr[inv, expect] == e) & (arr[expect, inv] == e)
+    if not two_sided.all():
+        raise NoInverseError(f"element {int(np.argmin(two_sided))} has no two-sided inverse")
+    return e, tuple(inv.tolist())
 
 
 def group_from_json(data: dict) -> Group:
@@ -646,7 +707,7 @@ def subgroup_generated(G: Group, generators: Iterable[int]) -> Subgroup:
     closure = _Closure(G.table, G.identity)
     for g in generators:
         closure.add(_index(g, "generator", 0, G.order - 1))
-    return Subgroup(G, closure.members)
+    return Subgroup._of_closure(G, closure)
 
 
 def _mark_normal(sub: Subgroup) -> Subgroup:
@@ -727,9 +788,9 @@ def _normal_subgroup_bound(G: Group) -> int:
     return bound
 
 
-def _lattice(G: Group) -> list[list[int]]:
-    """Every normal subgroup of G, as sorted member lists ordered by
-    (order, members).
+def _lattice(G: Group) -> list[Subgroup]:
+    """Every normal subgroup of G, ordered by (order, members), each built
+    from its join's closure by :meth:`Subgroup._of_closure`.
 
     The atoms are the subgroups generated by the conjugacy classes; a class
     is closed under conjugation, so the atom of g is the normal closure of
@@ -801,7 +862,8 @@ def _lattice(G: Group) -> list[list[int]]:
                     )
                 found[key] = join
                 queue.append(join)
-    return sorted((sorted(c.members) for c in found.values()), key=lambda m: (len(m), m))
+    subgroups = (Subgroup._of_closure(G, c) for c in found.values())
+    return sorted(subgroups, key=lambda H: (H.order, H.members))
 
 
 def normal_subgroups(G: Group) -> list[Subgroup]:

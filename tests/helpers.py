@@ -17,8 +17,13 @@ from functools import cache
 import numpy as np
 
 from sumgraph import (
+    BadParameterError,
     CrossCheckReport,
     Group,
+    NoIdentityError,
+    NoInverseError,
+    NotAssociativeError,
+    NotLatinSquareError,
     Subgroup,
     cross_check,
     group_from_cayley_table,
@@ -101,6 +106,46 @@ def relabelled(G: Group, seed: int) -> tuple[Group, np.ndarray]:
     table = np.empty_like(G.table)
     table[np.ix_(perm, perm)] = perm[G.table]
     return group_from_cayley_table(table), perm
+
+
+def validate_by_definition(table: list[list[int]]) -> None:
+    """Raise what :func:`sumgraph.group_from_cayley_table` must raise for a
+    square table of at most 32 rows, checking each property by definition
+    in the documented order: entry range, rows then columns that are not
+    permutations, a two-sided identity, a two-sided inverse of each element,
+    and associativity over all n^3 triples, the first failing (x, y, z)
+    named.  Returns None when the table is a group."""
+    n = len(table)
+    assert n <= 32, "the n^3 associativity scan is for small tables only"
+    if any(not 0 <= v < n for row in table for v in row):
+        raise BadParameterError(f"table entries must lie in 0..{n - 1}")
+    for r, row in enumerate(table):
+        if sorted(row) != list(range(n)):
+            raise NotLatinSquareError(f"row {r} is not a permutation")
+    for c in range(n):
+        if sorted(row[c] for row in table) != list(range(n)):
+            raise NotLatinSquareError(f"column {c} is not a permutation")
+    idents = [e for e in range(n) if all(table[e][x] == x == table[x][e] for x in range(n))]
+    if not idents:
+        raise NoIdentityError("no two-sided identity element")
+    e = idents[0]
+    for x in range(n):
+        if not any(table[x][y] == e == table[y][x] for y in range(n)):
+            raise NoInverseError(f"element {x} has no two-sided inverse")
+    for x in range(n):
+        for y in range(n):
+            for z in range(n):
+                if table[table[x][y]][z] != table[x][table[y][z]]:
+                    raise NotAssociativeError(
+                        f"associativity fails at ({x}, {y}, {z}): ({x}*{y})*{z} != {x}*({y}*{z})"
+                    )
+
+
+def is_normal_by_definition(G: Group, H) -> bool:
+    """Whether g^-1 * h * g lies in H for every g in G and h in H: the
+    whole n x |H| conjugation, read product by product off the table."""
+    members = set(H)
+    return all(G.rows[G.rows[G.inverses[g]][h]][g] in members for g in range(G.order) for h in members)
 
 
 def cosets_by_definition(G: Group, H: Subgroup) -> list[tuple[int, ...]]:

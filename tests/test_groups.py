@@ -1,5 +1,6 @@
 """Group construction, validation, subgroup and coset machinery."""
 
+import itertools
 import json
 import math
 import os
@@ -10,11 +11,12 @@ import tracemalloc
 
 import numpy as np
 import pytest
-from hypothesis import given, settings
+from hypothesis import event, given, settings
 from hypothesis import strategies as st
 
 from sumgraph import (
     BadParameterError,
+    InternalInconsistencyError,
     NoIdentityError,
     NoInverseError,
     NotASubgroupError,
@@ -23,6 +25,7 @@ from sumgraph import (
     NotLatinSquareError,
     NotNormalError,
     Subgroup,
+    SumGraphError,
     abelian,
     abelian_isomorphism_types,
     build_group,
@@ -48,7 +51,14 @@ from sumgraph import (
 
 from sumgraph import groups as groups_module
 
-from helpers import cosets_by_definition, relabelled, sweep, units_by_definition
+from helpers import (
+    cosets_by_definition,
+    is_normal_by_definition,
+    relabelled,
+    sweep,
+    units_by_definition,
+    validate_by_definition,
+)
 
 
 def _full_scan_violation(table):
@@ -507,6 +517,107 @@ def test_narrowed_validation_keeps_every_failure_at_order_256():
             assert type(exc.value) is error and str(exc.value) == message
 
 
+def _mutated(data, G):
+    """G's table after one to three seeded edits: a point edit (possibly
+    out of range), an intercalate swap away from the identity's row and
+    column, a swap of two rows, or a relabelling of every element."""
+    n, e = G.order, G.identity
+    t = G.table.tolist()
+    index = st.integers(0, n - 1)
+    for _ in range(data.draw(st.integers(1, 3), label="edits")):
+        kind = data.draw(st.sampled_from(("intercalate", "point", "rows", "relabel")), label="kind")
+        if kind == "intercalate":
+            rest = [x for x in range(n) if x != e]
+            swaps = [(r1, r2, c1, c2) for r1, r2 in itertools.combinations(rest, 2)
+                     for c1, c2 in itertools.combinations(rest, 2)
+                     if t[r1][c1] == t[r2][c2] and t[r1][c2] == t[r2][c1]]
+            if swaps:
+                _swap_intercalate(t, *data.draw(st.sampled_from(swaps), label="swap"))
+        elif kind == "point":
+            r, c = data.draw(index, label="row"), data.draw(index, label="column")
+            t[r][c] = data.draw(st.integers(-1, n), label="value")
+        elif kind == "rows":
+            r1, r2 = data.draw(index, label="r1"), data.draw(index, label="r2")
+            t[r1], t[r2] = t[r2], t[r1]
+        else:
+            perm = data.draw(st.permutations(range(n)), label="perm")
+            out = [[0] * n for _ in range(n)]
+            for x in range(n):
+                for y in range(n):
+                    v = t[x][y]
+                    out[perm[x]][perm[y]] = perm[v] if 0 <= v < n else v
+            t, e = out, perm[e]
+    return t
+
+
+@settings(max_examples=150, deadline=None)
+@given(st.data())
+def test_validation_failures_match_the_definition(data):
+    """Whatever order the checks run in, a mutated table raises the error
+    of the first property it breaks in the documented order, with the
+    documented message; a broken associativity names a failing triple."""
+    groups = [G for G in sweep() if G.order <= 32]
+    G = groups[data.draw(st.integers(0, len(groups) - 1), label="group")]
+    table = _mutated(data, G)
+    try:
+        validate_by_definition(table)
+    except SumGraphError as exc:
+        want = exc
+    else:
+        event("accepted")
+        assert group_from_cayley_table(table).order == G.order
+        return
+    event(type(want).__name__)
+    with pytest.raises(SumGraphError) as got:
+        group_from_cayley_table(table)
+    assert type(got.value) is type(want)
+    if isinstance(want, NotAssociativeError):
+        x, a, y = (int(v) for v in re.search(r"\((\d+), (\d+), (\d+)\)", str(got.value)).groups())
+        assert table[table[x][a]][y] != table[x][table[a][y]]
+    else:
+        assert str(got.value) == str(want)
+
+
+def test_non_latin_table_fails_within_log_n_light_rounds(monkeypatch):
+    """A table of order 512 with a two-sided identity and inverses whose
+    rows repeat an entry is named as not a Latin square after at most
+    log2(512) + 1 = 10 rounds of Light's test, also when eight rounds pass
+    before one fails."""
+    passed = []
+    add = groups_module._Closure.add
+
+    def counting_add(self, g, column=None):
+        passed.append(g)
+        add(self, g, column)
+
+    i = np.arange(512)
+    z512 = np.add.outer(i, i) % 512
+    z512[5, 7] = z512[5, 8]
+    # the product of E2^7 with a four-element table whose element 1 passes
+    # Light's test but whose rows 2 and 3 repeat 0: element (m, z) is m*128 + z
+    loop = np.array([[0, 1, 2, 3], [1, 0, 3, 2], [2, 3, 0, 0], [3, 2, 0, 0]])
+    xor = np.bitwise_xor.outer(i[:128], i[:128])
+    product = (loop[:, None, :, None] * 128 + xor[None, :, None, :]).reshape(512, 512)
+    monkeypatch.setattr(groups_module._Closure, "add", counting_add)
+    for table, message, rounds_passed in ((z512, "row 5 is not a permutation", 0),
+                                          (product, "row 256 is not a permutation", 8)):
+        passed.clear()
+        with pytest.raises(NotLatinSquareError) as exc:
+            group_from_cayley_table(table)
+        assert str(exc.value) == message
+        assert len(passed) == rounds_passed and len(passed) + 1 <= 10
+
+
+def test_validation_sorts_only_to_name_a_fault(monkeypatch):
+    def refuse(table):
+        raise AssertionError("the Latin-square sorts ran on a group table")
+
+    monkeypatch.setattr(groups_module, "_check_latin", refuse)
+    for text in ("D512", "Dic128", "E2^9", "Z512", "Q8 x Z4", "Z1"):
+        build_group(parse_group_expr(text))
+    relabelled(dihedral(12), 3)
+
+
 def test_constructor_parameter_validation():
     with pytest.raises(BadParameterError):
         cyclic(0)
@@ -631,6 +742,34 @@ def test_subgroup_generated_matches_reference_closure():
             assert subgroup_generated(G, gens).members == want, (G, gens)
 
 
+@settings(max_examples=60, deadline=None)
+@given(st.data())
+def test_subgroups_match_references_on_plain_and_relabelled_tables(data):
+    """A generated subgroup has the reference closure's members, and its
+    normality, like that of the same members given by hand, is the
+    conjugation of every member by every element."""
+    groups = sweep()
+    G = groups[data.draw(st.integers(0, len(groups) - 1), label="group")]
+    if data.draw(st.booleans(), label="relabel"):
+        G = relabelled(G, data.draw(st.integers(0, 2**16), label="seed"))[0]
+    gens = data.draw(st.lists(st.integers(0, G.order - 1), max_size=3), label="gens")
+    H = subgroup_generated(G, gens)
+    assert set(H.members) == _closure_reference(G.table, gens + [G.identity])
+    normal = is_normal_by_definition(G, H)
+    assert H.is_normal == normal
+    assert Subgroup(G, H.members).is_normal == normal
+
+
+def test_closure_subgroup_checks_its_generators():
+    G = dihedral(4)
+    closure = groups_module._Closure(G.table, G.identity)
+    closure.add(1)
+    assert Subgroup._of_closure(G, closure).members == (0, 1, 2, 3)
+    closure.members.pop()  # a member set no longer closed under a^1
+    with pytest.raises(InternalInconsistencyError, match="not closed under its generator 1"):
+        Subgroup._of_closure(G, closure)
+
+
 def test_trivial_and_whole_subgroups():
     G = dihedral(3)
     assert tuple(Subgroup(G, [G.identity])) == (0,)
@@ -655,7 +794,7 @@ def test_normal_subgroups_match_filtered_enumeration():
     for G in (cyclic(24), dihedral(4), dihedral(6), dicyclic(3), quaternion(),
               direct_product(cyclic(2), cyclic(4)), elementary_abelian_2(3)):
         assert G.order <= 24
-        expected = [ms for ms in _all_subgroups_reference(G) if Subgroup(G, ms).is_normal]
+        expected = [ms for ms in _all_subgroups_reference(G) if is_normal_by_definition(G, ms)]
         got = [H.members for H in normal_subgroups(G)]
         assert got == sorted(expected, key=lambda m: (len(m), m))
 
