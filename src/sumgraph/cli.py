@@ -50,7 +50,6 @@ from .groups import (
     SWEEP_FAMILIES,
     Group,
     Subgroup,
-    _Closure,
     _index,
     normal_subgroups,
     subgroup_generated,
@@ -111,15 +110,6 @@ def resolve_subgroup(G: Group, selector: str) -> Subgroup:
     )
 
 
-def _minimal_generators(G: Group, H: Subgroup) -> list[int]:
-    """A short generating set for H, grown greedily from its least members:
-    a member becomes a generator when the ones before it do not reach it."""
-    closure = _Closure(G.table, G.identity)
-    for v in H.members:
-        closure.add(v)
-    return closure.gens
-
-
 def _group_for(text: str) -> Group:
     """Build the group named by the expression ``text``."""
     return build_group(parse_group_expr(text))
@@ -141,7 +131,7 @@ def _open_out(path: str | None) -> tuple[TextIO, bool]:
 def _cmd_normals(args: argparse.Namespace) -> int:
     G = _group_for(args.expr)
     for k, H in enumerate(normal_subgroups(G)):
-        generators = _minimal_generators(G, H)
+        generators = Subgroup(G, H.members)._generators  # grown greedily from the least members
         record = {
             "index": k,
             "order": len(H),

@@ -301,7 +301,8 @@ _PALETTE = (
 
 
 def to_dot(graph: SumGraph, color_components: bool = False) -> str:
-    """Render as Graphviz DOT; optionally colour vertices by component."""
+    """Render as Graphviz DOT; optionally colour vertices by component.
+    Labels are quoted DOT strings, with ``\\`` and ``"`` escaped."""
     colour = {}
     if color_components:
         for i, comp in enumerate(components(graph)):
@@ -310,7 +311,8 @@ def to_dot(graph: SumGraph, color_components: bool = False) -> str:
     lines = ["graph sumgraph {"]
     lines.append('  node [shape=circle fontsize=10];')
     for v in range(graph.n):
-        attrs = [f'label="{graph.group.labels[v]}"']
+        label = graph.group.labels[v].replace("\\", "\\\\").replace('"', '\\"')
+        attrs = [f'label="{label}"']
         if v in colour:
             attrs.append(f'style=filled fillcolor="{colour[v]}"')
         lines.append(f"  n{v} [{' '.join(attrs)}];")

@@ -141,10 +141,7 @@ class Group:
 
     @cached_property
     def label_index(self) -> dict[str, int]:
-        out: dict[str, int] = {}
-        for i, lbl in enumerate(self.labels):
-            out.setdefault(lbl, i)
-        return out
+        return {lbl: i for i, lbl in enumerate(self.labels)}
 
     # -- cached whole-group statistics -----------------------------------
 
@@ -209,66 +206,61 @@ class Group:
 
 
 class Subgroup:
-    """A validated subgroup of a :class:`Group`, stored as sorted indices."""
+    """A validated subgroup of a :class:`Group`, stored as sorted indices,
+    with the generators ``_generators`` that proved it a subgroup."""
 
     def __init__(self, parent: Group, members: Iterable[int]):
+        """Check the input, then prove it a subgroup by generators: the
+        members, added in ascending order to a :class:`_Closure`, lie in
+        the subgroup its generators T generate, which :meth:`_take` checks
+        they are."""
         ms = sorted({_index(m, "member") for m in members})
         if not ms:
             raise NotASubgroupError("a subgroup cannot be empty")
         if ms[0] < 0 or ms[-1] >= parent.order:
             bad = ms[0] if ms[0] < 0 else ms[-1]
             raise NotASubgroupError(f"member {_shown(bad)} out of range 0..{parent.order - 1}")
-        member_set = frozenset(ms)
-        if parent.identity not in member_set:
+        if parent.identity not in ms:
             raise NotASubgroupError("member set does not contain the identity")
-        idx = np.fromiter(ms, dtype=np.int64)
-        products = parent.table[np.ix_(idx, idx)]
-        mask = np.zeros(parent.order, dtype=bool)
-        mask[idx] = True
-        if not mask[products].all():
-            bad = np.argwhere(~mask[products])[0]
-            a, b = ms[int(bad[0])], ms[int(bad[1])]
-            raise NotASubgroupError(
-                f"not closed under products: {a} * {b} = {parent.rows[a][b]} is outside"
-            )
+        closure = _Closure(parent.table, parent.identity)
         for m in ms:
-            if parent.inverses[m] not in member_set:
-                raise NotASubgroupError(f"not closed under inverses: inv({m}) is outside")
-        self.parent = parent
-        self.members = tuple(ms)
-        self.member_set = member_set
+            closure.add(m)
+        outside = self._take(parent, ms, closure)
+        if outside is not None:
+            a, t, p = outside
+            raise NotASubgroupError(f"not closed under products: {a} * {t} = {p} is outside")
 
     @classmethod
     def _of_closure(cls, parent: Group, closure: "_Closure") -> "Subgroup":
         """The subgroup a :class:`_Closure` over ``parent``'s table reached,
-        without the |H| x |H| product block of ``__init__``.  Its members
-        are products of the closure's generators T, so closure under
-        products is the fact members * t in members for each t in T, an
-        O(|H| * |T|) check; inverses are powers in a finite group.  The
-        generators are kept for :attr:`is_normal`."""
-        members = closure.members
-        member_set = frozenset(members)
+        checked by its generators as in ``__init__``; a failure is a fault
+        of the closure, not of the caller's input."""
+        sub = object.__new__(cls)
+        outside = sub._take(parent, sorted(closure.members), closure)
+        if outside is not None:
+            raise InternalInconsistencyError(f"a closure is not closed under its generator {outside[1]}")
+        return sub
+
+    def _take(self, parent: Group, members: list[int], closure: "_Closure") -> tuple[int, int, int] | None:
+        """Set the fields to the sorted ``members`` and the closure's
+        generators T, and return some (a, t, a*t) with a*t outside the
+        members, or None when members * t stays inside for every t in T:
+        then the members, which hold the identity, are closed under right
+        multiplication by T and so are the subgroup T generates (inverses
+        are powers in a finite group).  O(|H| * |T|) reads."""
+        self.parent = parent
+        self.members = tuple(members)
+        self.member_set = member_set = frozenset(members)
+        self._generators = tuple(closure.gens)
         for t, column in zip(closure.gens, closure.columns):
             if not member_set.issuperset(map(column.__getitem__, members)):
-                raise InternalInconsistencyError(f"a closure is not closed under its generator {t}")
-        sub = object.__new__(cls)
-        sub.parent = parent
-        sub.members = tuple(sorted(members))
-        sub.member_set = member_set
-        sub.__dict__["_generators"] = tuple(closure.gens)
-        return sub
+                a = next(a for a in members if column[a] not in member_set)
+                return a, t, column[a]
+        return None
 
     @property
     def order(self) -> int:
         return len(self.members)
-
-    @cached_property
-    def _generators(self) -> tuple[int, ...]:
-        """A generating set of H, grown greedily from its least members."""
-        closure = _Closure(self.parent.table, self.parent.identity)
-        for m in self.members:
-            closure.add(m)
-        return tuple(closure.gens)
 
     @cached_property
     def is_normal(self) -> bool:
@@ -484,7 +476,8 @@ def group_from_cayley_table(
     The range check reads the table as given (an integer array as is,
     anything else as int64); every later check reads it narrowed to
     :func:`_compact_dtype`, a cast the range check makes exact.
-    ``Group.table`` is int32 whatever the input dtype.
+    ``Group.table`` is int32 whatever the input dtype.  The labels, when
+    given, must be n distinct strings; a repeated one is named.
     """
     if not (isinstance(table, np.ndarray) and table.dtype.kind in "iu"):
         try:
@@ -517,6 +510,11 @@ def group_from_cayley_table(
             raise BadParameterError(f"labels must be a sequence, got {kind}") from None
         if len(labels) != n:
             raise BadParameterError(f"expected {n} labels, got {len(labels)}")
+        seen: set[str] = set()
+        for lbl in labels:
+            if lbl in seen:  # a label names one element, or gen:<label> could not reach the other
+                raise BadParameterError(f"label {_quoted(lbl)} is repeated")
+            seen.add(lbl)
     return Group(arr, labels, tag, e, inv, generators)
 
 
@@ -750,18 +748,15 @@ def _normal_subgroup_bound(G: Group) -> int:
     of cosets xG' with x^(p^k) in G', is p^(lambda'_1 + ... + lambda'_k).
     For an abelian G, G' is trivial and the bound is exact.  G' is the
     closure of the commutators [x, s] = x^-1 s^-1 x s of every x with the
-    generators s of G: that closure is normal, as [x, s]^y = [xy, s]
-    [y, s]^-1, and every s is central modulo it.
+    generators s of G Light's test checked: that closure is normal, as
+    [x, s]^y = [xy, s] [y, s]^-1, and every s is central modulo it.
     """
     n, table = G.order, G.table
     derived = _Closure(table, G.identity)
     if not G.abelian:
-        generators = _Closure(table, G.identity)
-        for g in range(n):
-            generators.add(g)
         inv = np.fromiter(G.inverses, dtype=np.int64)
         commutators = np.zeros(n, dtype=bool)
-        for s in generators.gens:
+        for s in G._generators:
             commutators[table[table[inv, inv[s]], table[:, s]]] = True
         for c in np.flatnonzero(commutators).tolist():
             derived.add(c)
@@ -948,12 +943,10 @@ def subgroup_as_group(G: Group, H: Subgroup) -> tuple[Group, dict[int, int]]:
     Returns the new group and the mapping from parent indices to new ones.
     """
     require_subgroup(G, H)
-    mapping = {old: new for new, old in enumerate(H.members)}
-    idx = np.fromiter(H.members, dtype=np.int64)
-    sub_table = G.table[np.ix_(idx, idx)]
-    relabeled = np.vectorize(mapping.__getitem__)(sub_table) if len(idx) else sub_table
+    idx = np.array(H.members)
+    relabeled = np.searchsorted(idx, G.table[np.ix_(idx, idx)])  # members are sorted, the block closed
     labels = [G.labels[m] for m in H.members]
-    return group_from_cayley_table(relabeled, labels), mapping
+    return group_from_cayley_table(relabeled, labels), {old: new for new, old in enumerate(H.members)}
 
 
 def _prime_factors(n: int) -> list[int]:

@@ -148,6 +148,29 @@ def is_normal_by_definition(G: Group, H) -> bool:
     return all(G.rows[G.rows[G.inverses[g]][h]][g] in members for g in range(G.order) for h in members)
 
 
+def greedy_generators(G: Group, members) -> list[int]:
+    """Generators of the subgroup with these members, chosen greedily: each
+    member, in ascending order, that the ones chosen before it do not
+    generate.  The generated set is regrown after each choice by closing
+    it under right multiplication by the chosen elements, read off the
+    table, so the package's closure is not used."""
+    chosen: list[int] = []
+    have = {G.identity}
+    for v in sorted(members):
+        if v in have:
+            continue
+        chosen.append(v)
+        frontier = list(have)
+        while frontier:
+            x = frontier.pop()
+            for g in chosen:
+                y = G.rows[x][g]
+                if y not in have:
+                    have.add(y)
+                    frontier.append(y)
+    return chosen
+
+
 def cosets_by_definition(G: Group, H: Subgroup) -> list[tuple[int, ...]]:
     """The right cosets Hx = {h*x : h in H}, each sorted, read product by
     product off the table: the identity's coset first, then the rest in the

@@ -1,6 +1,7 @@
 """Graph construction, components, structure verification, exports."""
 
 import json
+import re
 
 import pytest
 
@@ -16,6 +17,7 @@ from sumgraph import (
     cyclic,
     dihedral,
     graph_to_json,
+    group_from_cayley_table,
     normal_subgroups,
     quaternion,
     to_dot,
@@ -262,3 +264,14 @@ def test_dot_export_lists_all_edges_once():
     assert len(edge_lines) == sum(r.bit_count() for r in graph.rows) // 2
     colored = to_dot(graph, color_components=True)
     assert "fillcolor" in colored
+
+
+def test_dot_labels_are_escaped():
+    """A label with quotes or backslashes stays one DOT string that reads
+    back as the label."""
+    labels = ['say "hi"', "a\\b", 'end\\"']
+    G = group_from_cayley_table(cyclic(3).table, labels)
+    dot = to_dot(build_graph(G, Subgroup(G, range(3))))
+    quoted = re.findall(r'label="((?:[^"\\]|\\.)*)"\]', dot)
+    assert [re.sub(r"\\(.)", r"\1", q) for q in quoted] == labels
+    assert 'label="say \\"hi\\""' in dot

@@ -53,6 +53,7 @@ from sumgraph import groups as groups_module
 
 from helpers import (
     cosets_by_definition,
+    greedy_generators,
     is_normal_by_definition,
     relabelled,
     sweep,
@@ -459,15 +460,28 @@ def test_order_cap_is_checked_before_allocation(monkeypatch):
         {"table": [[0, 1, 2, 3], [1, 2, 3, 0], [2, 3, 0, 1], [3, 0, 1, 2]], "tag": "E2^2"},
         {"table": [[0, 1], [1]]},
         {"table": [[0]], "labels": 7},
+        {"table": [[0, 1, 2, 3], [1, 2, 3, 0], [2, 3, 0, 1], [3, 0, 1, 2]], "labels": ["e", "a", "a", "c"]},
         [[0]],
         None,
     ],
-    ids=["empty", "tag-without-kind", "tag-not-object", "tag-parts-not-list",
-         "tag-does-not-parse", "tag-names-another-group", "ragged-table", "labels-not-list", "list", "none"],
+    ids=["empty", "tag-without-kind", "tag-not-object", "tag-parts-not-list", "tag-does-not-parse",
+         "tag-names-another-group", "ragged-table", "labels-not-list", "repeated-label", "list", "none"],
 )
 def test_group_from_json_rejects_malformed_input(data):
     with pytest.raises(BadParameterError):
         group_from_json(data)
+
+
+def test_repeated_labels_are_rejected():
+    """A label names one element: with two elements labelled 'a', the
+    second could never be reached by its label."""
+    table = cyclic(4).table
+    with pytest.raises(BadParameterError, match="label 'a' is repeated"):
+        group_from_cayley_table(table, ("e", "a", "a", "c"))
+    with pytest.raises(BadParameterError, match="label <50-character text> is repeated"):
+        group_from_cayley_table(table, ("e", "x" * 50, "c", "x" * 50))
+    G = group_from_cayley_table(table, ("e", "a", "b", "c"))
+    assert G.label_index == {"e": 0, "a": 1, "b": 2, "c": 3}
 
 
 def test_rejects_out_of_range_entries():
@@ -698,6 +712,8 @@ def test_subgroup_validation():
     assert len(H) == 3 and H.is_normal
     with pytest.raises(NotASubgroupError):
         Subgroup(G, [0, 4, 7])  # not closed
+    with pytest.raises(NotASubgroupError, match=r"not closed under products: 1 \* 1 = 2 is outside"):
+        Subgroup(cyclic(3), [0, 1])  # closed under no inverse: the inverse 2 of 1 is 1 * 1
     with pytest.raises(NotASubgroupError):
         Subgroup(G, [4, 8])  # no identity
     with pytest.raises(NotASubgroupError):
@@ -758,6 +774,42 @@ def test_subgroups_match_references_on_plain_and_relabelled_tables(data):
     normal = is_normal_by_definition(G, H)
     assert H.is_normal == normal
     assert Subgroup(G, H.members).is_normal == normal
+
+
+@settings(max_examples=150, deadline=None)
+@given(st.data())
+def test_subgroup_is_proved_by_its_generators(data):
+    """``Subgroup(G, M)`` accepts exactly the member sets that hold every
+    product and an inverse of each member, read off the table; it keeps the
+    greedy generators and the normality of the definition, and a refusal
+    names members a and t whose product a * t lies outside."""
+    groups = sweep(32)
+    G = groups[data.draw(st.integers(0, len(groups) - 1), label="group")]
+    if data.draw(st.booleans(), label="relabel"):
+        G = relabelled(G, data.draw(st.integers(0, 2**16), label="seed"))[0]
+    n, e = G.order, G.identity
+    kind = data.draw(st.sampled_from(["random", "subgroup", "perturbed"]), label="kind")
+    if kind == "random":
+        members = data.draw(st.sets(st.integers(0, n - 1), max_size=n), label="members") | {e}
+    else:
+        gens = data.draw(st.lists(st.integers(0, n - 1), max_size=3), label="gens")
+        members = set(subgroup_generated(G, gens).members)
+        if kind == "perturbed":
+            members ^= {data.draw(st.integers(0, n - 1), label="toggled")} - {e}
+    closed = all(G.rows[a][b] in members for a in members for b in members)
+    inverted = all(any(G.rows[a][b] == e for b in members) for a in members)
+    event(f"{kind}: {'subgroup' if closed and inverted else 'refused'}")
+    if closed and inverted:
+        H = Subgroup(G, members)
+        assert H.members == tuple(sorted(members))
+        assert list(H._generators) == greedy_generators(G, members)
+        assert H.is_normal == is_normal_by_definition(G, members)
+    else:
+        with pytest.raises(NotASubgroupError) as info:
+            Subgroup(G, members)
+        named = re.fullmatch(r"not closed under products: (\d+) \* (\d+) = (\d+) is outside", str(info.value))
+        a, t, p = map(int, named.groups())
+        assert a in members and t in members and G.rows[a][t] == p and p not in members
 
 
 def test_closure_subgroup_checks_its_generators():
@@ -1067,3 +1119,15 @@ def test_subgroup_as_group_is_homomorphic():
             assert members[S.rows[i][j]] == G.rows[members[i]][members[j]]
     # and it validates as a group in its own right
     assert math.gcd(S.order, G.order) == S.order
+    # a non-abelian subgroup of a relabelled table, whose members are not
+    # the ascending images of the original ones
+    D, perm = relabelled(dihedral(12), 5)
+    H = subgroup_generated(D, [int(perm[2]), int(perm[12])])  # <a^2, b>, dihedral of order 12
+    S, mapping = subgroup_as_group(D, H)
+    members = H.members
+    assert S.order == 12 and not S.abelian
+    assert mapping == {m: i for i, m in enumerate(members)}
+    assert S.labels == tuple(D.labels[m] for m in members)
+    for i in range(12):
+        for j in range(12):
+            assert members[S.rows[i][j]] == D.rows[members[i]][members[j]]
