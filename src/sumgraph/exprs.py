@@ -231,24 +231,17 @@ def format_group_expr(expr: GroupExpr) -> str:
 
 
 def build_group(expr: GroupExpr) -> Group:
-    """Evaluate an expression to a concrete group; its ``tag`` is ``expr``."""
-    # groups imports the expression types to tag what it builds, so the
-    # constructors can only be reached once both modules are loaded.
-    from .groups import _check_order, cyclic, dicyclic, dihedral, direct_product, elementary_abelian_2, quaternion
+    """Evaluate an expression to a concrete group; its ``tag`` is ``expr``.
 
-    if isinstance(expr, CyclicExpr):
-        return cyclic(expr.n)
-    if isinstance(expr, DihedralExpr):
-        return dihedral(expr.order // 2)
-    if isinstance(expr, DicyclicExpr):
-        return dicyclic(expr.n)
-    if isinstance(expr, QuaternionExpr):
-        return quaternion()
-    if isinstance(expr, ElementaryAbelianExpr):
-        return elementary_abelian_2(expr.t)
-    factors, order = [], 1
-    for part in expr.parts:
-        factors.append(build_group(part))
-        order *= factors[-1].order
-        _check_order(order)  # before the next factor is built
-    return direct_product(*factors)
+    The whole table is composed from the tables of the expression's parts,
+    and only that table is validated.  A product is a group exactly when
+    every factor is one, since its identity, inverses and associativity
+    restrict to each coordinate, so that one validation proves the parts
+    too.
+    """
+    # groups imports the expression types to tag what it builds, so its
+    # table builders can only be reached once both modules are loaded.
+    from .groups import _expr_table, group_from_cayley_table
+
+    table, labels = _expr_table(expr)
+    return group_from_cayley_table(table, labels, expr)

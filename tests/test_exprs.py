@@ -6,6 +6,7 @@ import random
 import pytest
 
 from sumgraph import (
+    BadParameterError,
     CyclicExpr,
     DicyclicExpr,
     DihedralExpr,
@@ -186,6 +187,14 @@ def test_build_group_tags_the_expression_random():
         if _order(expr) <= max_supported_order():
             _assert_tagged(expr)
             built += 1
+
+
+def test_build_group_refuses_expressions_the_parser_never_makes():
+    """A tag is trusted by the family deciders, so an expression whose text
+    would name another group is refused, not built under that tag."""
+    for expr in (DihedralExpr(7), ProductExpr((CyclicExpr(3),)), ProductExpr(())):
+        with pytest.raises(BadParameterError):
+            build_group(expr)
 
 
 def test_build_group_shapes():

@@ -414,10 +414,20 @@ def test_light_test_agrees_with_full_scan_on_intercalate_swaps():
     assert swaps > 100
 
 
+def _quaternion_by_relabelling(_):
+    """Q8 read off the validated ``dicyclic(2)`` by label: 1 = e, i = a,
+    j = b, -1 = a^2 and k = ij = ab."""
+    D = dicyclic(2)
+    dic = [D.label_index[x] for x in ("e", "a^2", "a", "a^3", "b", "a^2b", "ab", "a^3b")]
+    table = np.array([[dic.index(D.rows[x][y]) for y in dic] for x in dic])
+    return table, ("1", "-1", "i", "-i", "j", "-j", "k", "-k")
+
+
 def test_vectorised_constructors_match_loops():
     cases = [(dihedral, _dihedral_loop, n) for n in range(3, 65)] + [
         (dicyclic, _dicyclic_loop, n) for n in range(2, 33)
     ]
+    cases.append((lambda _: quaternion(), _quaternion_by_relabelling, None))
     cases += [(dihedral, _dihedral_loop, 128), (dihedral, _dihedral_loop, 256),
               (dicyclic, _dicyclic_loop, 64), (dicyclic, _dicyclic_loop, 128)]
     for build, reference, n in cases:
@@ -460,12 +470,14 @@ def test_order_cap_is_checked_before_allocation(monkeypatch):
         {"table": [[0, 1, 2, 3], [1, 2, 3, 0], [2, 3, 0, 1], [3, 0, 1, 2]], "tag": "E2^2"},
         {"table": [[0, 1], [1]]},
         {"table": [[0]], "labels": 7},
+        {"table": [[0, 1], [1, 0]], "labels": "ab"},
         {"table": [[0, 1, 2, 3], [1, 2, 3, 0], [2, 3, 0, 1], [3, 0, 1, 2]], "labels": ["e", "a", "a", "c"]},
         [[0]],
         None,
     ],
     ids=["empty", "tag-without-kind", "tag-not-object", "tag-parts-not-list", "tag-does-not-parse",
-         "tag-names-another-group", "ragged-table", "labels-not-list", "repeated-label", "list", "none"],
+         "tag-names-another-group", "ragged-table", "labels-not-list", "labels-string", "repeated-label",
+         "list", "none"],
 )
 def test_group_from_json_rejects_malformed_input(data):
     with pytest.raises(BadParameterError):
@@ -474,7 +486,11 @@ def test_group_from_json_rejects_malformed_input(data):
 
 def test_repeated_labels_are_rejected():
     """A label names one element: with two elements labelled 'a', the
-    second could never be reached by its label."""
+    second could never be reached by its label.  A string is not split
+    into one label per character."""
+    for labels in ("xy", b"xy"):
+        with pytest.raises(BadParameterError, match="labels must be a sequence of strings"):
+            group_from_cayley_table([[0, 1], [1, 0]], labels)
     table = cyclic(4).table
     with pytest.raises(BadParameterError, match="label 'a' is repeated"):
         group_from_cayley_table(table, ("e", "a", "a", "c"))
@@ -596,7 +612,9 @@ def test_non_latin_table_fails_within_log_n_light_rounds(monkeypatch):
     """A table of order 512 with a two-sided identity and inverses whose
     rows repeat an entry is named as not a Latin square after at most
     log2(512) + 1 = 10 rounds of Light's test, also when eight rounds pass
-    before one fails."""
+    before one fails.  One whose column 0 is all zeros, so that every row
+    is a candidate identity, is named before any round, in well under a
+    second."""
     passed = []
     add = groups_module._Closure.add
 
@@ -612,14 +630,89 @@ def test_non_latin_table_fails_within_log_n_light_rounds(monkeypatch):
     loop = np.array([[0, 1, 2, 3], [1, 0, 3, 2], [2, 3, 0, 0], [3, 2, 0, 0]])
     xor = np.bitwise_xor.outer(i[:128], i[:128])
     product = (loop[:, None, :, None] * 128 + xor[None, :, None, :]).reshape(512, 512)
+    zero_column = np.add.outer(i, i) % 512
+    zero_column[:, 0] = 0
     monkeypatch.setattr(groups_module._Closure, "add", counting_add)
     for table, message, rounds_passed in ((z512, "row 5 is not a permutation", 0),
-                                          (product, "row 256 is not a permutation", 8)):
+                                          (product, "row 256 is not a permutation", 8),
+                                          (zero_column, "row 1 is not a permutation", 0)):
         passed.clear()
+        start = time.perf_counter()
         with pytest.raises(NotLatinSquareError) as exc:
             group_from_cayley_table(table)
+        assert time.perf_counter() - start < 1.0
         assert str(exc.value) == message
         assert len(passed) == rounds_passed and len(passed) + 1 <= 10
+
+
+def test_identity_is_found_from_column_0():
+    """The identity is looked for among the rows with a 0 in column 0: a
+    relabelled group's identity is found wherever it lies, and a table
+    whose first candidate fails goes on to the next."""
+    for G in (cyclic(7), dihedral(6), quaternion(), build_group(parse_group_expr("Z2 x Dic3"))):
+        for seed in range(3):
+            H, perm = relabelled(G, seed)
+            assert H.identity == perm[G.identity] != 0
+            assert all(H.inverses[perm[x]] == perm[G.inverses[x]] for x in range(G.order))
+    # rows 0 and 1 hold 0 in column 0; only element 1 is a two-sided identity
+    table = [[0, 0, 1], [0, 1, 2], [1, 2, 0]]
+    assert groups_module._identity_and_inverses(np.array(table, dtype=np.int16)) == (1, (2, 1, 0))
+    with pytest.raises(NotLatinSquareError, match="row 0 is not a permutation"):
+        group_from_cayley_table(table)
+    with pytest.raises(NotLatinSquareError):
+        validate_by_definition(table)
+
+
+def test_each_group_is_validated_once(monkeypatch):
+    """A group built by a constructor, from an expression or from JSON with
+    a tag runs Light's test once, on the table it returns: a product
+    composes its factors' tables and Q8 relabels Dic2's, unvalidated."""
+    Q8, Z3 = quaternion(), cyclic(3)
+    data = direct_product(Q8, Z3).to_json_dict()
+    checked = []
+    check = groups_module._check_associative
+
+    def counting(table, identity):
+        checked.append(len(table))
+        return check(table, identity)
+
+    monkeypatch.setattr(groups_module, "_check_associative", counting)
+    builds = [lambda text=text: build_group(parse_group_expr(text))
+              for text in ("Q8", "Q8 x Z4", "Z2 x Z2 x Z64", "(Z2 x Q8) x D8", "E2^3 x Dic3")]
+    builds += [lambda: cyclic(6), lambda: dihedral(5), lambda: dicyclic(3), quaternion,
+               lambda: abelian([2, 4, 3]), lambda: elementary_abelian_2(3),
+               lambda: direct_product(Q8, Z3), lambda: group_from_json(data)]
+    for build in builds:
+        checked.clear()
+        G = build()
+        assert checked == [G.order], G.name
+
+
+def _product_texts(depth):
+    """Strategy for (text, order) of a product of two or three parts, each
+    an atom or, above depth 0, a parenthesised product."""
+    atoms = st.one_of(
+        st.integers(1, 12).map(lambda n: (f"Z{n}", n)),
+        st.integers(3, 8).map(lambda n: (f"D{2 * n}", 2 * n)),
+        st.integers(2, 4).map(lambda n: (f"Dic{n}", 4 * n)),
+        st.just(("Q8", 8)),
+        st.integers(0, 3).map(lambda t: (f"E2^{t}", 2**t)),
+    )
+    parts = atoms if depth == 0 else st.one_of(atoms, _product_texts(depth - 1).map(lambda p: (f"({p[0]})", p[1])))
+    return st.lists(parts, min_size=2, max_size=3).map(
+        lambda ps: (" x ".join(t for t, _ in ps), math.prod(n for _, n in ps)))
+
+
+@settings(max_examples=60, deadline=None)
+@given(_product_texts(1).filter(lambda p: p[1] <= 256))
+def test_composed_product_matches_product_of_built_factors(product):
+    """Composing the parts' unvalidated tables gives what direct_product of
+    the validated parts gives: the table byte for byte, labels and tag."""
+    expr = parse_group_expr(product[0])
+    G = build_group(expr)
+    P = direct_product(*(build_group(part) for part in expr.parts))
+    assert G.table.tobytes() == P.table.tobytes()
+    assert G.labels == P.labels and str(G.tag) == str(P.tag) == product[0]
 
 
 def test_validation_sorts_only_to_name_a_fault(monkeypatch):
