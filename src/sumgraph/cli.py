@@ -22,6 +22,7 @@ from __future__ import annotations
 
 import argparse
 import functools
+import itertools
 import json
 import sys
 from typing import Iterator, TextIO
@@ -192,16 +193,22 @@ _DECIDER_NAMES = {
 }
 
 
-def _entry_record(G: Group, entry) -> dict:
-    record = {
+def _record(G: Group, subgroup: tuple[int, ...], decider: str, verdict: bool, oracle: bool) -> dict:
+    """One decider's answer for one subgroup beside the oracle's."""
+    return {
         "group": G.name,
         "order": G.order,
-        "subgroup": list(entry.subgroup),
-        "decider": _DECIDER_NAMES[(entry.flavor, entry.kind)],
-        "verdict": entry.decided,
-        "oracle": entry.oracle,
-        "agree": entry.agree,
+        "subgroup": list(subgroup),
+        "decider": decider,
+        "verdict": verdict,
+        "oracle": oracle,
+        "agree": verdict == oracle,
     }
+
+
+def _entry_record(G: Group, entry) -> dict:
+    decider = _DECIDER_NAMES[(entry.flavor, entry.kind)]
+    record = _record(G, entry.subgroup, decider, entry.decided, entry.oracle)
     if not entry.agree:
         record["rule"] = entry.rule
         record["certificate"] = entry.certificate
@@ -250,28 +257,19 @@ def _cmd_scan(args: argparse.Namespace) -> int:
         for G in groups:
             groups_seen += 1
             report = cross_check(G)
-            oracle = {}
-            for entry in report.entries:
-                oracle[(entry.subgroup, entry.flavor, entry.kind)] = entry.oracle
-                record = _entry_record(G, entry)
+            oracle = {(entry.subgroup, entry.flavor, entry.kind): entry.oracle for entry in report.entries}
+            records = itertools.chain(
+                (_entry_record(G, entry) for entry in report.entries),
+                (
+                    _record(G, H.members, name, verdict, oracle[(H.members, "plain", kind)])
+                    for H in normal_subgroups(G)
+                    for name, verdict, kind in _family_checks(G, H)
+                ),
+            )
+            for record in records:
                 checks += 1
                 disagreements += not record["agree"]
                 stream.write(json.dumps(record) + "\n")
-            for H in normal_subgroups(G):
-                for name, verdict, kind in _family_checks(G, H):
-                    truth = oracle[(H.members, "plain", kind)]
-                    record = {
-                        "group": G.name,
-                        "order": G.order,
-                        "subgroup": list(H.members),
-                        "decider": name,
-                        "verdict": verdict,
-                        "oracle": truth,
-                        "agree": verdict == truth,
-                    }
-                    checks += 1
-                    disagreements += not record["agree"]
-                    stream.write(json.dumps(record) + "\n")
     finally:
         if owned:
             stream.close()

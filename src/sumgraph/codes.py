@@ -9,15 +9,19 @@ neighbour in C, i.e. the open neighbourhoods partition the vertex set.
 Each flavour/kind combination has a fast decider that reads the answer off
 the group structure, produces an explicit witness code when one exists and
 a small refuting certificate when none does; it reads only the Cayley table,
-re-checking its witness there too.  The coset rules read the least member
-of every right coset from one gather of the table and walk those
-representatives, building no coset.  Brute-force searchers (exact cover
-over a built graph, component by component) are the independent oracles; a
-search node with fewer uncovered vertices than the component's smallest
-neighbourhood, which the component walk records, is refuted at once, so a
-refuted dense block costs linear, not quadratic, work.  :func:`cross_check`
-runs deciders against oracles over every normal subgroup of a group,
-building both graph flavours of a subgroup from one gather of the table.
+re-checking its witness there too.  The plain perfect-code rule and the
+extended transversal read the least member of every right coset from one
+gather of the table and walk those representatives, building no coset;
+the plain one pairs cosets by the same partner rule as
+:func:`~sumgraph.groups.coset_units`.  The |H| = 3 total rule reads its
+cosets from :func:`~sumgraph.groups.right_cosets`.  Brute-force searchers
+(exact cover over a built graph, component by component) are the
+independent oracles; a search node with fewer uncovered vertices than the
+component's smallest neighbourhood, which the component walk records, is
+refuted at once, so a refuted dense block costs linear, not quadratic,
+work.  :func:`cross_check` runs deciders against oracles over every normal
+subgroup of a group, building both graph flavours of a subgroup from one
+gather of the table.
 """
 
 from __future__ import annotations
@@ -35,6 +39,7 @@ from .groups import (
     Subgroup,
     _coset_least,
     _index,
+    _unit_partner,
     normal_subgroups,
     require_normal,
     right_cosets,
@@ -222,9 +227,10 @@ def decide_perfect_code(G: Group, H: Subgroup) -> Verdict:
     the paired blocks Hx with Hx^-1 are always handled by taking x and its
     inverse.  The cosets are read off one gather of their least members
     (:func:`~sumgraph.groups._coset_least`): each coset Hx is visited at
-    its least member x, takes its least self-inverse member when x*x is in
-    H, and otherwise takes x and x^-1 when x is the lesser of the pair's
-    two representatives.
+    its least member x and, by the unit rule of
+    :func:`~sumgraph.groups._unit_partner`, takes its least self-inverse
+    member when x*x is in H, and otherwise takes x and x^-1 when x is the
+    lesser of the pair's two representatives.
     """
     flavor, kind = "plain", "perfect"
     n, inv = G.order, G.inverses
@@ -236,16 +242,16 @@ def decide_perfect_code(G: Group, H: Subgroup) -> Verdict:
         witness = tuple(x for x in range(n) if times_h[inv[x]] >= x)
         return Verdict(flavor, kind, True, "order-two-subgroup", witness, None)
     least = _coset_least(G, H)
-    squares = np.diagonal(G.table).tolist()
     pivot = {least[v]: v for v in reversed(range(n)) if inv[v] == v}  # least self-inverse v of each coset
     chosen: list[int] = []
     for x in [x for x, rep in enumerate(least) if rep == x]:
-        if squares[x] in H.member_set:  # the unit is Hx alone
+        partner = _unit_partner(G, H, least, x)
+        if partner is None:  # the unit is Hx alone
             if x not in pivot:  # the least such x: the identity's coset always has a pivot
                 reason = "square-coset-without-involution"
                 return _refuted(flavor, kind, reason, coset_representative=x)
             chosen.append(pivot[x])
-        elif least[inv[x]] > x:  # the unit is Hx with Hx^-1, met first here
+        elif partner > x:  # the unit is Hx with Hx^-1, met first here
             chosen.extend([x, inv[x]])
     witness = tuple(sorted(chosen))
     return Verdict(flavor, kind, True, "square-cosets-have-involutions", witness, None)

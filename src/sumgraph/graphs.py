@@ -18,7 +18,7 @@ from functools import cached_property
 import numpy as np
 
 from .errors import InternalInconsistencyError
-from .groups import Group, Subgroup, coset_units, require_normal
+from .groups import Coset, Group, Subgroup, coset_units, require_normal
 
 __all__ = [
     "SumGraph",
@@ -40,14 +40,6 @@ def _bits(mask: int) -> list[int]:
         out.append(v)
         mask &= mask - 1
     return out
-
-
-def _mask_of(vertices) -> int:
-    """The bitmask with one bit per vertex."""
-    m = 0
-    for v in vertices:
-        m |= 1 << v
-    return m
 
 
 class SumGraph:
@@ -184,68 +176,51 @@ class StructureReport:
     divergent_vertices: tuple[int, ...]
 
 
-def _check_block(
-    G: Group,
-    graph: SumGraph,
-    flavor: str,
-    unit: tuple,
-    square_in: bool,
-) -> BlockRecord:
-    vertices = tuple(sorted(v for c in unit for v in c.members))
-    reps = tuple(c.representative for c in unit)
-    unit_mask = _mask_of(vertices)
-    extended = flavor == "extended"
-
-    expected: dict[int, int] = {}
-    if square_in:
-        for v in vertices:
-            exp = unit_mask & ~(1 << v)
-            if not extended:
-                exp &= ~(1 << G.inverses[v])
-            expected[v] = exp
-        if extended:
-            kind = "complete"
-        elif all(G.inverses[v] == v for v in vertices):
-            kind = "complete"
-        else:
-            kind = "complete_minus_matching"
-    else:
-        side = {v: i for i, c in enumerate(unit) for v in c.members}
-        masks = [_mask_of(c.members) for c in unit]
-        for v in vertices:
-            exp = masks[1 - side[v]]
-            if not extended:
-                exp &= ~(1 << G.inverses[v])
-            expected[v] = exp
+def _check_block(G: Group, graph: SumGraph, unit: tuple[Coset, ...]) -> BlockRecord:
+    """Predict the block of one coset unit from the unit alone and compare
+    it with the graph's rows.  Vertex v of the unit is joined to every
+    vertex of the coset facing it, other than v itself: its own coset in a
+    one-coset unit, the partner coset in a pair; the plain graph drops
+    v^-1 as well.  The shape follows from the unit's size, the flavour,
+    and whether every vertex is its own inverse."""
+    inv, extended = G.inverses, graph.extended
+    masks = [sum(1 << v for v in c.members) for c in unit]
+    facing = {v: masks[len(unit) - 1 - i] for i, c in enumerate(unit) for v in c.members}
+    vertices = tuple(sorted(facing))
+    if len(unit) == 2:
         kind = "complete_bipartite" if extended else "bipartite_minus_perfect_matching"
+    elif extended or all(inv[v] == v for v in vertices):
+        kind = "complete"
+    else:
+        kind = "complete_minus_matching"
 
     witness = None
     for v in vertices:
+        expected = facing[v] & ~(1 << v)
+        if not extended:
+            expected &= ~(1 << inv[v])
         actual = graph.rows[v]
-        if actual == expected[v]:
-            continue
-        extra = actual & ~expected[v]
-        if extra:
-            witness = ("unexpected-edge", v, _bits(extra)[0])
-        else:
-            witness = ("missing-edge", v, _bits(expected[v] & ~actual)[0])
-        kind = "other"
-        break
+        if actual != expected:
+            extra = actual & ~expected
+            if extra:
+                witness = ("unexpected-edge", v, _bits(extra)[0])
+            else:
+                witness = ("missing-edge", v, _bits(expected & ~actual)[0])
+            kind = "other"
+            break
 
     divergence: tuple[int, ...] = ()
-    if flavor == "plain" and square_in and witness is None:
+    if not extended and len(unit) == 1 and witness is None:
+        # the block matched, so v is adjacent to every other unit vertex
+        # exactly when v is its own inverse
         sq = G.square_set
-        full = [v for v in vertices if graph.rows[v] & unit_mask == unit_mask & ~(1 << v)]
-        full_set = set(full)
-        divergence = tuple(
-            v for v in vertices if (v in sq) != (v in full_set)
-        )
+        divergence = tuple(v for v in vertices if (v in sq) != (inv[v] == v))
 
     return BlockRecord(
-        flavor=flavor,
+        flavor="extended" if extended else "plain",
         vertices=vertices,
-        coset_representatives=reps,
-        square_in_subgroup=square_in,
+        coset_representatives=tuple(c.representative for c in unit),
+        square_in_subgroup=len(unit) == 1,
         kind=kind,
         matches=witness is None,
         witness=witness,
@@ -256,17 +231,15 @@ def _check_block(
 def verify_structure(G: Group, H: Subgroup) -> StructureReport:
     """Predict every block of both sum-graph flavours and compare exactly.
 
-    Units are built from the right cosets: Hx alone when x*x is in H, the
-    pair {Hx, Hx^-1} otherwise.  The predicted adjacency of every vertex is
-    compared bit-for-bit against the built graph, so any leaked edge between
-    units or missing edge inside one is caught and reported as a witness.
+    The blocks are the coset units of :func:`~sumgraph.groups.coset_units`:
+    Hx alone when x*x is in H, the pair {Hx, Hx^-1} otherwise.  Each
+    vertex's adjacency is predicted from its unit alone, never from the
+    table's products, and compared bit-for-bit against the built graph, so
+    any leaked edge between units or missing edge inside one is caught and
+    reported as a witness.
     """
     plain, extended = _sum_graphs(G, H)
-    blocks = []
-    for unit in coset_units(G, H):
-        square_in = len(unit) == 1
-        blocks.append(_check_block(G, plain, "plain", unit, square_in))
-        blocks.append(_check_block(G, extended, "extended", unit, square_in))
+    blocks = [_check_block(G, graph, unit) for unit in coset_units(G, H) for graph in (plain, extended)]
     divergent = tuple(sorted({v for b in blocks for v in b.square_universal_divergence}))
     return StructureReport(
         group_order=G.order,

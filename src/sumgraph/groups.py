@@ -648,9 +648,14 @@ def _expr_table(expr: GroupExpr) -> tuple[np.ndarray, Sequence[str] | None]:
         order = _index(expr.order, "dihedral order", low=6)
         if order % 2:  # D7 would build D6 and tag it D7, which the dihedral decider trusts
             raise BadParameterError(f"dihedral order {_shown(order)} is odd")
-        return _dihedral_table(order // 2)
+        n = order // 2  # a^0..a^(n-1), then a^0 b..a^(n-1) b
+        return _two_coset_table(n, 0), _power_labels(n, "") + _power_labels(n, "b")
     if isinstance(expr, DicyclicExpr):
-        return _dicyclic_table(_index(expr.n, "dicyclic parameter", low=2))
+        # a^0..a^(m-1), then a^1 b..a^m b: b' = ab also inverts a and squares
+        # to a^n, so index m + k, a^k b', is labelled a^(k+1) b
+        m = 2 * _index(expr.n, "dicyclic parameter", low=2)
+        table, b = _two_coset_table(m, m // 2), _power_labels(m, "b")  # the table checks the cap first
+        return table, _power_labels(m, "") + b[1:] + b[:1]
     if isinstance(expr, QuaternionExpr):
         return _quaternion_table()
     if isinstance(expr, ElementaryAbelianExpr):
@@ -693,38 +698,23 @@ def _power_labels(m: int, suffix: str) -> list[str]:
     return [suffix or "e", "a" + suffix, *[f"a^{i}{suffix}" for i in range(2, m)]]
 
 
-def _dihedral_table(n: int) -> tuple[np.ndarray, list[str]]:
-    """D_2n (n >= 3): ``a^0..a^{n-1}`` then ``a^0 b..a^{n-1} b``, its four
-    blocks written into one array."""
-    size = 2 * n
+def _two_coset_table(m: int, shift: int) -> np.ndarray:
+    """The table of order 2m with a^0..a^(m-1) first and a^k b at index
+    m + k, where a has order m, b a b^-1 = a^-1 and b^2 = a^shift: the
+    dihedral group for shift 0, the dicyclic one for m = 2n and shift n.
+    Its four blocks are written into one array."""
+    size = 2 * m
     _check_order(size)
-    # a^i a^j = a^(i+j), a^i b a^j = a^(i-j) b: a flip on the left negates j
-    P, M = (_cyclic_table(n, sign, _compact_dtype(size)) for sign in (1, -1))
-    table = np.empty((size, size), P.dtype)
-    table[:n, :n] = P
-    np.add(P, n, out=table[:n, n:])
-    np.add(M, n, out=table[n:, :n])
-    table[n:, n:] = M
-    return table, _power_labels(n, "") + _power_labels(n, "b")
-
-
-def _dicyclic_table(n: int) -> tuple[np.ndarray, list[str]]:
-    """Dic_n (n >= 2): ``a^0..a^{2n-1}`` then ``a^1 b..a^{2n} b``, its four
-    blocks written into one array."""
-    m = 2 * n
-    size = 4 * n
-    _check_order(size)
-    # index m + k is a^(k+1) b: a^i a^(j+1) b = a^(i+j+1) b,
-    # a^(i+1) b a^j = a^(i-j+1) b and a^(i+1) b a^(j+1) b = a^(i-j) b^2 = a^(i-j+n)
+    # a^i a^j b = a^(i+j) b and a^i b a^j = a^(i-j) b: a flip on the left
+    # negates j; a^i b a^j b = a^(i-j) b^2 = a^(i-j+shift)
     P, M = (_cyclic_table(m, sign, _compact_dtype(size)) for sign in (1, -1))
     table = np.empty((size, size), P.dtype)
     table[:m, :m] = P
     np.add(P, m, out=table[:m, m:])
     np.add(M, m, out=table[m:, :m])
-    table[m : m + n, m:] = M[n:]  # (i - j + n) mod m is row i + n of M, read cyclically
-    table[m + n :, m:] = M[:n]
-    b = _power_labels(m, "b")
-    return table, _power_labels(m, "") + b[1:] + b[:1]
+    table[m : size - shift, m:] = M[shift:]  # (i - j + shift) mod m is row i + shift of M, read cyclically
+    table[size - shift :, m:] = M[:shift]
+    return table
 
 
 _Q8_LABELS = ("1", "-1", "i", "-i", "j", "-j", "k", "-k")
@@ -734,7 +724,7 @@ def _quaternion_table() -> tuple[np.ndarray, tuple[str, ...]]:
     """Q8: the table of ``dicyclic(2)``, unvalidated, relabelled with a = i and b = j."""
     dic = np.array((0, 2, 1, 3, 7, 5, 4, 6))  # index in dicyclic(2) of each Q8 element
     rank = np.argsort(dic)
-    return rank[_dicyclic_table(2)[0][np.ix_(dic, dic)]], _Q8_LABELS
+    return rank[_two_coset_table(4, 2)[np.ix_(dic, dic)]], _Q8_LABELS
 
 
 def _product_table(
@@ -967,26 +957,31 @@ def _coset_least(G: Group, H: Subgroup) -> list[int]:
     return G.table[list(H.members)].min(axis=0).tolist()
 
 
+def _unit_partner(G: Group, H: Subgroup, least: list[int], x: int) -> int | None:
+    """The coset unit rule: None when x*x lies in H, which makes Hx closed
+    under inverses and a unit alone, and otherwise ``least[x^-1]``, the
+    representative of Hx^-1 = (Hx)^-1 for a normal H, which pairs with Hx."""
+    return None if G.rows[x][x] in H.member_set else least[G.inverses[x]]
+
+
 def coset_units(G: Group, H: Subgroup) -> list[tuple[Coset, ...]]:
     """The right cosets grouped into units, in :func:`right_cosets` order.
 
-    A unit is ``(Hx,)`` when x*x lies in H, which makes Hx closed under
-    inverses, and ``(Hx, Hx^-1)`` otherwise, the partner holding x^-1,
-    listed at the lesser of the two representatives.  The sum graphs over
-    a normal H decompose into one block per unit; H must be normal, or
-    the inverses of a right coset need not form one.
+    A unit is ``(Hx,)`` or ``(Hx, Hx^-1)`` as :func:`_unit_partner` says,
+    a pair listed at the lesser of its two representatives.  The sum graphs
+    over a normal H decompose into one block per unit; H must be normal,
+    or the inverses of a right coset need not form one.
     """
     require_normal(G, H)
+    least = _coset_least(G, H)
     cosets = {c.representative: c for c in right_cosets(G, H)}
-    rows, inv = G.rows, G.inverses
     units: list[tuple[Coset, ...]] = []
     for x, c in cosets.items():
-        if rows[x][x] in H.member_set:
+        partner = _unit_partner(G, H, least, x)
+        if partner is None:
             units.append((c,))
-        else:
-            partner = min(inv[v] for v in c.members)  # the representative of Hx^-1
-            if partner > x:
-                units.append((c, cosets[partner]))
+        elif partner > x:
+            units.append((c, cosets[partner]))
     return units
 
 
@@ -1072,16 +1067,18 @@ def sweep_groups(max_order: int, families: Sequence[str] = SWEEP_FAMILIES) -> It
 
     Cyclic groups by order, dihedral and dicyclic groups by parameter, one
     group per abelian isomorphism type with at least two factors (the
-    others are cyclic), and Q8.  An empty family list, a lone name given
-    as a string, an unknown or repeated family and a ``max_order`` below 1
+    others are cyclic), and Q8.  Families other than a list or tuple of
+    names (a lone name given as a string, a set, an iterator), an empty
+    family list, an unknown or repeated family and a ``max_order`` below 1
     or above the cap raise :class:`BadParameterError` here, before any
     group is built.
     """
     max_order = _index(max_order, "max_order", low=1)
     _check_order(max_order)
     choices = ", ".join(SWEEP_FAMILIES)
-    if isinstance(families, str):
-        raise BadParameterError(f"families must be a sequence of names, not the string {_quoted(families)}")
+    if not isinstance(families, (list, tuple)):  # a string would be read letter by letter, a set unordered
+        given = f"the string {_quoted(families)}" if isinstance(families, str) else type(families).__name__
+        raise BadParameterError(f"families must be a sequence of names, not {given}")
     if not families:
         raise BadParameterError(f"no family to sweep: choose from {choices}")
     for k, family in enumerate(families):

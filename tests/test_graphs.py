@@ -24,7 +24,7 @@ from sumgraph import (
     verify_structure,
 )
 
-from helpers import sweep
+from helpers import relabelled, sweep
 
 
 def test_plain_graph_edges_of_z6():
@@ -190,6 +190,50 @@ def test_structure_report_classifies_known_blocks():
     assert not graph.rows[2] >> 10 & 1
 
 
+def _flip_one_edge(monkeypatch, flavor, u, w):
+    """Make ``verify_structure`` see the built graph of one flavour with the
+    edge pair {u, w} flipped: added when absent, removed when present."""
+    build = graphs_module._sum_graphs
+
+    def corrupted(G, H):
+        graphs = list(build(G, H))
+        k = flavor == "extended"
+        rows = list(graphs[k].rows)
+        rows[u] ^= 1 << w
+        rows[w] ^= 1 << u
+        graphs[k] = graphs_module.SumGraph(G, H, graphs[k].extended, tuple(rows))
+        return tuple(graphs)
+
+    monkeypatch.setattr(graphs_module, "_sum_graphs", corrupted)
+
+
+@pytest.mark.parametrize(
+    "order, members, flavor, edge, witnesses",
+    [
+        # an edge leaked between the units {0, 3} and {1, 4} + {2, 5}:
+        # each block it touches reports it from its own side
+        (6, [0, 3], "plain", (0, 1), {
+            ("plain", (0, 3)): ("unexpected-edge", 0, 1),
+            ("plain", (1, 2, 4, 5)): ("unexpected-edge", 1, 0),
+        }),
+        # the inverse pair {1, 5} dropped from the extended bipartite block
+        (6, [0, 3], "extended", (1, 5), {("extended", (1, 2, 4, 5)): ("missing-edge", 1, 5)}),
+        # an edge dropped inside the one-coset block {2, 6, 10}
+        (12, [0, 4, 8], "plain", (2, 6), {("plain", (2, 6, 10)): ("missing-edge", 2, 6)}),
+    ],
+)
+def test_structure_report_names_a_corrupted_edge(monkeypatch, order, members, flavor, edge, witnesses):
+    G = cyclic(order)
+    H = Subgroup(G, members)
+    _flip_one_edge(monkeypatch, flavor, *edge)
+    report = verify_structure(G, H)
+    assert not report.all_match
+    failed = {(b.flavor, b.vertices): b for b in report.blocks if not b.matches}
+    assert {key: b.witness for key, b in failed.items()} == witnesses
+    assert all(b.kind == "other" and not b.square_universal_divergence for b in failed.values())
+    assert all(b.kind != "other" and b.witness is None for b in report.blocks if b.matches)
+
+
 def test_structure_divergence_is_reported_not_asserted():
     G = cyclic(8)
     H = Subgroup(G, [0, 2, 4, 6])
@@ -199,7 +243,8 @@ def test_structure_divergence_is_reported_not_asserted():
 
 
 def test_structure_sweep_matches_everywhere():
-    for G in sweep(24):
+    relabelled_groups = [relabelled(G, seed)[0] for seed, G in enumerate(sweep(16))]  # identity off index 0
+    for G in (*sweep(24), *relabelled_groups):
         for H in normal_subgroups(G):
             if len(H) == 1:
                 continue

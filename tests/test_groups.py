@@ -448,7 +448,8 @@ def test_vectorised_constructors_match_loops():
 
 def test_order_cap_is_checked_before_allocation(monkeypatch):
     monkeypatch.delenv("SUMGRAPH_MAX_ORDER", raising=False)
-    for build, param in ((cyclic, 2000), (dihedral, 1000), (dicyclic, 500)):
+    cases = ((cyclic, 2000), (dihedral, 1000), (dicyclic, 500), (dihedral, 10**6), (dicyclic, 10**6))
+    for build, param in cases:
         tracemalloc.start()
         try:
             with pytest.raises(BadParameterError, match="exceeds the supported cap"):
@@ -1156,6 +1157,9 @@ def test_sweep_rejects_an_empty_or_repeated_family_list():
         sweep_groups(8, ["cyclic", "dihedral", "cyclic"])
     with pytest.raises(BadParameterError, match="families must be a sequence of names"):
         sweep_groups(8, "cyclic")  # one name, not read letter by letter
+    for families in ({"cyclic"}, iter(["cyclic"]), 5):  # unordered, one-shot, not a collection
+        with pytest.raises(BadParameterError, match="families must be a sequence of names"):
+            sweep_groups(8, families)
     assert [G.name for G in sweep_groups(8, ["quaternion", "cyclic"])][:2] == ["Q8", "Z1"]
 
 

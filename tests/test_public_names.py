@@ -1,8 +1,9 @@
 """Every public name resolves: each module's ``__all__``, the functions
 the benchmark tracer in ``perfbench/spans.py`` patches by name, and every
 group attribute the README names.  Each name is declared in one module
-only, every name the package exports is also used outside the tests, and
-every decider of a (G, H) pair takes just those two parameters."""
+only, every name the package exports is also used outside the tests,
+every private name and import in the package is used, and every decider
+of a (G, H) pair takes just those two parameters."""
 
 import ast
 import importlib
@@ -126,3 +127,44 @@ def test_readme_group_attributes_exist():
     G = sumgraph.cyclic(4)
     missing = sorted(name for name in names if not hasattr(G, name))
     assert not missing, missing
+
+
+
+def _bound_names(node: ast.AST) -> list[str]:
+    """The names a module-level statement binds."""
+    if isinstance(node, (ast.FunctionDef, ast.AsyncFunctionDef, ast.ClassDef)):
+        return [node.name]
+    targets = node.targets if isinstance(node, ast.Assign) else [getattr(node, "target", None)]
+    return [n.id for t in targets if t is not None for n in ast.walk(t) if isinstance(n, ast.Name)]
+
+
+def _read_names(tree: ast.AST) -> set[str]:
+    """Names read (not assigned) and attributes anywhere in ``tree``."""
+    return {
+        n.id if isinstance(n, ast.Name) else n.attr
+        for n in ast.walk(tree)
+        if (isinstance(n, ast.Name) and isinstance(n.ctx, ast.Load)) or isinstance(n, ast.Attribute)
+    }
+
+
+def test_every_private_name_and_import_is_used():
+    """Each module-level private name in the package is read somewhere in
+    the package, and each name a module imports is read in that module or
+    listed in its ``__all__``: a helper that a simplification leaves
+    orphaned, or an import it leaves behind, fails here."""
+    sources = sorted((ROOT / "src" / "sumgraph").glob("*.py"))
+    trees = {p.stem: ast.parse(p.read_text(encoding="utf-8")) for p in sources}
+    read_in = {module: _read_names(tree) for module, tree in trees.items()}
+    read_anywhere = set().union(*read_in.values())
+    orphans, unused = [], []
+    for module, tree in trees.items():
+        mod = sumgraph if module == "__init__" else importlib.import_module(f"sumgraph.{module}")
+        kept = read_in[module] | set(getattr(mod, "__all__", ()))
+        for node in tree.body:
+            private = [name for name in _bound_names(node) if name.startswith("_") and not name.startswith("__")]
+            orphans += [(module, name) for name in private if name not in read_anywhere]
+            if isinstance(node, (ast.Import, ast.ImportFrom)) and getattr(node, "module", None) != "__future__":
+                bound = [(alias.asname or alias.name).partition(".")[0] for alias in node.names]
+                unused += [(module, name) for name in bound if name != "*" and name not in kept]
+    assert not orphans, orphans
+    assert not unused, unused
