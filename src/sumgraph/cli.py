@@ -350,7 +350,7 @@ def _build_parser() -> argparse.ArgumentParser:
     p = sub.add_parser("classify", help="whole-group classification")
     p.add_argument("what", choices=("code-perfect",), help="property to test")
     p.add_argument("expr")
-    p.add_argument("--method", choices=("bruteforce", "dedekind"), default="bruteforce")
+    p.add_argument("--method", choices=("normal-closure", "dedekind"), default="normal-closure")
     p.set_defaults(func=_cmd_classify)
 
     return parser

@@ -6,9 +6,10 @@ the family rules read their parameters off ``G.tag``, and abelian total
 codes come from a scan of squares and cosets.  They deliberately duplicate
 ground covered by the generic deciders in :mod:`sumgraph.codes` so the two
 can be cross-checked, and so share none of their rules: the only import
-from there is the brute-force method of :func:`is_code_perfect`.  The test
-suite runs every family decider against the generic one and the
-brute-force oracle over its whole family at desk scale.
+from there is ``decide_perfect_code``, which re-checks each subgroup that
+:func:`is_code_perfect` refutes.  The test suite runs every family decider
+against the generic one and the brute-force oracle over its whole family
+at desk scale.
 
 Abelian 2-group subgroups use the mixed-radix element indexing fixed by
 :func:`sumgraph.groups.abelian` (last factor varies fastest).
@@ -29,8 +30,9 @@ from .exprs import CyclicExpr, DicyclicExpr, DihedralExpr, ElementaryAbelianExpr
 from .groups import (
     Group,
     Subgroup,
+    _Closure,
+    _mark_normal,
     is_dedekind,
-    normal_subgroups,
     require_normal,
     require_subgroup,
     right_cosets,
@@ -205,16 +207,44 @@ def order_three_coset_scan(G: Group, H: Subgroup) -> bool:
 # ---------------------------------------------------------------------------
 
 
-def is_code_perfect(G: Group, method: str = "bruteforce") -> bool:
+def is_code_perfect(G: Group, method: str = "normal-closure") -> bool:
     """Does every normal subgroup of G yield a perfect code in its sum graph?
 
-    The ``bruteforce`` method decides each normal subgroup directly.  The
-    ``dedekind`` method uses the classification available for groups whose
-    subgroups are all normal: exactly Z4 and the products of Z2 factors
-    with an odd abelian group qualify; non-abelian Dedekind groups never do.
+    ``normal-closure`` lists no lattice.  A normal H with |H| >= 3 fails
+    exactly when, for some x, x*x lies in H and H avoids S_x = {i x^-1 :
+    i*i = e}, so that Hx holds no element of order at most 2; both hold
+    for x exactly when they hold for its conjugates, so one x per class is
+    tried, and only when 4 divides its order: of odd order, x^-1 lies in
+    <x*x>; of order 2m with m odd, so does x^(m-1) = x^m x^-1, and x^m is
+    an involution.  Each such H holds N, the normal closure of x*x, and
+    when |N| = 2 also N joined with the closure of some class outside N: G
+    fails exactly when one of these closures, of order at least 3, avoids
+    S_x.  A "no" is re-checked by ``decide_perfect_code`` on that closure.
+
+    ``dedekind`` uses the classification of groups whose subgroups are all
+    normal: exactly Z4 and the products of Z2 factors with an odd abelian
+    group qualify; non-abelian Dedekind groups never do.
     """
-    if method == "bruteforce":
-        return all(decide_perfect_code(G, H).exists for H in normal_subgroups(G))
+    if method == "normal-closure":
+        rows, e, classes, orders = G.rows, G.identity, G._classes, G.element_orders
+        class_of = {g: cls for cls in classes for g in cls}
+
+        def closure(base: _Closure, cls: tuple[int, ...]) -> _Closure:
+            grown = base.copy()
+            for g in cls:
+                grown.add(g)
+            return grown
+
+        for x in (cls[0] for cls in classes if orders[cls[0]] % 4 == 0):
+            N = closure(_Closure(G.table, e), class_of[rows[x][x]])
+            avoid = [rows[i][G.inverses[x]] for i in (e, *G.involution_set)]  # S_x
+            for K in [N] if len(N.members) >= 3 else (closure(N, cls) for cls in classes):
+                if len(K.members) >= 3 and not any(K.reached[s] for s in avoid):
+                    H = _mark_normal(Subgroup._of_closure(G, K))
+                    if decide_perfect_code(G, H).exists:
+                        raise InternalInconsistencyError(f"refuted normal subgroup {H.members} has a perfect code")
+                    return False
+        return True
     if method == "dedekind":
         if not is_dedekind(G):
             raise NotDedekindError("the dedekind method requires all subgroups normal")
@@ -222,4 +252,4 @@ def is_code_perfect(G: Group, method: str = "bruteforce") -> bool:
             return False
         orders = G.element_orders  # Z4, or a Sylow 2-subgroup without elements of order 4
         return G.order == 4 and 4 in orders or all(o % 4 for o in orders)
-    raise BadParameterError(f"unknown method {method!r}; use 'bruteforce' or 'dedekind'")
+    raise BadParameterError(f"unknown method {method!r}; use 'normal-closure' or 'dedekind'")

@@ -43,7 +43,6 @@ from .errors import (
     NotAssociativeError,
     NotNormalError,
     NotLatinSquareError,
-    ParseError,
     _quoted,
     _shown,
 )
@@ -56,7 +55,6 @@ from .exprs import (
     ProductExpr,
     QuaternionExpr,
     build_group,
-    parse_group_expr,
 )
 
 __all__ = [
@@ -68,7 +66,6 @@ __all__ = [
     "Subgroup",
     "Coset",
     "group_from_cayley_table",
-    "group_from_json",
     "cyclic",
     "dihedral",
     "dicyclic",
@@ -84,7 +81,6 @@ __all__ = [
     "right_cosets",
     "coset_units",
     "is_dedekind",
-    "subgroup_as_group",
     "abelian_isomorphism_types",
     "SWEEP_FAMILIES",
     "sweep_groups",
@@ -194,14 +190,6 @@ class Group:
     def name(self) -> str:
         """The canonical expression of the tag, or ``generic`` for a bare table."""
         return "generic" if self.tag is None else str(self.tag)
-
-    def to_json_dict(self) -> dict:
-        return {
-            "order": self.order,
-            "labels": list(self.labels),
-            "table": self.table.tolist(),
-            "tag": None if self.tag is None else str(self.tag),
-        }
 
     def __repr__(self) -> str:
         return f"<Group order={self.order} {self.name}>"
@@ -553,26 +541,6 @@ def _identity_and_inverses(arr: np.ndarray) -> tuple[int, tuple[int, ...]]:
     if not two_sided.all():
         raise NoInverseError(f"element {int(np.argmin(two_sided))} has no two-sided inverse")
     return e, tuple(inv.tolist())
-
-
-def group_from_json(data: dict) -> Group:
-    """Inverse of :meth:`Group.to_json_dict`; malformed input raises
-    :class:`BadParameterError`."""
-    if not isinstance(data, dict) or "table" not in data:
-        raise BadParameterError("group JSON must be an object with a 'table' key")
-    tag = data.get("tag")
-    if tag is not None:
-        if not isinstance(tag, str):
-            raise BadParameterError(f"a tag must be a group expression string, got {tag!r}")
-        try:
-            tag = parse_group_expr(tag)
-        except ParseError as exc:
-            raise BadParameterError(f"bad tag {data['tag']!r}: {exc}") from None
-    G = group_from_cayley_table(data["table"], data.get("labels"), tag)
-    # the family deciders trust the tag, so it must name exactly this table
-    if tag is not None and not np.array_equal(_expr_table(tag)[0], G.table):
-        raise BadParameterError(f"tag {data['tag']!r} does not name this table")
-    return G
 
 
 # ---------------------------------------------------------------------------
@@ -996,18 +964,6 @@ def is_dedekind(G: Group) -> bool:
             if not all(closure.reached[g] for g in cls):
                 return False
     return True
-
-
-def subgroup_as_group(G: Group, H: Subgroup) -> tuple[Group, dict[int, int]]:
-    """Restrict the table to H's members and reindex them densely.
-
-    Returns the new group and the mapping from parent indices to new ones.
-    """
-    require_subgroup(G, H)
-    idx = np.array(H.members)
-    relabeled = np.searchsorted(idx, G.table[np.ix_(idx, idx)])  # members are sorted, the block closed
-    labels = [G.labels[m] for m in H.members]
-    return group_from_cayley_table(relabeled, labels), {old: new for new, old in enumerate(H.members)}
 
 
 def _prime_factors(n: int) -> list[int]:

@@ -26,7 +26,10 @@ from sumgraph import (
     NotLatinSquareError,
     Subgroup,
     cross_check,
+    decide_perfect_code,
     group_from_cayley_table,
+    normal_subgroups,
+    require_subgroup,
     sweep_groups,
 )
 
@@ -106,6 +109,41 @@ def relabelled(G: Group, seed: int) -> tuple[Group, np.ndarray]:
     table = np.empty_like(G.table)
     table[np.ix_(perm, perm)] = perm[G.table]
     return group_from_cayley_table(table), perm
+
+
+def permutation_group(generators: list[tuple[int, ...]]) -> Group:
+    """The group the permutations generate (each a tuple p with p[i] the
+    image of i), its elements in ascending tuple order and the product
+    x*y = "x, then y", built through ``group_from_cayley_table``."""
+    identity = tuple(range(len(generators[0])))
+    elements, frontier = {identity}, [identity]
+    while frontier:
+        x = frontier.pop()
+        for g in generators:
+            y = tuple(g[i] for i in x)
+            if y not in elements:
+                elements.add(y)
+                frontier.append(y)
+    ordered = sorted(elements)
+    index = {p: k for k, p in enumerate(ordered)}
+    table = [[index[tuple(y[i] for i in x)] for y in ordered] for x in ordered]
+    return group_from_cayley_table(table)
+
+
+def subgroup_as_group(G: Group, H: Subgroup) -> tuple[Group, dict[int, int]]:
+    """H as a group of its own: the table restricted to H's members and
+    reindexed densely, with the map from G's indices to the new ones."""
+    require_subgroup(G, H)
+    idx = np.array(H.members)
+    relabeled = np.searchsorted(idx, G.table[np.ix_(idx, idx)])  # members are sorted, the block closed
+    labels = [G.labels[m] for m in H.members]
+    return group_from_cayley_table(relabeled, labels), {old: new for new, old in enumerate(H.members)}
+
+
+def code_perfect_by_lattice(G: Group) -> bool:
+    """Whether every normal subgroup of G gives a perfect code: the whole
+    normal lattice, each subgroup decided by ``decide_perfect_code``."""
+    return all(decide_perfect_code(G, H).exists for H in normal_subgroups(G))
 
 
 def validate_by_definition(table: list[list[int]]) -> None:

@@ -30,12 +30,11 @@ from sumgraph import (
     is_total_perfect_code,
     normal_subgroups,
     quaternion,
-    subgroup_as_group,
     subgroup_generated,
     verify_structure,
 )
 
-from helpers import SWEEP_MAX_ORDER, sweep, sweep_reports
+from helpers import SWEEP_MAX_ORDER, subgroup_as_group, sweep, sweep_reports
 
 
 def _report(n, ok, detail=""):

@@ -12,7 +12,7 @@ import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
-from sumgraph import cli, normal_subgroups
+from sumgraph import Verdict, cli, codes, normal_subgroups
 from sumgraph.cli import main
 
 from helpers import greedy_generators, sweep
@@ -188,6 +188,120 @@ def test_code_product_group_with_tuple_generators(capsys):
     assert payload["subgroup"] == [0, 2, 4, 6]
     assert payload["exists"] is True  # squares of Z2 x Z4 all land in this subgroup
 
+    # labels nested two deep are split only at the commas outside them
+    rc, out, _ = run(capsys, "code", "(Z2 x Z2) x Z3", "--subgroup", "gen:((1,0),0),((0,0),1)")
+    assert rc == 0
+    assert json.loads(out)["subgroup"] == [0, 1, 2, 6, 7, 8]
+
+
+# Whole `code` outputs, byte for byte: the indented JSON is the documented
+# stdout, so an encoder change must keep these bytes.  The first selector
+# holds two parenthesised labels, split at the comma between them.
+_CODE_OUTPUTS = [
+    (
+        ["Z2 x Z4", "--subgroup", "gen:(1,0),(0,2)", "--construct"],
+        """{
+  "group": {
+    "tag": "Z2 x Z4",
+    "order": 8
+  },
+  "subgroup": [
+    0,
+    2,
+    4,
+    6
+  ],
+  "flavor": "plain",
+  "kind": "perfect",
+  "exists": false,
+  "rule": "square-coset-without-involution",
+  "witness": null,
+  "certificate": {
+    "reason": "square-coset-without-involution",
+    "coset_representative": 1
+  }
+}
+""",
+    ),
+    (
+        ["Z2 x Z2 x Z3", "--subgroup", "gen:(0,0,1)", "--total", "--construct"],
+        """{
+  "group": {
+    "tag": "Z2 x Z2 x Z3",
+    "order": 12
+  },
+  "subgroup": [
+    0,
+    1,
+    2
+  ],
+  "flavor": "plain",
+  "kind": "total",
+  "exists": true,
+  "rule": "elementary-two-times-three",
+  "witness": [
+    0,
+    1,
+    3,
+    4,
+    6,
+    7,
+    9,
+    10
+  ],
+  "certificate": null
+}
+""",
+    ),
+    (
+        ["D8", "--subgroup", "gen:a^2", "--extended", "--total", "--construct"],
+        """{
+  "group": {
+    "tag": "D8",
+    "order": 8
+  },
+  "subgroup": [
+    0,
+    2
+  ],
+  "flavor": "extended",
+  "kind": "total",
+  "exists": true,
+  "rule": "order-two-subgroup",
+  "witness": [
+    0,
+    1,
+    2,
+    3,
+    4,
+    5,
+    6,
+    7
+  ],
+  "certificate": null
+}
+""",
+    ),
+]
+
+
+@pytest.mark.parametrize("argv, expected", _CODE_OUTPUTS, ids=["Z2xZ4", "Z2xZ2xZ3-total", "D8-extended-total"])
+def test_code_output_bytes(capsys, argv, expected):
+    rc, out, err = run(capsys, "code", *argv)
+    assert rc == 0 and err == ""
+    assert out == expected
+
+
+def test_index_selects_the_last_normal_subgroup(capsys):
+    for text, order, count in (("D8", 8, 6), ("Z12", 12, 6), ("Q8", 8, 6)):
+        rc, out, _ = run(capsys, "code", text, "--subgroup", f"index:{count - 1}")
+        assert rc == 0, text
+        assert json.loads(out)["subgroup"] == list(range(order))  # the last is G itself
+        rc, _, err = run(capsys, "code", text, "--subgroup", f"index:{count}")
+        assert rc == 2 and f"must be in 0..{count - 1}" in err, text
+    rc, _, err = run(capsys, "code", "Z6", "--subgroup", "index:abc")
+    assert rc == 2 and "subgroup index must be an integer, got 'abc'" in err
+
 
 def test_crosscheck_reports_agreement(capsys):
     rc, out, err = run(capsys, "crosscheck", "Q8")
@@ -220,6 +334,28 @@ def test_scan_small_sweep(capsys):
     assert "family_dicyclic" in deciders
     assert "family_abelian_total" in deciders
     assert "scan:" in err and "0 disagreements" in err
+
+
+def test_scan_reports_a_disagreement(capsys, monkeypatch):
+    """A decider that answers wrongly makes scan exit 1, and each record
+    that disagrees carries the rule and certificate it gave."""
+    decide = codes.decide_code
+
+    def wrong_on_extended_total(G, H, extended=False, total=False):
+        verdict = decide(G, H, extended=extended, total=total)
+        if extended and total:
+            return Verdict(verdict.flavor, verdict.kind, not verdict.exists, "flipped", None, {"reason": "flipped"})
+        return verdict
+
+    monkeypatch.setattr(codes, "decide_code", wrong_on_extended_total)
+    rc, out, err = run(capsys, "scan", "--max-order", "4", "--families", "cyclic")
+    assert rc == 1
+    records = [json.loads(line) for line in out.splitlines()]
+    bad = [r for r in records if not r["agree"]]
+    assert bad and all(r["decider"] == "extended_total" for r in bad)
+    assert all(r["rule"] == "flipped" and r["certificate"] == {"reason": "flipped"} for r in bad)
+    assert not any("rule" in r or "certificate" in r for r in records if r["agree"])
+    assert err == f"scan: 4 groups, {len(records)} checks, {len(bad)} disagreements\n"
 
 
 def test_scan_families_filter_and_out_file(capsys, tmp_path):
@@ -269,7 +405,7 @@ def test_classify_code_perfect(capsys):
     assert json.loads(out) == {
         "group": "Z4",
         "order": 4,
-        "method": "bruteforce",
+        "method": "normal-closure",
         "code_perfect": True,
     }
 
@@ -282,6 +418,23 @@ def test_classify_code_perfect(capsys):
     rc, _, err = run(capsys, "classify", "code-perfect", "D6", "--method", "dedekind")
     assert rc == 2
     assert "error:" in err
+
+    # Q8 x E2^6 has more normal subgroups than the budget lets a listing
+    # reach; the default method lists none of them
+    for text, order in (("Q8 x E2^6", 512), ("Q8 x E2^5", 256)):
+        start = time.perf_counter()
+        rc, out, _ = run(capsys, "classify", "code-perfect", text)
+        assert time.perf_counter() - start < 1, text
+        assert rc == 0
+        assert json.loads(out) == {"group": text, "order": order, "method": "normal-closure", "code_perfect": False}
+    rc, _, err = run(capsys, "normals", "Q8 x E2^6")
+    assert rc == 2 and "budget" in err
+
+    # the lattice-listing method is gone from the command line
+    with pytest.raises(SystemExit) as exc:
+        main(["classify", "code-perfect", "Z4", "--method", "bruteforce"])
+    assert exc.value.code == 2
+    assert "invalid choice: 'bruteforce'" in capsys.readouterr().err
 
 
 def test_usage_errors_exit_two(capsys, monkeypatch):

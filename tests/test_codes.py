@@ -38,7 +38,6 @@ from sumgraph import (
     order_three_coset_scan,
     parse_group_expr,
     quaternion,
-    subgroup_as_group,
     subgroup_generated,
     verdict_to_json,
 )
@@ -47,6 +46,7 @@ from helpers import (
     adjacency_matrix,
     reference_verdict,
     relabelled,
+    subgroup_as_group,
     subset_perfect_codes,
     subset_total_perfect_codes,
     sweep,
@@ -628,12 +628,16 @@ def test_deciders_give_the_unit_by_unit_verdicts():
     # whole verdicts, not only existence: the scan JSONL records neither
     # witnesses nor certificates, so this pins them against the rules read
     # coset by coset.  The products cover the trivial subgroup and |H| = 2
-    # and 3 with both outcomes; the relabellings move the identity off 0
+    # and 3 with both outcomes; the relabellings move the identity off 0.
+    # Relabelled by seed 7, Z2 x Z2 x Z3 has a coset of its order-3
+    # subgroup whose involution is its greatest member, so the |H| = 3
+    # witness pins the centre of each block: a non-involution centre and
+    # the least other member would make a different code there
     products = [
         build_group(parse_group_expr(text))
         for text in ("D8 x Z4", "Q8 x Z4", "Dic3 x Z4", "Z2 x Z2 x Z3", "Z6 x Z6")
     ]
-    sources = (dihedral(6), dicyclic(3), quaternion(), cyclic(12), *products[:3])
+    sources = (dihedral(6), dicyclic(3), quaternion(), cyclic(12), *products[:4])
     relabellings = [relabelled(G, seed)[0] for seed, G in enumerate(sources)]
     assert all(R.identity != 0 for R in relabellings)
     rules = set()

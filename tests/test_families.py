@@ -10,11 +10,13 @@ import pytest
 import sumgraph.families as families
 from sumgraph import (
     BadParameterError,
+    InternalInconsistencyError,
     NotAbelianError,
     NotASubgroupError,
     NotDedekindError,
     NotNormalError,
     Subgroup,
+    Verdict,
     abelian,
     abelian_2group_perfect_code,
     abelian_isomorphism_types,
@@ -33,6 +35,7 @@ from sumgraph import (
     elementary_abelian_2,
     find_total_perfect_code_bruteforce,
     is_code_perfect,
+    is_dedekind,
     normal_subgroups,
     order_three_coset_scan,
     parse_group_expr,
@@ -40,12 +43,12 @@ from sumgraph import (
     subgroup_generated,
 )
 
-from helpers import sweep
+from helpers import code_perfect_by_lattice, permutation_group, relabelled, sweep
 
 
 def test_families_share_no_rule_with_the_generic_deciders():
     # the family deciders cross-check the generic ones, so they may not call
-    # them; is_code_perfect's brute-force method is the one exception
+    # them; is_code_perfect's re-check of a refuted subgroup is the one exception
     imported = [
         (getattr(node, "module", None) or "", alias.name)
         for node in ast.walk(ast.parse(inspect.getsource(families)))
@@ -342,6 +345,11 @@ def test_order_three_scan_equivalent_to_total_code_existence():
 
 
 def test_is_code_perfect_bruteforce():
+    # the lattice-listing method is gone: it is refused like any unknown
+    # name, and the default answers what it answered
+    for method in ("bruteforce", "guess"):
+        with pytest.raises(BadParameterError, match="use 'normal-closure' or 'dedekind'"):
+            is_code_perfect(cyclic(4), method=method)
     assert is_code_perfect(cyclic(4))
     assert not is_code_perfect(cyclic(8))
     for n in range(1, 33):
@@ -356,8 +364,57 @@ def test_is_code_perfect_bruteforce():
     for n in (3, 5, 7):
         assert is_code_perfect(dihedral(n))
 
-    with pytest.raises(BadParameterError):
-        is_code_perfect(cyclic(4), method="guess")
+
+_CLASSIFY_PRODUCTS = (
+    "D8 x Z2", "Q8 x E2^3", "D12 x Z3", "D6 x Z3", "D12 x Z2", "Dic3 x Z4",
+    "Q8 x Z3", "D8 x D6", "Z4 x Z4 x Z3", "Dic3 x Z3", "D10 x Z3", "E2^3 x Z9",
+)
+
+
+def _classify_groups():
+    """sweep(64), products past it, relabelled tables, and A4 and S4 as
+    permutation groups, which no constructor builds."""
+    products = [build_group(parse_group_expr(text)) for text in _CLASSIFY_PRODUCTS]
+    relabellings = [relabelled(G, seed)[0] for seed, G in enumerate((dihedral(6), dicyclic(3), *products[:6]))]
+    A4 = permutation_group([(1, 2, 0, 3), (0, 2, 3, 1)])
+    S4 = permutation_group([(1, 2, 3, 0), (1, 0, 2, 3)])
+    assert (A4.order, S4.order) == (12, 24)
+    return [*sweep(64), *products, *relabellings, A4, S4]
+
+
+def test_is_code_perfect_matches_the_lattice():
+    """The normal-closure test against every normal subgroup decided one
+    by one; the groups include both answers with |N| = 2 and |N| >= 3."""
+    verdicts = []
+    for G in _classify_groups():
+        verdict = is_code_perfect(G)
+        assert verdict == code_perfect_by_lattice(G), G.name
+        verdicts.append(verdict)
+        if is_dedekind(G):
+            assert is_code_perfect(G, method="dedekind") == verdict, G.name
+    assert 100 < sum(verdicts) < len(verdicts) - 50
+    # A4 and S4 are code-perfect; of the first products, D8 x Z2 and
+    # Q8 x E2^3 are not, D12 x Z3 is
+    assert verdicts[-2:] == [True, True]
+    assert verdicts[len(sweep(64)):len(sweep(64)) + 3] == [False, False, True]
+
+
+def test_a_refuted_subgroup_is_rechecked(monkeypatch):
+    """A "no" rests on the refuted closure having no perfect code: a
+    decider that finds one there is an internal inconsistency."""
+    seen = []
+
+    def finds_a_code(G, H):
+        seen.append(H.members)
+        return Verdict("plain", "perfect", True, "square-cosets-have-involutions", (), None)
+
+    monkeypatch.setattr(families, "decide_perfect_code", finds_a_code)
+    G = cyclic(8)
+    with pytest.raises(InternalInconsistencyError, match=r"\(0, 2, 4, 6\) has a perfect code"):
+        is_code_perfect(G)
+    assert seen == [(0, 2, 4, 6)]
+    assert is_code_perfect(cyclic(6))  # a "yes" asks the decider nothing
+    assert seen == [(0, 2, 4, 6)]
 
 
 def test_is_code_perfect_dedekind():
@@ -368,10 +425,18 @@ def test_is_code_perfect_dedekind():
     with pytest.raises(NotDedekindError):
         is_code_perfect(dihedral(3), method="dedekind")
 
-    # agreement with brute force on abelian groups
+    # agreement with the default method on abelian groups
     for factors in abelian_isomorphism_types(24):
         G = abelian(factors) if factors else cyclic(1)
         assert is_code_perfect(G, method="dedekind") == is_code_perfect(G), factors
+    # Q8 x E2^k is Dedekind and not code-perfect; from k = 6 its lattice
+    # is over the budget, which the default method never lists
+    for k in range(7):
+        G = build_group(parse_group_expr(f"Q8 x E2^{k}" if k else "Q8"))
+        assert is_dedekind(G)
+        assert is_code_perfect(G) is is_code_perfect(G, method="dedekind") is False
+    with pytest.raises(BadParameterError, match="budget"):
+        normal_subgroups(G)
 
     # a Dedekind group that fails does so because a concrete subgroup fails
     G = cyclic(8)

@@ -242,21 +242,55 @@ def test_structure_divergence_is_reported_not_asserted():
     assert report.divergent_vertices == (2, 6)
 
 
+def _block_by_definition(G, H, graph, vertices):
+    """(kind, square_in_subgroup, divergence) of one block, read off the
+    built graph's rows: the shape of its adjacency, whether x*x lies in H
+    for a vertex x, and, for a plain one-coset block, the vertices v where
+    "v is a square" and "v is adjacent to every other block vertex" differ."""
+    x = vertices[0]
+    adjacent = {v: {w for w in vertices if graph.rows[v] >> w & 1} for v in vertices}
+    square_in = G.rows[x][x] in H.member_set
+    if square_in:  # the block is the one coset Hx
+        facing = {v: set(vertices) - {v} for v in vertices}
+    else:  # the block is Hx with Hx^-1
+        coset = {G.rows[h][x] for h in H.members}
+        facing = {v: set(vertices) - coset if v in coset else coset for v in vertices}
+    missing = [facing[v] - adjacent[v] for v in vertices]
+    assert all(adjacent[v] <= facing[v] for v in vertices)
+    if not any(missing):
+        kind = "complete" if square_in else "complete_bipartite"
+    else:
+        assert all(len(m) == 1 for m in missing) or square_in and all(len(m) <= 1 for m in missing)
+        kind = "complete_minus_matching" if square_in else "bipartite_minus_perfect_matching"
+    divergence = ()
+    if square_in and not graph.extended:
+        divergence = tuple(v for v in vertices if (v in G.square_set) != (adjacent[v] == facing[v]))
+    return kind, square_in, divergence
+
+
 def test_structure_sweep_matches_everywhere():
+    """Every block matches, and every field of its report agrees with the
+    built graph: the kind, "square in H" and the square/universal
+    divergence, over all four block shapes."""
     relabelled_groups = [relabelled(G, seed)[0] for seed, G in enumerate(sweep(16))]  # identity off index 0
+    seen = set()
     for G in (*sweep(24), *relabelled_groups):
         for H in normal_subgroups(G):
             if len(H) == 1:
                 continue
             report = verify_structure(G, H)
             assert report.all_match, (str(G.tag), H.members)
+            graphs = dict(zip(("plain", "extended"), graphs_module._sum_graphs(G, H)))
             for block in report.blocks:
-                assert block.kind in (
-                    "complete",
-                    "complete_minus_matching",
-                    "complete_bipartite",
-                    "bipartite_minus_perfect_matching",
-                )
+                got = (block.kind, block.square_in_subgroup, block.square_universal_divergence)
+                expected = _block_by_definition(G, H, graphs[block.flavor], block.vertices)
+                assert got == expected, (G.name, H.members, block)
+                seen.add((block.flavor, block.kind, bool(block.square_universal_divergence)))
+    assert seen == {
+        ("plain", "complete", False), ("plain", "complete", True), ("plain", "complete_minus_matching", False),
+        ("plain", "complete_minus_matching", True), ("plain", "bipartite_minus_perfect_matching", False),
+        ("extended", "complete", False), ("extended", "complete_bipartite", False),
+    }
 
 
 def test_extended_components_shape_check_is_independent():

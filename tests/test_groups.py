@@ -1,7 +1,6 @@
 """Group construction, validation, subgroup and coset machinery."""
 
 import itertools
-import json
 import math
 import os
 import random
@@ -38,13 +37,11 @@ from sumgraph import (
     direct_product,
     elementary_abelian_2,
     group_from_cayley_table,
-    group_from_json,
     is_dedekind,
     normal_subgroups,
     parse_group_expr,
     quaternion,
     right_cosets,
-    subgroup_as_group,
     subgroup_generated,
     sweep_groups,
 )
@@ -56,6 +53,7 @@ from helpers import (
     greedy_generators,
     is_normal_by_definition,
     relabelled,
+    subgroup_as_group,
     sweep,
     units_by_definition,
     validate_by_definition,
@@ -461,28 +459,20 @@ def test_order_cap_is_checked_before_allocation(monkeypatch):
 
 
 @pytest.mark.parametrize(
-    "data",
+    "table, labels, message",
     [
-        {},
-        {"table": [[0]], "tag": {"param": 1}},
-        {"table": [[0]], "tag": "cyclic"},
-        {"table": [[0]], "tag": {"kind": "product", "parts": 5}},
-        {"table": [[0]], "tag": "Z2 x"},
-        {"table": [[0, 1, 2, 3], [1, 2, 3, 0], [2, 3, 0, 1], [3, 0, 1, 2]], "tag": "E2^2"},
-        {"table": [[0, 1], [1]]},
-        {"table": [[0]], "labels": 7},
-        {"table": [[0, 1], [1, 0]], "labels": "ab"},
-        {"table": [[0, 1, 2, 3], [1, 2, 3, 0], [2, 3, 0, 1], [3, 0, 1, 2]], "labels": ["e", "a", "a", "c"]},
-        [[0]],
-        None,
+        ([], None, "table must be square"),
+        ([[0, 1], [1]], None, "table must be a square array of integers"),
+        ([[0]], 7, "labels must be a sequence, got int"),
+        ([[0, 1], [1, 0]], "ab", "labels must be a sequence of strings, not a str"),
+        ([[0, 1, 2, 3], [1, 2, 3, 0], [2, 3, 0, 1], [3, 0, 1, 2]], ["e", "a", "a", "c"], "label 'a' is repeated"),
+        (None, None, "table must be a square array of integers"),
     ],
-    ids=["empty", "tag-without-kind", "tag-not-object", "tag-parts-not-list", "tag-does-not-parse",
-         "tag-names-another-group", "ragged-table", "labels-not-list", "labels-string", "repeated-label",
-         "list", "none"],
+    ids=["empty", "ragged-table", "labels-not-list", "labels-string", "repeated-label", "none"],
 )
-def test_group_from_json_rejects_malformed_input(data):
-    with pytest.raises(BadParameterError):
-        group_from_json(data)
+def test_group_from_cayley_table_rejects_malformed_input(table, labels, message):
+    with pytest.raises(BadParameterError, match=message):
+        group_from_cayley_table(table, labels)
 
 
 def test_repeated_labels_are_rejected():
@@ -665,11 +655,10 @@ def test_identity_is_found_from_column_0():
 
 
 def test_each_group_is_validated_once(monkeypatch):
-    """A group built by a constructor, from an expression or from JSON with
-    a tag runs Light's test once, on the table it returns: a product
-    composes its factors' tables and Q8 relabels Dic2's, unvalidated."""
+    """A group built by a constructor or from an expression runs Light's
+    test once, on the table it returns: a product composes its factors'
+    tables and Q8 relabels Dic2's, unvalidated."""
     Q8, Z3 = quaternion(), cyclic(3)
-    data = direct_product(Q8, Z3).to_json_dict()
     checked = []
     check = groups_module._check_associative
 
@@ -682,7 +671,7 @@ def test_each_group_is_validated_once(monkeypatch):
               for text in ("Q8", "Q8 x Z4", "Z2 x Z2 x Z64", "(Z2 x Q8) x D8", "E2^3 x Dic3")]
     builds += [lambda: cyclic(6), lambda: dihedral(5), lambda: dicyclic(3), quaternion,
                lambda: abelian([2, 4, 3]), lambda: elementary_abelian_2(3),
-               lambda: direct_product(Q8, Z3), lambda: group_from_json(data)]
+               lambda: direct_product(Q8, Z3)]
     for build in builds:
         checked.clear()
         G = build()
@@ -768,24 +757,17 @@ def test_order_cap_and_env_override():
             os.environ["SUMGRAPH_MAX_ORDER"] = old
 
 
-def test_group_json_round_trip():
+def test_groups_are_named_by_their_expressions():
     groups = (
         cyclic(7), dihedral(4), quaternion(), direct_product(cyclic(2), cyclic(4)),
         elementary_abelian_2(3), direct_product(quaternion(), dicyclic(3)),
     )
     names = ["Z7", "D8", "Q8", "Z2 x Z4", "E2^3", "Q8 x Dic3"]
     for G, name in zip(groups, names):
-        data = G.to_json_dict()
-        assert data["tag"] == name
-        back = group_from_json(json.loads(json.dumps(data)))
-        assert back.order == G.order
-        assert back.labels == G.labels
-        assert np.array_equal(back.table, G.table)
-        assert back.tag == G.tag
+        assert G.name == str(G.tag) == name
+        assert build_group(parse_group_expr(name)).tag == G.tag
     bare = group_from_cayley_table(cyclic(3).table)
     assert bare.tag is None and bare.name == "generic"
-    assert bare.to_json_dict()["tag"] is None
-    assert group_from_json(bare.to_json_dict()).tag is None
     # a product with a bare factor has no expression either
     assert direct_product(bare, cyclic(2)).name == "generic"
 

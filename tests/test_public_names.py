@@ -19,12 +19,6 @@ import sumgraph
 ROOT = Path(__file__).resolve().parents[1]
 MODULES = ("codes", "errors", "exprs", "families", "graphs", "groups")
 
-# Exported although nothing outside the tests calls them, one reason each.
-UNUSED_ALLOWED = {
-    "group_from_json",  # reads what Group.to_json_dict writes: serialisation input
-    "subgroup_as_group",  # the Sylow reduction of acceptance criterion 05
-}
-
 
 def _spans_layers():
     path = ROOT / "perfbench" / "spans.py"
@@ -99,9 +93,8 @@ def test_every_export_is_used_outside_the_tests():
     sources = [p for p in (ROOT / "src" / "sumgraph").glob("*.py") if p.name != "__init__.py"]
     for path in sources + sorted((ROOT / "perfbench").glob("*.py")):
         used |= _identifiers(path.read_text(encoding="utf-8"))
-    unused = [name for name in sumgraph.__all__ if name not in used and name not in UNUSED_ALLOWED]
+    unused = [name for name in sumgraph.__all__ if name not in used]
     assert not unused, unused
-    assert UNUSED_ALLOWED <= set(sumgraph.__all__)
 
 
 def test_every_family_and_rule_decider_takes_g_and_h():

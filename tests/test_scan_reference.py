@@ -4,7 +4,7 @@
 scan (``perfbench/workloads.py`` writes it).  Comparing every group's
 records with it, in order, shows that a change kept every verdict and
 oracle answer of the sweep.  The benchmark module is loaded by path and
-only read.
+only read.  The summary line on stderr is pinned too.
 """
 
 import importlib.util
@@ -32,8 +32,9 @@ def test_scan_matches_the_recorded_sweep(capsys):
     assert expected["command"] == f"sumgraph scan --max-order {workloads.SWEEP_MAX_ORDER}"
 
     rc = main(["scan", "--max-order", str(workloads.SWEEP_MAX_ORDER)])
-    out = capsys.readouterr().out
+    out, err = capsys.readouterr()
     assert rc == 0
+    assert err == "scan: 140 groups, 9962 checks, 0 disagreements\n"
     records = [json.loads(line) for line in out.splitlines()]
     got = []
     for _, group in itertools.groupby(records, key=lambda r: (r["group"], r["order"])):
