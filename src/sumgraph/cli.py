@@ -98,13 +98,14 @@ def resolve_subgroup(G: Group, selector: str) -> Subgroup:
         return subgroup_generated(G, generators)
     if selector.startswith("index:"):
         raw = selector[len("index:"):]
-        normals = normal_subgroups(G)
+        digits = raw.removeprefix("-")
+        if not (digits.isascii() and digits.isdecimal()):  # checked before the lattice is listed
+            raise BadParameterError(f"subgroup index must be an integer, got {_quoted(raw)}")
         try:
             k = int(raw)
-        except ValueError:
-            if not raw.strip().isdecimal():
-                raise BadParameterError(f"subgroup index must be an integer, got {_quoted(raw)}") from None
-            k = 10 ** (len(raw.strip()) - 1)  # past int()'s digit limit: a stand-in of as many digits
+        except ValueError:  # past int()'s digit limit: a stand-in of as many digits
+            k = 10 ** (len(digits) - 1) * (1 if raw == digits else -1)
+        normals = normal_subgroups(G)
         return normals[_index(k, f"{G.name} subgroup index", 0, len(normals) - 1)]
     raise BadParameterError(
         f"bad subgroup selector {_quoted(selector)}: use gen:<label>[,<label>...] or index:<k>"
@@ -171,7 +172,6 @@ def _cmd_code(args: argparse.Namespace) -> int:
         verdict = Verdict(
             flavor="extended" if args.extended else "plain",
             kind="total" if args.total else "perfect",
-            exists=found is not None,
             rule="bruteforce-oracle",
             witness=found,
             certificate=None if found is not None else {"reason": "exhaustive-search-found-none"},
@@ -183,14 +183,6 @@ def _cmd_code(args: argparse.Namespace) -> int:
         payload["witness"] = None
     print(json.dumps(payload, indent=2))
     return 0
-
-
-_DECIDER_NAMES = {
-    ("plain", "perfect"): "perfect",
-    ("plain", "total"): "total",
-    ("extended", "perfect"): "extended_perfect",
-    ("extended", "total"): "extended_total",
-}
 
 
 def _record(G: Group, subgroup: tuple[int, ...], decider: str, verdict: bool, oracle: bool) -> dict:
@@ -207,7 +199,7 @@ def _record(G: Group, subgroup: tuple[int, ...], decider: str, verdict: bool, or
 
 
 def _entry_record(G: Group, entry) -> dict:
-    decider = _DECIDER_NAMES[(entry.flavor, entry.kind)]
+    decider = f"extended_{entry.kind}" if entry.flavor == "extended" else entry.kind
     record = _record(G, entry.subgroup, decider, entry.decided, entry.oracle)
     if not entry.agree:
         record["rule"] = entry.rule

@@ -9,7 +9,8 @@ neighbour in C, i.e. the open neighbourhoods partition the vertex set.
 Each flavour/kind combination has a fast decider that reads the answer off
 the group structure, produces an explicit witness code when one exists and
 a small refuting certificate when none does; it reads only the Cayley table,
-re-checking its witness there too.  The plain perfect-code rule and the
+re-checking its witness there too (each is a rule body that :func:`_decider`
+wraps, building its :class:`Verdict`).  The plain perfect-code rule and the
 extended transversal read the least member of every right coset from one
 gather of the table and walk those representatives, building no coset;
 the plain one pairs cosets by the same partner rule as
@@ -65,14 +66,20 @@ __all__ = [
 
 @dataclass(frozen=True)
 class Verdict:
-    """Outcome of one decider: existence, the rule that settled it, evidence."""
+    """Outcome of one decider: the rule that settled it, then a witness code or a certificate."""
 
     flavor: str  # "plain" | "extended"
     kind: str  # "perfect" | "total"
-    exists: bool
     rule: str
     witness: tuple[int, ...] | None  # sorted vertex indices
     certificate: dict | None
+
+    @property
+    def exists(self) -> bool:
+        return self.witness is not None
+
+
+_Ruling = tuple[str, tuple[int, ...] | None, dict | None]  # a rule body's (rule, witness, certificate)
 
 
 # ---------------------------------------------------------------------------
@@ -191,32 +198,34 @@ def find_total_perfect_code_bruteforce(graph: SumGraph) -> tuple[int, ...] | Non
 # ---------------------------------------------------------------------------
 
 
-def _decider(rule):
-    """Give a rule body, ``rule(G, H) -> Verdict``, the contract every
-    decider shares: H must be a normal subgroup of G, and a positive
-    witness is re-checked against the neighbourhoods of its verdict's
-    flavour, read off the table."""
+def _decider(flavor: str, kind: str):
+    """Make a rule body, ``rule(G, H) -> (rule, witness, certificate)``,
+    the decider of the question named here once, by graph flavour and code
+    kind.  Every decider requires H normal in G and re-checks a witness
+    against that question's neighbourhoods, read off the table."""
+    extended, closed = flavor == "extended", kind == "perfect"
 
-    @functools.wraps(rule)
-    def decide(G: Group, H: Subgroup) -> Verdict:
-        require_normal(G, H)
-        verdict = rule(G, H)
-        if verdict.witness is not None:
-            extended, closed = verdict.flavor == "extended", verdict.kind == "perfect"
-            if not _table_partitions(G, H, verdict.witness, extended, closed):
+    def wrap(rule):
+        @functools.wraps(rule)
+        def decide(G: Group, H: Subgroup) -> Verdict:
+            require_normal(G, H)
+            verdict = Verdict(flavor, kind, *rule(G, H))
+            if verdict.exists and not _table_partitions(G, H, verdict.witness, extended, closed):
                 raise InternalInconsistencyError(f"constructed witness fails validation: {verdict!r}")
-        return verdict
+            return verdict
 
-    return decide
+        return decide
 
-
-def _refuted(flavor: str, kind: str, reason: str, **detail) -> Verdict:
-    """A negative verdict whose certificate repeats the rule that settled it."""
-    return Verdict(flavor, kind, False, reason, None, {"reason": reason, **detail})
+    return wrap
 
 
-@_decider
-def decide_perfect_code(G: Group, H: Subgroup) -> Verdict:
+def _refuted(reason: str, **detail) -> _Ruling:
+    """A negative ruling whose certificate repeats the rule that settled it."""
+    return reason, None, {"reason": reason, **detail}
+
+
+@_decider("plain", "perfect")
+def decide_perfect_code(G: Group, H: Subgroup) -> _Ruling:
     """Does the sum graph of G over H admit a perfect code?
 
     Positive for the trivial subgroup (empty graph: take everything) and
@@ -232,15 +241,13 @@ def decide_perfect_code(G: Group, H: Subgroup) -> Verdict:
     member when x*x is in H, and otherwise takes x and x^-1 when x is the
     lesser of the pair's two representatives.
     """
-    flavor, kind = "plain", "perfect"
     n, inv = G.order, G.inverses
     if H.order == 1:
-        return Verdict(flavor, kind, True, "trivial-subgroup", tuple(range(n)), None)
+        return "trivial-subgroup", tuple(range(n)), None
     if H.order == 2:
         h = next(m for m in H.members if m != G.identity)
         times_h = G.table[:, h].tolist()  # x -> x*h
-        witness = tuple(x for x in range(n) if times_h[inv[x]] >= x)
-        return Verdict(flavor, kind, True, "order-two-subgroup", witness, None)
+        return "order-two-subgroup", tuple(x for x in range(n) if times_h[inv[x]] >= x), None
     least = _coset_least(G, H)
     pivot = {least[v]: v for v in reversed(range(n)) if inv[v] == v}  # least self-inverse v of each coset
     chosen: list[int] = []
@@ -248,17 +255,15 @@ def decide_perfect_code(G: Group, H: Subgroup) -> Verdict:
         partner = _unit_partner(G, H, least, x)
         if partner is None:  # the unit is Hx alone
             if x not in pivot:  # the least such x: the identity's coset always has a pivot
-                reason = "square-coset-without-involution"
-                return _refuted(flavor, kind, reason, coset_representative=x)
+                return _refuted("square-coset-without-involution", coset_representative=x)
             chosen.append(pivot[x])
         elif partner > x:  # the unit is Hx with Hx^-1, met first here
             chosen.extend([x, inv[x]])
-    witness = tuple(sorted(chosen))
-    return Verdict(flavor, kind, True, "square-cosets-have-involutions", witness, None)
+    return "square-cosets-have-involutions", tuple(sorted(chosen)), None
 
 
-@_decider
-def decide_total_perfect_code(G: Group, H: Subgroup) -> Verdict:
+@_decider("plain", "total")
+def decide_total_perfect_code(G: Group, H: Subgroup) -> _Ruling:
     """Does the sum graph of G over H admit a total perfect code?
 
     For |H| = 2 the graph is a partial matching, and a total code exists
@@ -267,29 +272,27 @@ def decide_total_perfect_code(G: Group, H: Subgroup) -> Verdict:
     possibility is |H| = 3 with G a product of Z2 factors and one Z3: every
     block is then a three-vertex star, covered by its centre plus one leaf.
     """
-    flavor, kind = "plain", "total"
     if H.order == 2:
         h = next(m for m in H.members if m != G.identity)
         if h in G.square_set:
             element = np.diagonal(G.table).tolist().index(h)
-            return _refuted(flavor, kind, "square-element-not-involution", element=element)
-        return Verdict(flavor, kind, True, "order-two-matching", tuple(range(G.order)), None)
+            return _refuted("square-element-not-involution", element=element)
+        return "order-two-matching", tuple(range(G.order)), None
     if H.order == 3:
         orders = G.element_orders  # Z2^k x Z3: exponent divides 6, one subgroup of order 3
         if not (G.abelian and all(6 % o == 0 for o in orders) and sum(3 % o == 0 for o in orders) == 3):
-            return _refuted(flavor, kind, "not-elementary-two-times-three", group_order=G.order)
+            return _refuted("not-elementary-two-times-three", group_order=G.order)
         chosen = []
         for c in right_cosets(G, H):
-            centre = next(v for v in c.members if G.inverses[v] == v)
-            leaf = min(v for v in c.members if v != centre)
+            centre = next(v for v in c if G.inverses[v] == v)
+            leaf = min(v for v in c if v != centre)
             chosen.extend([centre, leaf])
-        witness = tuple(sorted(chosen))
-        return Verdict(flavor, kind, True, "elementary-two-times-three", witness, None)
-    return _refuted(flavor, kind, "subgroup-order-unsuitable", subgroup_order=H.order)
+        return "elementary-two-times-three", tuple(sorted(chosen)), None
+    return _refuted("subgroup-order-unsuitable", subgroup_order=H.order)
 
 
-@_decider
-def decide_perfect_code_extended(G: Group, H: Subgroup) -> Verdict:
+@_decider("extended", "perfect")
+def decide_perfect_code_extended(G: Group, H: Subgroup) -> _Ruling:
     """Does the extended sum graph of G over H admit a perfect code?
 
     With the trivial subgroup the graph pairs each element with its inverse,
@@ -298,23 +301,20 @@ def decide_perfect_code_extended(G: Group, H: Subgroup) -> Verdict:
     one coset each, and any transversal is a code; the witness is the
     least member of every coset.
     """
-    flavor, kind = "extended", "perfect"
     n, inv = G.order, G.inverses
     if H.order == 1:
-        witness = tuple(v for v in range(n) if inv[v] >= v)
-        return Verdict(flavor, kind, True, "trivial-subgroup", witness, None)
+        return "trivial-subgroup", tuple(v for v in range(n) if inv[v] >= v), None
     outside = sorted(G.square_set - H.member_set)
     if not outside:
         least = _coset_least(G, H)
-        witness = tuple(x for x, rep in enumerate(least) if rep == x)
-        return Verdict(flavor, kind, True, "squares-inside-subgroup", witness, None)
+        return "squares-inside-subgroup", tuple(x for x, rep in enumerate(least) if rep == x), None
     sq = outside[0]
     element = np.diagonal(G.table).tolist().index(sq)
-    return _refuted(flavor, kind, "square-outside-subgroup", element=element, square=sq)
+    return _refuted("square-outside-subgroup", element=element, square=sq)
 
 
-@_decider
-def decide_total_perfect_code_extended(G: Group, H: Subgroup) -> Verdict:
+@_decider("extended", "total")
+def decide_total_perfect_code_extended(G: Group, H: Subgroup) -> _Ruling:
     """Does the extended sum graph of G over H admit a total perfect code?
 
     Exactly when |H| = 2.  With H = {e, h}, h is central and the neighbours
@@ -324,9 +324,8 @@ def decide_total_perfect_code_extended(G: Group, H: Subgroup) -> Verdict:
     least neighbour (the whole edge), the lexicographically least one.
     No other subgroup order works, whatever the group.
     """
-    flavor, kind = "extended", "total"
     if H.order != 2:
-        return _refuted(flavor, kind, "subgroup-order-not-two", subgroup_order=H.order)
+        return _refuted("subgroup-order-not-two", subgroup_order=H.order)
     h = next(m for m in H.members if m != G.identity)
     times_h = G.table[:, h].tolist()  # x -> x*h
     inv = G.inverses
@@ -336,7 +335,7 @@ def decide_total_perfect_code_extended(G: Group, H: Subgroup) -> Verdict:
         component = (x, times_h[x], y, times_h[y])
         if x == min(component):
             chosen |= {x, min(v for v in component[2:] if v != x)}
-    return Verdict(flavor, kind, True, "order-two-subgroup", tuple(sorted(chosen)), None)
+    return "order-two-subgroup", tuple(sorted(chosen)), None
 
 
 def decide_code(G: Group, H: Subgroup, extended: bool = False, total: bool = False) -> Verdict:

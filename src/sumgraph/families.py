@@ -197,7 +197,7 @@ def order_three_coset_scan(G: Group, H: Subgroup) -> bool:
         if x not in H and G.rows[x][x] not in H:
             return False
     for coset in right_cosets(G, H):
-        if all(G.element_orders[v] <= 2 for v in coset.members):
+        if all(G.element_orders[v] <= 2 for v in coset):
             return False
     return True
 

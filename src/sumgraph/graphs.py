@@ -18,7 +18,7 @@ from functools import cached_property
 import numpy as np
 
 from .errors import InternalInconsistencyError
-from .groups import Coset, Group, Subgroup, coset_units, require_normal
+from .groups import Group, Subgroup, coset_units, require_normal
 
 __all__ = [
     "SumGraph",
@@ -176,7 +176,7 @@ class StructureReport:
     divergent_vertices: tuple[int, ...]
 
 
-def _check_block(G: Group, graph: SumGraph, unit: tuple[Coset, ...]) -> BlockRecord:
+def _check_block(G: Group, graph: SumGraph, unit: tuple[tuple[int, ...], ...]) -> BlockRecord:
     """Predict the block of one coset unit from the unit alone and compare
     it with the graph's rows.  Vertex v of the unit is joined to every
     vertex of the coset facing it, other than v itself: its own coset in a
@@ -184,8 +184,8 @@ def _check_block(G: Group, graph: SumGraph, unit: tuple[Coset, ...]) -> BlockRec
     v^-1 as well.  The shape follows from the unit's size, the flavour,
     and whether every vertex is its own inverse."""
     inv, extended = G.inverses, graph.extended
-    masks = [sum(1 << v for v in c.members) for c in unit]
-    facing = {v: masks[len(unit) - 1 - i] for i, c in enumerate(unit) for v in c.members}
+    masks = [sum(1 << v for v in c) for c in unit]
+    facing = {v: masks[len(unit) - 1 - i] for i, c in enumerate(unit) for v in c}
     vertices = tuple(sorted(facing))
     if len(unit) == 2:
         kind = "complete_bipartite" if extended else "bipartite_minus_perfect_matching"
@@ -219,7 +219,7 @@ def _check_block(G: Group, graph: SumGraph, unit: tuple[Coset, ...]) -> BlockRec
     return BlockRecord(
         flavor="extended" if extended else "plain",
         vertices=vertices,
-        coset_representatives=tuple(c.representative for c in unit),
+        coset_representatives=tuple(c[0] for c in unit),
         square_in_subgroup=len(unit) == 1,
         kind=kind,
         matches=witness is None,

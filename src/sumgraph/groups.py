@@ -28,7 +28,6 @@ import itertools
 import math
 import operator
 import os
-from dataclasses import dataclass
 from functools import cached_property
 from typing import Iterable, Iterator, Sequence
 
@@ -64,7 +63,6 @@ __all__ = [
     "max_supported_order",
     "Group",
     "Subgroup",
-    "Coset",
     "group_from_cayley_table",
     "cyclic",
     "dihedral",
@@ -145,13 +143,20 @@ class Group:
 
     @cached_property
     def element_orders(self) -> tuple[int, ...]:
-        orders = []
+        """The order of every element: the powers of g are walked only when
+        g has no order yet, and each power g^i gets k / gcd(i, k), k = ord(g)."""
+        rows, e = self.rows, self.identity
+        orders = [0] * self.order
         for g in range(self.order):
-            k, x = 1, g
-            while x != self.identity:
-                x = self.rows[x][g]
-                k += 1
-            orders.append(k)
+            if orders[g]:
+                continue
+            powers, x = [e], g
+            while x != e:
+                powers.append(x)
+                x = rows[x][g]
+            k = len(powers)
+            for i, p in enumerate(powers):
+                orders[p] = k // math.gcd(i, k)
         return tuple(orders)
 
     @cached_property
@@ -304,14 +309,6 @@ def require_normal(G: Group, H: Subgroup) -> None:
     require_subgroup(G, H)
     if not H.is_normal:
         raise NotNormalError("subgroup is not normal, so the sum graph is not defined over it")
-
-
-@dataclass(frozen=True)
-class Coset:
-    """A right coset ``H x``; the representative is its minimal member."""
-
-    representative: int
-    members: tuple[int, ...]
 
 
 # ---------------------------------------------------------------------------
@@ -577,6 +574,9 @@ def direct_product(*factors: Group) -> Group:
     """Direct product; element tuples ordered lexicographically."""
     if not factors:
         raise BadParameterError("direct_product needs at least one factor")
+    for g in factors:
+        if not isinstance(g, Group):
+            raise BadParameterError(f"direct_product factors must be groups, got {type(g).__name__}")
     if len(factors) == 1:
         return factors[0]
     tags = tuple(g.tag for g in factors)
@@ -909,14 +909,15 @@ def normal_subgroups(G: Group) -> list[Subgroup]:
 # ---------------------------------------------------------------------------
 
 
-def right_cosets(G: Group, H: Subgroup) -> list[Coset]:
-    """The partition of G into right cosets Hx; the identity's coset first,
-    the rest ordered by minimal member (which is the representative)."""
+def right_cosets(G: Group, H: Subgroup) -> list[tuple[int, ...]]:
+    """The partition of G into right cosets Hx, each a sorted tuple of its
+    members, so its first entry, the least member, is its representative;
+    the identity's coset first, the rest ordered by representative."""
     require_subgroup(G, H)
     members: dict[int, list[int]] = {H.members[0]: []}  # He = H, so min(H) names it
     for x, rep in enumerate(_coset_least(G, H)):  # x ascends: reps met in order, members sorted
         members.setdefault(rep, []).append(x)
-    return [Coset(rep, tuple(ms)) for rep, ms in members.items()]
+    return [tuple(ms) for ms in members.values()]
 
 
 def _coset_least(G: Group, H: Subgroup) -> list[int]:
@@ -932,7 +933,7 @@ def _unit_partner(G: Group, H: Subgroup, least: list[int], x: int) -> int | None
     return None if G.rows[x][x] in H.member_set else least[G.inverses[x]]
 
 
-def coset_units(G: Group, H: Subgroup) -> list[tuple[Coset, ...]]:
+def coset_units(G: Group, H: Subgroup) -> list[tuple[tuple[int, ...], ...]]:
     """The right cosets grouped into units, in :func:`right_cosets` order.
 
     A unit is ``(Hx,)`` or ``(Hx, Hx^-1)`` as :func:`_unit_partner` says,
@@ -942,8 +943,8 @@ def coset_units(G: Group, H: Subgroup) -> list[tuple[Coset, ...]]:
     """
     require_normal(G, H)
     least = _coset_least(G, H)
-    cosets = {c.representative: c for c in right_cosets(G, H)}
-    units: list[tuple[Coset, ...]] = []
+    cosets = {c[0]: c for c in right_cosets(G, H)}
+    units: list[tuple[tuple[int, ...], ...]] = []
     for x, c in cosets.items():
         partner = _unit_partner(G, H, least, x)
         if partner is None:
@@ -996,8 +997,10 @@ def _partitions(k: int) -> list[tuple[int, ...]]:
 
 
 def abelian_isomorphism_types(max_order: int) -> list[tuple[int, ...]]:
-    """Every abelian group of order <= max_order, one tuple of prime-power
-    cyclic factor orders (ascending) per isomorphism type."""
+    """Every abelian group of order <= max_order (from 1 to the order cap),
+    one tuple of prime-power cyclic factor orders (ascending) per type."""
+    max_order = _index(max_order, "max_order", low=1)
+    _check_order(max_order)
     types: list[tuple[int, ...]] = []
     for n in range(1, max_order + 1):
         per_prime: list[list[tuple[int, ...]]] = []

@@ -13,6 +13,7 @@ from hypothesis import given, settings
 from hypothesis import strategies as st
 
 from sumgraph import Verdict, cli, codes, normal_subgroups
+from sumgraph import groups as groups_module
 from sumgraph.cli import main
 
 from helpers import greedy_generators, sweep
@@ -297,10 +298,26 @@ def test_index_selects_the_last_normal_subgroup(capsys):
         rc, out, _ = run(capsys, "code", text, "--subgroup", f"index:{count - 1}")
         assert rc == 0, text
         assert json.loads(out)["subgroup"] == list(range(order))  # the last is G itself
-        rc, _, err = run(capsys, "code", text, "--subgroup", f"index:{count}")
-        assert rc == 2 and f"must be in 0..{count - 1}" in err, text
+        for k in (count, -1):  # out of range is named once the lattice is listed
+            rc, _, err = run(capsys, "code", text, "--subgroup", f"index:{k}")
+            assert rc == 2 and f"must be in 0..{count - 1}" in err, text
     rc, _, err = run(capsys, "code", "Z6", "--subgroup", "index:abc")
     assert rc == 2 and "subgroup index must be an integer, got 'abc'" in err
+
+
+def test_a_malformed_index_fails_before_the_lattice_is_listed(capsys, monkeypatch):
+    """E2^7 has 29,212 normal subgroups, seconds of listing: text that is
+    not an index is refused first.  int() would read "1_0", "+1" and " 1"."""
+
+    def no_lattice(G):
+        raise AssertionError("the lattice was listed")
+
+    monkeypatch.setattr(groups_module, "_lattice", no_lattice)
+    for raw in ("x", "1_0", "+1", " 1", "", "-", "1.0"):
+        start = time.perf_counter()
+        rc, _, err = run(capsys, "code", "E2^7", "--subgroup", f"index:{raw}")
+        assert rc == 2 and "subgroup index must be an integer" in err, raw
+        assert time.perf_counter() - start < 1, raw
 
 
 def test_crosscheck_reports_agreement(capsys):
@@ -344,7 +361,8 @@ def test_scan_reports_a_disagreement(capsys, monkeypatch):
     def wrong_on_extended_total(G, H, extended=False, total=False):
         verdict = decide(G, H, extended=extended, total=total)
         if extended and total:
-            return Verdict(verdict.flavor, verdict.kind, not verdict.exists, "flipped", None, {"reason": "flipped"})
+            witness = None if verdict.exists else ()
+            return Verdict(verdict.flavor, verdict.kind, "flipped", witness, {"reason": "flipped"})
         return verdict
 
     monkeypatch.setattr(codes, "decide_code", wrong_on_extended_total)

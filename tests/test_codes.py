@@ -430,10 +430,10 @@ def test_decider_rejects_a_wrong_witness():
     for flavor, kind, vertices in cases:
 
         def rule(G, H):
-            return codes.Verdict(flavor, kind, True, "wrong", vertices, None)
+            return "wrong", vertices, None
 
         with pytest.raises(InternalInconsistencyError, match="fails validation"):
-            codes._decider(rule)(G, H)
+            codes._decider(flavor, kind)(rule)(G, H)
 
 
 def _oracle_searches(monkeypatch) -> list[list[int]]:

@@ -406,7 +406,7 @@ def test_a_refuted_subgroup_is_rechecked(monkeypatch):
 
     def finds_a_code(G, H):
         seen.append(H.members)
-        return Verdict("plain", "perfect", True, "square-cosets-have-involutions", (), None)
+        return Verdict("plain", "perfect", "square-cosets-have-involutions", (), None)
 
     monkeypatch.setattr(families, "decide_perfect_code", finds_a_code)
     G = cyclic(8)

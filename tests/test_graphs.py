@@ -24,7 +24,7 @@ from sumgraph import (
     verify_structure,
 )
 
-from helpers import relabelled, sweep
+from helpers import relabelled, sweep, units_by_definition
 
 
 def test_plain_graph_edges_of_z6():
@@ -271,7 +271,8 @@ def _block_by_definition(G, H, graph, vertices):
 def test_structure_sweep_matches_everywhere():
     """Every block matches, and every field of its report agrees with the
     built graph: the kind, "square in H" and the square/universal
-    divergence, over all four block shapes."""
+    divergence, over all four block shapes; its vertices and coset
+    representatives are those of its unit, plain block then extended."""
     relabelled_groups = [relabelled(G, seed)[0] for seed, G in enumerate(sweep(16))]  # identity off index 0
     seen = set()
     for G in (*sweep(24), *relabelled_groups):
@@ -280,6 +281,9 @@ def test_structure_sweep_matches_everywhere():
                 continue
             report = verify_structure(G, H)
             assert report.all_match, (str(G.tag), H.members)
+            units = [(tuple(sorted(sum(u, ()))), tuple(c[0] for c in u)) for u in units_by_definition(G, H)]
+            got = [(b.vertices, b.coset_representatives) for b in report.blocks]
+            assert got == [unit for unit in units for _flavor in ("plain", "extended")], (G.name, H.members)
             graphs = dict(zip(("plain", "extended"), graphs_module._sum_graphs(G, H)))
             for block in report.blocks:
                 got = (block.kind, block.square_in_subgroup, block.square_universal_divergence)

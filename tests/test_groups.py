@@ -152,19 +152,24 @@ def _closure_reference(table, seed):
 
 
 def _normal_subgroups_reference(G):
-    """Reference lattice: extend each known normal subgroup by one whole
-    conjugacy class and re-close, to a fixed point."""
-    classes = [np.fromiter(c, dtype=np.int64) for c in conjugacy_classes(G)]
-    class_sets = [frozenset(int(v) for v in c) for c in classes]
+    """Reference lattice, to a fixed point: the atoms are the normal
+    closures of the conjugacy classes, each closed by
+    :func:`_closure_reference`, and each normal subgroup B found is joined
+    with each atom A as the set product B*A, which is their join since both
+    are normal.  Every normal subgroup is the join of the atoms of the
+    classes it holds."""
+    atoms = {_closure_reference(G.table, c) for c in conjugacy_classes(G)}
+    atoms = [(atom, np.fromiter(atom, dtype=np.int64)) for atom in atoms]
     seed = frozenset([G.identity])
     found = {seed}
     queue = [seed]
     while queue:
         base = queue.pop()
-        for cls in class_sets:
-            if cls <= base:
+        rows = np.fromiter(base, dtype=np.int64)
+        for atom, columns in atoms:
+            if atom <= base:
                 continue
-            ext = _closure_reference(G.table, base | cls)
+            ext = frozenset(G.table[np.ix_(rows, columns)].ravel().tolist())
             if ext not in found:
                 found.add(ext)
                 queue.append(ext)
@@ -1011,11 +1016,8 @@ def test_right_cosets_partition():
     G = cyclic(12)
     H = Subgroup(G, [0, 4, 8])
     cosets = right_cosets(G, H)
-    assert cosets[0].representative == 0
-    assert [c.members for c in cosets] == [(0, 4, 8), (1, 5, 9), (2, 6, 10), (3, 7, 11)]
-    assert [c.representative for c in cosets] == [0, 1, 2, 3]
-    seen = sorted(v for c in cosets for v in c.members)
-    assert seen == list(range(12))
+    assert cosets == [(0, 4, 8), (1, 5, 9), (2, 6, 10), (3, 7, 11)]
+    assert cosets == cosets_by_definition(G, H)
 
 
 def test_coset_units_pair_each_coset_with_its_inverse():
@@ -1023,16 +1025,16 @@ def test_coset_units_pair_each_coset_with_its_inverse():
     H = Subgroup(G, [0, 4, 8])
     units = coset_units(G, H)
     # 2 + 2 = 4 lies in H, so H+2 stands alone; H+1 pairs with H+11 = H+3
-    assert [[c.representative for c in unit] for unit in units] == [[0], [1, 3], [2]]
+    assert units == [((0, 4, 8),), ((1, 5, 9), (3, 7, 11)), ((2, 6, 10),)]
     for G in sweep(24):
         for H in normal_subgroups(G):
+            assert right_cosets(G, H) == cosets_by_definition(G, H)
             units = coset_units(G, H)
-            reps = sorted(c.representative for unit in units for c in unit)
-            assert reps == sorted(c.representative for c in right_cosets(G, H))
+            assert units == units_by_definition(G, H)
             for unit in units:
-                x = unit[0].representative
+                x = unit[0][0]
                 assert (len(unit) == 1) == (G.rows[x][x] in H)
-                assert G.inverses[x] in unit[-1].members
+                assert G.inverses[x] in unit[-1]
     D6 = dihedral(3)  # H = <b>: the inverses of the right coset {a^2, ab} are {a, ab}, not a right coset
     with pytest.raises(NotNormalError):
         coset_units(D6, subgroup_generated(D6, [3]))
@@ -1049,13 +1051,11 @@ def test_cosets_on_relabelled_tables():
         assert G.identity != 0, G
         for H in normal_subgroups(G):
             cosets = right_cosets(G, H)
-            assert [c.members for c in cosets] == cosets_by_definition(G, H)
-            assert G.identity in cosets[0].members
-            assert all(c.representative == c.members[0] for c in cosets)
-            rest = [c.representative for c in cosets[1:]]
+            assert cosets == cosets_by_definition(G, H)
+            assert G.identity in cosets[0]
+            rest = [c[0] for c in cosets[1:]]
             assert rest == sorted(rest)
-            units = [tuple(c.members for c in unit) for unit in coset_units(G, H)]
-            assert units == units_by_definition(G, H)
+            assert coset_units(G, H) == units_by_definition(G, H)
             identity_not_least += H.members[0] != G.identity
     assert identity_not_least >= 3
 
@@ -1068,8 +1068,8 @@ def test_square_cosets_are_inverse_closed():
         for H in normal_subgroups(G):
             mem = set(H.members)
             for coset in right_cosets(G, H):
-                x = coset.representative
-                body = set(coset.members)
+                x = coset[0]
+                body = set(coset)
                 if G.rows[x][x] in mem:
                     for y in body:
                         assert G.rows[y][y] in mem
@@ -1092,6 +1092,23 @@ def test_odd_abelian_square_roots_stay_in_subgroup():
             for g in range(G.order):
                 if G.rows[g][g] in mem:
                     assert g in mem
+
+
+def _order_by_definition(G, g) -> int:
+    """The least k >= 1 with g^k the identity, one product at a time."""
+    k, x = 1, g
+    while x != G.identity:
+        x, k = G.rows[x][g], k + 1
+    return k
+
+
+def test_element_orders_match_the_definition():
+    texts = ("Z511", "Z512", "D512", "Q8 x E2^6", "E2^9", "Dic128", "Z2 x Z2 x Z128", "Q8 x Z64")
+    large = [build_group(parse_group_expr(text)) for text in texts]
+    sources = (dihedral(6), dicyclic(4), cyclic(60), *large[:4])
+    groups = [*sweep(24), *large, *(relabelled(G, seed)[0] for seed, G in enumerate(sources, 1))]
+    for G in groups:
+        assert G.element_orders == tuple(_order_by_definition(G, g) for g in range(G.order)), G.name
 
 
 def test_lagrange_and_involution_consistency():
@@ -1130,6 +1147,24 @@ def test_conjugacy_classes_are_the_conjugation_orbits():
         assert [c[0] for c in classes] == sorted(c[0] for c in classes), G.name
         for c in classes:
             assert all(_orbit_of(G, g) == set(c) for g in c), (G.name, c)
+
+
+def test_direct_product_refuses_a_factor_that_is_not_a_group():
+    for factors in ((5,), (cyclic(2), 3), (None, cyclic(2)), (cyclic(2).table, cyclic(2))):
+        with pytest.raises(BadParameterError, match="direct_product factors must be groups, got"):
+            direct_product(*factors)
+
+
+def test_abelian_isomorphism_types_checks_max_order(monkeypatch):
+    monkeypatch.delenv("SUMGRAPH_MAX_ORDER", raising=False)
+    for max_order, message in ((2.5, "is not an integer"), ("8", "is not an integer"), (0, "out of range")):
+        with pytest.raises(BadParameterError, match=message):
+            abelian_isomorphism_types(max_order)
+    start = time.perf_counter()
+    with pytest.raises(BadParameterError, match="exceeds the supported cap"):
+        abelian_isomorphism_types(200000)
+    assert time.perf_counter() - start < 0.1
+    assert abelian_isomorphism_types(1) == [()]
 
 
 def test_sweep_rejects_an_empty_or_repeated_family_list():
