@@ -199,11 +199,12 @@ def _record(G: Group, subgroup: tuple[int, ...], decider: str, verdict: bool, or
 
 
 def _entry_record(G: Group, entry) -> dict:
-    decider = f"extended_{entry.kind}" if entry.flavor == "extended" else entry.kind
-    record = _record(G, entry.subgroup, decider, entry.decided, entry.oracle)
+    verdict = entry.verdict
+    decider = f"extended_{verdict.kind}" if verdict.flavor == "extended" else verdict.kind
+    record = _record(G, entry.subgroup, decider, verdict.exists, entry.oracle)
     if not entry.agree:
-        record["rule"] = entry.rule
-        record["certificate"] = entry.certificate
+        record["rule"] = verdict.rule
+        record["certificate"] = verdict.certificate
     return record
 
 
@@ -249,7 +250,7 @@ def _cmd_scan(args: argparse.Namespace) -> int:
         for G in groups:
             groups_seen += 1
             report = cross_check(G)
-            oracle = {(entry.subgroup, entry.flavor, entry.kind): entry.oracle for entry in report.entries}
+            oracle = {(e.subgroup, e.verdict.flavor, e.verdict.kind): e.oracle for e in report.entries}
             records = itertools.chain(
                 (_entry_record(G, entry) for entry in report.entries),
                 (

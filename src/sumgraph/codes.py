@@ -369,17 +369,15 @@ def verdict_to_json(G: Group, H: Subgroup, verdict: Verdict) -> dict:
 
 @dataclass(frozen=True)
 class CrossCheckEntry:
+    """One decider's :class:`Verdict` on one subgroup beside whether the oracle found a code."""
+
     subgroup: tuple[int, ...]
-    flavor: str
-    kind: str
-    decided: bool
+    verdict: Verdict
     oracle: bool
-    rule: str
-    certificate: dict | None
 
     @property
     def agree(self) -> bool:
-        return self.decided == self.oracle
+        return self.verdict.exists == self.oracle
 
 
 @dataclass(frozen=True)
@@ -409,17 +407,7 @@ def cross_check(G: Group, subgroups: list[Subgroup] | None = None) -> CrossCheck
                 found = (
                     find_total_perfect_code_bruteforce(graph) if total else find_perfect_code_bruteforce(graph)
                 )
-                entries.append(
-                    CrossCheckEntry(
-                        subgroup=H.members,
-                        flavor=verdict.flavor,
-                        kind=verdict.kind,
-                        decided=verdict.exists,
-                        oracle=found is not None,
-                        rule=verdict.rule,
-                        certificate=verdict.certificate,
-                    )
-                )
+                entries.append(CrossCheckEntry(H.members, verdict, found is not None))
     return CrossCheckReport(
         group=G.name,
         group_order=G.order,

@@ -172,10 +172,7 @@ class _Parser:
             return QuaternionExpr()
         if kind == "e2":
             self.take()
-            t, t_at = self.integer("exponent")
-            if t < 0:
-                raise ParseError("exponent must be non-negative", t_at, ("integer >= 0",))
-            return ElementaryAbelianExpr(t)
+            return ElementaryAbelianExpr(self.integer("exponent")[0])
         if kind == "lparen":
             if self.depth == _MAX_NESTING:
                 raise ParseError(f"parentheses nested deeper than {_MAX_NESTING}", at)

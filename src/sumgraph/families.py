@@ -118,9 +118,9 @@ def dihedral_perfect_code(G: Group, H: Subgroup) -> bool:
     rotation order n is even, and for rotation subgroups <a^t> exactly when
     n/t is odd, equals 2, or is even >= 4 with t odd.
     """
+    require_normal(G, H)
     if not isinstance(G.tag, DihedralExpr):
         raise BadParameterError("expected a group built by the dihedral constructor")
-    require_normal(G, H)
     n = G.tag.order // 2
     if H.order == 2 * n:
         return True
@@ -141,9 +141,9 @@ def dicyclic_perfect_code(G: Group, H: Subgroup) -> bool:
 
     True exactly for H = G and for subgroups of <a> of odd order or order 2.
     """
+    require_normal(G, H)
     if not isinstance(G.tag, DicyclicExpr):
         raise BadParameterError("expected a group built by the dicyclic constructor")
-    require_normal(G, H)
     n = G.tag.n
     if H.order == 4 * n:
         return True
@@ -165,9 +165,9 @@ def abelian_total_perfect_code(A: Group, H: Subgroup) -> bool:
     :func:`order_three_coset_scan` passes, which in an abelian group means A
     is a product of Z2 factors with one Z3 (every block is then a 3-star).
     """
+    require_subgroup(A, H)
     if not A.abelian:
         raise NotAbelianError("this decider applies to abelian groups only")
-    require_subgroup(A, H)
     if H.order == 2:
         for x in range(A.order):
             if x in H:
@@ -228,17 +228,10 @@ def is_code_perfect(G: Group, method: str = "normal-closure") -> bool:
     if method == "normal-closure":
         rows, e, classes, orders = G.rows, G.identity, G._classes, G.element_orders
         class_of = {g: cls for cls in classes for g in cls}
-
-        def closure(base: _Closure, cls: tuple[int, ...]) -> _Closure:
-            grown = base.copy()
-            for g in cls:
-                grown.add(g)
-            return grown
-
         for x in (cls[0] for cls in classes if orders[cls[0]] % 4 == 0):
-            N = closure(_Closure(G.table, e), class_of[rows[x][x]])
+            N = _Closure(G.table, e, class_of[rows[x][x]])
             avoid = [rows[i][G.inverses[x]] for i in (e, *G.involution_set)]  # S_x
-            for K in [N] if len(N.members) >= 3 else (closure(N, cls) for cls in classes):
+            for K in [N] if len(N.members) >= 3 else (N.joined(cls) for cls in classes):
                 if len(K.members) >= 3 and not any(K.reached[s] for s in avoid):
                     H = _mark_normal(Subgroup._of_closure(G, K))
                     if decide_perfect_code(G, H).exists:

@@ -158,11 +158,18 @@ class BlockRecord:
     flavor: str  # "plain" | "extended"
     vertices: tuple[int, ...]
     coset_representatives: tuple[int, ...]
-    square_in_subgroup: bool
     kind: str
-    matches: bool
     witness: tuple[str, int, int] | None
     square_universal_divergence: tuple[int, ...]
+
+    @property
+    def square_in_subgroup(self) -> bool:
+        """Whether the unit is one coset Hx, which holds exactly when x*x lies in H."""
+        return len(self.coset_representatives) == 1
+
+    @property
+    def matches(self) -> bool:
+        return self.witness is None
 
 
 @dataclass(frozen=True)
@@ -172,8 +179,14 @@ class StructureReport:
     group_order: int
     subgroup_members: tuple[int, ...]
     blocks: tuple[BlockRecord, ...]
-    all_match: bool
-    divergent_vertices: tuple[int, ...]
+
+    @property
+    def all_match(self) -> bool:
+        return all(b.matches for b in self.blocks)
+
+    @property
+    def divergent_vertices(self) -> tuple[int, ...]:
+        return tuple(sorted({v for b in self.blocks for v in b.square_universal_divergence}))
 
 
 def _check_block(G: Group, graph: SumGraph, unit: tuple[tuple[int, ...], ...]) -> BlockRecord:
@@ -220,9 +233,7 @@ def _check_block(G: Group, graph: SumGraph, unit: tuple[tuple[int, ...], ...]) -
         flavor="extended" if extended else "plain",
         vertices=vertices,
         coset_representatives=tuple(c[0] for c in unit),
-        square_in_subgroup=len(unit) == 1,
         kind=kind,
-        matches=witness is None,
         witness=witness,
         square_universal_divergence=divergence,
     )
@@ -239,15 +250,8 @@ def verify_structure(G: Group, H: Subgroup) -> StructureReport:
     reported as a witness.
     """
     plain, extended = _sum_graphs(G, H)
-    blocks = [_check_block(G, graph, unit) for unit in coset_units(G, H) for graph in (plain, extended)]
-    divergent = tuple(sorted({v for b in blocks for v in b.square_universal_divergence}))
-    return StructureReport(
-        group_order=G.order,
-        subgroup_members=H.members,
-        blocks=tuple(blocks),
-        all_match=all(b.matches for b in blocks),
-        divergent_vertices=divergent,
-    )
+    blocks = (_check_block(G, graph, unit) for unit in coset_units(G, H) for graph in (plain, extended))
+    return StructureReport(group_order=G.order, subgroup_members=H.members, blocks=tuple(blocks))
 
 
 # ---------------------------------------------------------------------------

@@ -217,10 +217,7 @@ class Subgroup:
             raise NotASubgroupError(f"member {_shown(bad)} out of range 0..{parent.order - 1}")
         if parent.identity not in ms:
             raise NotASubgroupError("member set does not contain the identity")
-        closure = _Closure(parent.table, parent.identity)
-        for m in ms:
-            closure.add(m)
-        outside = self._take(parent, ms, closure)
+        outside = self._take(parent, ms, _Closure(parent.table, parent.identity, ms))
         if outside is not None:
             a, t, p = outside
             raise NotASubgroupError(f"not closed under products: {a} * {t} = {p} is outside")
@@ -298,7 +295,11 @@ def _index(value, what: str, low: int | None = None, high: int | None = None) ->
 
 
 def require_subgroup(G: Group, H: Subgroup) -> None:
-    """Raise unless H is a subgroup of G itself, not of another group."""
+    """Raise unless H is a subgroup of G itself, not of another group; a G
+    or an H of the wrong type is a BadParameterError that names the type."""
+    for value, kind in ((G, Group), (H, Subgroup)):
+        if not isinstance(value, kind):
+            raise BadParameterError(f"expected a {kind.__name__}, got {type(value).__name__}")
     if H.parent is not G:
         raise NotASubgroupError("subgroup belongs to a different group")
 
@@ -327,9 +328,14 @@ class _Closure:
     """A subgroup grown from generators by breadth-first search over the
     Cayley graph.
 
+    ``_Closure(table, identity, gens)`` closes over ``gens`` in their
+    order, and ``closure.joined(gens)`` is a copy grown by more; the
+    columns of those, when the caller has them (a lattice join reuses its
+    atom's), are passed as ``columns`` and read from the table otherwise.
     ``members`` (marked in ``reached``) is closed under right multiplication
     by every generator added so far.  :meth:`add` skips a generator that is
-    already reached; otherwise it multiplies every member by the new
+    already reached, so ``gens`` keeps only the ones the generators before
+    did not reach; otherwise it multiplies every member by the new
     generator and every new element by all generators.  A generator's
     column ``x -> x*g`` is read once as a plain list, so the cost is
     O(n*|gens| + |H|*|gens|).  In a finite group the closure under right
@@ -338,21 +344,26 @@ class _Closure:
 
     __slots__ = ("table", "reached", "members", "gens", "columns")
 
-    def __init__(self, table: np.ndarray, identity: int):
+    def __init__(self, table: np.ndarray, identity: int, gens: Iterable[int] = ()):
         self.table = table
         self.reached = bytearray(table.shape[0])
         self.reached[identity] = 1
         self.members = [identity]
         self.gens: list[int] = []
         self.columns: list[list[int]] = []  # columns[k][x] = x * gens[k]
+        for g in gens:
+            self.add(g)
 
-    def copy(self) -> "_Closure":
+    def joined(self, gens: Iterable[int], columns: Iterable[list[int]] | None = None) -> "_Closure":
+        """A copy closed under ``gens`` as well, with their ``columns`` when given."""
         other = object.__new__(_Closure)
         other.table = self.table
         other.reached = self.reached[:]
         other.members = self.members[:]
         other.gens = self.gens[:]
         other.columns = self.columns[:]
+        for g, column in zip(gens, itertools.repeat(None) if columns is None else columns):
+            other.add(g, column)
         return other
 
     def add(self, g: int, column: list[int] | None = None) -> None:
@@ -726,10 +737,8 @@ def conjugacy_classes(G: Group) -> tuple[tuple[int, ...], ...]:
 
 def subgroup_generated(G: Group, generators: Iterable[int]) -> Subgroup:
     """The subgroup generated by the given elements (indices into G)."""
-    closure = _Closure(G.table, G.identity)
-    for g in generators:
-        closure.add(_index(g, "generator", 0, G.order - 1))
-    return Subgroup._of_closure(G, closure)
+    gens = (_index(g, "generator", 0, G.order - 1) for g in generators)
+    return Subgroup._of_closure(G, _Closure(G.table, G.identity, gens))
 
 
 def _mark_normal(sub: Subgroup) -> Subgroup:
@@ -773,17 +782,15 @@ def _normal_subgroup_bound(G: Group) -> int:
     For an abelian G, G' is trivial and the bound is exact.  G' is the
     closure of the commutators [x, s] = x^-1 s^-1 x s of every x with the
     generators s of G Light's test checked: that closure is normal, as
-    [x, s]^y = [xy, s] [y, s]^-1, and every s is central modulo it.
+    [x, s]^y = [xy, s] [y, s]^-1, and every s is central modulo it.  In an
+    abelian G every commutator is e, which the closure already holds.
     """
     n, table = G.order, G.table
-    derived = _Closure(table, G.identity)
-    if not G.abelian:
-        inv = np.fromiter(G.inverses, dtype=np.int64)
-        commutators = np.zeros(n, dtype=bool)
-        for s in G._generators:
-            commutators[table[table[inv, inv[s]], table[:, s]]] = True
-        for c in np.flatnonzero(commutators).tolist():
-            derived.add(c)
+    inv = np.fromiter(G.inverses, dtype=np.int64)
+    commutators = np.zeros(n, dtype=bool)
+    for s in G._generators:
+        commutators[table[table[inv, inv[s]], table[:, s]]] = True
+    derived = _Closure(table, G.identity, np.flatnonzero(commutators).tolist())
     in_derived = np.frombuffer(derived.reached, dtype=bool)
     d = len(derived.members)
     bound = 1
@@ -842,9 +849,7 @@ def _lattice(G: Group) -> list[Subgroup]:
     atom_of = [0] * G.order  # atom_of[g]: index in atoms of the normal closure of g
     index: dict[bytes, int] = {}
     for cls in conjugacy_classes(G):
-        atom = _Closure(G.table, G.identity)
-        for g in cls:
-            atom.add(g)
+        atom = _Closure(G.table, G.identity, cls)
         k = index.setdefault(bytes(atom.reached), len(atoms))
         if k == len(atoms):
             atoms.append(atom)
@@ -869,10 +874,7 @@ def _lattice(G: Group) -> list[Subgroup]:
             if atom_tried[k]:
                 continue
             atom_tried[k] = 1
-            join = base.copy()
-            atom = atoms[k]
-            for h, column in zip(atom.gens, atom.columns):
-                join.add(h, column)
+            join = base.joined(atoms[k].gens, atoms[k].columns)
             key = bytes(join.reached)
             if key not in found:
                 if len(found) == SUBGROUP_BUDGET:
@@ -960,9 +962,8 @@ def is_dedekind(G: Group) -> bool:
     member per class is tested; a singleton class passes at once."""
     for cls in G._classes:
         if len(cls) > 1:
-            closure = _Closure(G.table, G.identity)
-            closure.add(cls[0])
-            if not all(closure.reached[g] for g in cls):
+            reached = _Closure(G.table, G.identity, cls[:1]).reached
+            if not all(reached[g] for g in cls):
                 return False
     return True
 
@@ -981,8 +982,6 @@ def _prime_factors(n: int) -> list[int]:
 
 
 def _partitions(k: int) -> list[tuple[int, ...]]:
-    if k == 0:
-        return [()]
     out = []
 
     def rec(rest: int, largest: int, acc: list[int]) -> None:

@@ -50,7 +50,7 @@ def test_criterion_01_perfect_code_decider_matches_oracle():
     checks = 0
     for G, report in reports:
         for e in report.entries:
-            if e.flavor == "plain" and e.kind == "perfect":
+            if e.verdict.flavor == "plain" and e.verdict.kind == "perfect":
                 checks += 1
                 if not e.agree:
                     bad.append((G.name, e.subgroup))
@@ -157,7 +157,7 @@ def test_criterion_07_total_codes_match_oracle_and_abelian_rule():
     bad = []
     for G, report in sweep_reports(SWEEP_MAX_ORDER):
         for e in report.entries:
-            if e.flavor == "plain" and e.kind == "total" and not e.agree:
+            if e.verdict.flavor == "plain" and e.verdict.kind == "total" and not e.agree:
                 bad.append((G.name, e.subgroup))
     rule_bad = []
     for G in sweep(SWEEP_MAX_ORDER):
@@ -177,8 +177,8 @@ def test_criterion_08_extended_deciders_and_even_cyclic_positives():
     bad = []
     for G, report in sweep_reports(SWEEP_MAX_ORDER):
         for e in report.entries:
-            if e.flavor == "extended" and not e.agree:
-                bad.append((G.name, e.kind, e.subgroup))
+            if e.verdict.flavor == "extended" and not e.agree:
+                bad.append((G.name, e.verdict.kind, e.subgroup))
     shape_bad = []
     for n in range(2, SWEEP_MAX_ORDER + 1, 2):
         G = cyclic(n)

@@ -691,7 +691,7 @@ def test_cross_check_z60():
     failures = [
         e.subgroup
         for e in report.entries
-        if e.flavor == "plain" and e.kind == "perfect" and not e.decided
+        if e.verdict.flavor == "plain" and e.verdict.kind == "perfect" and not e.verdict.exists
     ]
     expected = [
         tuple(range(0, 60, 2)),

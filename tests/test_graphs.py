@@ -7,19 +7,31 @@ import pytest
 
 import sumgraph.graphs as graphs_module
 from sumgraph import (
+    BadParameterError,
     InternalInconsistencyError,
     NotASubgroupError,
     NotNormalError,
     Subgroup,
+    abelian_2group_perfect_code,
+    abelian_total_perfect_code,
     build_graph,
     components,
+    coset_units,
     cross_check,
     cyclic,
+    cyclic_perfect_code,
+    decide_code,
+    decide_perfect_code,
+    decide_total_perfect_code_extended,
+    dicyclic_perfect_code,
     dihedral,
+    dihedral_perfect_code,
     graph_to_json,
     group_from_cayley_table,
     normal_subgroups,
     quaternion,
+    require_normal,
+    right_cosets,
     to_dot,
     verify_structure,
 )
@@ -163,6 +175,31 @@ def test_foreign_subgroup_rejected():
     H = Subgroup(other, [0, 3])
     with pytest.raises(NotASubgroupError):
         build_graph(G, H)
+
+
+_Z4 = cyclic(4)
+
+
+@pytest.mark.parametrize(
+    "call",
+    [build_graph, right_cosets, coset_units, verify_structure, decide_code, decide_perfect_code,
+     decide_total_perfect_code_extended, cyclic_perfect_code, abelian_total_perfect_code,
+     abelian_2group_perfect_code, dihedral_perfect_code, dicyclic_perfect_code, require_normal],
+)
+@pytest.mark.parametrize(
+    "G, H, message",
+    [
+        (_Z4, [0, 2], "expected a Subgroup, got list"),
+        (_Z4, 5, "expected a Subgroup, got int"),
+        (_Z4, _Z4, "expected a Subgroup, got Group"),
+        (5, Subgroup(_Z4, [0, 2]), "expected a Group, got int"),
+    ],
+)
+def test_a_g_or_h_of_the_wrong_type_is_a_bad_parameter(call, G, H, message):
+    """Every (G, H) entry point names the wrong type before it reads G or H,
+    the family rules included, which read G's tag."""
+    with pytest.raises(BadParameterError, match=f"^{message}$"):
+        call(G, H)
 
 
 def test_structure_report_classifies_known_blocks():

@@ -895,8 +895,7 @@ def test_subgroup_is_proved_by_its_generators(data):
 
 def test_closure_subgroup_checks_its_generators():
     G = dihedral(4)
-    closure = groups_module._Closure(G.table, G.identity)
-    closure.add(1)
+    closure = groups_module._Closure(G.table, G.identity, [1])
     assert Subgroup._of_closure(G, closure).members == (0, 1, 2, 3)
     closure.members.pop()  # a member set no longer closed under a^1
     with pytest.raises(InternalInconsistencyError, match="not closed under its generator 1"):
