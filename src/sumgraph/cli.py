@@ -25,7 +25,7 @@ import functools
 import itertools
 import json
 import sys
-from typing import Iterator, TextIO
+from typing import Iterable, Iterator, TextIO
 
 from . import __version__
 from .codes import (
@@ -185,34 +185,49 @@ def _cmd_code(args: argparse.Namespace) -> int:
     return 0
 
 
-def _record(G: Group, subgroup: tuple[int, ...], decider: str, verdict: bool, oracle: bool) -> dict:
-    """One decider's answer for one subgroup beside the oracle's."""
-    return {
-        "group": G.name,
-        "order": G.order,
-        "subgroup": list(subgroup),
-        "decider": decider,
-        "verdict": verdict,
-        "oracle": oracle,
-        "agree": verdict == oracle,
-    }
+_JSON_BOOL = {True: "true", False: "false"}
 
 
-def _entry_record(G: Group, entry) -> dict:
-    verdict = entry.verdict
-    decider = f"extended_{verdict.kind}" if verdict.flavor == "extended" else verdict.kind
-    record = _record(G, entry.subgroup, decider, verdict.exists, entry.oracle)
-    if not entry.agree:
-        record["rule"] = verdict.rule
-        record["certificate"] = verdict.certificate
-    return record
+def _entry_checks(entries) -> Iterator[tuple]:
+    """The checks of a :class:`~sumgraph.codes.CrossCheckReport`'s entries."""
+    for entry in entries:
+        verdict = entry.verdict
+        decider = f"extended_{verdict.kind}" if verdict.flavor == "extended" else verdict.kind
+        yield entry.subgroup, decider, verdict.exists, entry.oracle, verdict
+
+
+def _check_lines(G: Group, checks: Iterable[tuple]) -> Iterator[tuple[bool, str]]:
+    """Each check's record as one JSON line, with whether it agrees.
+
+    A check is (subgroup members, decider name, verdict, oracle answer,
+    ruling), the ruling the :class:`Verdict` whose ``rule`` and
+    ``certificate`` the record carries when it disagrees, or None.  The
+    record is ``group``, ``order``, ``subgroup``, ``decider``,
+    ``verdict``, ``oracle`` and ``agree``, plus those two; the line is
+    the bytes of ``json.dumps`` of it, written from a JSON head made once
+    per group and a member list made once per subgroup.
+    """
+    head = f'{{"group": {json.dumps(G.name)}, "order": {G.order}, "subgroup": '
+    listed: dict[tuple[int, ...], str] = {}
+    for subgroup, decider, verdict, oracle, ruling in checks:
+        members = listed.get(subgroup)
+        if members is None:
+            members = listed[subgroup] = head + json.dumps(list(subgroup))
+        agree = verdict == oracle
+        line = (
+            f'{members}, "decider": "{decider}", "verdict": {_JSON_BOOL[verdict]}, '
+            f'"oracle": {_JSON_BOOL[oracle]}, "agree": {_JSON_BOOL[agree]}'
+        )
+        if not agree and ruling is not None:
+            line += f', "rule": {json.dumps(ruling.rule)}, "certificate": {json.dumps(ruling.certificate)}'
+        yield agree, line + "}\n"
 
 
 def _cmd_crosscheck(args: argparse.Namespace) -> int:
     G = _group_for(args.expr)
     report = cross_check(G)
-    for entry in report.entries:
-        print(json.dumps(_entry_record(G, entry)))
+    for _, line in _check_lines(G, _entry_checks(report.entries)):
+        sys.stdout.write(line)
     bad = report.disagreements
     print(
         f"crosscheck {G.name}: {len(report.entries)} checks, "
@@ -251,18 +266,15 @@ def _cmd_scan(args: argparse.Namespace) -> int:
             groups_seen += 1
             report = cross_check(G)
             oracle = {(e.subgroup, e.verdict.flavor, e.verdict.kind): e.oracle for e in report.entries}
-            records = itertools.chain(
-                (_entry_record(G, entry) for entry in report.entries),
-                (
-                    _record(G, H.members, name, verdict, oracle[(H.members, "plain", kind)])
-                    for H in normal_subgroups(G)
-                    for name, verdict, kind in _family_checks(G, H)
-                ),
+            family = (
+                (H.members, name, verdict, oracle[(H.members, "plain", kind)], None)
+                for H in normal_subgroups(G)
+                for name, verdict, kind in _family_checks(G, H)
             )
-            for record in records:
+            for agree, line in _check_lines(G, itertools.chain(_entry_checks(report.entries), family)):
                 checks += 1
-                disagreements += not record["agree"]
-                stream.write(json.dumps(record) + "\n")
+                disagreements += not agree
+                stream.write(line)
     finally:
         if owned:
             stream.close()

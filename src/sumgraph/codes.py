@@ -21,8 +21,9 @@ independent oracles; a search node with fewer uncovered vertices than the
 component's smallest neighbourhood, which the component walk records, is
 refuted at once, so a refuted dense block costs linear, not quadratic,
 work.  :func:`cross_check` runs deciders against oracles over every normal
-subgroup of a group, building both graph flavours of a subgroup from one
-gather of the table.
+subgroup of a group, building both graph flavours of all its subgroups
+together, a chunk of subgroups per gather of the table, and keeping of
+each search only whether it found a code.
 """
 
 from __future__ import annotations
@@ -40,6 +41,7 @@ from .groups import (
     Subgroup,
     _coset_least,
     _index,
+    _require_type,
     _unit_partner,
     normal_subgroups,
     require_normal,
@@ -98,6 +100,7 @@ def _partitions(n: int, neighbourhoods) -> bool:
 
 
 def _graph_partitions(graph: SumGraph, code, closed: bool) -> bool:
+    _require_type(graph, SumGraph)
     vertices = [_index(c, "code member", 0, graph.n - 1) for c in code]
     return _partitions(graph.n, (graph.rows[v] | (1 << v) if closed else graph.rows[v] for v in vertices))
 
@@ -161,8 +164,9 @@ def _cover_component(
     return None
 
 
-def _find_code(graph: SumGraph, closed: bool) -> tuple[int, ...] | None:
-    """A code of ``graph`` (closed: perfect, open: total) or ``None``.
+def _find_code(graph: SumGraph, closed: bool) -> int | None:
+    """A code of ``graph`` (closed: perfect, open: total) as a vertex
+    bitmask, or ``None``.
 
     Each component is covered on its own, with the size cut of
     :func:`_cover_component` set to its smallest neighbourhood: the least
@@ -180,17 +184,24 @@ def _find_code(graph: SumGraph, closed: bool) -> tuple[int, ...] | None:
         if got is None:
             return None
         chosen |= got
-    return tuple(_bits(chosen))
+    return chosen
+
+
+def _bruteforce(graph: SumGraph, closed: bool) -> tuple[int, ...] | None:
+    """The code :func:`_find_code` finds, as a sorted vertex tuple."""
+    _require_type(graph, SumGraph)
+    code = _find_code(graph, closed)
+    return None if code is None else tuple(_bits(code))
 
 
 def find_perfect_code_bruteforce(graph: SumGraph) -> tuple[int, ...] | None:
     """Search for a perfect code by exact cover, component by component."""
-    return _find_code(graph, closed=True)
+    return _bruteforce(graph, closed=True)
 
 
 def find_total_perfect_code_bruteforce(graph: SumGraph) -> tuple[int, ...] | None:
     """Search for a total perfect code by exact cover, component by component."""
-    return _find_code(graph, closed=False)
+    return _bruteforce(graph, closed=False)
 
 
 # ---------------------------------------------------------------------------
@@ -350,6 +361,8 @@ def decide_code(G: Group, H: Subgroup, extended: bool = False, total: bool = Fal
 
 
 def verdict_to_json(G: Group, H: Subgroup, verdict: Verdict) -> dict:
+    for value, kind in ((G, Group), (H, Subgroup), (verdict, Verdict)):
+        _require_type(value, kind)
     return {
         "group": {"tag": G.name, "order": G.order},
         "subgroup": list(H.members),
@@ -397,17 +410,18 @@ class CrossCheckReport:
 
 
 def cross_check(G: Group, subgroups: list[Subgroup] | None = None) -> CrossCheckReport:
-    """Run all four deciders against brute-force search over normal subgroups."""
+    """Run all four deciders against brute-force search over normal
+    subgroups, G's whole lattice unless ``subgroups`` is given.  The graphs
+    of all the subgroups come from one batched build, a pair at a time."""
     start = time.perf_counter()
     entries = []
-    for H in subgroups if subgroups is not None else normal_subgroups(G):
-        for graph in _sum_graphs(G, H):  # plain, then extended
+    for graphs in _sum_graphs(G, normal_subgroups(G) if subgroups is None else subgroups):
+        for graph in graphs:  # plain, then extended
+            H = graph.subgroup
             for total in (False, True):
                 verdict = decide_code(G, H, extended=graph.extended, total=total)
-                found = (
-                    find_total_perfect_code_bruteforce(graph) if total else find_perfect_code_bruteforce(graph)
-                )
-                entries.append(CrossCheckEntry(H.members, verdict, found is not None))
+                found = _find_code(graph, closed=not total) is not None
+                entries.append(CrossCheckEntry(H.members, verdict, found))
     return CrossCheckReport(
         group=G.name,
         group_order=G.order,

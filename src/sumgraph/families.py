@@ -32,6 +32,7 @@ from .groups import (
     Subgroup,
     _Closure,
     _mark_normal,
+    _require_type,
     is_dedekind,
     require_normal,
     require_subgroup,
@@ -190,6 +191,7 @@ def order_three_coset_scan(G: Group, H: Subgroup) -> bool:
     and by the test suite's sweep, to G being Z2-factors times one Z3, the
     generic decider's test on element orders, which it cross-checks.
     """
+    _require_type(H, Subgroup)
     if H.order != 3:
         raise BadParameterError(f"the scan applies to subgroups of order 3, got {H.order}")
     require_normal(G, H)
@@ -225,6 +227,7 @@ def is_code_perfect(G: Group, method: str = "normal-closure") -> bool:
     normal: exactly Z4 and the products of Z2 factors with an odd abelian
     group qualify; non-abelian Dedekind groups never do.
     """
+    _require_type(G, Group)
     if method == "normal-closure":
         rows, e, classes, orders = G.rows, G.identity, G._classes, G.element_orders
         class_of = {g: cls for cls in classes for g in cls}

@@ -136,6 +136,13 @@ class Group:
         return tuple(map(memoryview, self.table))
 
     @cached_property
+    def _inverse_bits(self) -> tuple[int, ...]:
+        """Bit x^-1 of each x, or 0 when x is its own inverse.  An extended
+        sum-graph row x always has that bit, since x * x^-1 = e lies in
+        every subgroup, so XOR-ing it out leaves the plain row."""
+        return tuple(0 if y == x else 1 << y for x, y in enumerate(self.inverses))
+
+    @cached_property
     def label_index(self) -> dict[str, int]:
         return {lbl: i for i, lbl in enumerate(self.labels)}
 
@@ -209,6 +216,7 @@ class Subgroup:
         members, added in ascending order to a :class:`_Closure`, lie in
         the subgroup its generators T generate, which :meth:`_take` checks
         they are."""
+        _require_type(parent, Group)
         ms = sorted({_index(m, "member") for m in members})
         if not ms:
             raise NotASubgroupError("a subgroup cannot be empty")
@@ -294,12 +302,19 @@ def _index(value, what: str, low: int | None = None, high: int | None = None) ->
     return value
 
 
+def _require_type(value, kind: type) -> None:
+    """The one type check of the entry points: a value that is not a
+    ``kind`` is a BadParameterError that names its type, not an
+    AttributeError further in."""
+    if not isinstance(value, kind):
+        raise BadParameterError(f"expected a {kind.__name__}, got {type(value).__name__}")
+
+
 def require_subgroup(G: Group, H: Subgroup) -> None:
     """Raise unless H is a subgroup of G itself, not of another group; a G
     or an H of the wrong type is a BadParameterError that names the type."""
-    for value, kind in ((G, Group), (H, Subgroup)):
-        if not isinstance(value, kind):
-            raise BadParameterError(f"expected a {kind.__name__}, got {type(value).__name__}")
+    _require_type(G, Group)
+    _require_type(H, Subgroup)
     if H.parent is not G:
         raise NotASubgroupError("subgroup belongs to a different group")
 
@@ -732,11 +747,13 @@ def _product_table(
 
 def conjugacy_classes(G: Group) -> tuple[tuple[int, ...], ...]:
     """Conjugacy classes, each sorted, ordered by minimal member."""
+    _require_type(G, Group)
     return G._classes
 
 
 def subgroup_generated(G: Group, generators: Iterable[int]) -> Subgroup:
     """The subgroup generated by the given elements (indices into G)."""
+    _require_type(G, Group)
     gens = (_index(g, "generator", 0, G.order - 1) for g in generators)
     return Subgroup._of_closure(G, _Closure(G.table, G.identity, gens))
 
@@ -903,6 +920,7 @@ def normal_subgroups(G: Group) -> list[Subgroup]:
     :class:`BadParameterError` instead, before any join when a lower bound
     read off G/G' already exceeds it.
     """
+    _require_type(G, Group)
     return list(G._normal_subgroups)
 
 
@@ -960,6 +978,7 @@ def is_dedekind(G: Group) -> bool:
     """Whether every subgroup is normal: whether each cyclic <g> holds g's
     conjugacy class.  Conjugates generate conjugate subgroups, so one
     member per class is tested; a singleton class passes at once."""
+    _require_type(G, Group)
     for cls in G._classes:
         if len(cls) > 1:
             reached = _Closure(G.table, G.identity, cls[:1]).reached

@@ -376,6 +376,47 @@ def test_scan_reports_a_disagreement(capsys, monkeypatch):
     assert err == f"scan: 4 groups, {len(records)} checks, {len(bad)} disagreements\n"
 
 
+def _assert_dumped(out: str) -> list[dict]:
+    """Every line of ``out`` is the bytes ``json.dumps`` makes of its record."""
+    lines = out.splitlines()
+    assert lines and out.endswith("\n")
+    for line in lines:
+        assert line == json.dumps(json.loads(line)), line
+    return [json.loads(line) for line in lines]
+
+
+def test_scan_and_crosscheck_records_are_json_dumps_bytes(capsys):
+    rc, out, _ = run(capsys, "scan", "--max-order", "24", "--families", "cyclic,dihedral,dicyclic,abelian,quaternion")
+    assert rc == 0
+    records = _assert_dumped(out)
+    assert {r["group"] for r in records} >= {"Q8", "Z2 x Z2 x Z2 x Z3", "D24", "Dic6", "Z24"}
+    for expr in ("Q8 x Z2", "D12"):
+        rc, out, _ = run(capsys, "crosscheck", expr)
+        assert rc == 0
+        assert {r["group"] for r in _assert_dumped(out)} == {expr}
+
+
+def test_a_disagreement_record_is_json_dumps_bytes(capsys, monkeypatch):
+    """A record that carries a rule and a nested certificate keeps the
+    bytes of ``json.dumps``, in scan and in crosscheck."""
+    decide = codes.decide_code
+
+    def wrong_on_plain_total(G, H, extended=False, total=False):
+        verdict = decide(G, H, extended=extended, total=total)
+        if total and not extended:
+            witness = None if verdict.exists else ()
+            certificate = {"reason": "flipped \"twice\"", "detail": {"order": H.order, "members": list(H.members)}}
+            return Verdict(verdict.flavor, verdict.kind, "flipped", witness, certificate)
+        return verdict
+
+    monkeypatch.setattr(codes, "decide_code", wrong_on_plain_total)
+    for argv in (("scan", "--max-order", "6", "--families", "cyclic,quaternion"), ("crosscheck", "Q8")):
+        rc, out, _ = run(capsys, *argv)
+        assert rc == 1
+        bad = [r for r in _assert_dumped(out) if not r["agree"]]
+        assert bad and all(r["rule"] == "flipped" and r["certificate"]["detail"]["members"] for r in bad)
+
+
 def test_scan_families_filter_and_out_file(capsys, tmp_path):
     target = tmp_path / "scan.jsonl"
     rc, out, _ = run(

@@ -9,6 +9,7 @@ import numpy as np
 import pytest
 
 import sumgraph.codes as codes
+import sumgraph.graphs as graphs_module
 from sumgraph import (
     BadParameterError,
     InternalInconsistencyError,
@@ -324,6 +325,49 @@ def test_cross_check_builds_each_graph_once(monkeypatch):
         assert sorted(built) == sorted(expected), G.name
 
 
+@pytest.mark.parametrize(
+    "cap, ragged", [(None, 0), (1, 0), (3 * 24 * 24, 10)], ids=["default", "one-per-chunk", "ragged"]
+)
+def test_cross_check_batches_build_the_graphs_build_graph_builds(monkeypatch, cap, ragged):
+    """The graphs cross_check builds a chunk of subgroups at a time have
+    the rows build_graph gives one subgroup at a time: at the default cell
+    cap, with one subgroup per chunk, and with a cap whose last chunk is
+    ragged for at least ``ragged`` groups.  Each chunk holds as many
+    subgroups as fit in the cap, at least one."""
+    built, chunks = [], []
+    init, int_rows = SumGraph.__init__, graphs_module._int_rows
+
+    def capturing_init(self, group, subgroup, extended, rows):
+        built.append((subgroup.members, extended, rows))
+        init(self, group, subgroup, extended, rows)
+
+    def counting_int_rows(adj):
+        chunks.append(adj.shape[0])
+        return int_rows(adj)
+
+    groups = (*sweep(24), *(relabelled(G, seed)[0] for seed, G in enumerate(sweep(16))))
+    if cap is not None:
+        monkeypatch.setattr(graphs_module, "_GATHER_CELLS", cap)
+    monkeypatch.setattr(SumGraph, "__init__", capturing_init)
+    monkeypatch.setattr(graphs_module, "_int_rows", counting_int_rows)
+    seen_ragged = 0
+    for G in groups:
+        count, step = len(normal_subgroups(G)), max(1, graphs_module._GATHER_CELLS // G.order**2)
+        seen_ragged += count > step and count % step != 0
+        built.clear()
+        chunks.clear()
+        cross_check(G)
+        batched = list(built)
+        assert chunks == [step] * (count // step) + [count % step] * (count % step != 0), G.name
+        single = [
+            (H.members, extended, build_graph(G, H, extended).rows)
+            for H in normal_subgroups(G)
+            for extended in (False, True)
+        ]
+        assert batched == single, G.name
+    assert seen_ragged >= ragged
+
+
 def test_cross_check_walks_each_graph_components_once(monkeypatch):
     # both oracle kinds read the components one graph walked once
     walked = []
@@ -573,7 +617,7 @@ def test_oracle_matches_a_cut_free_search_on_random_graphs():
     for adjacency in _random_adjacencies():
         graph = _shell(adjacency)
         for closed, every in ((True, subset_perfect_codes), (False, subset_total_perfect_codes)):
-            code = codes._find_code(graph, closed)
+            code = codes._bruteforce(graph, closed)
             assert code == _reference_code(adjacency, closed), (adjacency, closed)
             codes_by_subsets = every(adjacency)
             assert (code is None) == (codes_by_subsets == []), (adjacency, closed)

@@ -16,6 +16,7 @@ from sumgraph import (
     abelian_total_perfect_code,
     build_graph,
     components,
+    conjugacy_classes,
     coset_units,
     cross_check,
     cyclic,
@@ -26,13 +27,22 @@ from sumgraph import (
     dicyclic_perfect_code,
     dihedral,
     dihedral_perfect_code,
+    find_perfect_code_bruteforce,
+    find_total_perfect_code_bruteforce,
     graph_to_json,
     group_from_cayley_table,
+    is_code_perfect,
+    is_dedekind,
+    is_perfect_code,
+    is_total_perfect_code,
     normal_subgroups,
+    order_three_coset_scan,
     quaternion,
     require_normal,
     right_cosets,
+    subgroup_generated,
     to_dot,
+    verdict_to_json,
     verify_structure,
 )
 
@@ -202,6 +212,50 @@ def test_a_g_or_h_of_the_wrong_type_is_a_bad_parameter(call, G, H, message):
         call(G, H)
 
 
+_Z6 = cyclic(6)
+_Z6_H3 = Subgroup(_Z6, [0, 2, 4])
+
+
+@pytest.mark.parametrize(
+    "call, message",
+    [
+        (lambda: Subgroup(5, [0]), "expected a Group, got int"),
+        (lambda: subgroup_generated(5, [1]), "expected a Group, got int"),
+        (lambda: normal_subgroups(5), "expected a Group, got int"),
+        (lambda: conjugacy_classes(5), "expected a Group, got int"),
+        (lambda: is_code_perfect(5), "expected a Group, got int"),
+        (lambda: is_dedekind(5), "expected a Group, got int"),
+        (lambda: cross_check(5), "expected a Group, got int"),
+        (lambda: cross_check(5, [_Z6_H3]), "expected a Group, got int"),
+        (lambda: cross_check(_Z6, [[0, 2, 4]]), "expected a Subgroup, got list"),
+        (lambda: is_perfect_code(5, [0]), "expected a SumGraph, got int"),
+        (lambda: is_total_perfect_code(5, [0]), "expected a SumGraph, got int"),
+        (lambda: find_perfect_code_bruteforce(5), "expected a SumGraph, got int"),
+        (lambda: find_total_perfect_code_bruteforce(5), "expected a SumGraph, got int"),
+        (lambda: components(5), "expected a SumGraph, got int"),
+        (lambda: graph_to_json(5), "expected a SumGraph, got int"),
+        (lambda: to_dot(5), "expected a SumGraph, got int"),
+        (lambda: order_three_coset_scan(_Z6, [0, 2, 4]), "expected a Subgroup, got list"),
+        (lambda: order_three_coset_scan(5, _Z6_H3), "expected a Group, got int"),
+        (lambda: verdict_to_json(5, _Z6_H3, decide_code(_Z6, _Z6_H3)), "expected a Group, got int"),
+        (lambda: verdict_to_json(_Z6, [0, 2, 4], decide_code(_Z6, _Z6_H3)), "expected a Subgroup, got list"),
+        (lambda: verdict_to_json(_Z6, _Z6_H3, None), "expected a Verdict, got NoneType"),
+    ],
+    ids=[
+        "Subgroup", "subgroup_generated", "normal_subgroups", "conjugacy_classes", "is_code_perfect",
+        "is_dedekind", "cross_check", "cross_check-subgroups", "cross_check-list", "is_perfect_code",
+        "is_total_perfect_code", "find_perfect_code_bruteforce", "find_total_perfect_code_bruteforce",
+        "components", "graph_to_json", "to_dot", "order_three_coset_scan-list", "order_three_coset_scan-int",
+        "verdict_to_json-group", "verdict_to_json-subgroup", "verdict_to_json-verdict",
+    ],
+)
+def test_an_argument_of_the_wrong_type_is_a_bad_parameter(call, message):
+    """The entry points that take a group, a graph or a verdict name a
+    wrong type with a BadParameterError, not an AttributeError further in."""
+    with pytest.raises(BadParameterError, match=f"^{message}$"):
+        call()
+
+
 def test_structure_report_classifies_known_blocks():
     G = cyclic(6)
     H = Subgroup(G, [0, 3])
@@ -232,14 +286,15 @@ def _flip_one_edge(monkeypatch, flavor, u, w):
     edge pair {u, w} flipped: added when absent, removed when present."""
     build = graphs_module._sum_graphs
 
-    def corrupted(G, H):
-        graphs = list(build(G, H))
-        k = flavor == "extended"
-        rows = list(graphs[k].rows)
-        rows[u] ^= 1 << w
-        rows[w] ^= 1 << u
-        graphs[k] = graphs_module.SumGraph(G, H, graphs[k].extended, tuple(rows))
-        return tuple(graphs)
+    def corrupted(G, subgroups):
+        for pair in build(G, subgroups):
+            graphs = list(pair)
+            k = flavor == "extended"
+            rows = list(graphs[k].rows)
+            rows[u] ^= 1 << w
+            rows[w] ^= 1 << u
+            graphs[k] = graphs_module.SumGraph(G, graphs[k].subgroup, graphs[k].extended, tuple(rows))
+            yield tuple(graphs)
 
     monkeypatch.setattr(graphs_module, "_sum_graphs", corrupted)
 
@@ -321,7 +376,7 @@ def test_structure_sweep_matches_everywhere():
             units = [(tuple(sorted(sum(u, ()))), tuple(c[0] for c in u)) for u in units_by_definition(G, H)]
             got = [(b.vertices, b.coset_representatives) for b in report.blocks]
             assert got == [unit for unit in units for _flavor in ("plain", "extended")], (G.name, H.members)
-            graphs = dict(zip(("plain", "extended"), graphs_module._sum_graphs(G, H)))
+            graphs = dict(zip(("plain", "extended"), next(graphs_module._sum_graphs(G, [H]))))
             for block in report.blocks:
                 got = (block.kind, block.square_in_subgroup, block.square_universal_divergence)
                 expected = _block_by_definition(G, H, graphs[block.flavor], block.vertices)

@@ -472,8 +472,10 @@ def test_order_cap_is_checked_before_allocation(monkeypatch):
         ([[0, 1], [1, 0]], "ab", "labels must be a sequence of strings, not a str"),
         ([[0, 1, 2, 3], [1, 2, 3, 0], [2, 3, 0, 1], [3, 0, 1, 2]], ["e", "a", "a", "c"], "label 'a' is repeated"),
         (None, None, "table must be a square array of integers"),
+        ([[0, 1, 0], [1, 0, 1]], None, r"table must be square, got shape \(2, 3\)"),
+        ([[0, 1], [1, 0], [0, 1]], None, r"table must be square, got shape \(3, 2\)"),
     ],
-    ids=["empty", "ragged-table", "labels-not-list", "labels-string", "repeated-label", "none"],
+    ids=["empty", "ragged-table", "labels-not-list", "labels-string", "repeated-label", "none", "wide", "tall"],
 )
 def test_group_from_cayley_table_rejects_malformed_input(table, labels, message):
     with pytest.raises(BadParameterError, match=message):

@@ -19,7 +19,11 @@ Each target is ``FILE:FUNCTION`` (a module-level function, or a method as
 are copied to the ``--copy`` directory, which must not exist yet.  For
 each mutant the target file is rewritten there (by ``ast.unparse``, so
 its comments are dropped), and pytest runs the ``--tests`` files with
-``-x`` against the copy.  A mutant survives when they all pass.  The
+``-x`` against the copy, in a child whose address space is capped at
+:data:`MEMORY_LIMIT` bytes (1.5 GB): a mutant that loops and grows, such
+as one of ``_Closure.add`` that stops marking what it reached, fails
+there with ``MemoryError`` and counts as killed instead of filling the
+machine's memory.  A mutant survives when they all pass.  The
 working tree is only read.  The unmutated copy must pass first.  Exit
 status: 0 when every mutant was killed, 1 when some survived.
 """
@@ -30,12 +34,14 @@ import argparse
 import ast
 import copy
 import os
+import resource
 import shutil
 import subprocess
 import sys
 from pathlib import Path
 
 ROOT = Path(__file__).resolve().parents[1]
+MEMORY_LIMIT = 1_500_000_000  # bytes of address space for each pytest child
 COPIED = ("src", "tests", "perfbench", "README.md", "pyproject.toml")
 FLIPS = {
     ast.Eq: ast.NotEq, ast.NotEq: ast.Eq, ast.Lt: ast.GtE, ast.GtE: ast.Lt, ast.Gt: ast.LtE,
@@ -87,11 +93,17 @@ def _mutant(tree: ast.Module, name: str, site: tuple[int, int, str]) -> tuple[st
     return ast.unparse(tree) + "\n", node.lineno
 
 
+def _limit_memory() -> None:
+    resource.setrlimit(resource.RLIMIT_AS, (MEMORY_LIMIT, MEMORY_LIMIT))
+
+
 def _passes(workdir: Path, tests: list[str], timeout: float) -> bool:
     env = {**os.environ, "PYTHONPATH": str(workdir / "src")}
     command = [sys.executable, "-m", "pytest", "-x", "-q", "-p", "no:cacheprovider", *tests]
     try:
-        done = subprocess.run(command, cwd=workdir, env=env, capture_output=True, timeout=timeout)
+        done = subprocess.run(
+            command, cwd=workdir, env=env, capture_output=True, timeout=timeout, preexec_fn=_limit_memory
+        )
     except subprocess.TimeoutExpired:
         return False  # a mutant that hangs is noticed
     return done.returncode == 0
