@@ -15,7 +15,9 @@ Group expressions follow the grammar in :mod:`sumgraph.exprs` ("Z12",
 ``index:<k>`` (k-th normal subgroup, 0-based, in canonical order).
 
 Exit status: 0 on success, 1 if a crosscheck/scan found a disagreement,
-2 on usage or domain errors (reported on stderr).
+2 on usage or domain errors (reported on stderr), 141 when stdout was
+closed before the output was written (a pipe into ``head``, say): the
+run stops there, silently, as a shell reports a writer SIGPIPE killed.
 """
 
 from __future__ import annotations
@@ -24,6 +26,7 @@ import argparse
 import functools
 import itertools
 import json
+import os
 import sys
 from typing import Iterable, Iterator, TextIO
 
@@ -48,6 +51,7 @@ from .families import (
 )
 from .graphs import build_graph, graph_to_json, to_dot
 from .groups import (
+    _FAMILIES,
     SWEEP_FAMILIES,
     Group,
     Subgroup,
@@ -57,8 +61,8 @@ from .groups import (
     sweep_groups,
 )
 
-SCAN_FAMILIES = ("cyclic", "dihedral", "dicyclic", "abelian")  # the default; "quaternion" adds Q8
 DEFAULT_SCAN_MAX_ORDER = 48
+EXIT_CLOSED_PIPE = 141  # 128 + SIGPIPE
 
 
 def _split_selector_labels(text: str) -> list[str]:
@@ -312,6 +316,10 @@ def _build_parser() -> argparse.ArgumentParser:
     parser = argparse.ArgumentParser(
         prog="sumgraph",
         description="Perfect codes in subgroup sum graphs of finite groups.",
+        epilog=(
+            "exit status: 0 success, 1 a crosscheck/scan disagreement, 2 a usage or domain error, "
+            f"{EXIT_CLOSED_PIPE} stdout closed before the output was written"
+        ),
     )
     parser.add_argument("--version", action="version", version=f"%(prog)s {__version__}")
     sub = parser.add_subparsers(dest="command", required=True)
@@ -346,8 +354,8 @@ def _build_parser() -> argparse.ArgumentParser:
     p.add_argument("--max-order", type=int, default=DEFAULT_SCAN_MAX_ORDER)
     p.add_argument(
         "--families",
-        default=",".join(SCAN_FAMILIES),
-        help=f"comma-separated subset of: {', '.join(SWEEP_FAMILIES)}",
+        default=",".join(SWEEP_FAMILIES),
+        help=f"comma-separated subset of: {', '.join(_FAMILIES)} (default: %(default)s)",
     )
     p.add_argument("--out", help="write JSON lines to this file instead of stdout")
     p.set_defaults(func=_cmd_scan)
@@ -362,12 +370,23 @@ def _build_parser() -> argparse.ArgumentParser:
 
 
 def main(argv: list[str] | None = None) -> int:
-    args = _build_parser().parse_args(argv)
     try:
-        return args.func(args)
+        args = _build_parser().parse_args(argv)
+        status = args.func(args)
+        sys.stdout.flush()  # here, so a reader gone before exit is caught below
+        return status
     except SumGraphError as exc:
         print(f"error: {exc}", file=sys.stderr)
         return 2
+    except BrokenPipeError:
+        try:
+            fd = sys.stdout.fileno()
+        except (AttributeError, OSError, ValueError):  # no real descriptor: nothing is left to flush
+            return EXIT_CLOSED_PIPE
+        devnull = os.open(os.devnull, os.O_WRONLY)  # the exit-time flush of what is buffered lands here
+        os.dup2(devnull, fd)
+        os.close(devnull)
+        return EXIT_CLOSED_PIPE
 
 
 if __name__ == "__main__":

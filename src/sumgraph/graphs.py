@@ -1,4 +1,4 @@
-"""Sum graphs over a normal subgroup, plus structure verification.
+"""Sum graphs over a normal subgroup: build, components, export.
 
 Given a group G and a normal subgroup H, the *sum graph* joins distinct
 x and y whenever x*y lands in H minus the identity; the *extended* variant
@@ -13,22 +13,18 @@ orders this package supports.
 from __future__ import annotations
 
 import itertools
-from dataclasses import dataclass
 from functools import cached_property
 from typing import Iterable, Iterator
 
 import numpy as np
 
 from .errors import InternalInconsistencyError
-from .groups import Group, Subgroup, _require_type, coset_units, require_normal
+from .groups import Group, Subgroup, _require_type, require_normal
 
 __all__ = [
     "SumGraph",
     "build_graph",
     "components",
-    "BlockRecord",
-    "StructureReport",
-    "verify_structure",
     "graph_to_json",
     "to_dot",
 ]
@@ -158,131 +154,6 @@ def components(graph: SumGraph) -> list[tuple[int, ...]]:
     """Connected components as sorted vertex tuples, ordered by least vertex."""
     _require_type(graph, SumGraph)
     return [tuple(_bits(comp)) for comp, _ in graph._component_masks]
-
-
-# ---------------------------------------------------------------------------
-# Block structure
-# ---------------------------------------------------------------------------
-
-
-@dataclass(frozen=True)
-class BlockRecord:
-    """One coset unit of one graph flavour, with its verified shape.
-
-    A *unit* is a single coset Hx when x*x lies in H (the coset is then
-    closed under inverses) and the pair Hx and Hx^-1 otherwise.  ``kind``
-    names the shape the adjacency actually matched:
-
-    * ``complete``                           -- all pairs joined
-    * ``complete_minus_matching``            -- complete, minus the pairing
-      of each vertex with its (distinct) inverse
-    * ``complete_bipartite``                 -- all cross pairs joined
-    * ``bipartite_minus_perfect_matching``   -- cross pairs minus inverses
-    * ``other``                              -- none of the above; see witness
-
-    ``square_universal_divergence`` lists vertices of plain one-coset units
-    that are squares in G yet not adjacent to every other unit vertex, or
-    vice versa; the two predicates coincide for many groups but not all, so
-    the report records where they part ways instead of asserting.
-    """
-
-    flavor: str  # "plain" | "extended"
-    vertices: tuple[int, ...]
-    coset_representatives: tuple[int, ...]
-    kind: str
-    witness: tuple[str, int, int] | None
-    square_universal_divergence: tuple[int, ...]
-
-    @property
-    def square_in_subgroup(self) -> bool:
-        """Whether the unit is one coset Hx, which holds exactly when x*x lies in H."""
-        return len(self.coset_representatives) == 1
-
-    @property
-    def matches(self) -> bool:
-        return self.witness is None
-
-
-@dataclass(frozen=True)
-class StructureReport:
-    """Every block of both graph flavours, checked edge-for-edge."""
-
-    group_order: int
-    subgroup_members: tuple[int, ...]
-    blocks: tuple[BlockRecord, ...]
-
-    @property
-    def all_match(self) -> bool:
-        return all(b.matches for b in self.blocks)
-
-    @property
-    def divergent_vertices(self) -> tuple[int, ...]:
-        return tuple(sorted({v for b in self.blocks for v in b.square_universal_divergence}))
-
-
-def _check_block(G: Group, graph: SumGraph, unit: tuple[tuple[int, ...], ...]) -> BlockRecord:
-    """Predict the block of one coset unit from the unit alone and compare
-    it with the graph's rows.  Vertex v of the unit is joined to every
-    vertex of the coset facing it, other than v itself: its own coset in a
-    one-coset unit, the partner coset in a pair; the plain graph drops
-    v^-1 as well.  The shape follows from the unit's size, the flavour,
-    and whether every vertex is its own inverse."""
-    inv, extended = G.inverses, graph.extended
-    masks = [sum(1 << v for v in c) for c in unit]
-    facing = {v: masks[len(unit) - 1 - i] for i, c in enumerate(unit) for v in c}
-    vertices = tuple(sorted(facing))
-    if len(unit) == 2:
-        kind = "complete_bipartite" if extended else "bipartite_minus_perfect_matching"
-    elif extended or all(inv[v] == v for v in vertices):
-        kind = "complete"
-    else:
-        kind = "complete_minus_matching"
-
-    witness = None
-    for v in vertices:
-        expected = facing[v] & ~(1 << v)
-        if not extended:
-            expected &= ~(1 << inv[v])
-        actual = graph.rows[v]
-        if actual != expected:
-            extra = actual & ~expected
-            if extra:
-                witness = ("unexpected-edge", v, _bits(extra)[0])
-            else:
-                witness = ("missing-edge", v, _bits(expected & ~actual)[0])
-            kind = "other"
-            break
-
-    divergence: tuple[int, ...] = ()
-    if not extended and len(unit) == 1 and witness is None:
-        # the block matched, so v is adjacent to every other unit vertex
-        # exactly when v is its own inverse
-        sq = G.square_set
-        divergence = tuple(v for v in vertices if (v in sq) != (inv[v] == v))
-
-    return BlockRecord(
-        flavor="extended" if extended else "plain",
-        vertices=vertices,
-        coset_representatives=tuple(c[0] for c in unit),
-        kind=kind,
-        witness=witness,
-        square_universal_divergence=divergence,
-    )
-
-
-def verify_structure(G: Group, H: Subgroup) -> StructureReport:
-    """Predict every block of both sum-graph flavours and compare exactly.
-
-    The blocks are the coset units of :func:`~sumgraph.groups.coset_units`:
-    Hx alone when x*x is in H, the pair {Hx, Hx^-1} otherwise.  Each
-    vertex's adjacency is predicted from its unit alone, never from the
-    table's products, and compared bit-for-bit against the built graph, so
-    any leaked edge between units or missing edge inside one is caught and
-    reported as a witness.
-    """
-    plain, extended = next(_sum_graphs(G, [H]))
-    blocks = (_check_block(G, graph, unit) for unit in coset_units(G, H) for graph in (plain, extended))
-    return StructureReport(group_order=G.order, subgroup_members=H.members, blocks=tuple(blocks))
 
 
 # ---------------------------------------------------------------------------

@@ -29,7 +29,7 @@ import math
 import operator
 import os
 from functools import cached_property
-from typing import Iterable, Iterator, Sequence
+from typing import Callable, Iterable, Iterator, Sequence
 
 import numpy as np
 
@@ -1036,7 +1036,15 @@ def abelian_isomorphism_types(max_order: int) -> list[tuple[int, ...]]:
     return types
 
 
-SWEEP_FAMILIES = ("cyclic", "dihedral", "dicyclic", "abelian", "quaternion")
+# family name -> its groups of order <= max_order, in sweep order
+_FAMILIES: dict[str, Callable[[int], Iterable[Group]]] = {
+    "cyclic": lambda m: (cyclic(n) for n in range(1, m + 1)),
+    "dihedral": lambda m: (dihedral(n) for n in range(3, m // 2 + 1)),
+    "dicyclic": lambda m: (dicyclic(n) for n in range(2, m // 4 + 1)),
+    "abelian": lambda m: (abelian(f) for f in abelian_isomorphism_types(m) if len(f) > 1),
+    "quaternion": lambda m: [quaternion()] if m >= 8 else [],
+}
+SWEEP_FAMILIES = ("cyclic", "dihedral", "dicyclic", "abelian")  # the default: Q8 is Dic2 relabelled, so opt-in
 
 
 def sweep_groups(max_order: int, families: Sequence[str] = SWEEP_FAMILIES) -> Iterator[Group]:
@@ -1044,35 +1052,25 @@ def sweep_groups(max_order: int, families: Sequence[str] = SWEEP_FAMILIES) -> It
 
     Cyclic groups by order, dihedral and dicyclic groups by parameter, one
     group per abelian isomorphism type with at least two factors (the
-    others are cyclic), and Q8.  Families other than a list or tuple of
-    names (a lone name given as a string, a set, an iterator), an empty
-    family list, an unknown or repeated family and a ``max_order`` below 1
-    or above the cap raise :class:`BadParameterError` here, before any
-    group is built.
+    others are cyclic), and, when ``"quaternion"`` is named, Q8.  The
+    default is :data:`SWEEP_FAMILIES`, every family but the quaternion
+    one, since Q8 is the dicyclic Dic2 under other labels.  Families
+    other than a list or tuple of names (a lone name given as a string, a
+    set, an iterator), an empty family list, an unknown or repeated family
+    and a ``max_order`` below 1 or above the cap raise
+    :class:`BadParameterError` here, before any group is built.
     """
     max_order = _index(max_order, "max_order", low=1)
     _check_order(max_order)
-    choices = ", ".join(SWEEP_FAMILIES)
+    choices = ", ".join(_FAMILIES)
     if not isinstance(families, (list, tuple)):  # a string would be read letter by letter, a set unordered
         given = f"the string {_quoted(families)}" if isinstance(families, str) else type(families).__name__
         raise BadParameterError(f"families must be a sequence of names, not {given}")
     if not families:
         raise BadParameterError(f"no family to sweep: choose from {choices}")
     for k, family in enumerate(families):
-        if family not in SWEEP_FAMILIES:
+        if not isinstance(family, str) or family not in _FAMILIES:  # a list entry is unhashable
             raise BadParameterError(f"unknown family {_quoted(str(family))}: choose from {choices}")
         if family in families[:k]:
             raise BadParameterError(f"family {_quoted(family)} is listed twice")
-    return (G for family in families for G in _family_groups(family, max_order))
-
-
-def _family_groups(family: str, max_order: int) -> Iterator[Group]:
-    if family == "cyclic":
-        return (cyclic(n) for n in range(1, max_order + 1))
-    if family == "dihedral":
-        return (dihedral(n) for n in range(3, max_order // 2 + 1))
-    if family == "dicyclic":
-        return (dicyclic(n) for n in range(2, max_order // 4 + 1))
-    if family == "abelian":
-        return (abelian(f) for f in abelian_isomorphism_types(max_order) if len(f) > 1)
-    return iter([quaternion()] if max_order >= 8 else [])
+    return (G for family in families for G in _FAMILIES[family](max_order))

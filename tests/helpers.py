@@ -13,6 +13,7 @@ from __future__ import annotations
 
 import random
 from functools import cache
+from typing import NamedTuple
 
 import numpy as np
 
@@ -24,7 +25,9 @@ from sumgraph import (
     NoInverseError,
     NotAssociativeError,
     NotLatinSquareError,
+    SWEEP_FAMILIES,
     Subgroup,
+    build_graph,
     cross_check,
     decide_perfect_code,
     group_from_cayley_table,
@@ -39,8 +42,9 @@ SWEEP_MAX_ORDER = 48
 @cache
 def sweep(max_order: int = SWEEP_MAX_ORDER) -> tuple[Group, ...]:
     """Every built-in group of order <= max_order, in the order of
-    :func:`sumgraph.sweep_groups` (all its families, Q8 last)."""
-    return tuple(sweep_groups(max_order))
+    :func:`sumgraph.sweep_groups`: its default families, then Q8, which
+    the default leaves out and the suite names here."""
+    return tuple(sweep_groups(max_order, (*SWEEP_FAMILIES, "quaternion")))
 
 
 @cache
@@ -241,6 +245,73 @@ def units_by_definition(G: Group, H: Subgroup) -> list[tuple[tuple[int, ...], ..
             paired.add(partner)
             units.append((c, partner))
     return units
+
+
+class Block(NamedTuple):
+    """One coset unit of one graph flavour, as :func:`audit_blocks` found it."""
+
+    flavor: str  # "plain" | "extended"
+    vertices: tuple[int, ...]
+    coset_representatives: tuple[int, ...]  # one per coset of the unit
+    kind: str
+    witness: tuple[str, int, int] | None  # ("unexpected-edge" | "missing-edge", v, w), None when it matches
+    divergence: tuple[int, ...]
+
+
+_SHAPES = {  # (one coset, every vertex joined to the whole facing coset) -> kind
+    (True, True): "complete",
+    (True, False): "complete_minus_matching",  # less each vertex's pairing with its inverse
+    (False, True): "complete_bipartite",
+    (False, False): "bipartite_minus_perfect_matching",
+}
+
+
+def audit_blocks(G: Group, H: Subgroup) -> list[Block]:
+    """The paper's structure result, checked edge for edge: each sum graph
+    over H is the disjoint union of one block per coset unit.
+
+    The units are those of :func:`units_by_definition`, and each gives a
+    plain then an extended block.  Vertex v of a unit is predicted to be
+    joined to every vertex of the coset facing it other than v: its own
+    coset in a one-coset unit, the partner coset in a pair; the plain
+    graph drops v^-1 as well.  The prediction reads the table only for
+    the cosets h*x and the inverses, never for the products x*y that the
+    graph build tests against H, so the audit does not check the table
+    against itself.  Each row of :func:`sumgraph.build_graph`'s graphs is
+    compared with it bit for bit: the first row that differs is the
+    block's ``witness``, naming the least edge it has and should not, or
+    else misses, and its ``kind`` is ``"other"``.  A matching block's kind
+    is the shape of its adjacency (``_SHAPES``).  For a matching plain
+    one-coset block, ``divergence`` lists the vertices where "v is a
+    square in G" and "v is joined to every other vertex of the block"
+    differ: the two agree in many groups but not all, so the audit
+    reports where they part, without asserting either.
+    """
+    graphs = (build_graph(G, H), build_graph(G, H, extended=True))
+    blocks = []
+    for unit in units_by_definition(G, H):
+        vertices = tuple(sorted(v for coset in unit for v in coset))
+        facing = {v: sum(1 << w for w in unit[-1 - i] if w != v) for i, coset in enumerate(unit) for v in coset}
+        one_coset = len(unit) == 1
+        for graph in graphs:
+            witness = None
+            for v in vertices:
+                expected = facing[v] if graph.extended else facing[v] & ~(1 << G.inverses[v])
+                row = graph.rows[v]
+                if row != expected:
+                    extra, missing = row & ~expected, expected & ~row
+                    edge = extra or missing
+                    witness = ("unexpected-edge" if extra else "missing-edge", v, (edge & -edge).bit_length() - 1)
+                    break
+            kind, divergence = "other", ()
+            if witness is None:
+                whole = [graph.rows[v] == facing[v] for v in vertices]
+                kind = _SHAPES[one_coset, all(whole)]
+                if one_coset and not graph.extended:
+                    divergence = tuple(v for v, w in zip(vertices, whole) if (v in G.square_set) != w)
+            flavor = "extended" if graph.extended else "plain"
+            blocks.append(Block(flavor, vertices, tuple(c[0] for c in unit), kind, witness, divergence))
+    return blocks
 
 
 # ---------------------------------------------------------------------------

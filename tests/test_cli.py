@@ -5,14 +5,18 @@ import contextlib
 import io
 import json
 import os
+import subprocess
+import sys
 import time
+from pathlib import Path
+from types import SimpleNamespace
 from unittest import mock
 
 import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
-from sumgraph import Verdict, cli, codes, normal_subgroups
+from sumgraph import SWEEP_FAMILIES, Verdict, cli, codes, normal_subgroups, sweep_groups
 from sumgraph import groups as groups_module
 from sumgraph.cli import main
 
@@ -624,6 +628,79 @@ def test_scan_rejects_an_empty_or_repeated_family_list(capsys, tmp_path):
         assert not target.exists()  # refused before the file is opened
 
 
+def test_scan_sweeps_the_default_families_of_sweep_groups(capsys, monkeypatch):
+    """``scan``'s default families are ``sweep_groups``'s: the same 198
+    groups to order 64, in the same order, Q8 left out; its help lists
+    every family and names that default."""
+    scanned = []
+    monkeypatch.setattr(cli, "cross_check", lambda G: scanned.append(G.name) or SimpleNamespace(entries=()))
+    monkeypatch.setattr(cli, "normal_subgroups", lambda G: [])
+    rc, out, err = run(capsys, "scan", "--max-order", "64")
+    assert (rc, out, err) == (0, "", "scan: 198 groups, 0 checks, 0 disagreements\n")
+    assert scanned == [G.name for G in sweep_groups(64)]
+    assert "Q8" not in scanned and "Dic2" in scanned
+    with pytest.raises(SystemExit):
+        main(["scan", "--help"])
+    usage = " ".join(capsys.readouterr().out.split())
+    assert "dicyclic, abelian, quaternion (default: " + ",".join(SWEEP_FAMILIES) + ")" in usage
+
+
+class _ClosedStdout(io.StringIO):
+    """A stdout whose reader has gone: writing, or else flushing what was
+    written, raises ``BrokenPipeError``."""
+
+    def __init__(self, on):
+        super().__init__()
+        self.on = on
+
+    def write(self, text):
+        if self.on == "write":
+            raise BrokenPipeError(32, "Broken pipe")
+        return super().write(text)
+
+    def flush(self):
+        if self.on == "flush":
+            raise BrokenPipeError(32, "Broken pipe")
+
+
+@pytest.mark.parametrize("on", ["write", "flush"])
+@pytest.mark.parametrize(
+    "argv",
+    [
+        ("scan", "--max-order", "8"),
+        ("normals", "E2^3"),
+        ("crosscheck", "D6"),
+        ("code", "Z12", "--subgroup", "gen:4"),
+    ],
+    ids=["scan", "normals", "crosscheck", "code"],
+)
+def test_a_closed_stdout_ends_the_run_with_exit_141(argv, on):
+    err = io.StringIO()
+    with contextlib.redirect_stdout(_ClosedStdout(on)), contextlib.redirect_stderr(err):
+        rc = main(list(argv))
+    assert rc == cli.EXIT_CLOSED_PIPE == 141
+    # a failed write stops the run before its summary line; a failed final flush comes after it
+    lines = err.getvalue().splitlines()
+    assert len(lines) == (on == "flush" and argv[0] in ("scan", "crosscheck")), lines
+    assert all(line.startswith(argv[0]) for line in lines)
+
+
+def test_a_pipe_into_head_exits_141_without_a_traceback():
+    env = dict(os.environ)
+    src = str(Path(__file__).resolve().parents[1] / "src")
+    env["PYTHONPATH"] = os.pathsep.join([src, *filter(None, [env.get("PYTHONPATH")])])
+    command = [sys.executable, "-m", "sumgraph.cli", "normals", "E2^6"]  # megabytes, far past a pipe's buffer
+    writer = subprocess.Popen(command, stdout=subprocess.PIPE, stderr=subprocess.PIPE, env=env)
+    head = subprocess.Popen(["head", "-1"], stdin=writer.stdout, stdout=subprocess.PIPE)
+    writer.stdout.close()  # head now holds the only reading end
+    first, _ = head.communicate(timeout=60)
+    err = writer.stderr.read()
+    writer.stderr.close()
+    assert writer.wait(timeout=60) == 141
+    assert json.loads(first)["index"] == 0
+    assert err == b""
+
+
 # A small grammar of CLI inputs: group expressions of one or two atoms
 # with valid, out-of-range and oversized parameters, junk text, subgroup
 # selectors of both kinds, and values of the order cap variable.  Valid
@@ -667,18 +744,30 @@ _CAPS = _mostly(
     st.sampled_from(["0", "-3", "abc", "", "9" * 5000]),
 )
 _FLAGS = st.lists(st.sampled_from(["--extended", "--total", "--construct", "--oracle"]), unique=True)
+_FAMILY_LISTS = st.one_of(
+    st.just(",".join(SWEEP_FAMILIES)),  # the default, named
+    st.just("quaternion"),
+    st.lists(st.sampled_from(["cyclic", "dihedral", "dicyclic", "abelian", "quaternion", "", " ", "Q8", "cyclc"]),
+             max_size=4).map(",".join),  # empty entries, repeats and unknown names among them
+)
 
 
 @st.composite
 def _cli_calls(draw) -> tuple[list[str], str | None]:
     expr = draw(_EXPRS)
-    command = draw(st.sampled_from(["normals", "code", "graph"]))
+    command = draw(st.sampled_from(["normals", "code", "graph", "classify", "scan"]))
     if command == "normals":
         argv = ["normals", expr]
     elif command == "code":
         argv = ["code", expr, "--subgroup", draw(_SELECTORS), *draw(_FLAGS)]
-    else:
+    elif command == "graph":
         argv = ["graph", expr, "--subgroup", draw(_SELECTORS), "--format", draw(st.sampled_from(["dot", "json"]))]
+    elif command == "classify":
+        argv = ["classify", "code-perfect", expr, "--method", draw(st.sampled_from(["normal-closure", "dedekind", "junk"]))]
+    else:
+        argv = ["scan", "--max-order", str(draw(st.integers(-1, 12)))]
+        families = draw(st.none() | _FAMILY_LISTS)
+        argv += [] if families is None else ["--families", families]
     return argv, draw(_CAPS)
 
 

@@ -1,4 +1,4 @@
-"""Graph construction, components, structure verification, exports."""
+"""Graph construction, components, the block structure, exports."""
 
 import json
 import re
@@ -23,6 +23,8 @@ from sumgraph import (
     cyclic_perfect_code,
     decide_code,
     decide_perfect_code,
+    decide_perfect_code_extended,
+    decide_total_perfect_code,
     decide_total_perfect_code_extended,
     dicyclic_perfect_code,
     dihedral,
@@ -43,10 +45,9 @@ from sumgraph import (
     subgroup_generated,
     to_dot,
     verdict_to_json,
-    verify_structure,
 )
 
-from helpers import relabelled, sweep, units_by_definition
+from helpers import audit_blocks, relabelled, sweep
 
 
 def test_plain_graph_edges_of_z6():
@@ -192,8 +193,8 @@ _Z4 = cyclic(4)
 
 @pytest.mark.parametrize(
     "call",
-    [build_graph, right_cosets, coset_units, verify_structure, decide_code, decide_perfect_code,
-     decide_total_perfect_code_extended, cyclic_perfect_code, abelian_total_perfect_code,
+    [build_graph, right_cosets, coset_units, decide_code, decide_perfect_code, decide_perfect_code_extended,
+     decide_total_perfect_code, decide_total_perfect_code_extended, cyclic_perfect_code, abelian_total_perfect_code,
      abelian_2group_perfect_code, dihedral_perfect_code, dicyclic_perfect_code, require_normal],
 )
 @pytest.mark.parametrize(
@@ -259,19 +260,19 @@ def test_an_argument_of_the_wrong_type_is_a_bad_parameter(call, message):
 def test_structure_report_classifies_known_blocks():
     G = cyclic(6)
     H = Subgroup(G, [0, 3])
-    report = verify_structure(G, H)
-    assert report.all_match
-    kinds = {(b.flavor, b.kind) for b in report.blocks}
+    blocks = audit_blocks(G, H)
+    assert all(b.witness is None for b in blocks)
+    kinds = {(b.flavor, b.kind) for b in blocks}
     assert ("extended", "complete_bipartite") in kinds
     assert ("extended", "complete") in kinds
-    bipartite = [b for b in report.blocks if b.kind == "complete_bipartite"][0]
+    bipartite = [b for b in blocks if b.kind == "complete_bipartite"][0]
     assert sorted(bipartite.vertices) == [1, 2, 4, 5]
 
     G = cyclic(12)
     H = Subgroup(G, [0, 4, 8])
-    report = verify_structure(G, H)
-    assert report.all_match
-    plain_blocks = [b for b in report.blocks if b.flavor == "plain"]
+    blocks = audit_blocks(G, H)
+    assert all(b.witness is None for b in blocks)
+    plain_blocks = [b for b in blocks if b.flavor == "plain"]
     h2_block = [b for b in plain_blocks if 2 in b.vertices][0]
     assert h2_block.kind == "complete_minus_matching"
     assert sorted(h2_block.vertices) == [2, 6, 10]
@@ -282,7 +283,7 @@ def test_structure_report_classifies_known_blocks():
 
 
 def _flip_one_edge(monkeypatch, flavor, u, w):
-    """Make ``verify_structure`` see the built graph of one flavour with the
+    """Make ``audit_blocks`` see the built graph of one flavour with the
     edge pair {u, w} flipped: added when absent, removed when present."""
     build = graphs_module._sum_graphs
 
@@ -318,99 +319,42 @@ def test_structure_report_names_a_corrupted_edge(monkeypatch, order, members, fl
     G = cyclic(order)
     H = Subgroup(G, members)
     _flip_one_edge(monkeypatch, flavor, *edge)
-    report = verify_structure(G, H)
-    assert not report.all_match
-    failed = {(b.flavor, b.vertices): b for b in report.blocks if not b.matches}
+    blocks = audit_blocks(G, H)
+    failed = {(b.flavor, b.vertices): b for b in blocks if b.witness is not None}
     assert {key: b.witness for key, b in failed.items()} == witnesses
-    assert all(b.kind == "other" and not b.square_universal_divergence for b in failed.values())
-    assert all(b.kind != "other" and b.witness is None for b in report.blocks if b.matches)
+    assert all(b.kind == "other" and not b.divergence for b in failed.values())
+    assert all(b.kind != "other" for b in blocks if b.witness is None)
 
 
 def test_structure_divergence_is_reported_not_asserted():
     G = cyclic(8)
     H = Subgroup(G, [0, 2, 4, 6])
-    report = verify_structure(G, H)
-    assert report.all_match  # shapes still classify perfectly
-    assert report.divergent_vertices == (2, 6)
-
-
-def _block_by_definition(G, H, graph, vertices):
-    """(kind, square_in_subgroup, divergence) of one block, read off the
-    built graph's rows: the shape of its adjacency, whether x*x lies in H
-    for a vertex x, and, for a plain one-coset block, the vertices v where
-    "v is a square" and "v is adjacent to every other block vertex" differ."""
-    x = vertices[0]
-    adjacent = {v: {w for w in vertices if graph.rows[v] >> w & 1} for v in vertices}
-    square_in = G.rows[x][x] in H.member_set
-    if square_in:  # the block is the one coset Hx
-        facing = {v: set(vertices) - {v} for v in vertices}
-    else:  # the block is Hx with Hx^-1
-        coset = {G.rows[h][x] for h in H.members}
-        facing = {v: set(vertices) - coset if v in coset else coset for v in vertices}
-    missing = [facing[v] - adjacent[v] for v in vertices]
-    assert all(adjacent[v] <= facing[v] for v in vertices)
-    if not any(missing):
-        kind = "complete" if square_in else "complete_bipartite"
-    else:
-        assert all(len(m) == 1 for m in missing) or square_in and all(len(m) <= 1 for m in missing)
-        kind = "complete_minus_matching" if square_in else "bipartite_minus_perfect_matching"
-    divergence = ()
-    if square_in and not graph.extended:
-        divergence = tuple(v for v in vertices if (v in G.square_set) != (adjacent[v] == facing[v]))
-    return kind, square_in, divergence
+    blocks = audit_blocks(G, H)
+    assert all(b.witness is None for b in blocks)  # shapes still classify perfectly
+    assert tuple(v for b in blocks for v in b.divergence) == (2, 6)
 
 
 def test_structure_sweep_matches_everywhere():
-    """Every block matches, and every field of its report agrees with the
-    built graph: the kind, "square in H" and the square/universal
-    divergence, over all four block shapes; its vertices and coset
-    representatives are those of its unit, plain block then extended."""
+    """Every block matches, over all four block shapes and both readings
+    of a divergence; the blocks are the package's coset units, plain
+    block then extended."""
     relabelled_groups = [relabelled(G, seed)[0] for seed, G in enumerate(sweep(16))]  # identity off index 0
     seen = set()
     for G in (*sweep(24), *relabelled_groups):
         for H in normal_subgroups(G):
             if len(H) == 1:
                 continue
-            report = verify_structure(G, H)
-            assert report.all_match, (str(G.tag), H.members)
-            units = [(tuple(sorted(sum(u, ()))), tuple(c[0] for c in u)) for u in units_by_definition(G, H)]
-            got = [(b.vertices, b.coset_representatives) for b in report.blocks]
+            blocks = audit_blocks(G, H)
+            assert all(b.witness is None for b in blocks), (G.name, H.members)
+            units = [(tuple(sorted(sum(u, ()))), tuple(c[0] for c in u)) for u in coset_units(G, H)]
+            got = [(b.vertices, b.coset_representatives) for b in blocks]
             assert got == [unit for unit in units for _flavor in ("plain", "extended")], (G.name, H.members)
-            graphs = dict(zip(("plain", "extended"), next(graphs_module._sum_graphs(G, [H]))))
-            for block in report.blocks:
-                got = (block.kind, block.square_in_subgroup, block.square_universal_divergence)
-                expected = _block_by_definition(G, H, graphs[block.flavor], block.vertices)
-                assert got == expected, (G.name, H.members, block)
-                seen.add((block.flavor, block.kind, bool(block.square_universal_divergence)))
+            seen |= {(b.flavor, b.kind, bool(b.divergence)) for b in blocks}
     assert seen == {
         ("plain", "complete", False), ("plain", "complete", True), ("plain", "complete_minus_matching", False),
         ("plain", "complete_minus_matching", True), ("plain", "bipartite_minus_perfect_matching", False),
         ("extended", "complete", False), ("extended", "complete_bipartite", False),
     }
-
-
-def test_extended_components_shape_check_is_independent():
-    # criterion-6 style check done from raw degrees and 2-coloring,
-    # without verify_structure
-    for G in sweep(20):
-        for H in normal_subgroups(G):
-            if len(H) == 1:
-                continue
-            graph = build_graph(G, H, extended=True)
-            t = len(H)
-            for comp in components(graph):
-                degrees = sorted(graph.rows[v].bit_count() for v in comp)
-                if len(comp) == t:
-                    assert degrees == [t - 1] * t  # complete block
-                else:
-                    assert len(comp) == 2 * t
-                    assert degrees == [t] * (2 * t)
-                    # bipartition: neighbors of the least vertex vs the rest
-                    side = set(graph.neighbors(comp[0]))
-                    other = set(comp) - side
-                    assert len(side) == t and len(other) == t
-                    for v in side:
-                        assert set(graph.neighbors(v)) == other
 
 
 def test_graph_json_round_trip_shape():

@@ -1178,6 +1178,8 @@ def test_sweep_rejects_an_empty_or_repeated_family_list():
     for families in ({"cyclic"}, iter(["cyclic"]), 5):  # unordered, one-shot, not a collection
         with pytest.raises(BadParameterError, match="families must be a sequence of names"):
             sweep_groups(8, families)
+    with pytest.raises(BadParameterError, match="unknown family"):
+        sweep_groups(8, [["cyclic"]])  # an unhashable name
     assert [G.name for G in sweep_groups(8, ["quaternion", "cyclic"])][:2] == ["Q8", "Z1"]
 
 

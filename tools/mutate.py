@@ -3,7 +3,7 @@ whether the tests notice.
 
     python tools/mutate.py --copy /tmp/mutants \\
         src/sumgraph/codes.py:decide_total_perfect_code \\
-        src/sumgraph/graphs.py:_check_block \\
+        src/sumgraph/graphs.py:_sum_graphs \\
         --tests tests/test_codes.py tests/test_graphs.py
 
 Each target is ``FILE:FUNCTION`` (a module-level function, or a method as
