@@ -15,9 +15,11 @@ Group expressions follow the grammar in :mod:`sumgraph.exprs` ("Z12",
 ``index:<k>`` (k-th normal subgroup, 0-based, in canonical order).
 
 Exit status: 0 on success, 1 if a crosscheck/scan found a disagreement,
-2 on usage or domain errors (reported on stderr), 141 when stdout was
-closed before the output was written (a pipe into ``head``, say): the
-run stops there, silently, as a shell reports a writer SIGPIPE killed.
+2 on usage or domain errors and on an output that cannot be written (a
+full disk, say), each reported as one ``error:`` line on stderr, 141 when
+stdout was closed before the output was written (a pipe into ``head``,
+say): the run stops there, silently, as a shell reports a writer SIGPIPE
+killed.
 """
 
 from __future__ import annotations
@@ -291,17 +293,8 @@ def _cmd_scan(args: argparse.Namespace) -> int:
 
 def _cmd_classify(args: argparse.Namespace) -> int:
     G = _group_for(args.expr)
-    result = is_code_perfect(G, method=args.method)
-    print(
-        json.dumps(
-            {
-                "group": G.name,
-                "order": G.order,
-                "method": args.method,
-                "code_perfect": result,
-            }
-        )
-    )
+    result = is_code_perfect(G)
+    print(json.dumps({"group": G.name, "order": G.order, "method": "normal-closure", "code_perfect": result}))
     return 0
 
 
@@ -317,8 +310,8 @@ def _build_parser() -> argparse.ArgumentParser:
         prog="sumgraph",
         description="Perfect codes in subgroup sum graphs of finite groups.",
         epilog=(
-            "exit status: 0 success, 1 a crosscheck/scan disagreement, 2 a usage or domain error, "
-            f"{EXIT_CLOSED_PIPE} stdout closed before the output was written"
+            "exit status: 0 success, 1 a crosscheck/scan disagreement, 2 a usage or domain error "
+            f"or an output that cannot be written, {EXIT_CLOSED_PIPE} stdout closed before the output was written"
         ),
     )
     parser.add_argument("--version", action="version", version=f"%(prog)s {__version__}")
@@ -363,10 +356,21 @@ def _build_parser() -> argparse.ArgumentParser:
     p = sub.add_parser("classify", help="whole-group classification")
     p.add_argument("what", choices=("code-perfect",), help="property to test")
     p.add_argument("expr")
-    p.add_argument("--method", choices=("normal-closure", "dedekind"), default="normal-closure")
     p.set_defaults(func=_cmd_classify)
 
     return parser
+
+
+def _discard_stdout() -> None:
+    """Point stdout's descriptor at /dev/null, so the exit-time flush of
+    what is still buffered prints nothing and raises nothing."""
+    try:
+        fd = sys.stdout.fileno()
+    except (AttributeError, OSError, ValueError):  # no real descriptor: nothing is left to flush
+        return
+    devnull = os.open(os.devnull, os.O_WRONLY)
+    os.dup2(devnull, fd)
+    os.close(devnull)
 
 
 def main(argv: list[str] | None = None) -> int:
@@ -379,14 +383,12 @@ def main(argv: list[str] | None = None) -> int:
         print(f"error: {exc}", file=sys.stderr)
         return 2
     except BrokenPipeError:
-        try:
-            fd = sys.stdout.fileno()
-        except (AttributeError, OSError, ValueError):  # no real descriptor: nothing is left to flush
-            return EXIT_CLOSED_PIPE
-        devnull = os.open(os.devnull, os.O_WRONLY)  # the exit-time flush of what is buffered lands here
-        os.dup2(devnull, fd)
-        os.close(devnull)
+        _discard_stdout()
         return EXIT_CLOSED_PIPE
+    except OSError as exc:  # a write failed: a full disk, say
+        print(f"error: cannot write output: {exc.strerror or exc}", file=sys.stderr)
+        _discard_stdout()
+        return 2
 
 
 if __name__ == "__main__":

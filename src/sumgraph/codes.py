@@ -395,8 +395,6 @@ class CrossCheckEntry:
 
 @dataclass(frozen=True)
 class CrossCheckReport:
-    group: str
-    group_order: int
     entries: tuple[CrossCheckEntry, ...]
     seconds: float
 
@@ -422,9 +420,4 @@ def cross_check(G: Group, subgroups: list[Subgroup] | None = None) -> CrossCheck
                 verdict = decide_code(G, H, extended=graph.extended, total=total)
                 found = _find_code(graph, closed=not total) is not None
                 entries.append(CrossCheckEntry(H.members, verdict, found))
-    return CrossCheckReport(
-        group=G.name,
-        group_order=G.order,
-        entries=tuple(entries),
-        seconds=time.perf_counter() - start,
-    )
+    return CrossCheckReport(entries=tuple(entries), seconds=time.perf_counter() - start)

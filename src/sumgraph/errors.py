@@ -14,7 +14,6 @@ __all__ = [
     "NotASubgroupError",
     "NotNormalError",
     "NotAbelianError",
-    "NotDedekindError",
     "InternalInconsistencyError",
     "ParseError",
 ]
@@ -54,10 +53,6 @@ class NotNormalError(SumGraphError, ValueError):
 
 class NotAbelianError(SumGraphError, ValueError):
     """A group is not abelian where commutativity is required."""
-
-
-class NotDedekindError(SumGraphError, ValueError):
-    """A group has a non-normal subgroup where all must be normal."""
 
 
 class InternalInconsistencyError(SumGraphError, RuntimeError):

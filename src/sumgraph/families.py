@@ -20,12 +20,7 @@ from __future__ import annotations
 import numpy as np
 
 from .codes import decide_perfect_code
-from .errors import (
-    BadParameterError,
-    InternalInconsistencyError,
-    NotAbelianError,
-    NotDedekindError,
-)
+from .errors import BadParameterError, InternalInconsistencyError, NotAbelianError
 from .exprs import CyclicExpr, DicyclicExpr, DihedralExpr, ElementaryAbelianExpr, ProductExpr
 from .groups import (
     Group,
@@ -33,7 +28,6 @@ from .groups import (
     _Closure,
     _mark_normal,
     _require_type,
-    is_dedekind,
     require_normal,
     require_subgroup,
     right_cosets,
@@ -209,43 +203,30 @@ def order_three_coset_scan(G: Group, H: Subgroup) -> bool:
 # ---------------------------------------------------------------------------
 
 
-def is_code_perfect(G: Group, method: str = "normal-closure") -> bool:
+def is_code_perfect(G: Group) -> bool:
     """Does every normal subgroup of G yield a perfect code in its sum graph?
 
-    ``normal-closure`` lists no lattice.  A normal H with |H| >= 3 fails
-    exactly when, for some x, x*x lies in H and H avoids S_x = {i x^-1 :
-    i*i = e}, so that Hx holds no element of order at most 2; both hold
-    for x exactly when they hold for its conjugates, so one x per class is
-    tried, and only when 4 divides its order: of odd order, x^-1 lies in
-    <x*x>; of order 2m with m odd, so does x^(m-1) = x^m x^-1, and x^m is
-    an involution.  Each such H holds N, the normal closure of x*x, and
-    when |N| = 2 also N joined with the closure of some class outside N: G
+    No lattice is listed.  A normal H with |H| >= 3 fails exactly when,
+    for some x, x*x lies in H and H avoids S_x = {i x^-1 : i*i = e}, so
+    that Hx holds no element of order at most 2; both hold for x exactly
+    when they hold for its conjugates, so one x per class is tried, and
+    only when 4 divides its order: of odd order, x^-1 lies in <x*x>; of
+    order 2m with m odd, so does x^(m-1) = x^m x^-1, and x^m is an
+    involution.  Each such H holds N, the normal closure of x*x, and when
+    |N| = 2 also N joined with the closure of some class outside N: G
     fails exactly when one of these closures, of order at least 3, avoids
     S_x.  A "no" is re-checked by ``decide_perfect_code`` on that closure.
-
-    ``dedekind`` uses the classification of groups whose subgroups are all
-    normal: exactly Z4 and the products of Z2 factors with an odd abelian
-    group qualify; non-abelian Dedekind groups never do.
     """
     _require_type(G, Group)
-    if method == "normal-closure":
-        rows, e, classes, orders = G.rows, G.identity, G._classes, G.element_orders
-        class_of = {g: cls for cls in classes for g in cls}
-        for x in (cls[0] for cls in classes if orders[cls[0]] % 4 == 0):
-            N = _Closure(G.table, e, class_of[rows[x][x]])
-            avoid = [rows[i][G.inverses[x]] for i in (e, *G.involution_set)]  # S_x
-            for K in [N] if len(N.members) >= 3 else (N.joined(cls) for cls in classes):
-                if len(K.members) >= 3 and not any(K.reached[s] for s in avoid):
-                    H = _mark_normal(Subgroup._of_closure(G, K))
-                    if decide_perfect_code(G, H).exists:
-                        raise InternalInconsistencyError(f"refuted normal subgroup {H.members} has a perfect code")
-                    return False
-        return True
-    if method == "dedekind":
-        if not is_dedekind(G):
-            raise NotDedekindError("the dedekind method requires all subgroups normal")
-        if not G.abelian:
-            return False
-        orders = G.element_orders  # Z4, or a Sylow 2-subgroup without elements of order 4
-        return G.order == 4 and 4 in orders or all(o % 4 for o in orders)
-    raise BadParameterError(f"unknown method {method!r}; use 'normal-closure' or 'dedekind'")
+    rows, e, classes, orders = G.rows, G.identity, G._classes, G.element_orders
+    class_of = {g: cls for cls in classes for g in cls}
+    for x in (cls[0] for cls in classes if orders[cls[0]] % 4 == 0):
+        N = _Closure(G.table, e, class_of[rows[x][x]])
+        avoid = [rows[i][G.inverses[x]] for i in (e, *G.involution_set)]  # S_x
+        for K in [N] if len(N.members) >= 3 else (N.joined(cls) for cls in classes):
+            if len(K.members) >= 3 and not any(K.reached[s] for s in avoid):
+                H = _mark_normal(Subgroup._of_closure(G, K))
+                if decide_perfect_code(G, H).exists:
+                    raise InternalInconsistencyError(f"refuted normal subgroup {H.members} has a perfect code")
+                return False
+    return True

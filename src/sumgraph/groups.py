@@ -78,7 +78,6 @@ __all__ = [
     "normal_subgroups",
     "right_cosets",
     "coset_units",
-    "is_dedekind",
     "abelian_isomorphism_types",
     "SWEEP_FAMILIES",
     "sweep_groups",
@@ -972,19 +971,6 @@ def coset_units(G: Group, H: Subgroup) -> list[tuple[tuple[int, ...], ...]]:
         elif partner > x:
             units.append((c, cosets[partner]))
     return units
-
-
-def is_dedekind(G: Group) -> bool:
-    """Whether every subgroup is normal: whether each cyclic <g> holds g's
-    conjugacy class.  Conjugates generate conjugate subgroups, so one
-    member per class is tested; a singleton class passes at once."""
-    _require_type(G, Group)
-    for cls in G._classes:
-        if len(cls) > 1:
-            reached = _Closure(G.table, G.identity, cls[:1]).reached
-            if not all(reached[g] for g in cls):
-                return False
-    return True
 
 
 def _prime_factors(n: int) -> list[int]:

@@ -28,6 +28,7 @@ from sumgraph import (
     SWEEP_FAMILIES,
     Subgroup,
     build_graph,
+    conjugacy_classes,
     cross_check,
     decide_perfect_code,
     group_from_cayley_table,
@@ -148,6 +149,32 @@ def code_perfect_by_lattice(G: Group) -> bool:
     """Whether every normal subgroup of G gives a perfect code: the whole
     normal lattice, each subgroup decided by ``decide_perfect_code``."""
     return all(decide_perfect_code(G, H).exists for H in normal_subgroups(G))
+
+
+def is_dedekind(G: Group) -> bool:
+    """Whether every subgroup of G is normal: whether each cyclic <g>
+    holds g's conjugacy class.  Conjugates generate conjugate subgroups,
+    so one member per class is tested, its powers read off the table."""
+    for cls in conjugacy_classes(G):
+        powers, x = {G.identity}, cls[0]
+        while x not in powers:
+            powers.add(x)
+            x = G.rows[x][cls[0]]
+        if not powers.issuperset(cls):
+            return False
+    return True
+
+
+def code_perfect_by_dedekind(G: Group) -> bool:
+    """The paper's classification of the code-perfect Dedekind groups: Z4
+    and Z2^t x A with A abelian of odd order, and no non-abelian one
+    (Q8 x E2^k x A).  G must be Dedekind."""
+    if not is_dedekind(G):
+        raise ValueError(f"{G.name} has a non-normal subgroup")
+    if not G.abelian:
+        return False
+    orders = G.element_orders  # Z4, or a Sylow 2-subgroup without elements of order 4
+    return G.order == 4 and 4 in orders or all(o % 4 for o in orders)
 
 
 def validate_by_definition(table: list[list[int]]) -> None:

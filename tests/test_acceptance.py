@@ -25,7 +25,6 @@ from sumgraph import (
     abelian_2group_perfect_code,
     find_perfect_code_bruteforce,
     is_code_perfect,
-    is_dedekind,
     is_perfect_code,
     is_total_perfect_code,
     normal_subgroups,
@@ -33,7 +32,15 @@ from sumgraph import (
     subgroup_generated,
 )
 
-from helpers import SWEEP_MAX_ORDER, audit_blocks, subgroup_as_group, sweep, sweep_reports
+from helpers import (
+    SWEEP_MAX_ORDER,
+    audit_blocks,
+    code_perfect_by_dedekind,
+    is_dedekind,
+    subgroup_as_group,
+    sweep,
+    sweep_reports,
+)
 
 
 def _report(n, ok, detail=""):
@@ -209,7 +216,7 @@ def test_criterion_09_code_perfect_groups_are_classified():
     for G in sweep(32):
         if not is_dedekind(G):
             continue
-        if is_code_perfect(G, method="dedekind") != is_code_perfect(G):
+        if code_perfect_by_dedekind(G) != is_code_perfect(G):
             dedekind_bad.append(G.name)
     _report(
         9,

@@ -2,6 +2,7 @@
 
 import argparse
 import contextlib
+import errno
 import io
 import json
 import os
@@ -465,25 +466,14 @@ def test_scan_above_the_order_cap_fails_before_any_work(capsys, monkeypatch, tmp
 def test_classify_code_perfect(capsys):
     rc, out, _ = run(capsys, "classify", "code-perfect", "Z4")
     assert rc == 0
-    assert json.loads(out) == {
-        "group": "Z4",
-        "order": 4,
-        "method": "normal-closure",
-        "code_perfect": True,
-    }
+    assert out == '{"group": "Z4", "order": 4, "method": "normal-closure", "code_perfect": true}\n'
 
-    rc, out, _ = run(capsys, "classify", "code-perfect", "Z8", "--method", "dedekind")
+    rc, out, _ = run(capsys, "classify", "code-perfect", "Z8")
     assert rc == 0
-    payload = json.loads(out)
-    assert payload["method"] == "dedekind"
-    assert payload["code_perfect"] is False
-
-    rc, _, err = run(capsys, "classify", "code-perfect", "D6", "--method", "dedekind")
-    assert rc == 2
-    assert "error:" in err
+    assert json.loads(out) == {"group": "Z8", "order": 8, "method": "normal-closure", "code_perfect": False}
 
     # Q8 x E2^6 has more normal subgroups than the budget lets a listing
-    # reach; the default method lists none of them
+    # reach; classify lists none of them
     for text, order in (("Q8 x E2^6", 512), ("Q8 x E2^5", 256)):
         start = time.perf_counter()
         rc, out, _ = run(capsys, "classify", "code-perfect", text)
@@ -493,11 +483,12 @@ def test_classify_code_perfect(capsys):
     rc, _, err = run(capsys, "normals", "Q8 x E2^6")
     assert rc == 2 and "budget" in err
 
-    # the lattice-listing method is gone from the command line
-    with pytest.raises(SystemExit) as exc:
-        main(["classify", "code-perfect", "Z4", "--method", "bruteforce"])
-    assert exc.value.code == 2
-    assert "invalid choice: 'bruteforce'" in capsys.readouterr().err
+    # there is one method, so no option chooses it
+    for method in ("dedekind", "bruteforce"):
+        with pytest.raises(SystemExit) as exc:
+            main(["classify", "code-perfect", "Z8", "--method", method])
+        assert exc.value.code == 2
+        assert f"unrecognized arguments: --method {method}" in capsys.readouterr().err
 
 
 def test_usage_errors_exit_two(capsys, monkeypatch):
@@ -516,6 +507,10 @@ def test_usage_errors_exit_two(capsys, monkeypatch):
     rc, _, err = run(capsys, "code", "Z6", "--subgroup", "members:0,3")
     assert rc == 2
     assert "error:" in err
+
+    for selector in ("gen:", "gen:a,,b"):
+        rc, _, err = run(capsys, "code", "D6", "--subgroup", selector)
+        assert (rc, err) == (2, f"error: empty label in selector '{selector}'\n"), selector
 
     rc, _, err = run(capsys, "graph", "D8", "--subgroup", "gen:b")
     assert rc == 2  # <b> is not normal in D8
@@ -645,22 +640,26 @@ def test_scan_sweeps_the_default_families_of_sweep_groups(capsys, monkeypatch):
     assert "dicyclic, abelian, quaternion (default: " + ",".join(SWEEP_FAMILIES) + ")" in usage
 
 
-class _ClosedStdout(io.StringIO):
-    """A stdout whose reader has gone: writing, or else flushing what was
-    written, raises ``BrokenPipeError``."""
+_NO_SPACE = os.strerror(errno.ENOSPC)
 
-    def __init__(self, on):
+
+class _FailingStdout(io.StringIO):
+    """A stdout where writing, or else flushing what was written, fails
+    with the OS error ``code``: EPIPE, a ``BrokenPipeError``, when its
+    reader has gone; ENOSPC on a full disk."""
+
+    def __init__(self, on, code=errno.EPIPE):
         super().__init__()
-        self.on = on
+        self.on, self.code = on, code
 
     def write(self, text):
         if self.on == "write":
-            raise BrokenPipeError(32, "Broken pipe")
+            raise OSError(self.code, os.strerror(self.code))
         return super().write(text)
 
     def flush(self):
         if self.on == "flush":
-            raise BrokenPipeError(32, "Broken pipe")
+            raise OSError(self.code, os.strerror(self.code))
 
 
 @pytest.mark.parametrize("on", ["write", "flush"])
@@ -676,7 +675,7 @@ class _ClosedStdout(io.StringIO):
 )
 def test_a_closed_stdout_ends_the_run_with_exit_141(argv, on):
     err = io.StringIO()
-    with contextlib.redirect_stdout(_ClosedStdout(on)), contextlib.redirect_stderr(err):
+    with contextlib.redirect_stdout(_FailingStdout(on)), contextlib.redirect_stderr(err):
         rc = main(list(argv))
     assert rc == cli.EXIT_CLOSED_PIPE == 141
     # a failed write stops the run before its summary line; a failed final flush comes after it
@@ -685,11 +684,17 @@ def test_a_closed_stdout_ends_the_run_with_exit_141(argv, on):
     assert all(line.startswith(argv[0]) for line in lines)
 
 
-def test_a_pipe_into_head_exits_141_without_a_traceback():
+def _cli_command(*argv: str) -> tuple[list[str], dict[str, str]]:
+    """The command line and environment that run ``sumgraph`` from this
+    checkout's ``src`` in a child process."""
     env = dict(os.environ)
     src = str(Path(__file__).resolve().parents[1] / "src")
     env["PYTHONPATH"] = os.pathsep.join([src, *filter(None, [env.get("PYTHONPATH")])])
-    command = [sys.executable, "-m", "sumgraph.cli", "normals", "E2^6"]  # megabytes, far past a pipe's buffer
+    return [sys.executable, "-m", "sumgraph.cli", *argv], env
+
+
+def test_a_pipe_into_head_exits_141_without_a_traceback():
+    command, env = _cli_command("normals", "E2^6")  # megabytes, far past a pipe's buffer
     writer = subprocess.Popen(command, stdout=subprocess.PIPE, stderr=subprocess.PIPE, env=env)
     head = subprocess.Popen(["head", "-1"], stdin=writer.stdout, stdout=subprocess.PIPE)
     writer.stdout.close()  # head now holds the only reading end
@@ -699,6 +704,37 @@ def test_a_pipe_into_head_exits_141_without_a_traceback():
     assert writer.wait(timeout=60) == 141
     assert json.loads(first)["index"] == 0
     assert err == b""
+
+
+@pytest.mark.parametrize(
+    "argv",
+    [
+        ("normals", "Z6"),
+        ("graph", "Z6", "--subgroup", "gen:3"),
+        ("code", "Z6", "--subgroup", "gen:3"),
+        ("crosscheck", "Z6"),
+        ("scan", "--max-order", "6"),
+        ("classify", "code-perfect", "Z6"),
+    ],
+    ids=["normals", "graph", "code", "crosscheck", "scan", "classify"],
+)
+def test_an_output_that_cannot_be_written_exits_two(argv):
+    err = io.StringIO()
+    with contextlib.redirect_stdout(_FailingStdout("write", errno.ENOSPC)), contextlib.redirect_stderr(err):
+        rc = main(list(argv))
+    assert rc == 2
+    assert err.getvalue() == f"error: cannot write output: {_NO_SPACE}\n"
+
+
+@pytest.mark.skipif(not os.path.exists("/dev/full"), reason="no /dev/full to write to")
+def test_a_full_device_exits_two_without_a_traceback(capsys):
+    command, env = _cli_command("normals", "Z6")
+    with open("/dev/full", "w") as full:
+        child = subprocess.run(command, stdout=full, stderr=subprocess.PIPE, env=env, timeout=60)
+    assert (child.returncode, child.stderr) == (2, f"error: cannot write output: {_NO_SPACE}\n".encode())
+    for argv in (("graph", "Z6", "--subgroup", "gen:3"), ("scan", "--max-order", "6")):
+        rc, out, err = run(capsys, *argv, "--out", "/dev/full")
+        assert (rc, out, err) == (2, "", f"error: cannot write output: {_NO_SPACE}\n"), argv
 
 
 # A small grammar of CLI inputs: group expressions of one or two atoms
@@ -763,7 +799,7 @@ def _cli_calls(draw) -> tuple[list[str], str | None]:
     elif command == "graph":
         argv = ["graph", expr, "--subgroup", draw(_SELECTORS), "--format", draw(st.sampled_from(["dot", "json"]))]
     elif command == "classify":
-        argv = ["classify", "code-perfect", expr, "--method", draw(st.sampled_from(["normal-closure", "dedekind", "junk"]))]
+        argv = ["classify", "code-perfect", expr, *draw(st.sampled_from([[], ["--method", "dedekind"]]))]
     else:
         argv = ["scan", "--max-order", str(draw(st.integers(-1, 12)))]
         families = draw(st.none() | _FAMILY_LISTS)

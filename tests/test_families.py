@@ -13,7 +13,6 @@ from sumgraph import (
     InternalInconsistencyError,
     NotAbelianError,
     NotASubgroupError,
-    NotDedekindError,
     NotNormalError,
     Subgroup,
     Verdict,
@@ -35,7 +34,6 @@ from sumgraph import (
     elementary_abelian_2,
     find_total_perfect_code_bruteforce,
     is_code_perfect,
-    is_dedekind,
     normal_subgroups,
     order_three_coset_scan,
     parse_group_expr,
@@ -43,7 +41,14 @@ from sumgraph import (
     subgroup_generated,
 )
 
-from helpers import code_perfect_by_lattice, permutation_group, relabelled, sweep
+from helpers import (
+    code_perfect_by_dedekind,
+    code_perfect_by_lattice,
+    is_dedekind,
+    permutation_group,
+    relabelled,
+    sweep,
+)
 
 
 def test_families_share_no_rule_with_the_generic_deciders():
@@ -345,11 +350,8 @@ def test_order_three_scan_equivalent_to_total_code_existence():
 
 
 def test_is_code_perfect_bruteforce():
-    # the lattice-listing method is gone: it is refused like any unknown
-    # name, and the default answers what it answered
-    for method in ("bruteforce", "guess"):
-        with pytest.raises(BadParameterError, match="use 'normal-closure' or 'dedekind'"):
-            is_code_perfect(cyclic(4), method=method)
+    # one way to answer, the normal-closure test: no method to choose
+    assert list(inspect.signature(is_code_perfect).parameters) == ["G"]
     assert is_code_perfect(cyclic(4))
     assert not is_code_perfect(cyclic(8))
     for n in range(1, 33):
@@ -391,7 +393,7 @@ def test_is_code_perfect_matches_the_lattice():
         assert verdict == code_perfect_by_lattice(G), G.name
         verdicts.append(verdict)
         if is_dedekind(G):
-            assert is_code_perfect(G, method="dedekind") == verdict, G.name
+            assert code_perfect_by_dedekind(G) == verdict, G.name
     assert 100 < sum(verdicts) < len(verdicts) - 50
     # A4 and S4 are code-perfect; of the first products, D8 x Z2 and
     # Q8 x E2^3 are not, D12 x Z3 is
@@ -418,23 +420,25 @@ def test_a_refuted_subgroup_is_rechecked(monkeypatch):
 
 
 def test_is_code_perfect_dedekind():
-    assert is_code_perfect(cyclic(4), method="dedekind")
-    assert not is_code_perfect(quaternion(), method="dedekind")
-    assert not is_code_perfect(dicyclic(2), method="dedekind")
-    assert is_code_perfect(direct_product(cyclic(2), cyclic(5)), method="dedekind")
-    with pytest.raises(NotDedekindError):
-        is_code_perfect(dihedral(3), method="dedekind")
+    """The paper's classification of the code-perfect Dedekind groups,
+    the test reference, against the normal-closure test."""
+    for G, expected in (
+        (cyclic(4), True), (quaternion(), False), (dicyclic(2), False), (direct_product(cyclic(2), cyclic(5)), True),
+    ):
+        assert code_perfect_by_dedekind(G) is is_code_perfect(G) is expected, G.name
+    with pytest.raises(ValueError, match="non-normal subgroup"):
+        code_perfect_by_dedekind(dihedral(3))
 
-    # agreement with the default method on abelian groups
+    # agreement on abelian groups
     for factors in abelian_isomorphism_types(24):
         G = abelian(factors) if factors else cyclic(1)
-        assert is_code_perfect(G, method="dedekind") == is_code_perfect(G), factors
+        assert code_perfect_by_dedekind(G) == is_code_perfect(G), factors
     # Q8 x E2^k is Dedekind and not code-perfect; from k = 6 its lattice
-    # is over the budget, which the default method never lists
+    # is over the budget, which the normal-closure test never lists
     for k in range(7):
         G = build_group(parse_group_expr(f"Q8 x E2^{k}" if k else "Q8"))
         assert is_dedekind(G)
-        assert is_code_perfect(G) is is_code_perfect(G, method="dedekind") is False
+        assert is_code_perfect(G) is code_perfect_by_dedekind(G) is False
     with pytest.raises(BadParameterError, match="budget"):
         normal_subgroups(G)
 
@@ -444,4 +448,4 @@ def test_is_code_perfect_dedekind():
         H.members for H in normal_subgroups(G) if not decide_perfect_code(G, H).exists
     ]
     assert failing == [(0, 2, 4, 6)]
-    assert not is_code_perfect(G, method="dedekind")
+    assert not code_perfect_by_dedekind(G)

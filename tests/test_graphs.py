@@ -34,7 +34,6 @@ from sumgraph import (
     graph_to_json,
     group_from_cayley_table,
     is_code_perfect,
-    is_dedekind,
     is_perfect_code,
     is_total_perfect_code,
     normal_subgroups,
@@ -225,7 +224,6 @@ _Z6_H3 = Subgroup(_Z6, [0, 2, 4])
         (lambda: normal_subgroups(5), "expected a Group, got int"),
         (lambda: conjugacy_classes(5), "expected a Group, got int"),
         (lambda: is_code_perfect(5), "expected a Group, got int"),
-        (lambda: is_dedekind(5), "expected a Group, got int"),
         (lambda: cross_check(5), "expected a Group, got int"),
         (lambda: cross_check(5, [_Z6_H3]), "expected a Group, got int"),
         (lambda: cross_check(_Z6, [[0, 2, 4]]), "expected a Subgroup, got list"),
@@ -244,7 +242,7 @@ _Z6_H3 = Subgroup(_Z6, [0, 2, 4])
     ],
     ids=[
         "Subgroup", "subgroup_generated", "normal_subgroups", "conjugacy_classes", "is_code_perfect",
-        "is_dedekind", "cross_check", "cross_check-subgroups", "cross_check-list", "is_perfect_code",
+        "cross_check", "cross_check-subgroups", "cross_check-list", "is_perfect_code",
         "is_total_perfect_code", "find_perfect_code_bruteforce", "find_total_perfect_code_bruteforce",
         "components", "graph_to_json", "to_dot", "order_three_coset_scan-list", "order_three_coset_scan-int",
         "verdict_to_json-group", "verdict_to_json-subgroup", "verdict_to_json-verdict",

@@ -20,7 +20,6 @@ from sumgraph import (
     NoInverseError,
     NotASubgroupError,
     NotAssociativeError,
-    NotDedekindError,
     NotLatinSquareError,
     NotNormalError,
     Subgroup,
@@ -37,7 +36,6 @@ from sumgraph import (
     direct_product,
     elementary_abelian_2,
     group_from_cayley_table,
-    is_dedekind,
     normal_subgroups,
     parse_group_expr,
     quaternion,
@@ -51,6 +49,7 @@ from sumgraph import groups as groups_module
 from helpers import (
     cosets_by_definition,
     greedy_generators,
+    is_dedekind,
     is_normal_by_definition,
     relabelled,
     subgroup_as_group,
@@ -474,8 +473,13 @@ def test_order_cap_is_checked_before_allocation(monkeypatch):
         (None, None, "table must be a square array of integers"),
         ([[0, 1, 0], [1, 0, 1]], None, r"table must be square, got shape \(2, 3\)"),
         ([[0, 1], [1, 0], [0, 1]], None, r"table must be square, got shape \(3, 2\)"),
+        (np.zeros((0, 0), dtype=np.int64), None, "a group has at least one element"),
+        ([[0, 1], [1, 0]], ["e"], "expected 2 labels, got 1"),
     ],
-    ids=["empty", "ragged-table", "labels-not-list", "labels-string", "repeated-label", "none", "wide", "tall"],
+    ids=[
+        "empty", "ragged-table", "labels-not-list", "labels-string", "repeated-label", "none", "wide", "tall",
+        "zero-by-zero", "label-count",
+    ],
 )
 def test_group_from_cayley_table_rejects_malformed_input(table, labels, message):
     with pytest.raises(BadParameterError, match=message):
@@ -799,6 +803,8 @@ def test_subgroup_validation():
         Subgroup(cyclic(3), [0, 1])  # closed under no inverse: the inverse 2 of 1 is 1 * 1
     with pytest.raises(NotASubgroupError):
         Subgroup(G, [4, 8])  # no identity
+    with pytest.raises(NotASubgroupError, match="a subgroup cannot be empty"):
+        Subgroup(G, [])
     with pytest.raises(NotASubgroupError):
         Subgroup(G, [0, 99])  # out of range
     with pytest.raises(NotASubgroupError, match="<5001-digit number> out of range"):
@@ -1154,6 +1160,10 @@ def test_direct_product_refuses_a_factor_that_is_not_a_group():
     for factors in ((5,), (cyclic(2), 3), (None, cyclic(2)), (cyclic(2).table, cyclic(2))):
         with pytest.raises(BadParameterError, match="direct_product factors must be groups, got"):
             direct_product(*factors)
+    with pytest.raises(BadParameterError, match="needs at least one factor"):
+        direct_product()
+    G = dihedral(3)
+    assert direct_product(G) is G  # one factor is its own product
 
 
 def test_abelian_isomorphism_types_checks_max_order(monkeypatch):

@@ -3,10 +3,13 @@
 ``perfbench/expected_sweep.json`` holds one digest per group of the default
 scan (``perfbench/workloads.py`` writes it).  Comparing every group's
 records with it, in order, shows that a change kept every verdict and
-oracle answer of the sweep.  The benchmark module is loaded by path and
-only read.  The summary line on stderr is pinned too.
+oracle answer of the sweep.  The digests leave out the group names, so
+the whole output's sha256 is pinned as well: the JSONL stays
+byte-identical.  The benchmark module is loaded by path and only read.
+The summary line on stderr is pinned too.
 """
 
+import hashlib
 import importlib.util
 import itertools
 import json
@@ -15,6 +18,7 @@ from pathlib import Path
 
 from sumgraph.cli import main
 
+SCAN_48_SHA256 = "e3d0556c8d2e323f17389f9d09da152755bc0b6f602b1931014f2f46db4c00fa"
 PERFBENCH = Path(__file__).resolve().parent.parent / "perfbench"
 
 
@@ -35,6 +39,7 @@ def test_scan_matches_the_recorded_sweep(capsys):
     out, err = capsys.readouterr()
     assert rc == 0
     assert err == "scan: 140 groups, 9962 checks, 0 disagreements\n"
+    assert hashlib.sha256(out.encode()).hexdigest() == SCAN_48_SHA256
     records = [json.loads(line) for line in out.splitlines()]
     got = []
     for _, group in itertools.groupby(records, key=lambda r: (r["group"], r["order"])):
