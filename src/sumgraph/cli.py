@@ -54,10 +54,13 @@ from .families import (
 from .graphs import build_graph, graph_to_json, to_dot
 from .groups import (
     _FAMILIES,
+    SUBGROUP_BUDGET,
     SWEEP_FAMILIES,
     Group,
     Subgroup,
+    _abelian_subgroup_count,
     _index,
+    abelian_isomorphism_types,
     normal_subgroups,
     subgroup_generated,
     sweep_groups,
@@ -260,9 +263,24 @@ def _family_checks(G: Group, H: Subgroup) -> Iterator[tuple[str, bool, str]]:
         yield "family_abelian_total", abelian_total_perfect_code(G, H), "total"
 
 
+def _refuse_over_budget(max_order: int, families: list[str]) -> None:
+    """Refuse, before any group is built, a sweep with an abelian type over
+    :data:`SUBGROUP_BUDGET`, naming each such type with its count, which
+    is exact: every subgroup of an abelian group is normal."""
+    # A cyclic, dihedral or dicyclic group of order N has at most d(N) + 3
+    # normal subgroups, and Q8 has 6, so only the abelian types need a count.
+    if "abelian" not in families:
+        return
+    counts = ((f, _abelian_subgroup_count(f)) for f in abelian_isomorphism_types(max_order))
+    over = ", ".join(f"{ProductExpr(tuple(map(CyclicExpr, f)))} has {n}" for f, n in counts if n > SUBGROUP_BUDGET)
+    if over:
+        raise BadParameterError(f"scan refused, over the budget of {SUBGROUP_BUDGET} normal subgroups: {over}")
+
+
 def _cmd_scan(args: argparse.Namespace) -> int:
     families = [f.strip() for f in args.families.split(",") if f.strip()]
     groups = sweep_groups(args.max_order, families)
+    _refuse_over_budget(args.max_order, families)
     stream, owned = _open_out(args.out)
     groups_seen = 0
     checks = 0

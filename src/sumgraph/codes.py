@@ -13,17 +13,17 @@ re-checking its witness there too (each is a rule body that :func:`_decider`
 wraps, building its :class:`Verdict`).  The plain perfect-code rule and the
 extended transversal read the least member of every right coset from one
 gather of the table and walk those representatives, building no coset;
-the plain one pairs cosets by the same partner rule as
-:func:`~sumgraph.groups.coset_units`.  The |H| = 3 total rule reads its
-cosets from :func:`~sumgraph.groups.right_cosets`.  Brute-force searchers
-(exact cover over a built graph, component by component) are the
-independent oracles; a search node with fewer uncovered vertices than the
-component's smallest neighbourhood, which the component walk records, is
-refuted at once, so a refuted dense block costs linear, not quadratic,
-work.  :func:`cross_check` runs deciders against oracles over every normal
-subgroup of a group, building both graph flavours of all its subgroups
-together, a chunk of subgroups per gather of the table, and keeping of
-each search only whether it found a code.
+the plain one pairs each Hx with Hx^-1 unless x*x lies in H.  The
+|H| = 3 total rule reads its cosets from
+:func:`~sumgraph.groups.right_cosets`.  Brute-force searchers (exact cover
+over a built graph, component by component) are the independent oracles;
+a search node with fewer uncovered vertices than the component's smallest
+neighbourhood, which the component walk records, is refuted at once, so a
+refuted dense block costs linear, not quadratic, work.  :func:`cross_check`
+runs deciders against oracles over every normal subgroup of a group,
+building both graph flavours of all its subgroups together, a chunk of
+subgroups per gather of the table, and keeping of each search only
+whether it found a code.
 """
 
 from __future__ import annotations
@@ -42,7 +42,6 @@ from .groups import (
     _coset_least,
     _index,
     _require_type,
-    _unit_partner,
     normal_subgroups,
     require_normal,
     right_cosets,
@@ -247,10 +246,11 @@ def decide_perfect_code(G: Group, H: Subgroup) -> _Ruling:
     the paired blocks Hx with Hx^-1 are always handled by taking x and its
     inverse.  The cosets are read off one gather of their least members
     (:func:`~sumgraph.groups._coset_least`): each coset Hx is visited at
-    its least member x and, by the unit rule of
-    :func:`~sumgraph.groups._unit_partner`, takes its least self-inverse
-    member when x*x is in H, and otherwise takes x and x^-1 when x is the
-    lesser of the pair's two representatives.
+    its least member x.  When x*x is in H, Hx is closed under inverses and
+    is a unit alone, which takes its least self-inverse member; otherwise
+    Hx pairs with Hx^-1 = (Hx)^-1 (H is normal), whose representative is
+    the least member of x^-1's coset, and the pair takes x and x^-1 at the
+    lesser of its two representatives.
     """
     n, inv = G.order, G.inverses
     if H.order == 1:
@@ -263,12 +263,11 @@ def decide_perfect_code(G: Group, H: Subgroup) -> _Ruling:
     pivot = {least[v]: v for v in reversed(range(n)) if inv[v] == v}  # least self-inverse v of each coset
     chosen: list[int] = []
     for x in [x for x, rep in enumerate(least) if rep == x]:
-        partner = _unit_partner(G, H, least, x)
-        if partner is None:  # the unit is Hx alone
+        if G.rows[x][x] in H.member_set:  # the unit is Hx alone
             if x not in pivot:  # the least such x: the identity's coset always has a pivot
                 return _refuted("square-coset-without-involution", coset_representative=x)
             chosen.append(pivot[x])
-        elif partner > x:  # the unit is Hx with Hx^-1, met first here
+        elif least[inv[x]] > x:  # the unit is Hx with Hx^-1, met first at its lesser representative
             chosen.extend([x, inv[x]])
     return "square-cosets-have-involutions", tuple(sorted(chosen)), None
 

@@ -13,6 +13,7 @@ orders this package supports.
 from __future__ import annotations
 
 import itertools
+import operator
 from functools import cached_property
 from typing import Iterable, Iterator
 
@@ -138,7 +139,7 @@ def _sum_graphs(G: Group, subgroups: Iterable[Subgroup]) -> Iterator[tuple[SumGr
         if not np.array_equal(adj, adj.transpose(0, 2, 1)):
             raise InternalInconsistencyError("adjacency came out asymmetric for a normal subgroup")
         extended = _int_rows(adj)
-        plain = tuple(map(int.__xor__, extended, itertools.cycle(G._inverse_bits)))
+        plain = tuple(map(operator.xor, extended, itertools.cycle(G._inverse_bits)))
         for i, H in enumerate(chunk):
             rows = slice(i * n, (i + 1) * n)
             yield SumGraph(G, H, False, plain[rows]), SumGraph(G, H, True, extended[rows])

@@ -77,7 +77,6 @@ __all__ = [
     "require_normal",
     "normal_subgroups",
     "right_cosets",
-    "coset_units",
     "abelian_isomorphism_types",
     "SWEEP_FAMILIES",
     "sweep_groups",
@@ -787,6 +786,19 @@ def _p_subgroup_count(conjugate: Sequence[int], p: int) -> int:
     return total
 
 
+def _abelian_subgroup_count(factor_orders: Sequence[int]) -> int:
+    """The number of subgroups of Z_f1 x ... x Z_fk, the product over the
+    primes p of :func:`_p_subgroup_count` of its p-part, whose conjugate
+    partition counts at i the factor orders that p^i divides."""
+    count = 1
+    for p in _prime_factors(math.prod(factor_orders)):
+        conjugate: list[int] = []
+        while layer := sum(f % p ** (len(conjugate) + 1) == 0 for f in factor_orders):
+            conjugate.append(layer)
+        count *= _p_subgroup_count(conjugate, p)
+    return count
+
+
 def _normal_subgroup_bound(G: Group) -> int:
     """A lower bound on the number of normal subgroups of G.
 
@@ -943,34 +955,6 @@ def _coset_least(G: Group, H: Subgroup) -> list[int]:
     """The least member of each right coset: entry x is min(Hx), so the
     representatives are the x equal to their entry.  One |H| x n gather."""
     return G.table[list(H.members)].min(axis=0).tolist()
-
-
-def _unit_partner(G: Group, H: Subgroup, least: list[int], x: int) -> int | None:
-    """The coset unit rule: None when x*x lies in H, which makes Hx closed
-    under inverses and a unit alone, and otherwise ``least[x^-1]``, the
-    representative of Hx^-1 = (Hx)^-1 for a normal H, which pairs with Hx."""
-    return None if G.rows[x][x] in H.member_set else least[G.inverses[x]]
-
-
-def coset_units(G: Group, H: Subgroup) -> list[tuple[tuple[int, ...], ...]]:
-    """The right cosets grouped into units, in :func:`right_cosets` order.
-
-    A unit is ``(Hx,)`` or ``(Hx, Hx^-1)`` as :func:`_unit_partner` says,
-    a pair listed at the lesser of its two representatives.  The sum graphs
-    over a normal H decompose into one block per unit; H must be normal,
-    or the inverses of a right coset need not form one.
-    """
-    require_normal(G, H)
-    least = _coset_least(G, H)
-    cosets = {c[0]: c for c in right_cosets(G, H)}
-    units: list[tuple[tuple[int, ...], ...]] = []
-    for x, c in cosets.items():
-        partner = _unit_partner(G, H, least, x)
-        if partner is None:
-            units.append((c,))
-        elif partner > x:
-            units.append((c, cosets[partner]))
-    return units
 
 
 def _prime_factors(n: int) -> list[int]:

@@ -463,6 +463,26 @@ def test_scan_above_the_order_cap_fails_before_any_work(capsys, monkeypatch, tmp
     assert not target.exists()
 
 
+def test_scan_refuses_an_over_budget_sweep_before_its_first_record(capsys, monkeypatch, tmp_path):
+    """Both abelian types of order 256 over the subgroup budget are named,
+    with their counts, before any group is built or any record written."""
+    monkeypatch.delenv("SUMGRAPH_MAX_ORDER", raising=False)
+    built = []
+    monkeypatch.setattr(groups_module, "build_group", lambda expr: built.append(expr))
+    argv = ["scan", "--max-order", "256", "--families", "abelian"]
+    start = time.perf_counter()
+    rc, out, err = run(capsys, *argv)
+    assert time.perf_counter() - start < 2
+    assert rc == 2 and out == "" and built == []
+    assert err.count("error:") == 1 and err.count("\n") == 1
+    assert "Z2 x Z2 x Z2 x Z2 x Z2 x Z2 x Z4 has 55599" in err
+    assert "Z2 x Z2 x Z2 x Z2 x Z2 x Z2 x Z2 x Z2 has 417199" in err
+    target = tmp_path / "scan.jsonl"
+    rc, out, err = run(capsys, *argv, "--out", str(target))
+    assert rc == 2 and out == "" and "55599" in err and "417199" in err
+    assert not target.exists() and built == []
+
+
 def test_classify_code_perfect(capsys):
     rc, out, _ = run(capsys, "classify", "code-perfect", "Z4")
     assert rc == 0

@@ -17,7 +17,6 @@ from sumgraph import (
     build_graph,
     components,
     conjugacy_classes,
-    coset_units,
     cross_check,
     cyclic,
     cyclic_perfect_code,
@@ -192,7 +191,7 @@ _Z4 = cyclic(4)
 
 @pytest.mark.parametrize(
     "call",
-    [build_graph, right_cosets, coset_units, decide_code, decide_perfect_code, decide_perfect_code_extended,
+    [build_graph, right_cosets, decide_code, decide_perfect_code, decide_perfect_code_extended,
      decide_total_perfect_code, decide_total_perfect_code_extended, cyclic_perfect_code, abelian_total_perfect_code,
      abelian_2group_perfect_code, dihedral_perfect_code, dicyclic_perfect_code, require_normal],
 )
@@ -334,8 +333,8 @@ def test_structure_divergence_is_reported_not_asserted():
 
 def test_structure_sweep_matches_everywhere():
     """Every block matches, over all four block shapes and both readings
-    of a divergence; the blocks are the package's coset units, plain
-    block then extended."""
+    of a divergence; per flavour, the blocks hold the package's right
+    cosets, each in one block, plain block then extended."""
     relabelled_groups = [relabelled(G, seed)[0] for seed, G in enumerate(sweep(16))]  # identity off index 0
     seen = set()
     for G in (*sweep(24), *relabelled_groups):
@@ -344,9 +343,13 @@ def test_structure_sweep_matches_everywhere():
                 continue
             blocks = audit_blocks(G, H)
             assert all(b.witness is None for b in blocks), (G.name, H.members)
-            units = [(tuple(sorted(sum(u, ()))), tuple(c[0] for c in u)) for u in coset_units(G, H)]
-            got = [(b.vertices, b.coset_representatives) for b in blocks]
-            assert got == [unit for unit in units for _flavor in ("plain", "extended")], (G.name, H.members)
+            cosets = {c[0]: c for c in right_cosets(G, H)}
+            plain, extended = blocks[::2], blocks[1::2]
+            assert {b.flavor for b in plain} == {"plain"} and {b.flavor for b in extended} == {"extended"}
+            units = [(b.vertices, b.coset_representatives) for b in plain]
+            assert units == [(b.vertices, b.coset_representatives) for b in extended], (G.name, H.members)
+            assert sorted(x for _, reps in units for x in reps) == sorted(cosets), (G.name, H.members)
+            assert all(vs == tuple(sorted(v for x in reps for v in cosets[x])) for vs, reps in units)
             seen |= {(b.flavor, b.kind, bool(b.divergence)) for b in blocks}
     assert seen == {
         ("plain", "complete", False), ("plain", "complete", True), ("plain", "complete_minus_matching", False),
