@@ -39,6 +39,7 @@ from sumgraph import (
     order_three_coset_scan,
     quaternion,
     require_normal,
+    require_subgroup,
     right_cosets,
     subgroup_generated,
     to_dot,
@@ -193,7 +194,7 @@ _Z4 = cyclic(4)
     "call",
     [build_graph, right_cosets, decide_code, decide_perfect_code, decide_perfect_code_extended,
      decide_total_perfect_code, decide_total_perfect_code_extended, cyclic_perfect_code, abelian_total_perfect_code,
-     abelian_2group_perfect_code, dihedral_perfect_code, dicyclic_perfect_code, require_normal],
+     abelian_2group_perfect_code, dihedral_perfect_code, dicyclic_perfect_code, require_normal, require_subgroup],
 )
 @pytest.mark.parametrize(
     "G, H, message",

@@ -21,6 +21,7 @@ from sumgraph import (
     NotASubgroupError,
     NotAssociativeError,
     NotLatinSquareError,
+    NotNormalError,
     Subgroup,
     SumGraphError,
     abelian,
@@ -29,6 +30,7 @@ from sumgraph import (
     conjugacy_classes,
     cyclic,
     decide_code,
+    decide_perfect_code,
     dicyclic,
     dihedral,
     direct_product,
@@ -52,6 +54,7 @@ from helpers import (
     relabelled,
     subgroup_as_group,
     sweep,
+    units_by_definition,
     validate_by_definition,
 )
 
@@ -1028,6 +1031,26 @@ def test_right_cosets_match_the_definition_over_the_sweep():
     for G in sweep(24):
         for H in normal_subgroups(G):
             assert right_cosets(G, H) == cosets_by_definition(G, H)
+
+
+def test_reference_units_pair_each_coset_with_its_inverse():
+    """The tests' reference units, which the deciders are checked against:
+    Hx alone when x*x is in H, else Hx with the coset holding x^-1."""
+    G = cyclic(12)
+    H = Subgroup(G, [0, 4, 8])
+    # 2 + 2 = 4 lies in H, so H+2 stands alone; H+1 pairs with H+11 = H+3
+    assert units_by_definition(G, H) == [((0, 4, 8),), ((1, 5, 9), (3, 7, 11)), ((2, 6, 10),)]
+    for G in sweep(24):
+        for H in normal_subgroups(G):
+            units = units_by_definition(G, H)
+            assert sorted(c for unit in units for c in unit) == sorted(right_cosets(G, H))
+            for unit in units:
+                x = unit[0][0]
+                assert (len(unit) == 1) == (G.rows[x][x] in H)
+                assert G.inverses[x] in unit[-1]
+    D6 = dihedral(3)  # H = <b>: the inverses of the right coset {a^2, ab} are {a, ab}, not a right coset
+    with pytest.raises(NotNormalError):
+        decide_perfect_code(D6, subgroup_generated(D6, [3]))
 
 
 def test_cosets_on_relabelled_tables():
