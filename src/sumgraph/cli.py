@@ -42,15 +42,8 @@ from .codes import (
     verdict_to_json,
 )
 from .errors import BadParameterError, SumGraphError, _quoted
-from .exprs import CyclicExpr, DicyclicExpr, DihedralExpr, ProductExpr, build_group, parse_group_expr
-from .families import (
-    abelian_2group_perfect_code,
-    abelian_total_perfect_code,
-    cyclic_perfect_code,
-    dicyclic_perfect_code,
-    dihedral_perfect_code,
-    is_code_perfect,
-)
+from .exprs import CyclicExpr, ProductExpr, build_group, parse_group_expr
+from .families import _family_checks, is_code_perfect
 from .graphs import build_graph, graph_to_json, to_dot
 from .groups import (
     _FAMILIES,
@@ -244,23 +237,6 @@ def _cmd_crosscheck(args: argparse.Namespace) -> int:
         file=sys.stderr,
     )
     return 1 if bad else 0
-
-
-def _family_checks(G: Group, H: Subgroup) -> Iterator[tuple[str, bool, str]]:
-    """Yield (decider name, verdict, oracle kind) triples for one subgroup of
-    a sweep group, whose family is read from its tag."""
-    tag = G.tag
-    if isinstance(tag, CyclicExpr):
-        yield "family_cyclic", cyclic_perfect_code(G, H), "perfect"
-        yield "family_abelian_total", abelian_total_perfect_code(G, H), "total"
-    elif isinstance(tag, DihedralExpr):
-        yield "family_dihedral", dihedral_perfect_code(G, H), "perfect"
-    elif isinstance(tag, DicyclicExpr):
-        yield "family_dicyclic", dicyclic_perfect_code(G, H), "perfect"
-    elif isinstance(tag, ProductExpr):  # an abelian type: a 2-group when its order is a power of two
-        if len(H) >= 3 and G.order & (G.order - 1) == 0:
-            yield "family_abelian_2group", abelian_2group_perfect_code(G, H), "perfect"
-        yield "family_abelian_total", abelian_total_perfect_code(G, H), "total"
 
 
 def _refuse_over_budget(max_order: int, families: list[str]) -> None:

@@ -3,19 +3,22 @@
 Each decider takes a group G and a subgroup H and answers "does the sum
 graph admit a perfect (or total perfect) code?" without building the graph:
 the family rules read their parameters off ``G.tag``, and abelian total
-codes come from a scan of squares and cosets.  They deliberately duplicate
-ground covered by the generic deciders in :mod:`sumgraph.codes` so the two
-can be cross-checked, and so share none of their rules: the only import
-from there is ``decide_perfect_code``, which re-checks each subgroup that
-:func:`is_code_perfect` refutes.  The test suite runs every family decider
-against the generic one and the brute-force oracle over its whole family
-at desk scale.
+codes come from a scan of squares.  They deliberately duplicate ground
+covered by the generic deciders in :mod:`sumgraph.codes` so the two can be
+cross-checked, and so share none of their rules: the only import from
+there is ``decide_perfect_code``, which re-checks each subgroup that
+:func:`is_code_perfect` refutes.  ``_family_checks`` tells ``scan`` which
+deciders fit a group.  The test suite runs every family decider against
+the generic one and the brute-force oracle over its whole family at desk
+scale.
 
 Abelian 2-group subgroups use the mixed-radix element indexing fixed by
 :func:`sumgraph.groups.abelian` (last factor varies fastest).
 """
 
 from __future__ import annotations
+
+from typing import Iterator
 
 import numpy as np
 
@@ -30,7 +33,6 @@ from .groups import (
     _require_type,
     require_normal,
     require_subgroup,
-    right_cosets,
 )
 
 __all__ = [
@@ -39,7 +41,6 @@ __all__ = [
     "dihedral_perfect_code",
     "dicyclic_perfect_code",
     "abelian_total_perfect_code",
-    "order_three_coset_scan",
     "is_code_perfect",
 ]
 
@@ -156,9 +157,11 @@ def abelian_total_perfect_code(A: Group, H: Subgroup) -> bool:
     """Does the sum graph of abelian A over H admit a total perfect code?
 
     True when |H| = 2 and no element outside H squares into H without being
-    an involution (the matching is then perfect), or when |H| = 3 and
-    :func:`order_three_coset_scan` passes, which in an abelian group means A
-    is a product of Z2 factors with one Z3 (every block is then a 3-star).
+    an involution (the matching is then perfect), or when |H| = 3 and every
+    element outside H squares into H, which means A is a product of Z2
+    factors with one Z3.  Every block is then a 3-star, never a triangle:
+    with h of order 3, the coset Hx holds x and x*h, and since
+    (x*h)^2 = x^2 h^2, both are involutions only if h^2 = e.
     """
     require_subgroup(A, H)
     if not A.abelian:
@@ -172,30 +175,26 @@ def abelian_total_perfect_code(A: Group, H: Subgroup) -> bool:
                 return False
         return True
     if H.order == 3:
-        return order_three_coset_scan(A, H)
+        # no coset test: of x and x*h in Hx, at most one is an involution
+        return all(x in H or A.rows[x][x] in H for x in range(A.order))
     return False
 
 
-def order_three_coset_scan(G: Group, H: Subgroup) -> bool:
-    """The family rule for total codes over a subgroup of order 3.
-
-    For normal H of order 3: every element outside H must square into H,
-    and every coset must contain an element of order at least 3 (so each
-    block is a 3-star rather than a triangle).  Equivalent, by the theory
-    and by the test suite's sweep, to G being Z2-factors times one Z3, the
-    generic decider's test on element orders, which it cross-checks.
-    """
-    _require_type(H, Subgroup)
-    if H.order != 3:
-        raise BadParameterError(f"the scan applies to subgroups of order 3, got {H.order}")
-    require_normal(G, H)
-    for x in range(G.order):
-        if x not in H and G.rows[x][x] not in H:
-            return False
-    for coset in right_cosets(G, H):
-        if all(G.element_orders[v] <= 2 for v in coset):
-            return False
-    return True
+def _family_checks(G: Group, H: Subgroup) -> Iterator[tuple[str, bool, str]]:
+    """Yield (decider name, verdict, oracle kind) triples for one subgroup of
+    a sweep group, whose family is read from its tag."""
+    tag = G.tag
+    if isinstance(tag, CyclicExpr):
+        yield "family_cyclic", cyclic_perfect_code(G, H), "perfect"
+        yield "family_abelian_total", abelian_total_perfect_code(G, H), "total"
+    elif isinstance(tag, DihedralExpr):
+        yield "family_dihedral", dihedral_perfect_code(G, H), "perfect"
+    elif isinstance(tag, DicyclicExpr):
+        yield "family_dicyclic", dicyclic_perfect_code(G, H), "perfect"
+    elif isinstance(tag, ProductExpr):  # an abelian type: a 2-group when its order is a power of two
+        if len(H) >= 3 and G.order & (G.order - 1) == 0:
+            yield "family_abelian_2group", abelian_2group_perfect_code(G, H), "perfect"
+        yield "family_abelian_total", abelian_total_perfect_code(G, H), "total"
 
 
 # ---------------------------------------------------------------------------

@@ -33,6 +33,7 @@ from sumgraph import (
     decide_perfect_code,
     group_from_cayley_table,
     normal_subgroups,
+    require_normal,
     require_subgroup,
     sweep_groups,
 )
@@ -272,6 +273,21 @@ def units_by_definition(G: Group, H: Subgroup) -> list[tuple[tuple[int, ...], ..
             paired.add(partner)
             units.append((c, partner))
     return units
+
+
+def order_three_coset_scan(G: Group, H: Subgroup) -> bool:
+    """The total-code rule for a normal subgroup of order 3, in any group:
+    every element outside H squares into H, and every coset holds an
+    element of order at least 3, so each block is a 3-star rather than a
+    triangle.  By the theory this picks out G = Z2-factors x Z3, which the
+    tests check against ``decide_total_perfect_code`` on non-abelian groups
+    too; in an abelian group the coset condition always holds."""
+    require_normal(G, H)
+    if H.order != 3:
+        raise BadParameterError(f"the scan applies to subgroups of order 3, got {H.order}")
+    if any(x not in H and G.rows[x][x] not in H for x in range(G.order)):
+        return False
+    return all(any(G.element_orders[v] > 2 for v in coset) for coset in cosets_by_definition(G, H))
 
 
 class Block(NamedTuple):

@@ -19,6 +19,7 @@ from sumgraph import (
     Subgroup,
     SumGraph,
     abelian,
+    abelian_total_perfect_code,
     build_graph,
     build_group,
     cross_check,
@@ -37,7 +38,6 @@ from sumgraph import (
     is_perfect_code,
     is_total_perfect_code,
     normal_subgroups,
-    order_three_coset_scan,
     parse_group_expr,
     quaternion,
     subgroup_generated,
@@ -303,9 +303,8 @@ def test_deciders_require_normality():
         for decider in deciders:
             with pytest.raises(NotASubgroupError):
                 decider(G, H)
-        if H.order == 3:
-            with pytest.raises(NotASubgroupError):
-                order_three_coset_scan(G, H)
+        with pytest.raises(NotASubgroupError):
+            abelian_total_perfect_code(G, H)
 
 
 def test_cross_check_builds_each_graph_once(monkeypatch):

@@ -35,7 +35,6 @@ from sumgraph import (
     find_total_perfect_code_bruteforce,
     is_code_perfect,
     normal_subgroups,
-    order_three_coset_scan,
     parse_group_expr,
     quaternion,
     subgroup_generated,
@@ -45,6 +44,7 @@ from helpers import (
     code_perfect_by_dedekind,
     code_perfect_by_lattice,
     is_dedekind,
+    order_three_coset_scan,
     permutation_group,
     relabelled,
     sweep,
@@ -200,7 +200,6 @@ def test_family_deciders_check_the_family_and_the_parent():
         dihedral_perfect_code: dihedral(4),
         dicyclic_perfect_code: dicyclic(2),
         abelian_total_perfect_code: cyclic(6),
-        order_three_coset_scan: cyclic(6),
     }
     assert {d.__name__ for d in own} == set(families.__all__) - {"is_code_perfect"}
     # the four that read G.tag refuse a group of another family
@@ -313,6 +312,21 @@ def test_abelian_total_matches_generic_decider_up_to_48():
                 abelian_total_perfect_code(G, H)
                 == decide_total_perfect_code(G, H).exists
             ), (factors, H.members)
+    # the |H| = 3 rule past the sweep: every order-3 subgroup to order 192
+    threes, found = 0, []
+    for factors in abelian_isomorphism_types(192):
+        if math.prod(factors) % 3:
+            continue
+        G = abelian(factors)
+        generators = {min(x, G.inverses[x]) for x in range(G.order) if G.element_orders[x] == 3}  # one per H
+        for H in (subgroup_generated(G, [x]) for x in sorted(generators)):
+            threes += 1
+            exists = abelian_total_perfect_code(G, H)
+            assert exists == decide_total_perfect_code(G, H).exists, (factors, H.members)
+            if exists:
+                found.append(factors)
+    assert threes == 419
+    assert found == [(2,) * k + (3,) for k in range(7)]
 
 
 def test_order_three_coset_scan():
@@ -325,8 +339,9 @@ def test_order_three_coset_scan():
     G = cyclic(3)
     assert order_three_coset_scan(G, Subgroup(G, range(G.order)))
 
+    G = cyclic(6)
     with pytest.raises(BadParameterError):
-        order_three_coset_scan(cyclic(6), Subgroup(cyclic(6), [0, 3]))
+        order_three_coset_scan(G, Subgroup(G, [0, 3]))
 
 
 def test_order_three_scan_equivalent_to_total_code_existence():

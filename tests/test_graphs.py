@@ -36,7 +36,6 @@ from sumgraph import (
     is_perfect_code,
     is_total_perfect_code,
     normal_subgroups,
-    order_three_coset_scan,
     quaternion,
     require_normal,
     require_subgroup,
@@ -234,8 +233,6 @@ _Z6_H3 = Subgroup(_Z6, [0, 2, 4])
         (lambda: components(5), "expected a SumGraph, got int"),
         (lambda: graph_to_json(5), "expected a SumGraph, got int"),
         (lambda: to_dot(5), "expected a SumGraph, got int"),
-        (lambda: order_three_coset_scan(_Z6, [0, 2, 4]), "expected a Subgroup, got list"),
-        (lambda: order_three_coset_scan(5, _Z6_H3), "expected a Group, got int"),
         (lambda: verdict_to_json(5, _Z6_H3, decide_code(_Z6, _Z6_H3)), "expected a Group, got int"),
         (lambda: verdict_to_json(_Z6, [0, 2, 4], decide_code(_Z6, _Z6_H3)), "expected a Subgroup, got list"),
         (lambda: verdict_to_json(_Z6, _Z6_H3, None), "expected a Verdict, got NoneType"),
@@ -244,7 +241,7 @@ _Z6_H3 = Subgroup(_Z6, [0, 2, 4])
         "Subgroup", "subgroup_generated", "normal_subgroups", "conjugacy_classes", "is_code_perfect",
         "cross_check", "cross_check-subgroups", "cross_check-list", "is_perfect_code",
         "is_total_perfect_code", "find_perfect_code_bruteforce", "find_total_perfect_code_bruteforce",
-        "components", "graph_to_json", "to_dot", "order_three_coset_scan-list", "order_three_coset_scan-int",
+        "components", "graph_to_json", "to_dot",
         "verdict_to_json-group", "verdict_to_json-subgroup", "verdict_to_json-verdict",
     ],
 )

@@ -24,7 +24,9 @@ its comments are dropped), and pytest runs the ``--tests`` files with
 as one of ``_Closure.add`` that stops marking what it reached, fails
 there with ``MemoryError`` and counts as killed instead of filling the
 machine's memory.  A mutant survives when they all pass.  The
-working tree is only read.  The unmutated copy must pass first.  Exit
+working tree is only read, once, to make the copy: each target is read
+back from the copy, so the mutants are those of the code the unmutated
+run tested.  The unmutated copy must pass first.  Exit
 status: 0 when every mutant was killed, 1 when some survived.
 """
 
@@ -132,7 +134,7 @@ def main(argv: list[str] | None = None) -> int:
     survivors = total = 0
     for target in args.targets:
         path, _, name = target.partition(":")
-        original = (ROOT / path).read_text(encoding="utf-8")
+        original = (workdir / path).read_text(encoding="utf-8")
         tree = ast.parse(original)
         for site in _sites(_function(tree, name)):
             source, line = _mutant(tree, name, site)
