@@ -12,10 +12,11 @@ a small refuting certificate when none does; it reads only the Cayley table,
 re-checking its witness there too (each is a rule body that :func:`_decider`
 wraps, building its :class:`Verdict`).  The plain perfect-code rule and the
 extended transversal read the least member of every right coset from one
-gather of the table and walk those representatives, building no coset;
-the plain one pairs each Hx with Hx^-1 unless x*x lies in H.  The
-|H| = 3 total rule reads its cosets from
-:func:`~sumgraph.groups.right_cosets`.  Brute-force searchers (exact cover
+gather of the table (:func:`~sumgraph.groups._coset_least`) and walk
+those representatives, building no coset; the plain one pairs each Hx
+with Hx^-1 unless x*x lies in H.  The |H| = 3 total rule walks the same
+representatives and reads each three-element coset Hx off the table.
+Brute-force searchers (exact cover
 over a built graph, component by component) are the independent oracles;
 a search node with fewer uncovered vertices than the component's smallest
 neighbourhood, which the component walk records, is refuted at once, so a
@@ -41,10 +42,10 @@ from .groups import (
     Subgroup,
     _coset_least,
     _index,
+    _require_iterable,
     _require_type,
     normal_subgroups,
     require_normal,
-    right_cosets,
 )
 
 __all__ = [
@@ -100,6 +101,7 @@ def _partitions(n: int, neighbourhoods) -> bool:
 
 def _graph_partitions(graph: SumGraph, code, closed: bool) -> bool:
     _require_type(graph, SumGraph)
+    _require_iterable(code, "code")
     vertices = [_index(c, "code member", 0, graph.n - 1) for c in code]
     return _partitions(graph.n, (graph.rows[v] | (1 << v) if closed else graph.rows[v] for v in vertices))
 
@@ -259,7 +261,7 @@ def decide_perfect_code(G: Group, H: Subgroup) -> _Ruling:
         h = next(m for m in H.members if m != G.identity)
         times_h = G.table[:, h].tolist()  # x -> x*h
         return "order-two-subgroup", tuple(x for x in range(n) if times_h[inv[x]] >= x), None
-    least = _coset_least(G, H)
+    least = _coset_least(G, H.members)
     pivot = {least[v]: v for v in reversed(range(n)) if inv[v] == v}  # least self-inverse v of each coset
     chosen: list[int] = []
     for x in [x for x, rep in enumerate(least) if rep == x]:
@@ -293,10 +295,10 @@ def decide_total_perfect_code(G: Group, H: Subgroup) -> _Ruling:
         if not (G.abelian and all(6 % o == 0 for o in orders) and sum(3 % o == 0 for o in orders) == 3):
             return _refuted("not-elementary-two-times-three", group_order=G.order)
         chosen = []
-        for c in right_cosets(G, H):
-            centre = next(v for v in c if G.inverses[v] == v)
-            leaf = min(v for v in c if v != centre)
-            chosen.extend([centre, leaf])
+        for x in [x for x, rep in enumerate(_coset_least(G, H.members)) if rep == x]:
+            c = [G.rows[h][x] for h in H.members]  # Hx
+            centre = min(v for v in c if G.inverses[v] == v)
+            chosen.extend([centre, min(v for v in c if v != centre)])
         return "elementary-two-times-three", tuple(sorted(chosen)), None
     return _refuted("subgroup-order-unsuitable", subgroup_order=H.order)
 
@@ -316,7 +318,7 @@ def decide_perfect_code_extended(G: Group, H: Subgroup) -> _Ruling:
         return "trivial-subgroup", tuple(v for v in range(n) if inv[v] >= v), None
     outside = sorted(G.square_set - H.member_set)
     if not outside:
-        least = _coset_least(G, H)
+        least = _coset_least(G, H.members)
         return "squares-inside-subgroup", tuple(x for x, rep in enumerate(least) if rep == x), None
     sq = outside[0]
     element = np.diagonal(G.table).tolist().index(sq)

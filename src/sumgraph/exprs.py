@@ -15,7 +15,7 @@ import re
 from dataclasses import dataclass
 from typing import TYPE_CHECKING
 
-from .errors import ParseError, _quoted
+from .errors import BadParameterError, ParseError, _quoted
 
 if TYPE_CHECKING:
     from .groups import Group
@@ -200,6 +200,8 @@ class _Parser:
 
 def parse_group_expr(text: str) -> GroupExpr:
     """Parse an expression like ``"Z4 x Z3"`` or ``"D12"``; see module docs."""
+    if not isinstance(text, str):
+        raise BadParameterError(f"expected a string, got {type(text).__name__}")
     parser = _Parser(text)
     expr = parser.expr()
     tok = parser.peek()
@@ -221,10 +223,18 @@ def format_group_expr(expr: GroupExpr) -> str:
     if isinstance(expr, ElementaryAbelianExpr):
         return f"E2^{expr.t}"
     bits = []
-    for p in expr.parts:
+    for p in _parts(expr):
         text = format_group_expr(p)
         bits.append(f"({text})" if isinstance(p, ProductExpr) else text)
     return " x ".join(bits)
+
+
+def _parts(expr: GroupExpr) -> tuple[GroupExpr, ...]:
+    """The parts of a product expression, the one kind left once the atoms
+    are ruled out: any other value is a BadParameterError naming its type."""
+    if not isinstance(expr, ProductExpr):
+        raise BadParameterError(f"expected a group expression, got {type(expr).__name__}")
+    return expr.parts
 
 
 def build_group(expr: GroupExpr) -> Group:

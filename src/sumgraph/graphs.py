@@ -20,7 +20,7 @@ from typing import Iterable, Iterator
 import numpy as np
 
 from .errors import InternalInconsistencyError
-from .groups import Group, Subgroup, _require_type, require_normal
+from .groups import Group, Subgroup, _require_iterable, _require_type, require_normal
 
 __all__ = [
     "SumGraph",
@@ -124,6 +124,7 @@ def _sum_graphs(G: Group, subgroups: Iterable[Subgroup]) -> Iterator[tuple[SumGr
     pairs are symmetric, so the extended graph's symmetry check covers both.
     """
     _require_type(G, Group)
+    _require_iterable(subgroups, "subgroups")
     n = G.order
     subgroups = list(subgroups)
     step = max(1, _GATHER_CELLS // (n * n))

@@ -53,6 +53,7 @@ from .exprs import (
     GroupExpr,
     ProductExpr,
     QuaternionExpr,
+    _parts,
     build_group,
 )
 
@@ -215,6 +216,7 @@ class Subgroup:
         the subgroup its generators T generate, which :meth:`_take` checks
         they are."""
         _require_type(parent, Group)
+        _require_iterable(members, "members")
         ms = sorted({_index(m, "member") for m in members})
         if not ms:
             raise NotASubgroupError("a subgroup cannot be empty")
@@ -306,6 +308,13 @@ def _require_type(value, kind: type) -> None:
     AttributeError further in."""
     if not isinstance(value, kind):
         raise BadParameterError(f"expected a {kind.__name__}, got {type(value).__name__}")
+
+
+def _require_iterable(value, what: str) -> None:
+    """A value that cannot be iterated is a BadParameterError that names
+    its type, not a TypeError further in."""
+    if not isinstance(value, Iterable):
+        raise BadParameterError(f"{what} must be a sequence, got {type(value).__name__}")
 
 
 def require_subgroup(G: Group, H: Subgroup) -> None:
@@ -612,8 +621,7 @@ def abelian(factor_orders: Sequence[int]) -> Group:
     """Direct product of cyclic groups of the given orders; equal to
     ``direct_product`` of the cyclic factors, but, like every constructor,
     validated only once."""
-    if not isinstance(factor_orders, Iterable):
-        raise BadParameterError(f"factor orders must be a sequence, got {type(factor_orders).__name__}")
+    _require_iterable(factor_orders, "factor orders")
     factor_orders = [_index(f, "cyclic factor order", low=1) for f in factor_orders]
     if len(factor_orders) < 2:
         return cyclic(math.prod(factor_orders))
@@ -658,7 +666,7 @@ def _expr_table(expr: GroupExpr) -> tuple[np.ndarray, Sequence[str] | None]:
         if t < 2:
             return _cyclic_table(2**t), None
         return _product_table([(_cyclic_table(2), None)] * t)
-    if len(expr.parts) < 2:  # the parser never makes one; its tag would not name a product
+    if len(_parts(expr)) < 2:  # the parser never makes one; its tag would not name a product
         raise BadParameterError("a product expression needs at least two parts")
     parts, order = [], 1
     for part in expr.parts:
@@ -752,6 +760,7 @@ def conjugacy_classes(G: Group) -> tuple[tuple[int, ...], ...]:
 def subgroup_generated(G: Group, generators: Iterable[int]) -> Subgroup:
     """The subgroup generated by the given elements (indices into G)."""
     _require_type(G, Group)
+    _require_iterable(generators, "generators")
     gens = (_index(g, "generator", 0, G.order - 1) for g in generators)
     return Subgroup._of_closure(G, _Closure(G.table, G.identity, gens))
 
@@ -855,12 +864,13 @@ def _lattice(G: Group) -> list[Subgroup]:
     contains, so the fixed point is the whole normal lattice.
 
     Two guards keep the joins few, as in Neubüser's cyclic extension method.  The join
-    of B with the atom of g depends only on the coset gB, since B is normal:
-    the walk over g skips every element of a coset already tried, B itself
-    included, so no atom inside B is joined.  Elements of one class lie in
-    many cosets, so each atom is joined at most once per base as well.  The
-    cost is then at most (#found x min(#cosets, #atoms)) joins of
-    O(|join| * |gens|) each, plus O(n) coset marking per base.
+    of B with the atom of g depends only on the coset Bg, since B is normal:
+    the walk joins only at each g outside B that heads its coset, read off
+    one gather (:func:`_coset_least`), so no atom inside B is joined.
+    Elements of one class lie in many cosets, so each atom is joined at
+    most once per base as well.  The cost is then at most (#found x
+    min(#cosets, #atoms)) joins of O(|join| * |gens|) each, plus one
+    |B| x n gather per base.
 
     The lattice can be far too large to list (E2^8 has 417,199 normal
     subgroups), so a lower bound on its size (:func:`_normal_subgroup_bound`)
@@ -883,21 +893,15 @@ def _lattice(G: Group) -> list[Subgroup]:
             atoms.append(atom)
         for g in cls:
             atom_of[g] = k
-    rows = G.rows
     trivial = _Closure(G.table, G.identity)
     found = {bytes(trivial.reached): trivial}
     queue = [trivial]
     while queue:
         base = queue.pop()
-        members = base.members
-        tried = base.reached[:]  # elements of the cosets gB tried so far
         atom_tried = bytearray(len(atoms))
-        for g in range(G.order):
-            if tried[g]:
+        for g, least in enumerate(_coset_least(G, base.members)):
+            if least != g or base.reached[g]:  # g heads no coset, or heads B itself
                 continue
-            row = rows[g]
-            for b in members:
-                tried[row[b]] = 1
             k = atom_of[g]
             if atom_tried[k]:
                 continue
@@ -946,15 +950,15 @@ def right_cosets(G: Group, H: Subgroup) -> list[tuple[int, ...]]:
     the identity's coset first, the rest ordered by representative."""
     require_subgroup(G, H)
     members: dict[int, list[int]] = {H.members[0]: []}  # He = H, so min(H) names it
-    for x, rep in enumerate(_coset_least(G, H)):  # x ascends: reps met in order, members sorted
+    for x, rep in enumerate(_coset_least(G, H.members)):  # x ascends: reps met in order, members sorted
         members.setdefault(rep, []).append(x)
     return [tuple(ms) for ms in members.values()]
 
 
-def _coset_least(G: Group, H: Subgroup) -> list[int]:
-    """The least member of each right coset: entry x is min(Hx), so the
-    representatives are the x equal to their entry.  One |H| x n gather."""
-    return G.table[list(H.members)].min(axis=0).tolist()
+def _coset_least(G: Group, members: Sequence[int]) -> list[int]:
+    """Entry x is min(Hx) for the subgroup H with these ``members``, so the
+    heads of the right cosets are the x equal to their entry.  One |H| x n gather."""
+    return G.table.take(members, axis=0).min(axis=0).tolist()
 
 
 def _prime_factors(n: int) -> list[int]:

@@ -104,6 +104,31 @@ def test_parse_rejects_bad_parameters():
     assert exc.value.offset == 6
 
 
+@pytest.mark.parametrize(
+    "call, message",
+    [
+        (lambda: build_group("Z4"), "expected a group expression, got str"),
+        (lambda: build_group(5), "expected a group expression, got int"),
+        (lambda: build_group(ProductExpr((5, 6))), "expected a group expression, got int"),
+        (lambda: build_group(ProductExpr((CyclicExpr(2), "Z3"))), "expected a group expression, got str"),
+        (lambda: format_group_expr(5), "expected a group expression, got int"),
+        (lambda: format_group_expr(ProductExpr((CyclicExpr(2), "Z3"))), "expected a group expression, got str"),
+        (lambda: parse_group_expr(5), "expected a string, got int"),
+        (lambda: parse_group_expr(b"Z4"), "expected a string, got bytes"),
+    ],
+    ids=[
+        "build-str", "build-int", "build-product-of-ints", "build-product-part", "format-int",
+        "format-product-part", "parse-int", "parse-bytes",
+    ],
+)
+def test_a_value_that_is_not_an_expression_is_a_bad_parameter(call, message):
+    """A value of no expression class, a product's part included, is named
+    by its type, not met by an AttributeError further in; so is a parse of
+    anything but a string."""
+    with pytest.raises(BadParameterError, match=f"^{message}$"):
+        call()
+
+
 ROUND_TRIP_CASES = [
     "Z1",
     "Z12",

@@ -236,6 +236,11 @@ _Z6_H3 = Subgroup(_Z6, [0, 2, 4])
         (lambda: verdict_to_json(5, _Z6_H3, decide_code(_Z6, _Z6_H3)), "expected a Group, got int"),
         (lambda: verdict_to_json(_Z6, [0, 2, 4], decide_code(_Z6, _Z6_H3)), "expected a Subgroup, got list"),
         (lambda: verdict_to_json(_Z6, _Z6_H3, None), "expected a Verdict, got NoneType"),
+        (lambda: subgroup_generated(_Z6, 5), "generators must be a sequence, got int"),
+        (lambda: Subgroup(_Z6, 5), "members must be a sequence, got int"),
+        (lambda: is_perfect_code(build_graph(_Z6, _Z6_H3), 5), "code must be a sequence, got int"),
+        (lambda: is_total_perfect_code(build_graph(_Z6, _Z6_H3), 5), "code must be a sequence, got int"),
+        (lambda: cross_check(_Z6, 5), "subgroups must be a sequence, got int"),
     ],
     ids=[
         "Subgroup", "subgroup_generated", "normal_subgroups", "conjugacy_classes", "is_code_perfect",
@@ -243,11 +248,15 @@ _Z6_H3 = Subgroup(_Z6, [0, 2, 4])
         "is_total_perfect_code", "find_perfect_code_bruteforce", "find_total_perfect_code_bruteforce",
         "components", "graph_to_json", "to_dot",
         "verdict_to_json-group", "verdict_to_json-subgroup", "verdict_to_json-verdict",
+        "subgroup_generated-generators", "Subgroup-members", "is_perfect_code-code",
+        "is_total_perfect_code-code", "cross_check-int",
     ],
 )
 def test_an_argument_of_the_wrong_type_is_a_bad_parameter(call, message):
     """The entry points that take a group, a graph or a verdict name a
-    wrong type with a BadParameterError, not an AttributeError further in."""
+    wrong type with a BadParameterError, not an AttributeError further in;
+    those that take a sequence name a value that cannot be iterated, not a
+    TypeError further in."""
     with pytest.raises(BadParameterError, match=f"^{message}$"):
         call()
 

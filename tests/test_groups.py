@@ -977,6 +977,34 @@ def test_subgroup_counts_against_known_values():
     assert len(normal_subgroups(elementary_abelian_2(6))) == 2825  # the rank bounds the lattice
 
 
+@pytest.mark.parametrize(
+    "text, subgroups, joins",
+    [
+        ("E2^5", 374, 2_077),
+        ("Q8 x Z2 x Z2 x Z2", 425, 2_897),
+        ("D16 x D8", 104, 686),
+        ("D24 x Z4", 45, 302),
+        ("Z48", 10, 45),
+    ],
+)
+def test_lattice_join_count(monkeypatch, text, subgroups, joins):
+    """The lattice joins each subgroup B it finds with at most one atom per
+    coset of B outside B, and with each atom at most once.  In E2^5 each
+    atom is a line, and the lines through the heads of distinct cosets are
+    distinct, so every coset joins once: the count is the sum over the
+    subspaces B of |G/B| - 1, that is 31 + 465 + 1,085 + 465 + 31."""
+    G = build_group(parse_group_expr(text))  # fresh: the lattice is cached per group
+    joined, calls = groups_module._Closure.joined, []
+
+    def counting(self, *args):
+        calls.append(self)
+        return joined(self, *args)
+
+    monkeypatch.setattr(groups_module._Closure, "joined", counting)
+    assert len(normal_subgroups(G)) == subgroups
+    assert len(calls) == joins
+
+
 def test_subgroup_budget_fails_fast(monkeypatch):
     # the bound counts the subgroups of G/G', read off the table without
     # listing a single subgroup

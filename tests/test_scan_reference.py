@@ -8,8 +8,8 @@ the whole output's sha256 is pinned as well: the JSONL stays
 byte-identical.  The benchmark module is loaded by path and only read.
 The summary line on stderr is pinned too.  The family rules are also
 checked against the oracle past the default sweep: every cyclic, dihedral
-and dicyclic group to order 128, with that scan's output pinned the same
-way.
+and dicyclic group to order 128, and every abelian group to order 96, with
+those scans' outputs pinned the same way.
 """
 
 import hashlib
@@ -22,6 +22,7 @@ from pathlib import Path
 from sumgraph.cli import main
 
 SCAN_48_SHA256 = "e3d0556c8d2e323f17389f9d09da152755bc0b6f602b1931014f2f46db4c00fa"
+ABELIAN_SCAN_96_SHA256 = "43772504cb2a81df44a916ffbc7ea24e983a6998a774f354c1637ba3b2fa083a"
 FAMILY_SCAN_128_SHA256 = "567f4378dfb2f6a845c6a625fc8ff33b3b64641f9c186ed3660aa44ec7c4a129"
 PERFBENCH = Path(__file__).resolve().parent.parent / "perfbench"
 
@@ -50,6 +51,16 @@ def test_scan_matches_the_recorded_sweep(capsys):
         group = list(group)
         got.append([workloads.group_digest(group), len(group)])
     assert got == expected["groups"]
+
+
+def test_abelian_scan_to_96_agrees_with_the_oracle(capsys):
+    """The abelian family to order 96 holds the deepest lattices of any
+    pinned scan: E2^6 has 2,825 normal subgroups."""
+    rc = main(["scan", "--max-order", "96", "--families", "abelian"])
+    out, err = capsys.readouterr()
+    assert rc == 0
+    assert err == "scan: 141 groups, 46081 checks, 0 disagreements\n"
+    assert hashlib.sha256(out.encode()).hexdigest() == ABELIAN_SCAN_96_SHA256
 
 
 def test_family_scan_to_128_agrees_with_the_oracle(capsys):
