@@ -41,7 +41,7 @@ from .codes import (
     find_total_perfect_code_bruteforce,
     verdict_to_json,
 )
-from .errors import BadParameterError, SumGraphError, _quoted
+from .errors import BadParameterError, SumGraphError, _index, _quoted
 from .exprs import CyclicExpr, ProductExpr, build_group, parse_group_expr
 from .families import _family_checks, is_code_perfect
 from .graphs import build_graph, graph_to_json, to_dot
@@ -52,7 +52,6 @@ from .groups import (
     Group,
     Subgroup,
     _abelian_subgroup_count,
-    _index,
     abelian_isomorphism_types,
     normal_subgroups,
     subgroup_generated,

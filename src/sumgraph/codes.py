@@ -35,13 +35,12 @@ from dataclasses import dataclass
 
 import numpy as np
 
-from .errors import InternalInconsistencyError
+from .errors import InternalInconsistencyError, _index
 from .graphs import SumGraph, _bits, _sum_graphs
 from .groups import (
     Group,
     Subgroup,
     _coset_least,
-    _index,
     _require_iterable,
     _require_type,
     normal_subgroups,

@@ -3,6 +3,7 @@
 from __future__ import annotations
 
 import math
+import operator
 
 __all__ = [
     "SumGraphError",
@@ -90,3 +91,18 @@ def _quoted(text: str) -> str:
     """``text`` quoted in full, or its length once it is too long to read:
     the one way a message echoes text from outside."""
     return repr(text) if len(text) <= 40 else f"<{len(text)}-character text>"
+
+
+def _index(value, what: str, low: int | None = None, high: int | None = None) -> int:
+    """``value`` as a Python int: an element index or a constructor
+    parameter, at least ``low`` and at most ``high`` when given (``high``
+    only with ``low``).  A float or a string is a BadParameterError, not
+    truncated; so is a value out of range, named by :func:`_shown`."""
+    try:
+        value = operator.index(value)
+    except TypeError:
+        raise BadParameterError(f"{what} {value!r} is not an integer") from None
+    if low is not None and value < low or high is not None and value > high:
+        want = f">= {low}" if high is None else f"in {low}..{high}"
+        raise BadParameterError(f"{what} {_shown(value)} out of range: must be {want}")
+    return value

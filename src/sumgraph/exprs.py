@@ -15,7 +15,7 @@ import re
 from dataclasses import dataclass
 from typing import TYPE_CHECKING
 
-from .errors import BadParameterError, ParseError, _quoted
+from .errors import BadParameterError, ParseError, _index, _quoted, _shown
 
 if TYPE_CHECKING:
     from .groups import Group
@@ -211,17 +211,22 @@ def parse_group_expr(text: str) -> GroupExpr:
 
 
 def format_group_expr(expr: GroupExpr) -> str:
-    """Canonical text for an expression; round-trips through the parser."""
+    """Canonical text for an expression; round-trips through the parser.
+
+    A value :func:`build_group` refuses for its form, not for its order,
+    is refused here too, by the same :func:`_field` and :func:`_parts`
+    checks, so no text is printed that the parser would read as another
+    expression or not at all."""
     if isinstance(expr, CyclicExpr):
-        return f"Z{expr.n}"
+        return f"Z{_field(expr)}"
     if isinstance(expr, DihedralExpr):
-        return f"D{expr.order}"
+        return f"D{_field(expr)}"
     if isinstance(expr, DicyclicExpr):
-        return f"Dic{expr.n}"
+        return f"Dic{_field(expr)}"
     if isinstance(expr, QuaternionExpr):
         return "Q8"
     if isinstance(expr, ElementaryAbelianExpr):
-        return f"E2^{expr.t}"
+        return f"E2^{_field(expr)}"
     bits = []
     for p in _parts(expr):
         text = format_group_expr(p)
@@ -229,11 +234,42 @@ def format_group_expr(expr: GroupExpr) -> str:
     return " x ".join(bits)
 
 
+# atom class -> (its field, what the field is called, the least value the parser makes)
+_FIELDS = {
+    CyclicExpr: ("n", "cyclic order", 1),
+    DihedralExpr: ("order", "dihedral order", 6),
+    DicyclicExpr: ("n", "dicyclic parameter", 2),
+    ElementaryAbelianExpr: ("t", "exponent", 0),
+}
+
+
+def _field(expr: GroupExpr) -> int:
+    """The integer field of an atom with one, as the parser would make it:
+    an int at least the atom's least value, and an even dihedral order.  A
+    bool, which ``operator.index`` reads as 0 or 1, is refused with every
+    other value that is not an integer."""
+    name, what, low = next(spec for kind, spec in _FIELDS.items() if isinstance(expr, kind))
+    value = getattr(expr, name)
+    if isinstance(value, bool):
+        raise BadParameterError(f"{what} {value!r} is not an integer")
+    value = _index(value, what, low=low)
+    # D7 would build D6 and tag it D7, which the dihedral decider trusts
+    if isinstance(expr, DihedralExpr) and value % 2:
+        raise BadParameterError(f"dihedral order {_shown(value)} is odd")
+    return value
+
+
 def _parts(expr: GroupExpr) -> tuple[GroupExpr, ...]:
     """The parts of a product expression, the one kind left once the atoms
-    are ruled out: any other value is a BadParameterError naming its type."""
+    are ruled out: any other value is a BadParameterError naming its type,
+    and so are parts that are not a tuple or list of at least two (each
+    part is checked where it is read)."""
     if not isinstance(expr, ProductExpr):
         raise BadParameterError(f"expected a group expression, got {type(expr).__name__}")
+    if not isinstance(expr.parts, (tuple, list)):
+        raise BadParameterError(f"product parts must be a tuple or list, got {type(expr.parts).__name__}")
+    if len(expr.parts) < 2:  # the parser never makes one; its text would name the part alone
+        raise BadParameterError("a product expression needs at least two parts")
     return expr.parts
 
 
@@ -250,5 +286,4 @@ def build_group(expr: GroupExpr) -> Group:
     # table builders can only be reached once both modules are loaded.
     from .groups import _expr_table, group_from_cayley_table
 
-    table, labels = _expr_table(expr)
-    return group_from_cayley_table(table, labels, expr)
+    return group_from_cayley_table(*_expr_table(expr), expr, copy=False)

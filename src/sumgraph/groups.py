@@ -26,7 +26,6 @@ from __future__ import annotations
 
 import itertools
 import math
-import operator
 import os
 from functools import cached_property
 from typing import Callable, Iterable, Iterator, Sequence
@@ -42,6 +41,7 @@ from .errors import (
     NotAssociativeError,
     NotNormalError,
     NotLatinSquareError,
+    _index,
     _quoted,
     _shown,
 )
@@ -53,6 +53,7 @@ from .exprs import (
     GroupExpr,
     ProductExpr,
     QuaternionExpr,
+    _field,
     _parts,
     build_group,
 )
@@ -103,6 +104,9 @@ def max_supported_order() -> int:
 class Group:
     """A finite group on elements ``0..order-1`` with a validated table.
 
+    ``table`` is the table the validation read, C-ordered and read-only, in
+    its :func:`_compact_dtype` (int16 below order 2^15): the one copy made
+    of a caller's table, or the table a constructor built, kept as it is.
     Do not call directly; use :func:`group_from_cayley_table` or one of the
     family constructors, which perform the full validation.
     """
@@ -117,7 +121,7 @@ class Group:
         generators: tuple[int, ...],
     ):
         self.order = int(table.shape[0])
-        table = table.astype(np.int32, copy=True)
+        table = np.ascontiguousarray(table)  # a copy only of a strided view, such as a cyclic table's
         table.flags.writeable = False
         self.table = table
         self.labels = labels
@@ -287,21 +291,6 @@ class Subgroup:
         return f"<Subgroup order={self.order} of {self.parent!r}>"
 
 
-def _index(value, what: str, low: int | None = None, high: int | None = None) -> int:
-    """``value`` as a Python int: an element index or a constructor
-    parameter, at least ``low`` and at most ``high`` when given (``high``
-    only with ``low``).  A float or a string is a BadParameterError, not
-    truncated; so is a value out of range, named by :func:`_shown`."""
-    try:
-        value = operator.index(value)
-    except TypeError:
-        raise BadParameterError(f"{what} {value!r} is not an integer") from None
-    if low is not None and value < low or high is not None and value > high:
-        want = f">= {low}" if high is None else f"in {low}..{high}"
-        raise BadParameterError(f"{what} {_shown(value)} out of range: must be {want}")
-    return value
-
-
 def _require_type(value, kind: type) -> None:
     """The one type check of the entry points: a value that is not a
     ``kind`` is a BadParameterError that names its type, not an
@@ -413,6 +402,9 @@ class _Closure:
         self.members.extend(fresh)
 
 
+_LIGHT_BLOCK_CELLS = 1 << 16  # cells of one row block of Light's test: two int16 operands of 128 KB
+
+
 def _check_associative(table: np.ndarray, identity: int) -> tuple[int, ...]:
     """Light's associativity test, O(n^2 log n) on a group table; returns
     the elements it checked, which generate the group.
@@ -420,7 +412,7 @@ def _check_associative(table: np.ndarray, identity: int) -> tuple[int, ...]:
     An element ``a`` passes when ``(x*a)*y == x*(a*y)`` for all x and y.
     Products of passing elements pass too, on any table, so only a
     generating set needs checking: pick the least element not yet reached,
-    check it with two n x n gathers, then close the reached set under right
+    check it with two table gathers, then close the reached set under right
     multiplication by the checked elements.  The identity passes because it
     is a two-sided identity.  Each passing round at least doubles the
     reached set, on any table with a two-sided identity and two-sided
@@ -431,31 +423,42 @@ def _check_associative(table: np.ndarray, identity: int) -> tuple[int, ...]:
     group fails by round log2(n) + 1, whether or not it is a Latin square.
     The reached set is grown by :class:`_Closure` in plain Python: array
     BFS rounds cost more than the whole check at the small orders most
-    tables have.  The table
-    comes in the compact dtype :func:`group_from_cayley_table` narrows it
-    to, so each n x n gather moves 2 bytes an entry: on D512 the test takes
-    1.5 ms in int16 against 9.6 ms in int64, whose 2 MB operands fall out of
-    cache.  ``rhs`` is gathered by ``take`` into one C-ordered buffer
-    that every round reuses, so the compare walks two arrays of one layout:
-    the fancy index ``table[:, table[a]]`` returns an F-ordered array, and
-    comparing that with the C-ordered ``lhs`` makes a D512 round 1.47 ms
-    against 0.56 ms (timeit, shared 2-core Xeon).
+    tables have.
+
+    The table comes in the compact dtype :func:`group_from_cayley_table`
+    narrows it to, and each round gathers and compares it in blocks of rows
+    x of at most ``_LIGHT_BLOCK_CELLS`` cells, ascending, into two
+    C-ordered buffers that every block reuses: on D512 that is 128 rows,
+    two operands of 128 KB that stay in cache, and a round takes about
+    0.29 ms against 0.50 ms for two whole n x n operands of 0.5 MB each
+    (timeit, shared 2-core Xeon).  ``take`` fills both buffers, since a
+    fancy index such as ``table[:, table[a]]`` returns an F-ordered array,
+    and comparing arrays of two layouts walks one of them out of step.
+    The first failing block names the first failing (x, y) in row-major
+    order, as one whole n x n compare would.
     """
     n = table.shape[0]
+    rows = max(1, _LIGHT_BLOCK_CELLS // n)
+    lhs = np.empty((min(rows, n), n), table.dtype)
+    rhs = np.empty_like(lhs)
     closure = _Closure(table, identity)
-    rhs = np.empty((n, n), table.dtype)  # C-ordered like lhs, so the compare walks both in step
     a = 0
     while len(closure.members) < n:
         while closure.reached[a]:
             a += 1
-        lhs = table[table[:, a], :]  # lhs[x, y] = (x*a)*y
-        table.take(table[a], axis=1, out=rhs, mode="clip")  # rhs[x, y] = x*(a*y); entries are in range
-        if not (lhs == rhs).all():
-            x, y = (int(v) for v in np.argwhere(lhs != rhs)[0])
-            raise NotAssociativeError(
-                f"associativity fails at ({x}, {a}, {y}): "
-                f"({x}*{a})*{y} != {x}*({a}*{y})"
-            )
+        times_a, a_times = table[:, a], table[a]
+        for top in range(0, n, rows):
+            block = table[top : top + rows]
+            left, right = lhs[: len(block)], rhs[: len(block)]
+            table.take(times_a[top : top + rows], axis=0, out=left, mode="clip")  # (x*a)*y
+            block.take(a_times, axis=1, out=right, mode="clip")  # x*(a*y); entries are in range
+            if not (left == right).all():
+                x, y = (int(v) for v in np.argwhere(left != right)[0])
+                x += top
+                raise NotAssociativeError(
+                    f"associativity fails at ({x}, {a}, {y}): "
+                    f"({x}*{a})*{y} != {x}*({a}*{y})"
+                )
         closure.add(a)
     return tuple(closure.gens)
 
@@ -474,9 +477,10 @@ def _check_latin(table: np.ndarray) -> None:
 
 def _compact_dtype(n: int) -> type[np.signedinteger]:
     """The narrowest signed dtype that holds every index below ``n`` and
-    ``n`` itself: int16 below 2^15, else int32.  A table of order 512 is
-    0.5 MB in int16 against 2 MB in int64, so its n x n gathers and sorts
-    stay in cache."""
+    ``n`` itself: int16 below 2^15, else int32.  It is the dtype of every
+    table the constructors build, of the table validation reads and of
+    the ``Group.table`` kept: a table of order 512 is 0.5 MB in int16
+    against 2 MB in int32, so its gathers and sorts stay in cache."""
     return np.int16 if n < 1 << 15 else np.int32
 
 
@@ -484,6 +488,8 @@ def group_from_cayley_table(
     table: Sequence[Sequence[int]] | np.ndarray,
     labels: Sequence[str] | None = None,
     tag: GroupExpr | None = None,
+    *,
+    copy: bool = True,
 ) -> Group:
     """Validate a multiplication table and wrap it in a :class:`Group`.
 
@@ -503,12 +509,18 @@ def group_from_cayley_table(
     :func:`_identity_and_inverses`).
     The range check reads the table as given (an integer array as is,
     anything else as int64); every later check reads it narrowed to
-    :func:`_compact_dtype`, a cast the range check makes exact.
-    ``Group.table`` is int32 whatever the input dtype.  The labels, when
-    given, must be a sequence of n distinct strings, not one string; a
-    repeated one is named.  Every family constructor and
-    :func:`~sumgraph.exprs.build_group` calls this once, on the table the
-    group keeps.
+    :func:`_compact_dtype`, a cast the range check makes exact, and that
+    array, C-ordered and made read-only, is ``Group.table``, whatever the
+    input dtype.  It is a copy of the caller's table unless ``copy`` is
+    False, which hands the table over: one already narrowed and C-ordered
+    then becomes the group's table as it is, and must not be changed.  The
+    family constructors and :func:`~sumgraph.exprs.build_group` hand over
+    the table they built: a copy of D512's would be 0.5 MB more, and
+    freeing it with the group makes the allocator give the heap's top back
+    to the system: a pass of the benchmark's 20 ``queries`` requests then
+    took 225 minor page faults, against 5 without the copy.  The
+    labels, when given, must be a sequence of n distinct strings, not one
+    string; a repeated one is named.
     """
     if not (isinstance(table, np.ndarray) and table.dtype.kind in "iu"):
         try:
@@ -523,7 +535,7 @@ def group_from_cayley_table(
     _check_order(n)
     if table.min() < 0 or table.max() >= n:
         raise BadParameterError(f"table entries must lie in 0..{n - 1}")
-    arr = table.astype(_compact_dtype(n), copy=False)
+    arr = table.astype(_compact_dtype(n), copy=copy)
     try:
         e, inv = _identity_and_inverses(arr)
         generators = _check_associative(arr, e)
@@ -614,7 +626,7 @@ def direct_product(*factors: Group) -> Group:
         return factors[0]
     tags = tuple(g.tag for g in factors)
     tag = None if None in tags else ProductExpr(tags)  # a bare table has no expression
-    return group_from_cayley_table(*_product_table([(g.table, g.labels) for g in factors]), tag)
+    return group_from_cayley_table(*_product_table([(g.table, g.labels) for g in factors]), tag, copy=False)
 
 
 def abelian(factor_orders: Sequence[int]) -> Group:
@@ -641,35 +653,30 @@ def _expr_table(expr: GroupExpr) -> tuple[np.ndarray, Sequence[str] | None]:
     parts' tables, each part checked against the order cap with the parts
     before it, before the next one is built."""
     if isinstance(expr, CyclicExpr):
-        n = _index(expr.n, "cyclic order", low=1)
+        n = _field(expr)
         _check_order(n)
         return _cyclic_table(n), None
     if isinstance(expr, DihedralExpr):
-        order = _index(expr.order, "dihedral order", low=6)
-        if order % 2:  # D7 would build D6 and tag it D7, which the dihedral decider trusts
-            raise BadParameterError(f"dihedral order {_shown(order)} is odd")
-        n = order // 2  # a^0..a^(n-1), then a^0 b..a^(n-1) b
+        n = _field(expr) // 2  # a^0..a^(n-1), then a^0 b..a^(n-1) b
         return _two_coset_table(n, 0), _power_labels(n, "") + _power_labels(n, "b")
     if isinstance(expr, DicyclicExpr):
         # a^0..a^(m-1), then a^1 b..a^m b: b' = ab also inverts a and squares
         # to a^n, so index m + k, a^k b', is labelled a^(k+1) b
-        m = 2 * _index(expr.n, "dicyclic parameter", low=2)
+        m = 2 * _field(expr)
         table, b = _two_coset_table(m, m // 2), _power_labels(m, "b")  # the table checks the cap first
         return table, _power_labels(m, "") + b[1:] + b[:1]
     if isinstance(expr, QuaternionExpr):
         return _quaternion_table()
     if isinstance(expr, ElementaryAbelianExpr):
-        t = _index(expr.t, "exponent", low=0)
+        t = _field(expr)
         cap = max_supported_order()
         if t >= cap.bit_length():  # 2^t > cap, decided before 2^t or t factors exist
             raise BadParameterError(f"order 2^{_shown(t)} exceeds the supported cap {cap}")
         if t < 2:
             return _cyclic_table(2**t), None
         return _product_table([(_cyclic_table(2), None)] * t)
-    if len(_parts(expr)) < 2:  # the parser never makes one; its tag would not name a product
-        raise BadParameterError("a product expression needs at least two parts")
     parts, order = [], 1
-    for part in expr.parts:
+    for part in _parts(expr):
         parts.append(_expr_table(part))
         order *= len(parts[-1][0])
         _check_order(order)
@@ -835,9 +842,7 @@ def _normal_subgroup_bound(G: Group) -> int:
         conjugate: list[int] = []
         power, torsion = np.arange(n), 1
         while True:
-            base = power
-            for _ in range(p - 1):
-                power = table[power, base]  # x^(p^(k-1)) -> x^(p^k)
+            power = _powers(table, power, p)  # x^(p^(k-1)) -> x^(p^k)
             layer = int(in_derived[power].sum()) // d  # |A[p^k]|
             if layer == torsion:
                 break
@@ -849,6 +854,17 @@ def _normal_subgroup_bound(G: Group) -> int:
             torsion = layer
         bound *= _p_subgroup_count(conjugate, p)
     return bound
+
+
+def _powers(table: np.ndarray, x: np.ndarray, k: int) -> np.ndarray:
+    """x^k for every entry of ``x`` (k >= 1), squaring and multiplying by x
+    down the bits of k: at most 2 log2(k) gathers, never more than k - 1."""
+    power = x
+    for bit in bin(k)[3:]:
+        power = table[power, power]
+        if bit == "1":
+            power = table[power, x]
+    return power
 
 
 def _lattice(G: Group) -> list[Subgroup]:

@@ -113,12 +113,14 @@ def test_parse_rejects_bad_parameters():
         (lambda: build_group(ProductExpr((CyclicExpr(2), "Z3"))), "expected a group expression, got str"),
         (lambda: format_group_expr(5), "expected a group expression, got int"),
         (lambda: format_group_expr(ProductExpr((CyclicExpr(2), "Z3"))), "expected a group expression, got str"),
+        (lambda: build_group(ProductExpr(5)), "product parts must be a tuple or list, got int"),
+        (lambda: format_group_expr(ProductExpr(5)), "product parts must be a tuple or list, got int"),
         (lambda: parse_group_expr(5), "expected a string, got int"),
         (lambda: parse_group_expr(b"Z4"), "expected a string, got bytes"),
     ],
     ids=[
         "build-str", "build-int", "build-product-of-ints", "build-product-part", "format-int",
-        "format-product-part", "parse-int", "parse-bytes",
+        "format-product-part", "build-product-of-int", "format-product-of-int", "parse-int", "parse-bytes",
     ],
 )
 def test_a_value_that_is_not_an_expression_is_a_bad_parameter(call, message):
@@ -193,6 +195,7 @@ def _assert_tagged(expr):
     G = build_group(expr)
     assert G.tag == expr, format_group_expr(expr)
     assert str(G.tag) == G.name == format_group_expr(expr)
+    assert parse_group_expr(format_group_expr(expr)) == expr
     assert G.order == _order(expr)
 
 
@@ -216,10 +219,21 @@ def test_build_group_tags_the_expression_random():
 
 def test_build_group_refuses_expressions_the_parser_never_makes():
     """A tag is trusted by the family deciders, so an expression whose text
-    would name another group is refused, not built under that tag."""
-    for expr in (DihedralExpr(7), ProductExpr((CyclicExpr(3),)), ProductExpr(())):
-        with pytest.raises(BadParameterError):
+    would name another group is refused, not built under that tag; its
+    text is refused too, with the same message, so every text printed
+    parses back to the expression.  A bool field is not read as 0 or 1."""
+    exprs = (
+        DihedralExpr(7), ProductExpr((CyclicExpr(3),)), ProductExpr(()), ProductExpr((CyclicExpr(2),)),
+        CyclicExpr(None), CyclicExpr(True), CyclicExpr(0), DihedralExpr(False), DicyclicExpr(True),
+        DicyclicExpr(1), ElementaryAbelianExpr(True), ElementaryAbelianExpr(-1), ElementaryAbelianExpr(2.0),
+        ProductExpr((CyclicExpr(2), CyclicExpr(True))),
+    )
+    for expr in exprs:
+        with pytest.raises(BadParameterError) as built:
             build_group(expr)
+        with pytest.raises(BadParameterError) as formatted:
+            format_group_expr(expr)
+        assert str(formatted.value) == str(built.value), expr
 
 
 def test_build_group_shapes():

@@ -3,6 +3,7 @@
 import json
 import re
 
+import numpy as np
 import pytest
 
 import sumgraph.graphs as graphs_module
@@ -25,6 +26,7 @@ from sumgraph import (
     decide_perfect_code_extended,
     decide_total_perfect_code,
     decide_total_perfect_code_extended,
+    dicyclic,
     dicyclic_perfect_code,
     dihedral,
     dihedral_perfect_code,
@@ -126,6 +128,21 @@ def test_components_match_reference_bfs():
             for extended in (False, True):
                 graph = build_graph(G, H, extended=extended)
                 assert components(graph) == _components_reference(graph), (G, H.members, extended)
+
+
+@pytest.mark.parametrize("cells", [1, 5, 64, 1 << 15])
+def test_the_blocked_gather_is_the_whole_gather(monkeypatch, cells):
+    """The adjacency of a chunk of subgroups is gathered in blocks of at
+    most ``_INDEX_CELLS`` table cells; whatever their size (one row, a
+    ragged last block, the whole table at once) it is the adjacency one
+    n x n gather gives, for every subgroup of the chunk."""
+    monkeypatch.setattr(graphs_module, "_INDEX_CELLS", cells)
+    for G in (dihedral(12), cyclic(18), relabelled(dicyclic(5), 3)[0]):
+        subgroups = normal_subgroups(G)
+        in_h = np.zeros((len(subgroups), G.order), dtype=bool)
+        for i, H in enumerate(subgroups):
+            in_h[i, list(H.members)] = True
+        assert np.array_equal(graphs_module._adjacency(in_h, G.table), in_h[:, G.table]), (G.name, cells)
 
 
 def test_asymmetric_adjacency_is_an_internal_error(monkeypatch):

@@ -26,6 +26,7 @@ from sumgraph import (
     SumGraphError,
     abelian,
     abelian_isomorphism_types,
+    build_graph,
     build_group,
     conjugacy_classes,
     cyclic,
@@ -416,6 +417,30 @@ def test_light_test_agrees_with_full_scan_on_intercalate_swaps():
     assert swaps > 100
 
 
+def test_light_test_names_the_same_triple_in_any_row_blocks(monkeypatch):
+    """Light's test compares each round in blocks of rows; whatever their
+    size, from one row to the whole table, a table that is not
+    associative is named by the same first failing (x, a, y) in row-major
+    order, so the message is that of one whole n x n compare."""
+    tables = [t for G in (cyclic(12), dihedral(6), direct_product(cyclic(2), cyclic(6)))
+              for t in _intercalate_swaps(G.table.tolist()) if _full_scan_violation(t) is not None]
+    tables += [_swap_intercalate(_z256(), 1, 129, 2, 130), _swap_intercalate(_z256(), 72, 200, 100, 228)]
+    # Z6 with an intercalate swapped and every label shifted by one: the identity is 1, row 0 fails
+    tables.append([[5, 0, 1, 2, 3, 4], [0, 1, 2, 3, 4, 5], [1, 2, 0, 4, 5, 3],
+                   [2, 3, 4, 5, 0, 1], [3, 4, 5, 0, 1, 2], [4, 5, 3, 1, 2, 0]])
+    messages = {}
+    for cells in (1 << 20, 1 << 16, 7 * 256, 256, 300, 1):
+        monkeypatch.setattr(groups_module, "_LIGHT_BLOCK_CELLS", cells)
+        for i, t in enumerate(tables):
+            with pytest.raises(NotAssociativeError) as exc:
+                group_from_cayley_table(t)
+            assert messages.setdefault(i, str(exc.value)) == str(exc.value), (cells, i)
+    assert messages[len(tables) - 3] == "associativity fails at (1, 1, 1): (1*1)*1 != 1*(1*1)"
+    assert messages[len(tables) - 2] == "associativity fails at (71, 1, 100): (71*1)*100 != 71*(1*100)"
+    assert messages[len(tables) - 1] == "associativity fails at (0, 0, 2): (0*0)*2 != 0*(0*2)"
+    assert len(tables) > 30
+
+
 def _quaternion_by_relabelling(_):
     """Q8 read off the validated ``dicyclic(2)`` by label: 1 = e, i = a,
     j = b, -1 = a^2 and k = ij = ab."""
@@ -437,15 +462,17 @@ def test_vectorised_constructors_match_loops():
         table, labels = reference(n)
         assert np.array_equal(G.table, table), (build.__name__, n)
         assert G.labels == labels, (build.__name__, n)
-        if G.order == 512:  # D512 and Dic128: the loops' table, int32 and byte for byte
-            assert G.table.dtype == np.int32, (build.__name__, n)
-            assert G.table.tobytes() == table.astype(np.int32).tobytes(), (build.__name__, n)
+        if G.order == 512:  # D512 and Dic128: the loops' table, in the compact dtype and byte for byte
+            dtype = groups_module._compact_dtype(G.order)
+            assert G.table.dtype == dtype, (build.__name__, n)
+            assert G.table.tobytes() == table.astype(dtype).tobytes(), (build.__name__, n)
 
     i = np.arange(512)
     for G, table in ((cyclic(512), np.add.outer(i, i) % 512),
                      (elementary_abelian_2(9), np.bitwise_xor.outer(i, i))):
-        assert G.table.dtype == np.int32, G
-        assert G.table.tobytes() == table.astype(np.int32).tobytes(), G
+        dtype = groups_module._compact_dtype(G.order)
+        assert G.table.dtype == dtype, G
+        assert G.table.tobytes() == table.astype(dtype).tobytes(), G
 
 
 def test_order_cap_is_checked_before_allocation(monkeypatch):
@@ -1036,6 +1063,10 @@ def test_subgroup_bound_counts_every_subgroup_of_the_abelianisation():
     # before any join
     for text, bound in (("Z4", 3), ("Z2 x Z4", 8), ("E2^7", 29_212), ("E2^6 x Z4", 55_599)):
         assert groups_module._normal_subgroup_bound(build_group(parse_group_expr(text))) == bound, text
+    # large primes, whose p-th powers are taken by repeated squaring
+    for text, bound in (("Z509", 2), ("Z2 x Z251", 4), ("Z3 x Z167", 4)):
+        G = build_group(parse_group_expr(text))
+        assert groups_module._normal_subgroup_bound(G) == bound == len(normal_subgroups(G)), text
     abelian_groups = [G for G in sweep() if G.abelian]
     assert len(abelian_groups) > 50
     for G in abelian_groups:
@@ -1265,6 +1296,52 @@ def test_reading_the_table_keeps_no_list_copy():
         finally:
             tracemalloc.stop()
         assert peak < 2 << 20, (G.name, peak)
+
+
+def test_the_group_table_is_the_callers_only_when_handed_over():
+    """``group_from_cayley_table`` keeps a read-only copy of the caller's
+    table, so changing the caller's array changes nothing; with
+    ``copy=False`` a table already int16 and C-ordered is kept as it is and
+    made read-only, and any other is still narrowed into a new array."""
+    given = cyclic(6).table.copy()
+    for table in (given, given.astype(np.int64), given.tolist(), given.T):
+        G = group_from_cayley_table(table)
+        assert G.table.dtype == np.int16 and G.table.flags.c_contiguous and not G.table.flags.writeable
+        assert not np.shares_memory(G.table, given)
+    given[0, 0] = 1  # the caller's array stays writable, and the group's table unchanged
+    assert G.table[0, 0] == 0
+    given[0, 0] = 0
+    for table in (given.astype(np.int64), given.T):
+        assert not np.shares_memory(group_from_cayley_table(table, copy=False).table, given)
+    G = group_from_cayley_table(given, copy=False)
+    assert G.table is given and not given.flags.writeable
+
+
+def test_building_a_group_and_a_graph_keeps_one_compact_table(monkeypatch):
+    """Building D512 peaks under twice the bytes of its int16 table, which
+    the group keeps without a copy, and building its sum graph over <a^2>
+    under 1.5 times: Light's test and the graph's gather work in row
+    blocks, never on an n x n int32 or intp copy.  The same bounds hold at
+    order 2048."""
+    monkeypatch.setenv("SUMGRAPH_MAX_ORDER", "2048")
+    for text in ("D512", "D2048"):
+        expr = parse_group_expr(text)
+        tracemalloc.start()
+        try:
+            G = build_group(expr)
+            _, build_peak = tracemalloc.get_traced_memory()
+        finally:
+            tracemalloc.stop()
+        H = subgroup_generated(G, [G.label_index["a^2"]])
+        tracemalloc.start()
+        try:
+            build_graph(G, H)
+            _, graph_peak = tracemalloc.get_traced_memory()
+        finally:
+            tracemalloc.stop()
+        assert G.table.dtype == np.int16 and not G.table.flags.writeable, text
+        assert build_peak < 2 * G.table.nbytes, (text, build_peak)
+        assert graph_peak < 1.5 * G.table.nbytes, (text, graph_peak)
 
 
 def test_subgroup_as_group_is_homomorphic():
