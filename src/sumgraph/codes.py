@@ -23,8 +23,8 @@ neighbourhood, which the component walk records, is refuted at once, so a
 refuted dense block costs linear, not quadratic, work.  :func:`cross_check`
 runs deciders against oracles over every normal subgroup of a group,
 building both graph flavours of all its subgroups together, a chunk of
-subgroups per gather of the table, and keeping of each search only
-whether it found a code.
+subgroups per comparison of their coset representatives, and keeping of
+each search only whether it found a code.
 """
 
 from __future__ import annotations

@@ -216,17 +216,16 @@ def format_group_expr(expr: GroupExpr) -> str:
     A value :func:`build_group` refuses for its form, not for its order,
     is refused here too, by the same :func:`_field` and :func:`_parts`
     checks, so no text is printed that the parser would read as another
-    expression or not at all."""
-    if isinstance(expr, CyclicExpr):
-        return f"Z{_field(expr)}"
-    if isinstance(expr, DihedralExpr):
-        return f"D{_field(expr)}"
-    if isinstance(expr, DicyclicExpr):
-        return f"Dic{_field(expr)}"
+    expression or not at all; so is a field too long for ``str``."""
     if isinstance(expr, QuaternionExpr):
         return "Q8"
-    if isinstance(expr, ElementaryAbelianExpr):
-        return f"E2^{_field(expr)}"
+    for kind, (prefix, _, what, _) in _FIELDS.items():
+        if isinstance(expr, kind):
+            value = _field(expr)
+            try:
+                return prefix + str(value)
+            except ValueError:  # past int's string-conversion digit limit
+                raise BadParameterError(f"{what} {_shown(value)} has too many digits to print") from None
     bits = []
     for p in _parts(expr):
         text = format_group_expr(p)
@@ -234,12 +233,13 @@ def format_group_expr(expr: GroupExpr) -> str:
     return " x ".join(bits)
 
 
-# atom class -> (its field, what the field is called, the least value the parser makes)
+# atom class -> (its text before the field, its field, what the field is
+# called, the least value the parser makes)
 _FIELDS = {
-    CyclicExpr: ("n", "cyclic order", 1),
-    DihedralExpr: ("order", "dihedral order", 6),
-    DicyclicExpr: ("n", "dicyclic parameter", 2),
-    ElementaryAbelianExpr: ("t", "exponent", 0),
+    CyclicExpr: ("Z", "n", "cyclic order", 1),
+    DihedralExpr: ("D", "order", "dihedral order", 6),
+    DicyclicExpr: ("Dic", "n", "dicyclic parameter", 2),
+    ElementaryAbelianExpr: ("E2^", "t", "exponent", 0),
 }
 
 
@@ -248,7 +248,7 @@ def _field(expr: GroupExpr) -> int:
     an int at least the atom's least value, and an even dihedral order.  A
     bool, which ``operator.index`` reads as 0 or 1, is refused with every
     other value that is not an integer."""
-    name, what, low = next(spec for kind, spec in _FIELDS.items() if isinstance(expr, kind))
+    _, name, what, low = next(spec for kind, spec in _FIELDS.items() if isinstance(expr, kind))
     value = getattr(expr, name)
     if isinstance(value, bool):
         raise BadParameterError(f"{what} {value!r} is not an integer")
@@ -284,6 +284,6 @@ def build_group(expr: GroupExpr) -> Group:
     """
     # groups imports the expression types to tag what it builds, so its
     # table builders can only be reached once both modules are loaded.
-    from .groups import _expr_table, group_from_cayley_table
+    from .groups import _expr_table, _validated_group
 
-    return group_from_cayley_table(*_expr_table(expr), expr, copy=False)
+    return _validated_group(*_expr_table(expr), expr)

@@ -4,6 +4,9 @@ Given a group G and a normal subgroup H, the *sum graph* joins distinct
 x and y whenever x*y lands in H minus the identity; the *extended* variant
 keeps the identity, i.e. joins x and y whenever x*y is in H at all.
 Normality makes the relation symmetric, so both are simple graphs on G.
+Since x*y lies in H exactly when y lies in the right coset Hx^-1, a graph
+is read off the least member of every right coset, as the deciders read
+their cosets.
 
 Adjacency is stored as one Python int bitmask per vertex, which keeps the
 set algebra (component sweeps, code checking) branch-free and fast for the
@@ -95,7 +98,6 @@ class SumGraph:
 
 
 _GATHER_CELLS = 1 << 20  # adjacency cells one chunk holds at most
-_INDEX_CELLS = 1 << 15  # table cells one row block of a chunk's gather reads at most
 
 
 def _int_rows(adj: np.ndarray) -> tuple[int, ...]:
@@ -109,61 +111,46 @@ def _int_rows(adj: np.ndarray) -> tuple[int, ...]:
     return tuple(map(int.from_bytes, data, itertools.repeat("little")))
 
 
-def _adjacency(in_h: np.ndarray, table: np.ndarray) -> np.ndarray:
-    """``adj[i, x, y] = in_h[i, table[x, y]]``, gathered in blocks of rows of
-    at most ``_INDEX_CELLS`` table cells, so no index array of more cells
-    is made (an n x n one is 2 MB in intp at order 512).  A table of at
-    most that many cells is one block, taken by one call, for which numpy
-    makes the intp copy.  A larger one is cast block by block into one intp
-    buffer of at most 256 KB, and each row of ``in_h`` takes it straight
-    into its own contiguous run of ``adj``: a ``take`` into a slice across
-    rows of ``in_h`` would be staged in a temporary and copied back."""
-    k, n = in_h.shape
-    rows = max(1, _INDEX_CELLS // n)
-    if rows >= n:  # one call costs a third of the blocked loop's at order 32 (3 us against 9)
-        return in_h.take(table, axis=1)
-    index = np.empty((rows, n), np.intp)
-    adj = np.empty((k, n, n), dtype=bool)
-    for top in range(0, n, rows):
-        block = index[: min(rows, n - top)]
-        np.copyto(block, table[top : top + rows])
-        for member, out in zip(in_h, adj[:, top : top + rows]):
-            member.take(block, out=out, mode="clip")  # table entries are in range
-    return adj
-
-
 def _sum_graphs(G: Group, subgroups: Iterable[Subgroup]) -> Iterator[tuple[SumGraph, SumGraph]]:
     """The plain and the extended sum graph of G over each normal subgroup
     of ``subgroups``, in order, yielded one pair at a time.
 
-    The subgroups are built in chunks, as many as fit in ``_GATHER_CELLS``
-    adjacency cells (at least one), so a chunk holds at most 1 MB of
-    cells however many subgroups there are.  A chunk's bool array holds
-    the extended adjacency of each of its subgroups, with one diagonal
-    clear, one symmetry check and one :func:`_int_rows` for them all.  It
-    is gathered by :func:`_adjacency` in row blocks, with no n x n index
-    array.  The plain graph is the extended one less each pair {x, x^-1},
-    since x * x^-1 = e is the one product it leaves out: row x drops the
-    bit the group keeps for x (``Group._inverse_bits``), by one ``map``
-    over the chunk's rows.  The pairs are symmetric, so the extended
-    graph's symmetry check covers both.
+    x*y lies in H exactly when y lies in the right coset Hx^-1 (H is
+    normal), so each graph is read off the least member of every right
+    coset: ``least[i, x]`` is min(H_i x), one ``minimum.reduceat`` over a
+    gather of the table's rows of every member, and x is joined to y when
+    ``least[i, x^-1] == least[i, y]``.  The subgroups are built in chunks,
+    as many as fit in ``_GATHER_CELLS`` adjacency cells (at least one), so
+    a chunk holds at most 1 MB of cells however many subgroups there are,
+    with one diagonal clear and one :func:`_int_rows` for them all.  The
+    relation is symmetric exactly when x -> x^-1 maps each right coset
+    into one coset, which is checked on the representatives alone.  The
+    plain graph is the extended one less each pair {x, x^-1}, since
+    x * x^-1 = e is the one product it leaves out: row x drops the bit the
+    group keeps for x (``Group._inverse_bits``), by one ``map`` over the
+    chunk's rows.
     """
     _require_type(G, Group)
     _require_iterable(subgroups, "subgroups")
     n = G.order
     subgroups = list(subgroups)
+    inv = np.array(G.inverses, dtype=np.intp)
     step = max(1, _GATHER_CELLS // (n * n))
     for start in range(0, len(subgroups), step):
         chunk = subgroups[start : start + step]
+        members, heads = [], []
         for H in chunk:
             require_normal(G, H)
+            heads.append(len(members))
+            members.extend(H.members)
         k = len(chunk)
-        in_h = np.zeros((k, n), dtype=bool)
-        in_h.ravel()[[i * n + m for i, H in enumerate(chunk) for m in H.members]] = True
-        adj = _adjacency(in_h, G.table)  # adj[i, x, y]: x*y lies in the i-th subgroup
-        adj.reshape(k, n * n)[:, :: n + 1] = False
-        if not np.array_equal(adj, adj.transpose(0, 2, 1)):
+        least = np.minimum.reduceat(G.table.take(members, axis=0), heads, axis=0)
+        least_inv = least.take(inv, axis=1)  # least_inv[i, x] = min(H_i x^-1)
+        if not (least_inv == least_inv[np.arange(k)[:, None], least]).all():
             raise InternalInconsistencyError("adjacency came out asymmetric for a normal subgroup")
+        # adj[i, x, y]: x*y lies in the i-th subgroup; C order, so the reshape below is a view
+        adj = np.equal(least_inv[:, :, None], least[:, None, :], order="C")
+        adj.reshape(k, n * n)[:, :: n + 1] = False
         extended = _int_rows(adj)
         plain = tuple(map(operator.xor, extended, itertools.cycle(G._inverse_bits)))
         for i, H in enumerate(chunk):

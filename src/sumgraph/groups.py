@@ -425,7 +425,7 @@ def _check_associative(table: np.ndarray, identity: int) -> tuple[int, ...]:
     BFS rounds cost more than the whole check at the small orders most
     tables have.
 
-    The table comes in the compact dtype :func:`group_from_cayley_table`
+    The table comes in the compact dtype :func:`_validated_group`
     narrows it to, and each round gathers and compares it in blocks of rows
     x of at most ``_LIGHT_BLOCK_CELLS`` cells, ascending, into two
     C-ordered buffers that every block reuses: on D512 that is 128 rows,
@@ -487,40 +487,20 @@ def _compact_dtype(n: int) -> type[np.signedinteger]:
 def group_from_cayley_table(
     table: Sequence[Sequence[int]] | np.ndarray,
     labels: Sequence[str] | None = None,
-    tag: GroupExpr | None = None,
-    *,
-    copy: bool = True,
 ) -> Group:
-    """Validate a multiplication table and wrap it in a :class:`Group`.
+    """Validate a multiplication table and wrap it in an untagged
+    :class:`Group`, named ``generic``.
 
     Checks, in order of precedence: shape, order cap and entry range, the
     Latin-square property (rows, then columns), a two-sided identity,
     two-sided inverses, and associativity (Light's test, O(n^2 log n)).
-    Each failure names the offending indices.  A two-sided identity,
-    two-sided inverses and associativity make a group, whose rows and
-    columns are permutations, so the identity, inverse and associativity
-    checks run first, and the two sorts of the Latin-square check run only
-    when one of them fails, to name the fault: a table that is not a Latin
-    square still raises :class:`NotLatinSquareError`, never a later error,
-    after at most log2(n) + 1 rounds of Light's test (see
-    :func:`_check_associative`).
-    The identity is looked for only among the rows with a 0 in column 0,
-    since a two-sided identity e has e*0 = 0 (see
-    :func:`_identity_and_inverses`).
-    The range check reads the table as given (an integer array as is,
-    anything else as int64); every later check reads it narrowed to
-    :func:`_compact_dtype`, a cast the range check makes exact, and that
-    array, C-ordered and made read-only, is ``Group.table``, whatever the
-    input dtype.  It is a copy of the caller's table unless ``copy`` is
-    False, which hands the table over: one already narrowed and C-ordered
-    then becomes the group's table as it is, and must not be changed.  The
-    family constructors and :func:`~sumgraph.exprs.build_group` hand over
-    the table they built: a copy of D512's would be 0.5 MB more, and
-    freeing it with the group makes the allocator give the heap's top back
-    to the system: a pass of the benchmark's 20 ``queries`` requests then
-    took 225 minor page faults, against 5 without the copy.  The
-    labels, when given, must be a sequence of n distinct strings, not one
-    string; a repeated one is named.
+    Each failure names the offending indices.  The range check reads the
+    table as given (an integer array as is, anything else as int64); the
+    later ones (:func:`_validated_group`) read a C-ordered copy narrowed
+    to :func:`_compact_dtype`, a cast the range check makes exact, which
+    becomes ``Group.table``, so the caller's table stays the caller's.
+    The labels, when given, must be a sequence of n distinct strings, not
+    one string; a repeated one is named.
     """
     if not (isinstance(table, np.ndarray) and table.dtype.kind in "iu"):
         try:
@@ -535,7 +515,34 @@ def group_from_cayley_table(
     _check_order(n)
     if table.min() < 0 or table.max() >= n:
         raise BadParameterError(f"table entries must lie in 0..{n - 1}")
-    arr = table.astype(_compact_dtype(n), copy=copy)
+    return _validated_group(table.astype(_compact_dtype(n), order="C"), labels, None)
+
+
+def _validated_group(table: np.ndarray, labels: Sequence[str] | None, tag: GroupExpr | None) -> Group:
+    """The group on ``table``, tagged ``tag``, once its group axioms and
+    labels are checked: the one validation of every group.  A tag is
+    trusted as the group's name, so only the constructors pass one.
+
+    ``table`` is square, within the order cap and has its entries in
+    0..n-1: :func:`group_from_cayley_table` checks that of a caller's
+    table, and :func:`~sumgraph.exprs.build_group` and
+    :func:`direct_product` build theirs so.  Narrowed to
+    :func:`_compact_dtype` if it is not in it already, it becomes
+    ``Group.table`` without a copy: a copy of D512's would be 0.5 MB more,
+    and freeing it with the group makes the allocator give the heap's top
+    back to the system (a pass of the benchmark's 20 ``queries`` requests
+    took 225 minor page faults, against 5 without the copy).  A two-sided
+    identity, two-sided inverses and associativity make a group, whose
+    rows and columns are permutations, so those checks run first, and the
+    two sorts of the Latin-square check run only when one fails, to name
+    the fault: a table that is not a Latin square still raises
+    :class:`NotLatinSquareError`, after at most log2(n) + 1 rounds of
+    Light's test (:func:`_check_associative`).  The identity is looked for
+    only among the rows with a 0 in column 0, since e*0 = 0 (see
+    :func:`_identity_and_inverses`).
+    """
+    n = table.shape[0]
+    arr = table.astype(_compact_dtype(n), copy=False)
     try:
         e, inv = _identity_and_inverses(arr)
         generators = _check_associative(arr, e)
@@ -626,7 +633,7 @@ def direct_product(*factors: Group) -> Group:
         return factors[0]
     tags = tuple(g.tag for g in factors)
     tag = None if None in tags else ProductExpr(tags)  # a bare table has no expression
-    return group_from_cayley_table(*_product_table([(g.table, g.labels) for g in factors]), tag, copy=False)
+    return _validated_group(*_product_table([(g.table, g.labels) for g in factors]), tag)
 
 
 def abelian(factor_orders: Sequence[int]) -> Group:

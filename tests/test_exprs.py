@@ -117,16 +117,26 @@ def test_parse_rejects_bad_parameters():
         (lambda: format_group_expr(ProductExpr(5)), "product parts must be a tuple or list, got int"),
         (lambda: parse_group_expr(5), "expected a string, got int"),
         (lambda: parse_group_expr(b"Z4"), "expected a string, got bytes"),
+        (
+            lambda: format_group_expr(CyclicExpr(10**5000)),
+            "cyclic order <5001-digit number> has too many digits to print",
+        ),
+        (
+            lambda: str(ProductExpr((CyclicExpr(2), DicyclicExpr(10**5000)))),
+            "dicyclic parameter <5001-digit number> has too many digits to print",
+        ),
     ],
     ids=[
         "build-str", "build-int", "build-product-of-ints", "build-product-part", "format-int",
         "format-product-part", "build-product-of-int", "format-product-of-int", "parse-int", "parse-bytes",
+        "format-huge-field", "str-huge-part",
     ],
 )
 def test_a_value_that_is_not_an_expression_is_a_bad_parameter(call, message):
     """A value of no expression class, a product's part included, is named
     by its type, not met by an AttributeError further in; so is a parse of
-    anything but a string."""
+    anything but a string.  A field past ``int``'s string-conversion limit
+    is named by its digit count, not met by a ValueError from ``str``."""
     with pytest.raises(BadParameterError, match=f"^{message}$"):
         call()
 

@@ -130,19 +130,31 @@ def test_components_match_reference_bfs():
                 assert components(graph) == _components_reference(graph), (G, H.members, extended)
 
 
-@pytest.mark.parametrize("cells", [1, 5, 64, 1 << 15])
-def test_the_blocked_gather_is_the_whole_gather(monkeypatch, cells):
-    """The adjacency of a chunk of subgroups is gathered in blocks of at
-    most ``_INDEX_CELLS`` table cells; whatever their size (one row, a
-    ragged last block, the whole table at once) it is the adjacency one
-    n x n gather gives, for every subgroup of the chunk."""
-    monkeypatch.setattr(graphs_module, "_INDEX_CELLS", cells)
-    for G in (dihedral(12), cyclic(18), relabelled(dicyclic(5), 3)[0]):
-        subgroups = normal_subgroups(G)
-        in_h = np.zeros((len(subgroups), G.order), dtype=bool)
-        for i, H in enumerate(subgroups):
-            in_h[i, list(H.members)] = True
-        assert np.array_equal(graphs_module._adjacency(in_h, G.table), in_h[:, G.table]), (G.name, cells)
+@pytest.mark.parametrize(
+    "groups",
+    [
+        pytest.param(lambda: sweep(20), id="sweep20"),
+        pytest.param(lambda: [relabelled(G, 7)[0] for G in sweep(16)], id="relabelled-sweep16"),
+        pytest.param(lambda: [dihedral(256), cyclic(512), relabelled(dicyclic(50), 3)[0]], id="large"),
+    ],
+)
+def test_sum_graph_rows_are_the_definition(groups):
+    """Row x of the extended graph over H is {y != x : x*y in H}, read off
+    the table's rows; the plain graph also leaves out the y with x*y = e.
+    Relabelled groups put the identity and every coset's least member
+    anywhere, and D512, Z512 and Dic50 are built in chunks of one."""
+    for G in groups():
+        for H in normal_subgroups(G):
+            in_h = [False] * G.order
+            for m in H.members:
+                in_h[m] = True
+            for extended in (False, True):
+                graph = build_graph(G, H, extended=extended)
+                for x, row in enumerate(G.rows):
+                    want = {y for y in range(G.order) if y != x and in_h[row[y]]}
+                    if not extended:
+                        want -= {y for y in want if row[y] == G.identity}
+                    assert set(graph.neighbors(x)) == want, (G.name, H.members, extended, x)
 
 
 def test_asymmetric_adjacency_is_an_internal_error(monkeypatch):

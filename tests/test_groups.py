@@ -15,6 +15,7 @@ from hypothesis import strategies as st
 
 from sumgraph import (
     BadParameterError,
+    CyclicExpr,
     InternalInconsistencyError,
     NoIdentityError,
     NoInverseError,
@@ -30,10 +31,12 @@ from sumgraph import (
     build_group,
     conjugacy_classes,
     cyclic,
+    cyclic_perfect_code,
     decide_code,
     decide_perfect_code,
     dicyclic,
     dihedral,
+    dihedral_perfect_code,
     direct_product,
     elementary_abelian_2,
     group_from_cayley_table,
@@ -1298,31 +1301,44 @@ def test_reading_the_table_keeps_no_list_copy():
         assert peak < 2 << 20, (G.name, peak)
 
 
-def test_the_group_table_is_the_callers_only_when_handed_over():
-    """``group_from_cayley_table`` keeps a read-only copy of the caller's
-    table, so changing the caller's array changes nothing; with
-    ``copy=False`` a table already int16 and C-ordered is kept as it is and
-    made read-only, and any other is still narrowed into a new array."""
+def test_a_bare_table_makes_an_untagged_group_on_a_copy():
+    """``group_from_cayley_table`` keeps a read-only int16 copy of the
+    caller's table, whatever its form, so changing the caller's array
+    changes nothing, and the group is ``generic``: it takes no tag, which
+    the family deciders would trust as the group's name (Z8's table tagged
+    Z4 made ``cyclic_perfect_code`` answer for Z4, and Z6's tagged D6 made
+    ``dihedral_perfect_code`` raise an internal error), and no ``copy``."""
     given = cyclic(6).table.copy()
     for table in (given, given.astype(np.int64), given.tolist(), given.T):
         G = group_from_cayley_table(table)
         assert G.table.dtype == np.int16 and G.table.flags.c_contiguous and not G.table.flags.writeable
         assert not np.shares_memory(G.table, given)
+        assert G.tag is None and G.name == "generic"
     given[0, 0] = 1  # the caller's array stays writable, and the group's table unchanged
     assert G.table[0, 0] == 0
     given[0, 0] = 0
-    for table in (given.astype(np.int64), given.T):
-        assert not np.shares_memory(group_from_cayley_table(table, copy=False).table, given)
-    G = group_from_cayley_table(given, copy=False)
-    assert G.table is given and not given.flags.writeable
+    for keyword in ({"tag": CyclicExpr(6)}, {"copy": False}):
+        with pytest.raises(TypeError):
+            group_from_cayley_table(given, **keyword)
+    with pytest.raises(TypeError):
+        group_from_cayley_table(cyclic(8).table, None, CyclicExpr(4))
+    Z8, Z6 = group_from_cayley_table(cyclic(8).table), group_from_cayley_table(cyclic(6).table)
+    H = subgroup_generated(Z8, [2])  # order 4, where the Z4 rule and the generic one disagree
+    assert not decide_perfect_code(Z8, H).exists
+    for decide, G, H in (
+        (cyclic_perfect_code, Z8, H),
+        (dihedral_perfect_code, Z6, subgroup_generated(Z6, [3])),
+    ):
+        with pytest.raises(BadParameterError, match="expected a group built by the"):
+            decide(G, H)
 
 
 def test_building_a_group_and_a_graph_keeps_one_compact_table(monkeypatch):
     """Building D512 peaks under twice the bytes of its int16 table, which
     the group keeps without a copy, and building its sum graph over <a^2>
-    under 1.5 times: Light's test and the graph's gather work in row
-    blocks, never on an n x n int32 or intp copy.  The same bounds hold at
-    order 2048."""
+    under 1.5 times: Light's test works in row blocks and the graph
+    compares coset representatives, never an n x n int32 or intp copy.
+    The same bounds hold at order 2048."""
     monkeypatch.setenv("SUMGRAPH_MAX_ORDER", "2048")
     for text in ("D512", "D2048"):
         expr = parse_group_expr(text)
