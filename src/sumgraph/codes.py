@@ -20,10 +20,12 @@ Brute-force searchers (exact cover
 over a built graph, component by component) are the independent oracles;
 a search node with fewer uncovered vertices than the component's smallest
 neighbourhood, which the component walk records, is refuted at once, so a
-refuted dense block costs linear, not quadratic, work.  :func:`cross_check`
-runs deciders against oracles over every normal subgroup of a group,
-building both graph flavours of all its subgroups together, a chunk of
-subgroups per comparison of their coset representatives, and keeping of
+refuted dense block costs linear, not quadratic, work; the public
+searchers walk the graph they are given.  :func:`cross_check` runs
+deciders against oracles over every normal subgroup of a group, building
+both graph flavours of all its subgroups together, a chunk of subgroups
+per comparison of their coset representatives, walking only the extended
+graph of each, whose components serve all four searches, and keeping of
 each search only whether it found a code.
 """
 
@@ -164,23 +166,27 @@ def _cover_component(
     return None
 
 
-def _find_code(graph: SumGraph, closed: bool) -> int | None:
-    """A code of ``graph`` (closed: perfect, open: total) as a vertex
-    bitmask, or ``None``.
+def _find_code(rows: tuple[int, ...], parts, closed: bool, slack: int = 0) -> int | None:
+    """A code of the graph of ``rows`` (closed: perfect, open: total) as a
+    vertex bitmask, or ``None``.
 
-    Each component is covered on its own, with the size cut of
-    :func:`_cover_component` set to its smallest neighbourhood: the least
-    degree the component walk recorded, plus one for the closed
-    neighbourhood.  A node the cut refutes is one where every candidate
-    would meet the cover already made, so the same nodes are entered and
-    the same code is found; what the cut saves is their scans of
-    candidates: a refuted dense block of m vertices costs O(m) row reads
-    instead of O(m^2).
+    ``parts`` are ``(mask, least)`` pairs whose masks partition the
+    vertices, each closed under ``rows``, with ``least - slack`` at most
+    its smallest degree: the public searchers pass the components of the
+    graph itself, and :func:`cross_check` those of the extended graph to
+    the plain search too, with slack 1 (a plain row is the extended one
+    less one bit, so an extended component is a union of plain ones,
+    covered exactly when each of them is).  Each part is covered on its
+    own, with the size cut of :func:`_cover_component` at ``least -
+    slack``, plus one for the closed neighbourhood.  A node the cut
+    refutes is one where every candidate would meet the cover already
+    made, so the same nodes are entered and the same code is found; what
+    the cut saves is their scans of candidates: a refuted dense block of
+    m vertices costs O(m) row reads instead of O(m^2).
     """
-    rows = graph.rows
     chosen = 0
-    for comp, least in graph._component_masks:
-        got = _cover_component(rows, comp, closed, least + closed, 0, 0)
+    for part, least in parts:
+        got = _cover_component(rows, part, closed, least - slack + closed, 0, 0)
         if got is None:
             return None
         chosen |= got
@@ -188,9 +194,9 @@ def _find_code(graph: SumGraph, closed: bool) -> int | None:
 
 
 def _bruteforce(graph: SumGraph, closed: bool) -> tuple[int, ...] | None:
-    """The code :func:`_find_code` finds, as a sorted vertex tuple."""
+    """The code :func:`_find_code` finds over the graph's own components, as a sorted tuple."""
     _require_type(graph, SumGraph)
-    code = _find_code(graph, closed)
+    code = _find_code(graph.rows, graph._component_masks, closed)
     return None if code is None else tuple(_bits(code))
 
 
@@ -410,14 +416,16 @@ class CrossCheckReport:
 def cross_check(G: Group, subgroups: list[Subgroup] | None = None) -> CrossCheckReport:
     """Run all four deciders against brute-force search over normal
     subgroups, G's whole lattice unless ``subgroups`` is given.  The graphs
-    of all the subgroups come from one batched build, a pair at a time."""
+    of all the subgroups come from one batched build, a pair at a time,
+    and the components of the extended one serve all four searches."""
     start = time.perf_counter()
     entries = []
-    for graphs in _sum_graphs(G, normal_subgroups(G) if subgroups is None else subgroups):
-        for graph in graphs:  # plain, then extended
+    for plain, full in _sum_graphs(G, normal_subgroups(G) if subgroups is None else subgroups):
+        parts = full._component_masks  # unions of plain components; a plain degree is at most one lower
+        for graph in (plain, full):
             H = graph.subgroup
             for total in (False, True):
                 verdict = decide_code(G, H, extended=graph.extended, total=total)
-                found = _find_code(graph, closed=not total) is not None
+                found = _find_code(graph.rows, parts, not total, slack=not graph.extended) is not None
                 entries.append(CrossCheckEntry(H.members, verdict, found))
     return CrossCheckReport(entries=tuple(entries), seconds=time.perf_counter() - start)

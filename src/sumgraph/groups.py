@@ -578,14 +578,20 @@ def _identity_and_inverses(arr: np.ndarray) -> tuple[int, tuple[int, ...]]:
 
     A two-sided identity e has e*0 = 0, so only the rows and columns of the
     elements with a 0 in column 0 are compared with ``0..n-1``: one row and
-    one column on a Latin square, at most n of each on any table."""
-    expect = np.arange(arr.shape[0], dtype=arr.dtype)
+    one column on a Latin square, at most n of each on any table.  The
+    inverses are found in row blocks of ``_LIGHT_BLOCK_CELLS`` cells (one
+    block to order 256), so no n x n mask is made."""
+    n = arr.shape[0]
+    expect = np.arange(n, dtype=arr.dtype)
     for e in (arr[:, 0] == 0).nonzero()[0].tolist():
         if (arr[e] == expect).all() and (arr[:, e] == expect).all():
             break
     else:
         raise NoIdentityError("no two-sided identity element")
-    inv = np.argmax(arr == e, axis=1)
+    inv = np.empty(n, np.intp)
+    step = max(1, _LIGHT_BLOCK_CELLS // n)
+    for start in range(0, n, step):
+        np.argmax(arr[start : start + step] == e, axis=1, out=inv[start : start + step])
     two_sided = (arr[inv, expect] == e) & (arr[expect, inv] == e)
     if not two_sided.all():
         raise NoInverseError(f"element {int(np.argmin(two_sided))} has no two-sided inverse")

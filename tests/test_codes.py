@@ -22,6 +22,7 @@ from sumgraph import (
     abelian_total_perfect_code,
     build_graph,
     build_group,
+    components,
     cross_check,
     cyclic,
     decide_code,
@@ -52,6 +53,7 @@ from helpers import (
     subset_perfect_codes,
     subset_total_perfect_codes,
     sweep,
+    sweep_reports,
 )
 
 QUESTIONS = [(extended, total) for extended in (False, True) for total in (False, True)]
@@ -369,7 +371,8 @@ def test_cross_check_batches_build_the_graphs_build_graph_builds(monkeypatch, ca
 
 
 def test_cross_check_walks_each_graph_components_once(monkeypatch):
-    # both oracle kinds read the components one graph walked once
+    # all four searches of a subgroup read the components of its extended
+    # graph, walked once; no plain graph is walked
     walked = []
     walk = SumGraph._component_masks.func
 
@@ -382,9 +385,30 @@ def test_cross_check_walks_each_graph_components_once(monkeypatch):
     monkeypatch.setattr(SumGraph, "_component_masks", counted)
     for G in (cyclic(12), dihedral(6), dicyclic(3), quaternion(), elementary_abelian_2(3)):
         walked.clear()
-        expected = [(H.members, ext) for H in normal_subgroups(G) for ext in (False, True)]
+        expected = [(H.members, True) for H in normal_subgroups(G)]
         cross_check(G)
         assert sorted(walked) == sorted(expected), G.name
+
+
+def test_cross_check_oracle_is_the_public_search_of_each_graph():
+    """cross_check's plain searches cover the components of the extended
+    graph, each a union of plain components; whether they find a code is
+    what the public searchers find over the plain graph's own components.
+    Over subgroups of order 1 and 2 one extended component can join two
+    plain ones; the groups beyond sweep(48) have larger such graphs."""
+    larger = [build_group(parse_group_expr(e)) for e in ("Z2 x Z2 x Z24", "Dic6 x Z4")] + [dihedral(128)]
+    joined = 0
+    for G, report in (*sweep_reports(48), *((G, cross_check(G)) for G in larger)):
+        assert len(report.entries) == 4 * len(normal_subgroups(G)), G.name
+        for entry in report.entries:
+            H, extended = Subgroup(G, entry.subgroup), entry.verdict.flavor == "extended"
+            total = entry.verdict.kind == "total"
+            graph = build_graph(G, H, extended)
+            search = find_total_perfect_code_bruteforce if total else find_perfect_code_bruteforce
+            assert entry.oracle == (search(graph) is not None), (G.name, entry)
+            if not (extended or total):
+                joined += len(components(graph)) > len(components(build_graph(G, H, extended=True)))
+    assert joined > 300, joined
 
 
 def test_decide_code_leaves_no_graph_or_group_alive():
@@ -480,9 +504,19 @@ def test_decider_rejects_a_wrong_witness():
             codes._decider(flavor, kind)(rule)(G, H)
 
 
-def _oracle_searches(monkeypatch) -> list[list[int]]:
-    """[vertices, nodes, row reads] of every component search of both
-    oracles over the sum graphs of sweep(48), Z512 and D512, both flavours.
+def _public_searches(G):
+    """Both public searchers over both sum graphs of every normal subgroup."""
+    for H in normal_subgroups(G):
+        for extended in (False, True):
+            graph = build_graph(G, H, extended=extended)
+            find_perfect_code_bruteforce(graph)
+            find_total_perfect_code_bruteforce(graph)
+
+
+def _oracle_searches(monkeypatch, run=_public_searches) -> list[list[int]]:
+    """[vertices, nodes, row reads] of every component search ``run`` makes
+    over sweep(48), Z512 and D512, by default both public searchers over
+    the sum graphs of both flavours.
     Nodes are calls of _cover_component, the root included; the recursion
     looks the function up in the module, so the patched counter sees every
     call, and it hands the root's rows down, so every read is counted."""
@@ -503,11 +537,7 @@ def _oracle_searches(monkeypatch) -> list[list[int]]:
 
     monkeypatch.setattr(codes, "_cover_component", counting)
     for G in sweep(48) + (cyclic(512), dihedral(256)):
-        for H in normal_subgroups(G):
-            for extended in (False, True):
-                graph = build_graph(G, H, extended=extended)
-                find_perfect_code_bruteforce(graph)
-                find_total_perfect_code_bruteforce(graph)
+        run(G)
     return searches
 
 
@@ -530,6 +560,17 @@ def test_oracle_size_cut_keeps_searches_linear(monkeypatch):
     over = [record for record in searches if record[1] > record[0] + 1 or record[2] > 4 * record[0]]
     assert not over, over[:3]
     assert any(nodes == size + 1 for size, nodes, _ in searches)
+    assert max(size for size, _, _ in searches) == 512
+
+
+def test_cross_check_searches_keep_the_size_cut_bounds(monkeypatch):
+    # the plain searches of cross_check cover the extended graph's
+    # components with a cut one lower, and keep the public searches'
+    # bounds: m + 1 nodes and 4m row reads for a part of m vertices
+    searches = _oracle_searches(monkeypatch, cross_check)
+    assert len(searches) > 25_000
+    over = [record for record in searches if record[1] > record[0] + 1 or record[2] > 4 * record[0]]
+    assert not over, over[:3]
     assert max(size for size, _, _ in searches) == 512
 
 
