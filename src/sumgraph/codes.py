@@ -19,14 +19,13 @@ representatives and reads each three-element coset Hx off the table.
 Brute-force searchers (exact cover
 over a built graph, component by component) are the independent oracles;
 a search node with fewer uncovered vertices than the component's smallest
-neighbourhood, which the component walk records, is refuted at once, so a
+neighbourhood, which comes with the component, is refuted at once, so a
 refuted dense block costs linear, not quadratic, work; the public
 searchers walk the graph they are given.  :func:`cross_check` runs
 deciders against oracles over every normal subgroup of a group, building
-both graph flavours of all its subgroups together, a chunk of subgroups
-per comparison of their coset representatives, walking only the extended
-graph of each, whose components serve all four searches, and keeping of
-each search only whether it found a code.
+both graph flavours of each subgroup from its coset masks, together with
+the extended graph's components, which serve all four searches, so no
+graph is walked; of each search it keeps only whether it found a code.
 """
 
 from __future__ import annotations
@@ -172,11 +171,12 @@ def _find_code(rows: tuple[int, ...], parts, closed: bool, slack: int = 0) -> in
 
     ``parts`` are ``(mask, least)`` pairs whose masks partition the
     vertices, each closed under ``rows``, with ``least - slack`` at most
-    its smallest degree: the public searchers pass the components of the
-    graph itself, and :func:`cross_check` those of the extended graph to
-    the plain search too, with slack 1 (a plain row is the extended one
-    less one bit, so an extended component is a union of plain ones,
-    covered exactly when each of them is).  Each part is covered on its
+    its smallest degree: the public searchers pass the components their
+    walk of the graph finds, and :func:`cross_check` the components of
+    the extended graph that its build hands out, to the plain search too,
+    with slack 1 (a plain row is the extended one less one bit, so an
+    extended component is a union of plain ones, covered exactly when
+    each of them is).  Each part is covered on its
     own, with the size cut of :func:`_cover_component` at ``least -
     slack``, plus one for the closed neighbourhood.  A node the cut
     refutes is one where every candidate would meet the cover already
@@ -416,13 +416,12 @@ class CrossCheckReport:
 def cross_check(G: Group, subgroups: list[Subgroup] | None = None) -> CrossCheckReport:
     """Run all four deciders against brute-force search over normal
     subgroups, G's whole lattice unless ``subgroups`` is given.  The graphs
-    of all the subgroups come from one batched build, a pair at a time,
-    and the components of the extended one serve all four searches."""
+    of each subgroup come from one build, with the components of the
+    extended one, which serve all four searches: no graph is walked."""
     start = time.perf_counter()
     entries = []
-    for plain, full in _sum_graphs(G, normal_subgroups(G) if subgroups is None else subgroups):
-        parts = full._component_masks  # unions of plain components; a plain degree is at most one lower
-        for graph in (plain, full):
+    for plain, full, parts in _sum_graphs(G, normal_subgroups(G) if subgroups is None else subgroups):
+        for graph in (plain, full):  # parts: unions of plain components, a plain degree at most one lower
             H = graph.subgroup
             for total in (False, True):
                 verdict = decide_code(G, H, extended=graph.extended, total=total)

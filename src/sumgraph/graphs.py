@@ -6,24 +6,24 @@ keeps the identity, i.e. joins x and y whenever x*y is in H at all.
 Normality makes the relation symmetric, so both are simple graphs on G.
 Since x*y lies in H exactly when y lies in the right coset Hx^-1, a graph
 is read off the least member of every right coset, as the deciders read
-their cosets.
+their cosets: extended row x is the bitmask of the coset Hx^-1, less x.
+The extended graph is then a disjoint union of blocks, one per coset pair
+Hx and Hx^-1, so the build hands out its components with the rows; the
+public :func:`components` walks the graph it is given.
 
 Adjacency is stored as one Python int bitmask per vertex, which keeps the
-set algebra (component sweeps, code checking) branch-free and fast for the
-orders this package supports.
+set algebra (coset masks, component walks, code checking) branch-free and
+fast for the orders this package supports.
 """
 
 from __future__ import annotations
 
-import itertools
 import operator
 from functools import cached_property
 from typing import Iterable, Iterator
 
-import numpy as np
-
 from .errors import InternalInconsistencyError
-from .groups import Group, Subgroup, _require_iterable, _require_type, require_normal
+from .groups import Group, Subgroup, _coset_least, _require_iterable, _require_type, require_normal
 
 __all__ = [
     "SumGraph",
@@ -97,70 +97,59 @@ class SumGraph:
         return f"<{kind} on {self.group!r} over subgroup of order {self.subgroup.order}>"
 
 
-_GATHER_CELLS = 1 << 20  # adjacency cells one chunk holds at most
-
-
-def _int_rows(adj: np.ndarray) -> tuple[int, ...]:
-    """The last axis of a boolean array as Python int bitmasks, bit y of
-    row x set when ``adj[..., x, y]``: one ``packbits`` of every row, then
-    one ``int.from_bytes`` per row over the ``bytes`` that ``tolist`` makes
-    of a void view, 2-3x faster than slicing one ``bytes`` object per row."""
-    packed = np.packbits(adj, axis=-1, bitorder="little")
-    width = packed.shape[-1]
-    data = packed.reshape(-1, width).view(np.dtype((np.void, width))).ravel().tolist()
-    return tuple(map(int.from_bytes, data, itertools.repeat("little")))
-
-
-def _sum_graphs(G: Group, subgroups: Iterable[Subgroup]) -> Iterator[tuple[SumGraph, SumGraph]]:
+def _sum_graphs(
+    G: Group, subgroups: Iterable[Subgroup]
+) -> Iterator[tuple[SumGraph, SumGraph, tuple[tuple[int, int], ...]]]:
     """The plain and the extended sum graph of G over each normal subgroup
-    of ``subgroups``, in order, yielded one pair at a time.
+    of ``subgroups``, in order, with the extended graph's components,
+    yielded one triple at a time.
 
     x*y lies in H exactly when y lies in the right coset Hx^-1 (H is
     normal), so each graph is read off the least member of every right
-    coset: ``least[i, x]`` is min(H_i x), one ``minimum.reduceat`` over a
-    gather of the table's rows of every member, and x is joined to y when
-    ``least[i, x^-1] == least[i, y]``.  The subgroups are built in chunks,
-    as many as fit in ``_GATHER_CELLS`` adjacency cells (at least one), so
-    a chunk holds at most 1 MB of cells however many subgroups there are,
-    with one diagonal clear and one :func:`_int_rows` for them all.  The
-    relation is symmetric exactly when x -> x^-1 maps each right coset
-    into one coset, which is checked on the representatives alone.  The
-    plain graph is the extended one less each pair {x, x^-1}, since
+    coset, ``least[x]`` = min(Hx) (:func:`~sumgraph.groups._coset_least`),
+    and ``least_inv[x]`` = min(Hx^-1).  One pass over x ORs bit x into the
+    mask of its coset, ``cm[least[x]]``, and extended row x is the mask
+    of the coset Hx^-1, less bit x when x lies in it: no n x n array is
+    made.  The relation is symmetric exactly when x -> x^-1 maps each
+    right coset into one coset, i.e. ``least_inv`` is constant on each.
+    The plain graph is the extended one less each pair {x, x^-1}, since
     x * x^-1 = e is the one product it leaves out: row x drops the bit the
-    group keeps for x (``Group._inverse_bits``), by one ``map`` over the
-    chunk's rows.
+    group keeps for x (``Group._inverse_bits``).
+
+    The components are ``(mask, least)`` pairs, one per coset head r with
+    p = ``least_inv[r]`` at least r, ascending: the mask of Hr and Hp,
+    ``least`` the smallest degree in it.  Every row of one coset is the
+    mask of the other, so the pair is closed, and it is complete bipartite
+    between them, or a clique on Hr when p == r: connected, with degrees
+    the size of the other coset, less one in a clique.  These are the
+    ``(mask, least)`` pairs a walk of the extended graph finds
+    (:attr:`SumGraph._component_masks`), counted off the masks.
     """
     _require_type(G, Group)
     _require_iterable(subgroups, "subgroups")
-    n = G.order
-    subgroups = list(subgroups)
-    inv = np.array(G.inverses, dtype=np.intp)
-    step = max(1, _GATHER_CELLS // (n * n))
-    for start in range(0, len(subgroups), step):
-        chunk = subgroups[start : start + step]
-        members, heads = [], []
-        for H in chunk:
-            require_normal(G, H)
-            heads.append(len(members))
-            members.extend(H.members)
-        k = len(chunk)
-        least = np.minimum.reduceat(G.table.take(members, axis=0), heads, axis=0)
-        least_inv = least.take(inv, axis=1)  # least_inv[i, x] = min(H_i x^-1)
-        if not (least_inv == least_inv[np.arange(k)[:, None], least]).all():
+    n, inv = G.order, G.inverses
+    for H in subgroups:
+        require_normal(G, H)
+        least = _coset_least(G, H.members)
+        least_inv = list(map(least.__getitem__, inv))
+        if least_inv != list(map(least_inv.__getitem__, least)):
             raise InternalInconsistencyError("adjacency came out asymmetric for a normal subgroup")
-        # adj[i, x, y]: x*y lies in the i-th subgroup; C order, so the reshape below is a view
-        adj = np.equal(least_inv[:, :, None], least[:, None, :], order="C")
-        adj.reshape(k, n * n)[:, :: n + 1] = False
-        extended = _int_rows(adj)
-        plain = tuple(map(operator.xor, extended, itertools.cycle(G._inverse_bits)))
-        for i, H in enumerate(chunk):
-            rows = slice(i * n, (i + 1) * n)
-            yield SumGraph(G, H, False, plain[rows]), SumGraph(G, H, True, extended[rows])
+        cm = [0] * n
+        for x, r in enumerate(least):
+            cm[r] |= 1 << x
+        extended = tuple(cm[p] ^ (1 << x) if least[x] == p else cm[p] for x, p in enumerate(least_inv))
+        plain = tuple(map(operator.xor, extended, G._inverse_bits))
+        parts = tuple(
+            (cm[r] | cm[p], min(cm[r].bit_count(), cm[p].bit_count()) - (p == r))
+            for r, p in enumerate(least_inv)
+            if least[r] == r and p >= r
+        )
+        yield SumGraph(G, H, False, plain), SumGraph(G, H, True, extended), parts
 
 
 def build_graph(G: Group, H: Subgroup, extended: bool = False) -> SumGraph:
     """Construct the (extended) sum graph of G over the normal subgroup H."""
-    plain, full = next(_sum_graphs(G, [H]))
+    plain, full, _ = next(_sum_graphs(G, [H]))
     return full if extended else plain
 
 

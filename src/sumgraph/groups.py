@@ -402,7 +402,7 @@ class _Closure:
         self.members.extend(fresh)
 
 
-_LIGHT_BLOCK_CELLS = 1 << 16  # cells of one row block of Light's test: two int16 operands of 128 KB
+_LIGHT_BLOCK_CELLS = 1 << 16  # cells per block of a table gather: Light's test, inverses, coset minima
 
 
 def _check_associative(table: np.ndarray, identity: int) -> tuple[int, ...]:
@@ -899,7 +899,7 @@ def _lattice(G: Group) -> list[Subgroup]:
     Elements of one class lie in many cosets, so each atom is joined at
     most once per base as well.  The cost is then at most (#found x
     min(#cosets, #atoms)) joins of O(|join| * |gens|) each, plus one
-    |B| x n gather per base.
+    column minimum of B's table rows per base.
 
     The lattice can be far too large to list (E2^8 has 417,199 normal
     subgroups), so a lower bound on its size (:func:`_normal_subgroup_bound`)
@@ -986,8 +986,15 @@ def right_cosets(G: Group, H: Subgroup) -> list[tuple[int, ...]]:
 
 def _coset_least(G: Group, members: Sequence[int]) -> list[int]:
     """Entry x is min(Hx) for the subgroup H with these ``members``, so the
-    heads of the right cosets are the x equal to their entry.  One |H| x n gather."""
-    return G.table.take(members, axis=0).min(axis=0).tolist()
+    heads of the right cosets are the x equal to their entry.  The column
+    minima are taken over gathers of at most ``_LIGHT_BLOCK_CELLS`` cells,
+    one block of members to order 256, so a large H gathers no |H| x n array."""
+    table = G.table
+    step = max(1, _LIGHT_BLOCK_CELLS // G.order)
+    least = table.take(members[:step], axis=0).min(axis=0)
+    for start in range(step, len(members), step):
+        np.minimum(least, table.take(members[start : start + step], axis=0).min(axis=0), out=least)
+    return least.tolist()
 
 
 def _prime_factors(n: int) -> list[int]:

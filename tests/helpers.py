@@ -40,6 +40,20 @@ from sumgraph import (
 
 SWEEP_MAX_ORDER = 48
 
+# The groups of the benchmark's ``verify`` workload, orders 32-256.
+VERIFY_GROUPS = (
+    "Q8 x Z2 x Z2 x Z2",
+    "E2^5",
+    "D16 x D8",
+    "Q8 x Q8",
+    "Dic6 x Z4",
+    "D24 x Z4",
+    "Q8 x Z12",
+    "Z2 x Z2 x Z24",
+    "D256",
+    "Dic48",
+)
+
 
 @cache
 def sweep(max_order: int = SWEEP_MAX_ORDER) -> tuple[Group, ...]:

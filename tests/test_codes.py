@@ -10,7 +10,6 @@ import numpy as np
 import pytest
 
 import sumgraph.codes as codes
-import sumgraph.graphs as graphs_module
 from sumgraph import (
     BadParameterError,
     InternalInconsistencyError,
@@ -327,52 +326,33 @@ def test_cross_check_builds_each_graph_once(monkeypatch):
         assert sorted(built) == sorted(expected), G.name
 
 
-@pytest.mark.parametrize(
-    "cap, ragged", [(None, 0), (1, 0), (3 * 24 * 24, 10)], ids=["default", "one-per-chunk", "ragged"]
-)
-def test_cross_check_batches_build_the_graphs_build_graph_builds(monkeypatch, cap, ragged):
-    """The graphs cross_check builds a chunk of subgroups at a time have
-    the rows build_graph gives one subgroup at a time: at the default cell
-    cap, with one subgroup per chunk, and with a cap whose last chunk is
-    ragged for at least ``ragged`` groups.  Each chunk holds as many
-    subgroups as fit in the cap, at least one."""
-    built, chunks = [], []
-    init, int_rows = SumGraph.__init__, graphs_module._int_rows
+def test_cross_check_builds_the_graphs_build_graph_builds(monkeypatch):
+    """The graphs cross_check builds over all its subgroups at once have
+    the rows build_graph gives one subgroup at a time."""
+    built = []
+    init = SumGraph.__init__
 
     def capturing_init(self, group, subgroup, extended, rows):
         built.append((subgroup.members, extended, rows))
         init(self, group, subgroup, extended, rows)
 
-    def counting_int_rows(adj):
-        chunks.append(adj.shape[0])
-        return int_rows(adj)
-
     groups = (*sweep(24), *(relabelled(G, seed)[0] for seed, G in enumerate(sweep(16))))
-    if cap is not None:
-        monkeypatch.setattr(graphs_module, "_GATHER_CELLS", cap)
     monkeypatch.setattr(SumGraph, "__init__", capturing_init)
-    monkeypatch.setattr(graphs_module, "_int_rows", counting_int_rows)
-    seen_ragged = 0
     for G in groups:
-        count, step = len(normal_subgroups(G)), max(1, graphs_module._GATHER_CELLS // G.order**2)
-        seen_ragged += count > step and count % step != 0
         built.clear()
-        chunks.clear()
         cross_check(G)
         batched = list(built)
-        assert chunks == [step] * (count // step) + [count % step] * (count % step != 0), G.name
         single = [
             (H.members, extended, build_graph(G, H, extended).rows)
             for H in normal_subgroups(G)
             for extended in (False, True)
         ]
         assert batched == single, G.name
-    assert seen_ragged >= ragged
 
 
-def test_cross_check_walks_each_graph_components_once(monkeypatch):
-    # all four searches of a subgroup read the components of its extended
-    # graph, walked once; no plain graph is walked
+def test_cross_check_walks_no_graph(monkeypatch):
+    # all four searches of a subgroup read the components the build hands
+    # out with its graphs; neither graph is walked
     walked = []
     walk = SumGraph._component_masks.func
 
@@ -384,10 +364,12 @@ def test_cross_check_walks_each_graph_components_once(monkeypatch):
     counted.__set_name__(SumGraph, "_component_masks")
     monkeypatch.setattr(SumGraph, "_component_masks", counted)
     for G in (cyclic(12), dihedral(6), dicyclic(3), quaternion(), elementary_abelian_2(3)):
-        walked.clear()
-        expected = [(H.members, True) for H in normal_subgroups(G)]
-        cross_check(G)
-        assert sorted(walked) == sorted(expected), G.name
+        report = cross_check(G)
+        assert len(report.entries) == 4 * len(normal_subgroups(G)), G.name
+    assert walked == []
+    G = cyclic(12)
+    components(build_graph(G, Subgroup(G, [0, 6])))
+    assert walked == [((0, 6), False)]  # the patch counts the public walk
 
 
 def test_cross_check_oracle_is_the_public_search_of_each_graph():

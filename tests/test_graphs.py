@@ -16,6 +16,7 @@ from sumgraph import (
     abelian_2group_perfect_code,
     abelian_total_perfect_code,
     build_graph,
+    build_group,
     components,
     conjugacy_classes,
     cross_check,
@@ -38,6 +39,7 @@ from sumgraph import (
     is_perfect_code,
     is_total_perfect_code,
     normal_subgroups,
+    parse_group_expr,
     quaternion,
     require_normal,
     require_subgroup,
@@ -47,7 +49,7 @@ from sumgraph import (
     verdict_to_json,
 )
 
-from helpers import audit_blocks, relabelled, sweep
+from helpers import VERIFY_GROUPS, audit_blocks, relabelled, sweep
 
 
 def test_plain_graph_edges_of_z6():
@@ -142,7 +144,8 @@ def test_sum_graph_rows_are_the_definition(groups):
     """Row x of the extended graph over H is {y != x : x*y in H}, read off
     the table's rows; the plain graph also leaves out the y with x*y = e.
     Relabelled groups put the identity and every coset's least member
-    anywhere, and D512, Z512 and Dic50 are built in chunks of one."""
+    anywhere, and D512 and Z512 take the coset minima of their subgroups
+    of order 256 and 512 over two and four blocks of members."""
     for G in groups():
         for H in normal_subgroups(G):
             in_h = [False] * G.order
@@ -170,6 +173,29 @@ def test_asymmetric_adjacency_is_an_internal_error(monkeypatch):
             build_graph(G, H, extended=extended)
     with pytest.raises(InternalInconsistencyError, match="asymmetric"):
         cross_check(G, [H])
+
+
+@pytest.mark.parametrize("collection", ["sweep-48", "relabelled-sweep-16", "verify", "large"])
+def test_build_components_are_the_walked_components(collection):
+    """The (mask, least) parts _sum_graphs hands out with each subgroup's
+    graphs are what a walk of the extended graph finds, mask for mask and
+    least degree for least degree, and no plain or extended row leaves
+    the part of its vertex."""
+    groups = {
+        "sweep-48": lambda: sweep(48),
+        "relabelled-sweep-16": lambda: [relabelled(G, seed)[0] for seed, G in enumerate(sweep(16))],
+        "verify": lambda: [build_group(parse_group_expr(text)) for text in VERIFY_GROUPS],
+        "large": lambda: [cyclic(512), dihedral(128), dihedral(256)],
+    }[collection]()
+    for G in groups:
+        subgroups = normal_subgroups(G)
+        built = list(graphs_module._sum_graphs(G, subgroups))
+        assert len(built) == len(subgroups), G.name
+        for H, (plain, full, parts) in zip(subgroups, built):
+            assert parts == full._component_masks, (G.name, H.members)
+            for mask, _ in parts:
+                for v in graphs_module._bits(mask):
+                    assert not (plain.rows[v] | full.rows[v]) & ~mask, (G.name, H.members, v)
 
 
 def test_components_of_known_graphs():
@@ -321,14 +347,13 @@ def _flip_one_edge(monkeypatch, flavor, u, w):
     build = graphs_module._sum_graphs
 
     def corrupted(G, subgroups):
-        for pair in build(G, subgroups):
-            graphs = list(pair)
+        for *graphs, parts in build(G, subgroups):
             k = flavor == "extended"
             rows = list(graphs[k].rows)
             rows[u] ^= 1 << w
             rows[w] ^= 1 << u
             graphs[k] = graphs_module.SumGraph(G, graphs[k].subgroup, graphs[k].extended, tuple(rows))
-            yield tuple(graphs)
+            yield (*graphs, parts)
 
     monkeypatch.setattr(graphs_module, "_sum_graphs", corrupted)
 

@@ -51,6 +51,7 @@ from sumgraph import (
 from sumgraph import groups as groups_module
 
 from helpers import (
+    VERIFY_GROUPS,
     cosets_by_definition,
     greedy_generators,
     is_dedekind,
@@ -195,21 +196,6 @@ def _all_subgroups_reference(G):
                 found.add(ext)
                 queue.append(ext)
     return [tuple(sorted(s)) for s in sorted(found, key=lambda s: (len(s), tuple(sorted(s))))]
-
-
-# The groups of the benchmark's ``verify`` workload, orders 32-256.
-VERIFY_GROUPS = (
-    "Q8 x Z2 x Z2 x Z2",
-    "E2^5",
-    "D16 x D8",
-    "Q8 x Q8",
-    "Dic6 x Z4",
-    "D24 x Z4",
-    "Q8 x Z12",
-    "Z2 x Z2 x Z24",
-    "D256",
-    "Dic48",
-)
 
 
 def test_cyclic_is_modular_addition():
