@@ -11,11 +11,15 @@ the group structure, produces an explicit witness code when one exists and
 a small refuting certificate when none does; it reads only the Cayley table,
 re-checking its witness there too (each is a rule body that :func:`_decider`
 wraps, building its :class:`Verdict`).  The plain perfect-code rule and the
-extended transversal read the least member of every right coset from one
-gather of the table (:func:`~sumgraph.groups._coset_least`) and walk
-those representatives, building no coset; the plain one pairs each Hx
-with Hx^-1 unless x*x lies in H.  The |H| = 3 total rule walks the same
-representatives and reads each three-element coset Hx off the table.
+extended transversal read the least member of every right coset, and the
+ascending heads of the cosets, from the subgroup's coset record
+(:attr:`~sumgraph.groups.Subgroup._cosets`): the lattice keeps it for
+every normal subgroup it lists, and any other subgroup gathers it from
+the table once, on first use.  They walk those heads, building no coset;
+the plain one pairs each Hx with Hx^-1 unless x*x lies in H.  The
+|H| = 3 total rule walks the same heads and reads each three-element
+coset Hx off the table.  So :func:`cross_check`, its graph build and its
+four deciders gather no coset of a listed subgroup.
 Brute-force searchers (exact cover
 over a built graph, component by component) are the independent oracles;
 a search node with fewer uncovered vertices than the component's smallest
@@ -41,7 +45,6 @@ from .graphs import SumGraph, _bits, _sum_graphs
 from .groups import (
     Group,
     Subgroup,
-    _coset_least,
     _require_iterable,
     _require_type,
     normal_subgroups,
@@ -251,9 +254,10 @@ def decide_perfect_code(G: Group, H: Subgroup) -> _Ruling:
     code exists exactly when every coset Hx with x*x in H holds a
     self-inverse element; such an element dominates its whole block, while
     the paired blocks Hx with Hx^-1 are always handled by taking x and its
-    inverse.  The cosets are read off one gather of their least members
-    (:func:`~sumgraph.groups._coset_least`): each coset Hx is visited at
-    its least member x.  When x*x is in H, Hx is closed under inverses and
+    inverse.  The cosets are read off H's coset record, the least member
+    of each element's coset and the ascending heads
+    (:attr:`~sumgraph.groups.Subgroup._cosets`): each coset Hx is visited
+    at its head, its least member x.  When x*x is in H, Hx is closed under inverses and
     is a unit alone, which takes its least self-inverse member; otherwise
     Hx pairs with Hx^-1 = (Hx)^-1 (H is normal), whose representative is
     the least member of x^-1's coset, and the pair takes x and x^-1 at the
@@ -266,10 +270,10 @@ def decide_perfect_code(G: Group, H: Subgroup) -> _Ruling:
         h = next(m for m in H.members if m != G.identity)
         times_h = G.table[:, h].tolist()  # x -> x*h
         return "order-two-subgroup", tuple(x for x in range(n) if times_h[inv[x]] >= x), None
-    least = _coset_least(G, H.members)
+    least, heads = H._cosets
     pivot = {least[v]: v for v in reversed(range(n)) if inv[v] == v}  # least self-inverse v of each coset
     chosen: list[int] = []
-    for x in [x for x, rep in enumerate(least) if rep == x]:
+    for x in heads:
         if G.rows[x][x] in H.member_set:  # the unit is Hx alone
             if x not in pivot:  # the least such x: the identity's coset always has a pivot
                 return _refuted("square-coset-without-involution", coset_representative=x)
@@ -287,7 +291,8 @@ def decide_total_perfect_code(G: Group, H: Subgroup) -> _Ruling:
     exactly when the matching is perfect, i.e. no element squares to the
     non-identity member of H; the code is then everything.  The only other
     possibility is |H| = 3 with G a product of Z2 factors and one Z3: every
-    block is then a three-vertex star, covered by its centre plus one leaf.
+    block is then a three-vertex star, covered by its centre plus one leaf,
+    read off each coset Hx at the heads of H's coset record.
     """
     if H.order == 2:
         h = next(m for m in H.members if m != G.identity)
@@ -300,7 +305,7 @@ def decide_total_perfect_code(G: Group, H: Subgroup) -> _Ruling:
         if not (G.abelian and all(6 % o == 0 for o in orders) and sum(3 % o == 0 for o in orders) == 3):
             return _refuted("not-elementary-two-times-three", group_order=G.order)
         chosen = []
-        for x in [x for x, rep in enumerate(_coset_least(G, H.members)) if rep == x]:
+        for x in H._cosets.heads:
             c = [G.rows[h][x] for h in H.members]  # Hx
             centre = min(v for v in c if G.inverses[v] == v)
             chosen.extend([centre, min(v for v in c if v != centre)])
@@ -316,15 +321,14 @@ def decide_perfect_code_extended(G: Group, H: Subgroup) -> _Ruling:
     so picking the lesser of each pair works.  Otherwise a code exists
     exactly when every square lies in H: all blocks are then complete on
     one coset each, and any transversal is a code; the witness is the
-    least member of every coset.
+    least member of every coset, the heads of H's coset record.
     """
     n, inv = G.order, G.inverses
     if H.order == 1:
         return "trivial-subgroup", tuple(v for v in range(n) if inv[v] >= v), None
     outside = sorted(G.square_set - H.member_set)
     if not outside:
-        least = _coset_least(G, H.members)
-        return "squares-inside-subgroup", tuple(x for x, rep in enumerate(least) if rep == x), None
+        return "squares-inside-subgroup", tuple(H._cosets.heads), None
     sq = outside[0]
     element = np.diagonal(G.table).tolist().index(sq)
     return _refuted("square-outside-subgroup", element=element, square=sq)

@@ -23,7 +23,7 @@ from functools import cached_property
 from typing import Iterable, Iterator
 
 from .errors import InternalInconsistencyError
-from .groups import Group, Subgroup, _coset_least, _require_iterable, _require_type, require_normal
+from .groups import Group, Subgroup, _require_iterable, _require_type, require_normal
 
 __all__ = [
     "SumGraph",
@@ -114,23 +114,26 @@ def _sum_graphs(
     right coset into one coset, i.e. ``least_inv`` is constant on each.
     The plain graph is the extended one less each pair {x, x^-1}, since
     x * x^-1 = e is the one product it leaves out: row x drops the bit the
-    group keeps for x (``Group._inverse_bits``).
+    group keeps for x (``Group._inverse_bits``).  ``least`` and the coset
+    heads are H's record (:attr:`~sumgraph.groups.Subgroup._cosets`),
+    which the lattice keeps for every subgroup it lists, so the build
+    gathers no table rows for them.
 
     The components are ``(mask, least)`` pairs, one per coset head r with
     p = ``least_inv[r]`` at least r, ascending: the mask of Hr and Hp,
     ``least`` the smallest degree in it.  Every row of one coset is the
     mask of the other, so the pair is closed, and it is complete bipartite
-    between them, or a clique on Hr when p == r: connected, with degrees
-    the size of the other coset, less one in a clique.  These are the
+    between them, or a clique on Hr when p == r: connected, with every
+    degree |H|, the size of a coset, less one in a clique.  These are the
     ``(mask, least)`` pairs a walk of the extended graph finds
-    (:attr:`SumGraph._component_masks`), counted off the masks.
+    (:attr:`SumGraph._component_masks`).
     """
     _require_type(G, Group)
     _require_iterable(subgroups, "subgroups")
     n, inv = G.order, G.inverses
     for H in subgroups:
         require_normal(G, H)
-        least = _coset_least(G, H.members)
+        least, heads = H._cosets.least.tolist(), H._cosets.heads
         least_inv = list(map(least.__getitem__, inv))
         if least_inv != list(map(least_inv.__getitem__, least)):
             raise InternalInconsistencyError("adjacency came out asymmetric for a normal subgroup")
@@ -139,11 +142,8 @@ def _sum_graphs(
             cm[r] |= 1 << x
         extended = tuple(cm[p] ^ (1 << x) if least[x] == p else cm[p] for x, p in enumerate(least_inv))
         plain = tuple(map(operator.xor, extended, G._inverse_bits))
-        parts = tuple(
-            (cm[r] | cm[p], min(cm[r].bit_count(), cm[p].bit_count()) - (p == r))
-            for r, p in enumerate(least_inv)
-            if least[r] == r and p >= r
-        )
+        pairs = zip(heads, map(least_inv.__getitem__, heads))
+        parts = tuple((cm[r] | cm[p], H.order - (p == r)) for r, p in pairs if p >= r)
         yield SumGraph(G, H, False, plain), SumGraph(G, H, True, extended), parts
 
 

@@ -27,8 +27,9 @@ from __future__ import annotations
 import itertools
 import math
 import os
+from array import array
 from functools import cached_property
-from typing import Callable, Iterable, Iterator, Sequence
+from typing import Callable, Iterable, Iterator, NamedTuple, Sequence
 
 import numpy as np
 
@@ -212,7 +213,8 @@ class Group:
 
 class Subgroup:
     """A validated subgroup of a :class:`Group`, stored as sorted indices,
-    with the generators ``_generators`` that proved it a subgroup."""
+    with the generators ``_generators`` that proved it a subgroup and, once
+    read, its right cosets' record ``_cosets``."""
 
     def __init__(self, parent: Group, members: Iterable[int]):
         """Check the input, then prove it a subgroup by generators: the
@@ -265,6 +267,13 @@ class Subgroup:
     @property
     def order(self) -> int:
         return len(self.members)
+
+    @cached_property
+    def _cosets(self) -> "_Cosets":
+        """The right cosets' record, :func:`_coset_record` of the members:
+        filled by the lattice walk for every normal subgroup it lists,
+        read on first use for any other."""
+        return _coset_record(self.parent, self.members)
 
     @cached_property
     def is_normal(self) -> bool:
@@ -882,24 +891,42 @@ def _powers(table: np.ndarray, x: np.ndarray, k: int) -> np.ndarray:
 
 def _lattice(G: Group) -> list[Subgroup]:
     """Every normal subgroup of G, ordered by (order, members), each built
-    from its join's closure by :meth:`Subgroup._of_closure`.
+    from its join's closure by :meth:`Subgroup._of_closure` and given the
+    coset record (:attr:`Subgroup._cosets`) the walk read.
 
     The atoms are the subgroups generated by the conjugacy classes; a class
     is closed under conjugation, so the atom of g is the normal closure of
-    g.  Each atom is closed once and atoms are deduplicated.  Starting from
-    {e}, every subgroup B found is joined with atoms by a BFS from its
-    generators plus the atom's; joins are deduplicated by their reached
-    set.  Every normal subgroup is the join of the atoms of the classes it
-    contains, so the fixed point is the whole normal lattice.
+    g.  Classes come in order of least member g, and g^j for j prime to
+    ord(g) generates the same cyclic subgroup as g, so the class of g^j has
+    the same normal closure: after closing the atom of g, its coprime
+    powers are marked with it, and a later class holding a marked element
+    takes that atom without a closure (its rational class, as in Holt,
+    Eick and O'Brien, *Handbook of Computational Group Theory*): Z_n closes
+    d(n) atoms, not n.  Distinct rational classes can still share a normal
+    closure ((12) and (1234) in S4), so the closed atoms are deduplicated
+    by their reached set as well.  Starting from {e}, the atom of the
+    identity's class, every subgroup B found is joined with atoms; every
+    normal subgroup is the join of the atoms of the classes it contains,
+    so the fixed point is the whole normal lattice.
 
-    Two guards keep the joins few, as in Neubüser's cyclic extension method.  The join
-    of B with the atom of g depends only on the coset Bg, since B is normal:
-    the walk joins only at each g outside B that heads its coset, read off
-    one gather (:func:`_coset_least`), so no atom inside B is joined.
-    Elements of one class lie in many cosets, so each atom is joined at
-    most once per base as well.  The cost is then at most (#found x
-    min(#cosets, #atoms)) joins of O(|join| * |gens|) each, plus one
-    column minimum of B's table rows per base.
+    Two guards keep the joins few, as in Neubüser's cyclic extension
+    method.  The join of B with the atom of g depends only on the coset Bg,
+    since B is normal: the walk joins only at each head of a coset of B
+    outside B, read off B's coset record (:func:`_coset_record`), so no
+    atom inside B is joined.  Elements of one class lie in many cosets, so
+    each atom is joined at most once per base as well.  A join is keyed
+    before it is closed: B and the atom A are both normal, so BA, their
+    join, is the union of the cosets Ba for a in A, the OR of the masks of
+    the cosets headed by least[a] (:func:`_product_mask`), made from B's
+    record once per base.  Only a key not yet found is closed, by a BFS
+    from B's generators plus A's, which must reach exactly the key's
+    members; so each subgroup is closed once, by the first join that
+    finds it, with the generators it has always had.  The cost is at most
+    #found x min(#cosets, #atoms) keys of O(|A|) each, one
+    O(|join| * |gens|) closure per subgroup, and one column minimum of B's
+    table rows and one pass over its cosets per base.  A base becomes its
+    subgroup, with its record, as soon as its walk ends, and its closure
+    is dropped: only the queued closures are held, not one per subgroup.
 
     The lattice can be far too large to list (E2^8 has 417,199 normal
     subgroups), so a lower bound on its size (:func:`_normal_subgroup_bound`)
@@ -912,51 +939,83 @@ def _lattice(G: Group) -> list[Subgroup]:
         raise BadParameterError(
             f"{G.name} has at least {bound} normal subgroups, over the budget of {SUBGROUP_BUDGET}"
         )
+    e = G.identity
     atoms: list[_Closure] = []
-    atom_of = [0] * G.order  # atom_of[g]: index in atoms of the normal closure of g
+    atom_of = [-1] * G.order  # atom_of[g]: index in atoms of the normal closure of g, -1 until known
     index: dict[bytes, int] = {}
     for cls in conjugacy_classes(G):
-        atom = _Closure(G.table, G.identity, cls)
-        k = index.setdefault(bytes(atom.reached), len(atoms))
-        if k == len(atoms):
-            atoms.append(atom)
-        for g in cls:
-            atom_of[g] = k
-    trivial = _Closure(G.table, G.identity)
-    found = {bytes(trivial.reached): trivial}
-    queue = [trivial]
+        k = max(map(atom_of.__getitem__, cls))  # a marked member's atom, or -1
+        if k < 0:
+            atom = _Closure(G.table, e, cls)
+            k = index.setdefault(bytes(atom.reached), len(atoms))
+            if k == len(atoms):
+                atoms.append(atom)
+            times_g, powers = G.table[:, cls[0]].tolist(), [e]
+            while (x := times_g[powers[-1]]) != e:  # powers[j] = g^j for j < ord(g)
+                powers.append(x)
+            for j, x in enumerate(powers):
+                if math.gcd(j, len(powers)) == 1:
+                    atom_of[x] = k
+        for x in cls:
+            atom_of[x] = k
+    found = {1 << e}
+    queue = [atoms[atom_of[e]]]  # the trivial subgroup, the atom of the identity's class
+    subgroups = []
     while queue:
         base = queue.pop()
+        cosets = _coset_record(G, base.members)
+        least, masks = cosets.least, [0] * G.order  # masks[r]: the coset of B headed by r
+        for x, r in enumerate(least):
+            masks[r] |= 1 << x
         atom_tried = bytearray(len(atoms))
-        for g, least in enumerate(_coset_least(G, base.members)):
-            if least != g or base.reached[g]:  # g heads no coset, or heads B itself
-                continue
+        for g in cosets.heads:
             k = atom_of[g]
-            if atom_tried[k]:
+            if base.reached[g] or atom_tried[k]:  # g heads B itself, or its atom was keyed
                 continue
             atom_tried[k] = 1
+            key = _product_mask(masks, least, atoms[k].members)
+            if key in found:
+                continue
+            if len(found) == SUBGROUP_BUDGET:
+                raise BadParameterError(
+                    f"{G.name} has more than the budget of {SUBGROUP_BUDGET} normal subgroups"
+                )
             join = base.joined(atoms[k].gens, atoms[k].columns)
-            key = bytes(join.reached)
-            if key not in found:
-                if len(found) == SUBGROUP_BUDGET:
-                    raise BadParameterError(
-                        f"{G.name} has more than the budget of {SUBGROUP_BUDGET} normal subgroups"
-                    )
-                found[key] = join
-                queue.append(join)
-    subgroups = (Subgroup._of_closure(G, c) for c in found.values())
+            reached = np.packbits(np.frombuffer(join.reached, np.uint8), bitorder="little")
+            if int.from_bytes(reached.tobytes(), "little") != key:
+                raise InternalInconsistencyError("a lattice join is not the product of its cosets")
+            found.add(key)
+            queue.append(join)
+        sub = Subgroup._of_closure(G, base)
+        sub.__dict__["_cosets"] = cosets
+        subgroups.append(sub)
     return sorted(subgroups, key=lambda H: (H.order, H.members))
+
+
+def _product_mask(masks: list[int], least: Sequence[int], members: Iterable[int]) -> int:
+    """The members of BA as a bitmask, for normal subgroups B and A: the
+    union of the cosets Ba, a in A, ``masks[r]`` being the coset of B
+    headed by r and ``least[a]`` the head of Ba."""
+    key = 0
+    for r in set(map(least.__getitem__, members)):
+        key |= masks[r]
+    return key
 
 
 def normal_subgroups(G: Group) -> list[Subgroup]:
     """All normal subgroups, sorted by (order, member tuple).
 
     They are the joins of the normal closures of the conjugacy classes,
-    found by joining each subgroup found with one atom per coset and per
-    atom (see :func:`_lattice`).  In an abelian group those closures are the
-    cyclic subgroups: Z48 has 9 distinct ones, not 47.
+    one closure per rational class at most, found by keying the join of
+    each subgroup found with one atom per coset and per atom by its cosets
+    and closing only the new ones (see :func:`_lattice`).  In an abelian
+    group those closures are the cyclic subgroups: Z48 closes its 10, not
+    48 classes, and makes 9 joins, one per subgroup past the trivial one.
 
     The result is computed once per group and returned as a fresh list.
+    Each subgroup in it keeps the coset record the walk read
+    (:attr:`Subgroup._cosets`), which the graph build and the deciders
+    read instead of gathering table rows again.
     Its size is a hard limit that no algorithm avoids: in an abelian group
     every subgroup is normal, and E2^6 has 2825 subgroups, E2^7 29,212 and
     E2^8 417,199.  A group with more than
@@ -976,25 +1035,47 @@ def normal_subgroups(G: Group) -> list[Subgroup]:
 def right_cosets(G: Group, H: Subgroup) -> list[tuple[int, ...]]:
     """The partition of G into right cosets Hx, each a sorted tuple of its
     members, so its first entry, the least member, is its representative;
-    the identity's coset first, the rest ordered by representative."""
+    the identity's coset first, the rest ordered by representative.  Read
+    off H's coset record (:attr:`Subgroup._cosets`)."""
     require_subgroup(G, H)
     members: dict[int, list[int]] = {H.members[0]: []}  # He = H, so min(H) names it
-    for x, rep in enumerate(_coset_least(G, H.members)):  # x ascends: reps met in order, members sorted
+    for x, rep in enumerate(H._cosets.least):  # x ascends: reps met in order, members sorted
         members.setdefault(rep, []).append(x)
     return [tuple(ms) for ms in members.values()]
 
 
-def _coset_least(G: Group, members: Sequence[int]) -> list[int]:
-    """Entry x is min(Hx) for the subgroup H with these ``members``, so the
-    heads of the right cosets are the x equal to their entry.  The column
-    minima are taken over gathers of at most ``_LIGHT_BLOCK_CELLS`` cells,
-    one block of members to order 256, so a large H gathers no |H| x n array."""
+class _Cosets(NamedTuple):
+    """The right cosets of a subgroup H of G: ``least[x]`` = min(Hx), and
+    ``heads``, the x with ``least[x] == x`` ascending, the least member of
+    each coset.  Both are ``array``s in the table's compact dtype (2 bytes
+    an entry below order 2^15), not lists, since a group keeps its whole
+    lattice and so a record per subgroup."""
+
+    least: array
+    heads: array
+
+
+def _coset_record(G: Group, members: Sequence[int]) -> _Cosets:
+    """The :class:`_Cosets` of the subgroup with these ``members``, read
+    off one :func:`_coset_least` gather."""
+    least = _coset_least(G, members)
+    heads = (least == np.arange(G.order, dtype=least.dtype)).nonzero()[0].astype(least.dtype)
+    return _Cosets(array(least.dtype.char, least.tobytes()), array(least.dtype.char, heads.tobytes()))
+
+
+def _coset_least(G: Group, members: Sequence[int]) -> np.ndarray:
+    """Entry x is min(Hx) for the subgroup H with these ``members``, in
+    the table's dtype, so the heads of the right cosets are the x equal to
+    their entry.  The column minima are taken over gathers of at most
+    ``_LIGHT_BLOCK_CELLS`` cells, one block of members to order 256, so a
+    large H gathers no |H| x n array.  Each subgroup reads it once, into
+    its record (:attr:`Subgroup._cosets`)."""
     table = G.table
     step = max(1, _LIGHT_BLOCK_CELLS // G.order)
     least = table.take(members[:step], axis=0).min(axis=0)
     for start in range(step, len(members), step):
         np.minimum(least, table.take(members[start : start + step], axis=0).min(axis=0), out=least)
-    return least.tolist()
+    return least
 
 
 def _prime_factors(n: int) -> list[int]:

@@ -56,6 +56,7 @@ from helpers import (
     greedy_generators,
     is_dedekind,
     is_normal_by_definition,
+    permutation_group,
     relabelled,
     subgroup_as_group,
     sweep,
@@ -984,6 +985,31 @@ def test_normal_lattice_is_invariant_under_relabelling(data):
     assert sorted(H.members for H in normal_subgroups(R)) == mapped
 
 
+def test_lattice_and_coset_records_do_not_depend_on_labels():
+    """``normal_subgroups`` of a relabelled table is the image of G's,
+    member for member, over sweep(32), the benchmark's verify groups, and
+    A4 and S4 built from permutations.  In S4 the transposition (12) and
+    the 4-cycle (1234) lie in two rational classes with one normal
+    closure, S4 itself, so the atoms are still deduplicated by their
+    members.  Each subgroup's coset record is the coset-least vector of
+    its members, in the table's dtype, and the heads read off it."""
+    A4 = permutation_group([(1, 2, 0, 3), (0, 2, 3, 1)])
+    S4 = permutation_group([(1, 2, 3, 0), (1, 0, 2, 3)])
+    groups = [*sweep(32), *(build_group(parse_group_expr(text)) for text in VERIFY_GROUPS), A4, S4]
+    assert [len(normal_subgroups(G)) for G in (A4, S4)] == [3, 4]
+    for seed, G in enumerate(groups):
+        R, perm = relabelled(G, seed)
+        mapped = (tuple(sorted(int(perm[x]) for x in H.members)) for H in normal_subgroups(G))
+        assert [H.members for H in normal_subgroups(R)] == sorted(mapped, key=lambda ms: (len(ms), ms)), G
+        for K in (G, R):
+            for H in normal_subgroups(K):
+                least = groups_module._coset_least(K, H.members)
+                assert least.dtype == K.table.dtype
+                assert H._cosets.least.tolist() == least.tolist()
+                assert H._cosets.heads.tolist() == [x for x, r in enumerate(least.tolist()) if r == x]
+                assert H._cosets.least.itemsize == H._cosets.heads.itemsize == K.table.itemsize
+
+
 def test_subgroup_counts_against_known_values():
     assert len(normal_subgroups(elementary_abelian_2(3))) == 16  # abelian: every subgroup
     assert len(normal_subgroups(quaternion())) == 6  # Hamiltonian: every subgroup
@@ -994,7 +1020,7 @@ def test_subgroup_counts_against_known_values():
 
 
 @pytest.mark.parametrize(
-    "text, subgroups, joins",
+    "text, subgroups, keys",
     [
         ("E2^5", 374, 2_077),
         ("Q8 x Z2 x Z2 x Z2", 425, 2_897),
@@ -1003,22 +1029,54 @@ def test_subgroup_counts_against_known_values():
         ("Z48", 10, 45),
     ],
 )
-def test_lattice_join_count(monkeypatch, text, subgroups, joins):
-    """The lattice joins each subgroup B it finds with at most one atom per
-    coset of B outside B, and with each atom at most once.  In E2^5 each
-    atom is a line, and the lines through the heads of distinct cosets are
-    distinct, so every coset joins once: the count is the sum over the
-    subspaces B of |G/B| - 1, that is 31 + 465 + 1,085 + 465 + 31."""
+def test_lattice_join_count(monkeypatch, text, subgroups, keys):
+    """The lattice keys the join of each subgroup B it finds with at most
+    one atom per coset of B outside B, and with each atom at most once.  In
+    E2^5 each atom is a line, and the lines through the heads of distinct
+    cosets are distinct, so every coset is keyed once: the count is the sum
+    over the subspaces B of |G/B| - 1, that is 31 + 465 + 1,085 + 465 + 31.
+    Only a key not found before is closed, so the closures made are the
+    subgroups other than the trivial one, which is an atom."""
     G = build_group(parse_group_expr(text))  # fresh: the lattice is cached per group
-    joined, calls = groups_module._Closure.joined, []
+    joined, product_mask = groups_module._Closure.joined, groups_module._product_mask
+    closures, tried = [], []
 
-    def counting(self, *args):
-        calls.append(self)
+    def counting_joined(self, *args):
+        closures.append(self)
         return joined(self, *args)
 
-    monkeypatch.setattr(groups_module._Closure, "joined", counting)
+    def counting_mask(*args):
+        tried.append(args)
+        return product_mask(*args)
+
+    monkeypatch.setattr(groups_module._Closure, "joined", counting_joined)
+    monkeypatch.setattr(groups_module, "_product_mask", counting_mask)
     assert len(normal_subgroups(G)) == subgroups
-    assert len(calls) == joins
+    assert len(tried) == keys
+    assert len(closures) == subgroups - 1
+
+
+def test_lattice_closes_one_atom_per_cyclic_subgroup(monkeypatch):
+    """In Z_n every element is its own class, and g^j for j prime to
+    ord(g) generates the cyclic subgroup g does, so the lattice closes one
+    atom per cyclic subgroup, d(n) of them, not n, whichever index each
+    element has: relabelled tables move the identity off index 0, so the
+    first atom is not the trivial one.  The budget bound, which closes the
+    derived subgroup, is stubbed out of the count."""
+    init, made = groups_module._Closure.__init__, []
+
+    def counting_init(self, *args):
+        made.append(args)
+        init(self, *args)
+
+    groups = [cyclic(n) for n in range(1, 513)] + [relabelled(cyclic(n), n)[0] for n in range(1, 65)]
+    monkeypatch.setattr(groups_module, "_normal_subgroup_bound", lambda G: 1)
+    monkeypatch.setattr(groups_module._Closure, "__init__", counting_init)  # validation closes too
+    for G in groups:
+        made.clear()
+        H = normal_subgroups(G)
+        divisors = sum(G.order % d == 0 for d in range(1, G.order + 1))
+        assert len(made) == len(H) == divisors, G.order
 
 
 def test_subgroup_budget_fails_fast(monkeypatch):
