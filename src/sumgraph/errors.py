@@ -96,9 +96,12 @@ def _quoted(text: str) -> str:
 def _index(value, what: str, low: int | None = None, high: int | None = None) -> int:
     """``value`` as a Python int: an element index or a constructor
     parameter, at least ``low`` and at most ``high`` when given (``high``
-    only with ``low``).  A float or a string is a BadParameterError, not
-    truncated; so is a value out of range, named by :func:`_shown`."""
+    only with ``low``).  A float, a string or a bool is a
+    BadParameterError, not truncated or read as 0 or 1; so is a value out
+    of range, named by :func:`_shown`."""
     try:
+        if isinstance(value, bool):  # operator.index would read it as 0 or 1
+            raise TypeError
         value = operator.index(value)
     except TypeError:
         raise BadParameterError(f"{what} {value!r} is not an integer") from None

@@ -147,32 +147,21 @@ class _Parser:
         if tok is None:
             raise ParseError("expected a group atom", self.offset, _ATOM_TOKENS)
         kind, _, at = tok
-        if kind == "z":
+        if kind in _ATOM_KINDS:
             self.take()
-            n, n_at = self.integer("cyclic group order")
-            if n < 1:
-                raise ParseError("cyclic order must be at least 1", n_at, ("integer >= 1",))
-            return CyclicExpr(n)
-        if kind == "d":
-            self.take()
-            order, n_at = self.integer("dihedral group order")
-            if order < 6 or order % 2:
-                raise ParseError(
-                    "dihedral order must be even and at least 6", n_at, ("even integer >= 6",)
-                )
-            return DihedralExpr(order)
-        if kind == "dic":
-            self.take()
-            n, n_at = self.integer("dicyclic index")
-            if n < 2:
-                raise ParseError("dicyclic index must be at least 2", n_at, ("integer >= 2",))
-            return DicyclicExpr(n)
+            cls = _ATOM_KINDS[kind]
+            _, _, what, low = _FIELDS[cls]
+            value, value_at = self.integer(what)
+            expr = cls(value)
+            try:
+                _field(expr)
+            except BadParameterError as exc:
+                even = "even " if cls is DihedralExpr else ""
+                raise ParseError(str(exc), value_at, (f"{even}integer >= {low}",)) from None
+            return expr
         if kind == "q8":
             self.take()
             return QuaternionExpr()
-        if kind == "e2":
-            self.take()
-            return ElementaryAbelianExpr(self.integer("exponent")[0])
         if kind == "lparen":
             if self.depth == _MAX_NESTING:
                 raise ParseError(f"parentheses nested deeper than {_MAX_NESTING}", at)
@@ -241,18 +230,16 @@ _FIELDS = {
     DicyclicExpr: ("Dic", "n", "dicyclic parameter", 2),
     ElementaryAbelianExpr: ("E2^", "t", "exponent", 0),
 }
+# token -> the atom class it starts, whose field follows it
+_ATOM_KINDS = {"z": CyclicExpr, "d": DihedralExpr, "dic": DicyclicExpr, "e2": ElementaryAbelianExpr}
 
 
 def _field(expr: GroupExpr) -> int:
-    """The integer field of an atom with one, as the parser would make it:
-    an int at least the atom's least value, and an even dihedral order.  A
-    bool, which ``operator.index`` reads as 0 or 1, is refused with every
-    other value that is not an integer."""
+    """The integer field of an atom with one, as the parser makes it: an
+    int (not a bool) at least the atom's least value, and an even dihedral
+    order.  The parser checks each field it reads here too."""
     _, name, what, low = next(spec for kind, spec in _FIELDS.items() if isinstance(expr, kind))
-    value = getattr(expr, name)
-    if isinstance(value, bool):
-        raise BadParameterError(f"{what} {value!r} is not an integer")
-    value = _index(value, what, low=low)
+    value = _index(getattr(expr, name), what, low=low)
     # D7 would build D6 and tag it D7, which the dihedral decider trusts
     if isinstance(expr, DihedralExpr) and value % 2:
         raise BadParameterError(f"dihedral order {_shown(value)} is odd")

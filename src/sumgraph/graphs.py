@@ -23,7 +23,7 @@ from functools import cached_property
 from typing import Iterable, Iterator
 
 from .errors import InternalInconsistencyError
-from .groups import Group, Subgroup, _require_iterable, _require_type, require_normal
+from .groups import Group, Subgroup, _coset_masks, _require_iterable, _require_type, require_normal
 
 __all__ = [
     "SumGraph",
@@ -106,9 +106,9 @@ def _sum_graphs(
 
     x*y lies in H exactly when y lies in the right coset Hx^-1 (H is
     normal), so each graph is read off the least member of every right
-    coset, ``least[x]`` = min(Hx) (:func:`~sumgraph.groups._coset_least`),
-    and ``least_inv[x]`` = min(Hx^-1).  One pass over x ORs bit x into the
-    mask of its coset, ``cm[least[x]]``, and extended row x is the mask
+    coset, ``least[x]`` = min(Hx), and ``least_inv[x]`` = min(Hx^-1).
+    One pass over x ORs bit x into the mask of its coset, ``cm[least[x]]``
+    (:func:`~sumgraph.groups._coset_masks`), and extended row x is the mask
     of the coset Hx^-1, less bit x when x lies in it: no n x n array is
     made.  The relation is symmetric exactly when x -> x^-1 maps each
     right coset into one coset, i.e. ``least_inv`` is constant on each.
@@ -130,16 +130,14 @@ def _sum_graphs(
     """
     _require_type(G, Group)
     _require_iterable(subgroups, "subgroups")
-    n, inv = G.order, G.inverses
+    inv = G.inverses
     for H in subgroups:
         require_normal(G, H)
         least, heads = H._cosets.least.tolist(), H._cosets.heads
         least_inv = list(map(least.__getitem__, inv))
         if least_inv != list(map(least_inv.__getitem__, least)):
             raise InternalInconsistencyError("adjacency came out asymmetric for a normal subgroup")
-        cm = [0] * n
-        for x, r in enumerate(least):
-            cm[r] |= 1 << x
+        cm = _coset_masks(least)
         extended = tuple(cm[p] ^ (1 << x) if least[x] == p else cm[p] for x, p in enumerate(least_inv))
         plain = tuple(map(operator.xor, extended, G._inverse_bits))
         pairs = zip(heads, map(least_inv.__getitem__, heads))

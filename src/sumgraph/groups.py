@@ -88,10 +88,13 @@ __all__ = [
 DEFAULT_MAX_ORDER = 512
 MAX_ORDER_ENV = "SUMGRAPH_MAX_ORDER"
 SUBGROUP_BUDGET = 40_000  # normal subgroups listed at most: E2^7 has 29,212, E2^8 417,199
+_TABLE_DTYPE = np.int16  # of every table: the cap keeps each index below 2^15
 
 
 def max_supported_order() -> int:
-    """Soft cap on group order; override with the SUMGRAPH_MAX_ORDER variable."""
+    """Soft cap on group order; override with the SUMGRAPH_MAX_ORDER
+    variable, up to 32,767, the largest order whose indices all fit
+    :data:`_TABLE_DTYPE`."""
     raw = os.environ.get(MAX_ORDER_ENV)
     if raw is None:
         return DEFAULT_MAX_ORDER
@@ -99,15 +102,15 @@ def max_supported_order() -> int:
         value = int(raw)
     except ValueError:
         raise BadParameterError(f"{MAX_ORDER_ENV} must be an integer, got {_quoted(raw)}") from None
-    return _index(value, MAX_ORDER_ENV, low=1)
+    return _index(value, MAX_ORDER_ENV, low=1, high=int(np.iinfo(_TABLE_DTYPE).max))
 
 
 class Group:
     """A finite group on elements ``0..order-1`` with a validated table.
 
-    ``table`` is the table the validation read, C-ordered and read-only, in
-    its :func:`_compact_dtype` (int16 below order 2^15): the one copy made
-    of a caller's table, or the table a constructor built, kept as it is.
+    ``table`` is the table the validation read, C-ordered, read-only and
+    int16 (:data:`_TABLE_DTYPE`): the one copy made of a caller's table,
+    or the table a constructor built, kept as it is.
     Do not call directly; use :func:`group_from_cayley_table` or one of the
     family constructors, which perform the full validation.
     """
@@ -270,10 +273,18 @@ class Subgroup:
 
     @cached_property
     def _cosets(self) -> "_Cosets":
-        """The right cosets' record, :func:`_coset_record` of the members:
-        filled by the lattice walk for every normal subgroup it lists,
-        read on first use for any other."""
-        return _coset_record(self.parent, self.members)
+        """The right cosets' record, gathered once, on first use: entry x
+        of ``least`` is min(Hx), the column minimum of H's table rows, so
+        the heads are the x equal to their entry.  The minima are taken
+        over gathers of at most ``_LIGHT_BLOCK_CELLS`` cells, one block of
+        members to order 256, so a large H gathers no |H| x n array."""
+        table, members = self.parent.table, self.members
+        step = max(1, _LIGHT_BLOCK_CELLS // len(table))
+        least = table.take(members[:step], axis=0).min(axis=0)
+        for start in range(step, len(members), step):
+            np.minimum(least, table.take(members[start : start + step], axis=0).min(axis=0), out=least)
+        heads = (least == np.arange(len(least), dtype=least.dtype)).nonzero()[0].astype(least.dtype)
+        return _Cosets(array(least.dtype.char, least.tobytes()), array(least.dtype.char, heads.tobytes()))
 
     @cached_property
     def is_normal(self) -> bool:
@@ -434,8 +445,8 @@ def _check_associative(table: np.ndarray, identity: int) -> tuple[int, ...]:
     BFS rounds cost more than the whole check at the small orders most
     tables have.
 
-    The table comes in the compact dtype :func:`_validated_group`
-    narrows it to, and each round gathers and compares it in blocks of rows
+    The table comes in the int16 :func:`_validated_group` narrows it
+    to, and each round gathers and compares it in blocks of rows
     x of at most ``_LIGHT_BLOCK_CELLS`` cells, ascending, into two
     C-ordered buffers that every block reuses: on D512 that is 128 rows,
     two operands of 128 KB that stay in cache, and a round takes about
@@ -484,15 +495,6 @@ def _check_latin(table: np.ndarray) -> None:
         raise NotLatinSquareError(f"column {int(np.argmin(col_ok))} is not a permutation")
 
 
-def _compact_dtype(n: int) -> type[np.signedinteger]:
-    """The narrowest signed dtype that holds every index below ``n`` and
-    ``n`` itself: int16 below 2^15, else int32.  It is the dtype of every
-    table the constructors build, of the table validation reads and of
-    the ``Group.table`` kept: a table of order 512 is 0.5 MB in int16
-    against 2 MB in int32, so its gathers and sorts stay in cache."""
-    return np.int16 if n < 1 << 15 else np.int32
-
-
 def group_from_cayley_table(
     table: Sequence[Sequence[int]] | np.ndarray,
     labels: Sequence[str] | None = None,
@@ -506,8 +508,9 @@ def group_from_cayley_table(
     Each failure names the offending indices.  The range check reads the
     table as given (an integer array as is, anything else as int64); the
     later ones (:func:`_validated_group`) read a C-ordered copy narrowed
-    to :func:`_compact_dtype`, a cast the range check makes exact, which
-    becomes ``Group.table``, so the caller's table stays the caller's.
+    to int16 (:data:`_TABLE_DTYPE`), a cast the range check and the order
+    cap make exact, which becomes ``Group.table``, so the caller's table
+    stays the caller's.
     The labels, when given, must be a sequence of n distinct strings, not
     one string; a repeated one is named.
     """
@@ -524,7 +527,7 @@ def group_from_cayley_table(
     _check_order(n)
     if table.min() < 0 or table.max() >= n:
         raise BadParameterError(f"table entries must lie in 0..{n - 1}")
-    return _validated_group(table.astype(_compact_dtype(n), order="C"), labels, None)
+    return _validated_group(table.astype(_TABLE_DTYPE, order="C"), labels, None)
 
 
 def _validated_group(table: np.ndarray, labels: Sequence[str] | None, tag: GroupExpr | None) -> Group:
@@ -535,8 +538,8 @@ def _validated_group(table: np.ndarray, labels: Sequence[str] | None, tag: Group
     ``table`` is square, within the order cap and has its entries in
     0..n-1: :func:`group_from_cayley_table` checks that of a caller's
     table, and :func:`~sumgraph.exprs.build_group` and
-    :func:`direct_product` build theirs so.  Narrowed to
-    :func:`_compact_dtype` if it is not in it already, it becomes
+    :func:`direct_product` build theirs so.  Narrowed to int16
+    (:data:`_TABLE_DTYPE`) if it is not in it already, it becomes
     ``Group.table`` without a copy: a copy of D512's would be 0.5 MB more,
     and freeing it with the group makes the allocator give the heap's top
     back to the system (a pass of the benchmark's 20 ``queries`` requests
@@ -551,7 +554,7 @@ def _validated_group(table: np.ndarray, labels: Sequence[str] | None, tag: Group
     :func:`_identity_and_inverses`).
     """
     n = table.shape[0]
-    arr = table.astype(_compact_dtype(n), copy=False)
+    arr = table.astype(_TABLE_DTYPE, copy=False)
     try:
         e, inv = _identity_and_inverses(arr)
         generators = _check_associative(arr, e)
@@ -705,18 +708,16 @@ def _expr_table(expr: GroupExpr) -> tuple[np.ndarray, Sequence[str] | None]:
     return _product_table(parts)
 
 
-def _cyclic_table(n: int, sign: int = 1, dtype: type[np.signedinteger] | None = None) -> np.ndarray:
-    """``(i + sign*j) mod n`` for i, j in ``0..n-1``, in ``dtype`` or else
-    ``_compact_dtype(n)``.  Row i is the window of n residues
-    starting at i (or at n-1-i when ``sign`` is -1) in one row of 2n - 1
-    residues, so no n x n array is allocated: the result is a read-only
-    view onto that row."""
-    dtype = np.dtype(dtype or _compact_dtype(n))
+def _cyclic_table(n: int, sign: int = 1) -> np.ndarray:
+    """``(i + sign*j) mod n`` for i, j in ``0..n-1``, in int16.  Row i is
+    the window of n residues starting at i (or at n-1-i when ``sign`` is
+    -1) in one row of 2n - 1 residues, so no n x n array is allocated:
+    the result is a read-only view onto that row."""
     k = np.arange(2 * n - 1)
-    ramp = (k % n if sign > 0 else (n - 1 - k) % n).astype(dtype)
-    step = dtype.itemsize
+    ramp = (k % n if sign > 0 else (n - 1 - k) % n).astype(_TABLE_DTYPE)
+    step = ramp.itemsize
     offset, down = (0, step) if sign > 0 else ((n - 1) * step, -step)
-    table = np.ndarray((n, n), dtype, ramp, offset, (down, step))
+    table = np.ndarray((n, n), _TABLE_DTYPE, ramp, offset, (down, step))
     table.flags.writeable = False
     return table
 
@@ -736,7 +737,7 @@ def _two_coset_table(m: int, shift: int) -> np.ndarray:
     _check_order(size)
     # a^i a^j b = a^(i+j) b and a^i b a^j = a^(i-j) b: a flip on the left
     # negates j; a^i b a^j b = a^(i-j) b^2 = a^(i-j+shift)
-    P, M = (_cyclic_table(m, sign, _compact_dtype(size)) for sign in (1, -1))
+    P, M = (_cyclic_table(m, sign) for sign in (1, -1))
     table = np.empty((size, size), P.dtype)
     table[:m, :m] = P
     np.add(P, m, out=table[:m, m:])
@@ -763,13 +764,11 @@ def _product_table(
     one mixed-radix digit per part (x -> x*f + d); labels are the
     "(x,y,...)" tuples in the same lexicographic order, a part's labels
     None standing for "0".."f-1"."""
-    n = math.prod(len(t) for t, _ in parts)
-    _check_order(n)
-    dtype = _compact_dtype(n)
-    table = np.zeros((1, 1), dtype=dtype)
+    _check_order(math.prod(len(t) for t, _ in parts))
+    table = np.zeros((1, 1), dtype=_TABLE_DTYPE)
     for t, _ in parts:
         f, m = len(t), len(table)
-        t = t.astype(dtype, copy=False)
+        t = t.astype(_TABLE_DTYPE, copy=False)
         table = (table[:, None, :, None] * f + t[None, :, None, :]).reshape(m * f, m * f)
     labels = (map(str, range(len(t))) if lbls is None else lbls for t, lbls in parts)
     return table, ["(" + ",".join(p) + ")" for p in itertools.product(*labels)]
@@ -891,7 +890,7 @@ def _powers(table: np.ndarray, x: np.ndarray, k: int) -> np.ndarray:
 
 def _lattice(G: Group) -> list[Subgroup]:
     """Every normal subgroup of G, ordered by (order, members), each built
-    from its join's closure by :meth:`Subgroup._of_closure` and given the
+    from its join's closure by :meth:`Subgroup._of_closure`, with the
     coset record (:attr:`Subgroup._cosets`) the walk read.
 
     The atoms are the subgroups generated by the conjugacy classes; a class
@@ -912,21 +911,22 @@ def _lattice(G: Group) -> list[Subgroup]:
     Two guards keep the joins few, as in Neubüser's cyclic extension
     method.  The join of B with the atom of g depends only on the coset Bg,
     since B is normal: the walk joins only at each head of a coset of B
-    outside B, read off B's coset record (:func:`_coset_record`), so no
+    outside B, read off B's coset record (:attr:`Subgroup._cosets`), so no
     atom inside B is joined.  Elements of one class lie in many cosets, so
     each atom is joined at most once per base as well.  A join is keyed
     before it is closed: B and the atom A are both normal, so BA, their
     join, is the union of the cosets Ba for a in A, the OR of the masks of
-    the cosets headed by least[a] (:func:`_product_mask`), made from B's
-    record once per base.  Only a key not yet found is closed, by a BFS
-    from B's generators plus A's, which must reach exactly the key's
-    members; so each subgroup is closed once, by the first join that
-    finds it, with the generators it has always had.  The cost is at most
+    the cosets headed by least[a] (:func:`_product_mask`), made by
+    :func:`_coset_masks` from B's record once per base.  Only a key not
+    yet found is closed, by a BFS from B's generators plus A's, which must
+    reach exactly the key's members; so each subgroup is closed once, by
+    the first join that finds it, with the generators it has always had.  The cost is at most
     #found x min(#cosets, #atoms) keys of O(|A|) each, one
     O(|join| * |gens|) closure per subgroup, and one column minimum of B's
     table rows and one pass over its cosets per base.  A base becomes its
-    subgroup, with its record, as soon as its walk ends, and its closure
-    is dropped: only the queued closures are held, not one per subgroup.
+    subgroup, which gathers its record, when it is popped, and its closure
+    is dropped once its walk ends: only the queued closures are held, not
+    one per subgroup.
 
     The lattice can be far too large to list (E2^8 has 417,199 normal
     subgroups), so a lower bound on its size (:func:`_normal_subgroup_bound`)
@@ -963,12 +963,11 @@ def _lattice(G: Group) -> list[Subgroup]:
     subgroups = []
     while queue:
         base = queue.pop()
-        cosets = _coset_record(G, base.members)
-        least, masks = cosets.least, [0] * G.order  # masks[r]: the coset of B headed by r
-        for x, r in enumerate(least):
-            masks[r] |= 1 << x
+        sub = Subgroup._of_closure(G, base)
+        least, heads = sub._cosets
+        masks = _coset_masks(least)
         atom_tried = bytearray(len(atoms))
-        for g in cosets.heads:
+        for g in heads:
             k = atom_of[g]
             if base.reached[g] or atom_tried[k]:  # g heads B itself, or its atom was keyed
                 continue
@@ -986,10 +985,17 @@ def _lattice(G: Group) -> list[Subgroup]:
                 raise InternalInconsistencyError("a lattice join is not the product of its cosets")
             found.add(key)
             queue.append(join)
-        sub = Subgroup._of_closure(G, base)
-        sub.__dict__["_cosets"] = cosets
         subgroups.append(sub)
     return sorted(subgroups, key=lambda H: (H.order, H.members))
+
+
+def _coset_masks(least: Sequence[int]) -> list[int]:
+    """``masks[r]``: the right coset of H headed by r as a bitmask, given
+    ``least[x]`` = min(Hx); 0 at an r that heads no coset."""
+    masks = [0] * len(least)
+    for x, r in enumerate(least):
+        masks[r] |= 1 << x
+    return masks
 
 
 def _product_mask(masks: list[int], least: Sequence[int], members: Iterable[int]) -> int:
@@ -1047,35 +1053,11 @@ def right_cosets(G: Group, H: Subgroup) -> list[tuple[int, ...]]:
 class _Cosets(NamedTuple):
     """The right cosets of a subgroup H of G: ``least[x]`` = min(Hx), and
     ``heads``, the x with ``least[x] == x`` ascending, the least member of
-    each coset.  Both are ``array``s in the table's compact dtype (2 bytes
-    an entry below order 2^15), not lists, since a group keeps its whole
-    lattice and so a record per subgroup."""
+    each coset.  Both are int16 ``array``s, 2 bytes an entry, not lists,
+    since a group keeps its whole lattice and so a record per subgroup."""
 
     least: array
     heads: array
-
-
-def _coset_record(G: Group, members: Sequence[int]) -> _Cosets:
-    """The :class:`_Cosets` of the subgroup with these ``members``, read
-    off one :func:`_coset_least` gather."""
-    least = _coset_least(G, members)
-    heads = (least == np.arange(G.order, dtype=least.dtype)).nonzero()[0].astype(least.dtype)
-    return _Cosets(array(least.dtype.char, least.tobytes()), array(least.dtype.char, heads.tobytes()))
-
-
-def _coset_least(G: Group, members: Sequence[int]) -> np.ndarray:
-    """Entry x is min(Hx) for the subgroup H with these ``members``, in
-    the table's dtype, so the heads of the right cosets are the x equal to
-    their entry.  The column minima are taken over gathers of at most
-    ``_LIGHT_BLOCK_CELLS`` cells, one block of members to order 256, so a
-    large H gathers no |H| x n array.  Each subgroup reads it once, into
-    its record (:attr:`Subgroup._cosets`)."""
-    table = G.table
-    step = max(1, _LIGHT_BLOCK_CELLS // G.order)
-    least = table.take(members[:step], axis=0).min(axis=0)
-    for start in range(step, len(members), step):
-        np.minimum(least, table.take(members[start : start + step], axis=0).min(axis=0), out=least)
-    return least
 
 
 def _prime_factors(n: int) -> list[int]:

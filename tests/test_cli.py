@@ -6,6 +6,8 @@ import errno
 import io
 import json
 import os
+import re
+import shlex
 import subprocess
 import sys
 import time
@@ -17,7 +19,9 @@ import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
-from sumgraph import SWEEP_FAMILIES, Verdict, cli, codes, normal_subgroups, sweep_groups
+from sumgraph import (
+    SWEEP_FAMILIES, Verdict, build_group, cli, codes, normal_subgroups, parse_group_expr, sweep_groups,
+)
 from sumgraph import groups as groups_module
 from sumgraph.cli import main
 
@@ -463,6 +467,15 @@ def test_scan_above_the_order_cap_fails_before_any_work(capsys, monkeypatch, tmp
     assert not target.exists()
 
 
+def test_a_cap_past_int16_indices_exits_two(capsys, monkeypatch):
+    """Tables are int16, so a cap above 32,767 is refused with one short
+    error line."""
+    monkeypatch.setenv("SUMGRAPH_MAX_ORDER", "32768")
+    rc, out, err = run(capsys, "normals", "Z4")
+    assert rc == 2 and out == ""
+    assert err == "error: SUMGRAPH_MAX_ORDER 32768 out of range: must be in 1..32767\n"
+
+
 def test_scan_refuses_an_over_budget_sweep_before_its_first_record(capsys, monkeypatch, tmp_path):
     """Both abelian types of order 256 over the subgroup budget are named,
     with their counts, before any group is built or any record written."""
@@ -797,7 +810,7 @@ _SELECTORS = _mostly(
 )
 _CAPS = _mostly(
     st.sampled_from([None, "16", "64", "512"]),
-    st.sampled_from(["0", "-3", "abc", "", "9" * 5000]),
+    st.sampled_from(["0", "-3", "abc", "", "32768", "9" * 5000]),
 )
 _FLAGS = st.lists(st.sampled_from(["--extended", "--total", "--construct", "--oracle"]), unique=True)
 _FAMILY_LISTS = st.one_of(
@@ -848,3 +861,29 @@ def test_cli_fails_fast_and_briefly_on_any_input(call):
     assert "Traceback" not in err.getvalue() + out.getvalue(), argv
     assert all(len(line) < 200 for line in err.getvalue().splitlines()), (argv, err.getvalue()[:300])
     assert seconds < 1, (argv, cap, seconds)
+
+
+README = Path(__file__).resolve().parents[1] / "README.md"
+
+
+def test_every_readme_command_and_selector_works(capsys, monkeypatch, tmp_path):
+    """Each ``sumgraph ...`` line of the README's shell blocks exits 0, run
+    in a fresh directory for the files it writes, and each ``gen:``
+    selector the prose shows resolves on a group whose labels it uses."""
+    monkeypatch.delenv("SUMGRAPH_MAX_ORDER", raising=False)
+    monkeypatch.chdir(tmp_path)
+    text = README.read_text(encoding="utf-8")
+    blocks = re.findall(r"^```sh\n(.*?)^```", text, re.S | re.M)
+    commands = [line for block in blocks for line in block.splitlines() if line.startswith("sumgraph ")]
+    assert len(commands) == 12
+    for line in commands:
+        rc, _, err = run(capsys, *shlex.split(line, comments=True)[1:])
+        assert rc == 0, (line, err)
+    assert (tmp_path / "graph.json").exists() and (tmp_path / "scan.jsonl").exists()
+
+    groups = {"gen:3": "Z6", "gen:(1,0),(0,2)": "Z2 x Z4", "gen:a^2,b": "D12"}
+    prose = re.sub(r"^```.*?^```", "", text, flags=re.S | re.M)
+    assert sorted(re.findall(r"`(gen:[^`]*)`", prose)) == sorted(groups)
+    for selector, expr in groups.items():
+        G = build_group(parse_group_expr(expr))
+        assert len(cli.resolve_subgroup(G, selector)) > 1, selector

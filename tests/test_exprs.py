@@ -80,6 +80,10 @@ def test_parse_errors_carry_offset_and_expectations():
         parse_group_expr("W5")
     assert exc.value.offset == 0
 
+    with pytest.raises(ParseError, match=r"^expected a group atom, found '\)' at offset 5 ") as exc:
+        parse_group_expr("Z4 x )")
+    assert exc.value.offset == 5
+
     # offsets point at the offending token in error messages
     with pytest.raises(ParseError) as exc:
         parse_group_expr("Z4 x !")
@@ -92,6 +96,10 @@ def test_parse_errors_carry_offset_and_expectations():
         with pytest.raises(ParseError) as exc:
             parse_group_expr("(" * depth + "Z2" + ")" * depth)
         assert exc.value.offset == 100
+    # closed parentheses before it give no extra depth
+    with pytest.raises(ParseError) as exc:
+        parse_group_expr("(Z2) x ((Z3)) x " + "(" * 101 + "Z2" + ")" * 101)
+    assert exc.value.offset == 116
 
 
 def test_parse_rejects_bad_parameters():
@@ -102,6 +110,29 @@ def test_parse_rejects_bad_parameters():
     with pytest.raises(ParseError) as exc:
         parse_group_expr("Z2 x D7")
     assert exc.value.offset == 6
+
+
+@pytest.mark.parametrize(
+    "text, atom, message, offset, expected",
+    [
+        ("Z0", CyclicExpr(0), "cyclic order 0 out of range: must be >= 1", 1, "integer >= 1"),
+        ("D4", DihedralExpr(4), "dihedral order 4 out of range: must be >= 6", 1, "even integer >= 6"),
+        ("D7", DihedralExpr(7), "dihedral order 7 is odd", 1, "even integer >= 6"),
+        ("Dic1", DicyclicExpr(1), "dicyclic parameter 1 out of range: must be >= 2", 3, "integer >= 2"),
+        ("Z2 x D7", DihedralExpr(7), "dihedral order 7 is odd", 6, "even integer >= 6"),
+    ],
+)
+def test_a_bad_field_is_refused_with_the_message_build_group_gives(text, atom, message, offset, expected):
+    """The parser checks each atom's integer with ``_field``, the check
+    :func:`build_group` makes of the bad atom, so the message is the same,
+    given at the integer's offset with the tokens that would fit there."""
+    with pytest.raises(ParseError) as exc:
+        parse_group_expr(text)
+    assert str(exc.value) == f"{message} at offset {offset} (expected: {expected})"
+    assert exc.value.offset == offset
+    assert exc.value.expected == (expected,)
+    with pytest.raises(BadParameterError, match=f"^{message}$"):
+        build_group(atom)
 
 
 @pytest.mark.parametrize(

@@ -295,6 +295,7 @@ _Z6_H3 = Subgroup(_Z6, [0, 2, 4])
         (lambda: Subgroup(_Z6, 5), "members must be a sequence, got int"),
         (lambda: is_perfect_code(build_graph(_Z6, _Z6_H3), 5), "code must be a sequence, got int"),
         (lambda: is_total_perfect_code(build_graph(_Z6, _Z6_H3), 5), "code must be a sequence, got int"),
+        (lambda: is_perfect_code(build_graph(_Z6, _Z6_H3), [0, True]), "code member True is not an integer"),
         (lambda: cross_check(_Z6, 5), "subgroups must be a sequence, got int"),
     ],
     ids=[
@@ -304,7 +305,7 @@ _Z6_H3 = Subgroup(_Z6, [0, 2, 4])
         "components", "graph_to_json", "to_dot",
         "verdict_to_json-group", "verdict_to_json-subgroup", "verdict_to_json-verdict",
         "subgroup_generated-generators", "Subgroup-members", "is_perfect_code-code",
-        "is_total_perfect_code-code", "cross_check-int",
+        "is_total_perfect_code-code", "cross_check-int", "is_perfect_code-bool",
     ],
 )
 def test_an_argument_of_the_wrong_type_is_a_bad_parameter(call, message):

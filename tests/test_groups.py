@@ -40,6 +40,7 @@ from sumgraph import (
     direct_product,
     elementary_abelian_2,
     group_from_cayley_table,
+    max_supported_order,
     normal_subgroups,
     parse_group_expr,
     quaternion,
@@ -452,17 +453,15 @@ def test_vectorised_constructors_match_loops():
         table, labels = reference(n)
         assert np.array_equal(G.table, table), (build.__name__, n)
         assert G.labels == labels, (build.__name__, n)
-        if G.order == 512:  # D512 and Dic128: the loops' table, in the compact dtype and byte for byte
-            dtype = groups_module._compact_dtype(G.order)
-            assert G.table.dtype == dtype, (build.__name__, n)
-            assert G.table.tobytes() == table.astype(dtype).tobytes(), (build.__name__, n)
+        if G.order == 512:  # D512 and Dic128: the loops' table, in int16 and byte for byte
+            assert G.table.dtype == np.int16, (build.__name__, n)
+            assert G.table.tobytes() == table.astype(np.int16).tobytes(), (build.__name__, n)
 
     i = np.arange(512)
     for G, table in ((cyclic(512), np.add.outer(i, i) % 512),
                      (elementary_abelian_2(9), np.bitwise_xor.outer(i, i))):
-        dtype = groups_module._compact_dtype(G.order)
-        assert G.table.dtype == dtype, G
-        assert G.table.tobytes() == table.astype(dtype).tobytes(), G
+        assert G.table.dtype == np.int16, G
+        assert G.table.tobytes() == table.astype(np.int16).tobytes(), G
 
 
 def test_order_cap_is_checked_before_allocation(monkeypatch):
@@ -761,10 +760,12 @@ def test_constructor_parameter_validation():
     ):
         with pytest.raises(BadParameterError, match="-<5001-digit number> out of range"):
             build(arg)
-    # a float or a string is not truncated or parsed into an order
+    # a float, a string or a bool is not truncated, parsed or read as 0 or 1
     for build, arg in (
         (cyclic, 2.5), (cyclic, 6.0), (cyclic, "6"), (dihedral, 4.0), (dicyclic, 2.5),
         (abelian, [2.0, 3]), (elementary_abelian_2, "3"), (sweep_groups, 8.5),
+        (cyclic, True), (cyclic, np.True_), (dihedral, True), (dicyclic, True),
+        (abelian, [True, 2]), (elementary_abelian_2, False), (sweep_groups, True),
     ):
         with pytest.raises(BadParameterError, match="is not an integer"):
             build(arg)
@@ -783,6 +784,18 @@ def test_order_cap_and_env_override():
             del os.environ["SUMGRAPH_MAX_ORDER"]
         else:
             os.environ["SUMGRAPH_MAX_ORDER"] = old
+
+
+def test_order_cap_stops_where_int16_indices_end(monkeypatch):
+    """Every table is int16, so 32,767 is the highest cap: above it an
+    index would not fit the table."""
+    for raw in ("1", "32767"):
+        monkeypatch.setenv("SUMGRAPH_MAX_ORDER", raw)
+        assert max_supported_order() == int(raw)
+    for raw in ("32768", "65536", "9" * 30):
+        monkeypatch.setenv("SUMGRAPH_MAX_ORDER", raw)
+        with pytest.raises(BadParameterError, match=r"out of range: must be in 1\.\.32767$"):
+            max_supported_order()
 
 
 def test_groups_are_named_by_their_expressions():
@@ -828,7 +841,7 @@ def test_subgroup_validation():
         Subgroup(G, [0, 10**5000])
     assert Subgroup(G, [np.int64(0), np.int64(6)]).members == (0, 6)
     C = cyclic(4)
-    for members in ([0, 2.7], ["0", "2"], ["a"], [None]):  # 2.7 is not truncated to 2
+    for members in ([0, 2.7], ["0", "2"], ["a"], [None], [0, True, 2, 3]):  # 2.7 is not 2, True not 1
         with pytest.raises(BadParameterError, match="is not an integer"):
             Subgroup(C, members)
 
@@ -845,6 +858,8 @@ def test_subgroup_generated():
         subgroup_generated(C, [1.5])  # not truncated to <1>
     with pytest.raises(BadParameterError, match="is not an integer"):
         subgroup_generated(C, ["3"])
+    with pytest.raises(BadParameterError, match="^generator True is not an integer$"):
+        subgroup_generated(C, [True])  # not read as <1>
     with pytest.raises(BadParameterError, match="out of range"):
         subgroup_generated(C, [12])
 
@@ -991,8 +1006,8 @@ def test_lattice_and_coset_records_do_not_depend_on_labels():
     A4 and S4 built from permutations.  In S4 the transposition (12) and
     the 4-cycle (1234) lie in two rational classes with one normal
     closure, S4 itself, so the atoms are still deduplicated by their
-    members.  Each subgroup's coset record is the coset-least vector of
-    its members, in the table's dtype, and the heads read off it."""
+    members.  Each subgroup's coset record holds min(Hx) for every x, in
+    the table's dtype, and the heads read off it."""
     A4 = permutation_group([(1, 2, 0, 3), (0, 2, 3, 1)])
     S4 = permutation_group([(1, 2, 3, 0), (1, 0, 2, 3)])
     groups = [*sweep(32), *(build_group(parse_group_expr(text)) for text in VERIFY_GROUPS), A4, S4]
@@ -1003,7 +1018,7 @@ def test_lattice_and_coset_records_do_not_depend_on_labels():
         assert [H.members for H in normal_subgroups(R)] == sorted(mapped, key=lambda ms: (len(ms), ms)), G
         for K in (G, R):
             for H in normal_subgroups(K):
-                least = groups_module._coset_least(K, H.members).tolist()
+                least = K.table[list(H.members)].min(axis=0).tolist()  # column x holds Hx
                 assert H._cosets.least.tolist() == least
                 assert H._cosets.heads.tolist() == [x for x, r in enumerate(least) if r == x]
                 assert H._cosets.least.typecode == H._cosets.heads.typecode == K.table.dtype.char
