@@ -25,11 +25,14 @@ killed.
 from __future__ import annotations
 
 import argparse
+import collections
+import contextlib
 import functools
 import itertools
 import json
 import os
 import sys
+import time
 from typing import Iterable, Iterator, TextIO
 
 from . import __version__
@@ -52,6 +55,7 @@ from .groups import (
     Group,
     Subgroup,
     _abelian_subgroup_count,
+    _Closure,
     abelian_isomorphism_types,
     normal_subgroups,
     subgroup_generated,
@@ -118,11 +122,13 @@ def _group_for(text: str) -> Group:
     return build_group(parse_group_expr(text))
 
 
-def _open_out(path: str | None) -> tuple[TextIO, bool]:
+def _output(path: str | None) -> contextlib.AbstractContextManager[TextIO]:
+    """The stream ``--out`` names, stdout for none or ``-``, as a context
+    that closes only a file it opened."""
     if path is None or path == "-":
-        return sys.stdout, False
+        return contextlib.nullcontext(sys.stdout)
     try:
-        return open(path, "w", encoding="utf-8"), True
+        return open(path, "w", encoding="utf-8")
     except OSError as exc:
         raise BadParameterError(f"cannot write --out {path}: {exc.strerror}") from None
 
@@ -134,7 +140,7 @@ def _open_out(path: str | None) -> tuple[TextIO, bool]:
 def _cmd_normals(args: argparse.Namespace) -> int:
     G = _group_for(args.expr)
     for k, H in enumerate(normal_subgroups(G)):
-        generators = Subgroup(G, H.members)._generators  # grown greedily from the least members
+        generators = _Closure(G.table, G.identity, H.members).gens  # grown greedily from the least members
         record = {
             "index": k,
             "order": len(H),
@@ -154,12 +160,8 @@ def _cmd_graph(args: argparse.Namespace) -> int:
         text = to_dot(graph, color_components=args.color_components)
     else:
         text = json.dumps(graph_to_json(graph), indent=2) + "\n"
-    stream, owned = _open_out(args.out)
-    try:
+    with _output(args.out) as stream:
         stream.write(text)
-    finally:
-        if owned:
-            stream.close()
     return 0
 
 
@@ -197,8 +199,9 @@ def _entry_checks(entries) -> Iterator[tuple]:
         yield entry.subgroup, decider, verdict.exists, entry.oracle, verdict
 
 
-def _check_lines(G: Group, checks: Iterable[tuple]) -> Iterator[tuple[bool, str]]:
-    """Each check's record as one JSON line, with whether it agrees.
+def _write_checks(G: Group, checks: Iterable[tuple], stream: TextIO, tally: collections.Counter) -> None:
+    """Write each check's record to ``stream`` as one JSON line, and count
+    it in ``tally`` under whether it agrees.
 
     A check is (subgroup members, decider name, verdict, oracle answer,
     ruling), the ruling the :class:`Verdict` whose ``rule`` and
@@ -206,7 +209,7 @@ def _check_lines(G: Group, checks: Iterable[tuple]) -> Iterator[tuple[bool, str]
     record is ``group``, ``order``, ``subgroup``, ``decider``,
     ``verdict``, ``oracle`` and ``agree``, plus those two; the line is
     the bytes of ``json.dumps`` of it, written from a JSON head made once
-    per group and a member list made once per subgroup.
+    per call and a member list made once per subgroup.
     """
     head = f'{{"group": {json.dumps(G.name)}, "order": {G.order}, "subgroup": '
     listed: dict[tuple[int, ...], str] = {}
@@ -221,21 +224,22 @@ def _check_lines(G: Group, checks: Iterable[tuple]) -> Iterator[tuple[bool, str]
         )
         if not agree and ruling is not None:
             line += f', "rule": {json.dumps(ruling.rule)}, "certificate": {json.dumps(ruling.certificate)}'
-        yield agree, line + "}\n"
+        tally[agree] += 1
+        stream.write(line + "}\n")
 
 
 def _cmd_crosscheck(args: argparse.Namespace) -> int:
     G = _group_for(args.expr)
-    report = cross_check(G)
-    for _, line in _check_lines(G, _entry_checks(report.entries)):
-        sys.stdout.write(line)
-    bad = report.disagreements
+    start = time.perf_counter()
+    tally: collections.Counter = collections.Counter()  # agrees -> checks
+    for H in normal_subgroups(G):  # each subgroup's records written before the next is checked
+        _write_checks(G, _entry_checks(cross_check(G, [H]).entries), sys.stdout, tally)
     print(
-        f"crosscheck {G.name}: {len(report.entries)} checks, "
-        f"{len(bad)} disagreements ({report.seconds:.2f}s)",
+        f"crosscheck {G.name}: {tally.total()} checks, "
+        f"{tally[False]} disagreements ({time.perf_counter() - start:.2f}s)",
         file=sys.stderr,
     )
-    return 1 if bad else 0
+    return 1 if tally[False] else 0
 
 
 def _refuse_over_budget(max_order: int, families: list[str]) -> None:
@@ -256,11 +260,9 @@ def _cmd_scan(args: argparse.Namespace) -> int:
     families = [f.strip() for f in args.families.split(",") if f.strip()]
     groups = sweep_groups(args.max_order, families)
     _refuse_over_budget(args.max_order, families)
-    stream, owned = _open_out(args.out)
     groups_seen = 0
-    checks = 0
-    disagreements = 0
-    try:
+    tally: collections.Counter = collections.Counter()  # agrees -> checks
+    with _output(args.out) as stream:
         for G in groups:
             groups_seen += 1
             report = cross_check(G)
@@ -270,18 +272,12 @@ def _cmd_scan(args: argparse.Namespace) -> int:
                 for H in normal_subgroups(G)
                 for name, verdict, kind in _family_checks(G, H)
             )
-            for agree, line in _check_lines(G, itertools.chain(_entry_checks(report.entries), family)):
-                checks += 1
-                disagreements += not agree
-                stream.write(line)
-    finally:
-        if owned:
-            stream.close()
+            _write_checks(G, itertools.chain(_entry_checks(report.entries), family), stream, tally)
     print(
-        f"scan: {groups_seen} groups, {checks} checks, {disagreements} disagreements",
+        f"scan: {groups_seen} groups, {tally.total()} checks, {tally[False]} disagreements",
         file=sys.stderr,
     )
-    return 1 if disagreements else 0
+    return 1 if tally[False] else 0
 
 
 def _cmd_classify(args: argparse.Namespace) -> int:

@@ -76,22 +76,22 @@ GroupExpr = (
 )
 
 
+# atom text -> (its class, its field, what the field is called, the least
+# value the parser makes); Q8 has no field
+_ATOMS = {
+    "Z": (CyclicExpr, "n", "cyclic order", 1),
+    "D": (DihedralExpr, "order", "dihedral order", 6),
+    "Dic": (DicyclicExpr, "n", "dicyclic parameter", 2),
+    "Q8": (QuaternionExpr, None, None, None),
+    "E2^": (ElementaryAbelianExpr, "t", "exponent", 0),
+}
+_ATOM_KEYS = {text.lower(): spec for text, spec in _ATOMS.items()}  # keywords are case-insensitive
 _TOKEN_RE = re.compile(
-    r"""\s*(?:
-      (?P<dic>dic)
-    | (?P<e2>e2\^)
-    | (?P<q8>q8)
-    | (?P<z>z)
-    | (?P<d>d)
-    | (?P<x>x)
-    | (?P<lparen>\()
-    | (?P<rparen>\))
-    | (?P<int>\d+)
-    )""",
-    re.IGNORECASE | re.VERBOSE,
+    r"\s*(?:(?P<atom>" + "|".join(map(re.escape, sorted(_ATOMS, key=len, reverse=True)))  # Dic before D
+    + r")|(?P<x>x)|(?P<lparen>\()|(?P<rparen>\))|(?P<int>\d+))",
+    re.IGNORECASE,
 )
-
-_ATOM_TOKENS = ("Z", "D", "Dic", "Q8", "E2^", "(")
+_ATOM_TOKENS = (*_ATOMS, "(")
 _MAX_NESTING = 100  # parenthesis depth; bounds the parser's recursion
 
 
@@ -146,11 +146,12 @@ class _Parser:
         tok = self.peek()
         if tok is None:
             raise ParseError("expected a group atom", self.offset, _ATOM_TOKENS)
-        kind, _, at = tok
-        if kind in _ATOM_KINDS:
+        kind, text, at = tok
+        if kind == "atom":
             self.take()
-            cls = _ATOM_KINDS[kind]
-            _, _, what, low = _FIELDS[cls]
+            cls, name, what, low = _ATOM_KEYS[text.lower()]
+            if name is None:
+                return cls()
             value, value_at = self.integer(what)
             expr = cls(value)
             try:
@@ -159,9 +160,6 @@ class _Parser:
                 even = "even " if cls is DihedralExpr else ""
                 raise ParseError(str(exc), value_at, (f"{even}integer >= {low}",)) from None
             return expr
-        if kind == "q8":
-            self.take()
-            return QuaternionExpr()
         if kind == "lparen":
             if self.depth == _MAX_NESTING:
                 raise ParseError(f"parentheses nested deeper than {_MAX_NESTING}", at)
@@ -174,7 +172,7 @@ class _Parser:
                 raise ParseError("unclosed parenthesis", self.offset, (")",))
             self.take()
             return inner
-        raise ParseError(f"expected a group atom, found {_quoted(tok[1])}", at, _ATOM_TOKENS)
+        raise ParseError(f"expected a group atom, found {_quoted(text)}", at, _ATOM_TOKENS)
 
     def expr(self) -> GroupExpr:
         parts = [self.atom()]
@@ -206,10 +204,10 @@ def format_group_expr(expr: GroupExpr) -> str:
     is refused here too, by the same :func:`_field` and :func:`_parts`
     checks, so no text is printed that the parser would read as another
     expression or not at all; so is a field too long for ``str``."""
-    if isinstance(expr, QuaternionExpr):
-        return "Q8"
-    for kind, (prefix, _, what, _) in _FIELDS.items():
+    for prefix, (kind, name, what, _) in _ATOMS.items():
         if isinstance(expr, kind):
+            if name is None:
+                return prefix
             value = _field(expr)
             try:
                 return prefix + str(value)
@@ -222,23 +220,11 @@ def format_group_expr(expr: GroupExpr) -> str:
     return " x ".join(bits)
 
 
-# atom class -> (its text before the field, its field, what the field is
-# called, the least value the parser makes)
-_FIELDS = {
-    CyclicExpr: ("Z", "n", "cyclic order", 1),
-    DihedralExpr: ("D", "order", "dihedral order", 6),
-    DicyclicExpr: ("Dic", "n", "dicyclic parameter", 2),
-    ElementaryAbelianExpr: ("E2^", "t", "exponent", 0),
-}
-# token -> the atom class it starts, whose field follows it
-_ATOM_KINDS = {"z": CyclicExpr, "d": DihedralExpr, "dic": DicyclicExpr, "e2": ElementaryAbelianExpr}
-
-
 def _field(expr: GroupExpr) -> int:
     """The integer field of an atom with one, as the parser makes it: an
     int (not a bool) at least the atom's least value, and an even dihedral
     order.  The parser checks each field it reads here too."""
-    _, name, what, low = next(spec for kind, spec in _FIELDS.items() if isinstance(expr, kind))
+    _, name, what, low = next(spec for spec in _ATOMS.values() if isinstance(expr, spec[0]))
     value = _index(getattr(expr, name), what, low=low)
     # D7 would build D6 and tag it D7, which the dihedral decider trusts
     if isinstance(expr, DihedralExpr) and value % 2:

@@ -502,23 +502,24 @@ def group_from_cayley_table(
     """Validate a multiplication table and wrap it in an untagged
     :class:`Group`, named ``generic``.
 
-    Checks, in order of precedence: shape, order cap and entry range, the
-    Latin-square property (rows, then columns), a two-sided identity,
+    Checks, in order of precedence: integer entries (a float, bool or
+    string entry is refused, not cast), shape, order cap and entry range,
+    the Latin-square property (rows, then columns), a two-sided identity,
     two-sided inverses, and associativity (Light's test, O(n^2 log n)).
     Each failure names the offending indices.  The range check reads the
-    table as given (an integer array as is, anything else as int64); the
-    later ones (:func:`_validated_group`) read a C-ordered copy narrowed
-    to int16 (:data:`_TABLE_DTYPE`), a cast the range check and the order
-    cap make exact, which becomes ``Group.table``, so the caller's table
-    stays the caller's.
+    table as given; the later ones (:func:`_validated_group`) read a
+    C-ordered copy narrowed to int16 (:data:`_TABLE_DTYPE`), a cast the
+    range check and the order cap make exact, which becomes
+    ``Group.table``, so the caller's table stays the caller's.
     The labels, when given, must be a sequence of n distinct strings, not
     one string; a repeated one is named.
     """
-    if not (isinstance(table, np.ndarray) and table.dtype.kind in "iu"):
-        try:
-            table = np.asarray(table, dtype=np.int64)
-        except (TypeError, ValueError, OverflowError) as exc:
-            raise BadParameterError(f"table must be a square array of integers: {exc}") from None
+    try:
+        table = np.asarray(table)
+    except ValueError as exc:  # a ragged table
+        raise BadParameterError(f"table must be a square array of integers: {exc}") from None
+    if table.size and table.dtype.kind not in "iu":  # a cast would read 1.9 as 1 and True as 1
+        raise BadParameterError(f"table must be a square array of integers, not of {table.dtype}")
     if table.ndim != 2 or table.shape[0] != table.shape[1]:
         raise BadParameterError(f"table must be square, got shape {table.shape}")
     n = table.shape[0]
@@ -1101,11 +1102,8 @@ def abelian_isomorphism_types(max_order: int) -> list[tuple[int, ...]]:
                 m //= p
                 k += 1
             per_prime.append([tuple(p**e for e in part) for part in _partitions(k)])
-        combos: list[tuple[int, ...]] = [()]
-        for options in per_prime:
-            combos = [c + opt for c in combos for opt in options]
-        for combo in combos:
-            types.append(tuple(sorted(combo)))
+        for combo in itertools.product(*per_prime):
+            types.append(tuple(sorted(itertools.chain.from_iterable(combo))))
     return types
 
 

@@ -77,6 +77,17 @@ def test_normals_match_reference_generators(capsys):
         assert [json.loads(line) for line in out.splitlines()] == expected, G.name
 
 
+def test_normals_builds_no_subgroup(capsys, monkeypatch):
+    """The lattice has proved every subgroup ``normals`` lists: its
+    generators are read from a closure, with no second proof."""
+    built = []
+    init = groups_module.Subgroup.__init__
+    monkeypatch.setattr(groups_module.Subgroup, "__init__", lambda self, *a: built.append(a) or init(self, *a))
+    rc, out, _ = run(capsys, "normals", "D16 x D8")
+    assert rc == 0 and out.count("\n") == len(normal_subgroups(build_group(parse_group_expr("D16 x D8"))))
+    assert built == []
+
+
 def test_graph_dot_output(capsys):
     rc, out, _ = run(capsys, "graph", "Z6", "--subgroup", "gen:3")
     assert rc == 0
@@ -343,6 +354,22 @@ def test_crosscheck_reports_agreement(capsys):
         "extended_total",
     }
     assert "0 disagreements" in err
+
+
+def test_crosscheck_writes_each_subgroup_before_checking_the_next(monkeypatch):
+    """``crosscheck`` checks one normal subgroup at a time and writes its
+    four records before the next is checked, so no group's records are
+    all held at once."""
+    out = io.StringIO()
+    written = []
+    check = cli.cross_check
+    monkeypatch.setattr(cli, "cross_check", lambda G, subgroups: written.append(len(out.getvalue())) or check(G, subgroups))
+    with contextlib.redirect_stdout(out), contextlib.redirect_stderr(io.StringIO()) as err:
+        assert main(["crosscheck", "D12"]) == 0
+    records = out.getvalue().splitlines()
+    assert len(written) == len(records) // 4 == 7  # D12 has seven normal subgroups
+    assert written[0] == 0 and all(a < b for a, b in zip(written, written[1:]))
+    assert err.getvalue().startswith("crosscheck D12: 28 checks, 0 disagreements (")
 
 
 def test_scan_small_sweep(capsys):

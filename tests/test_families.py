@@ -8,6 +8,7 @@ import random
 import pytest
 
 import sumgraph.families as families
+import sumgraph.groups as groups_module
 from sumgraph import (
     BadParameterError,
     InternalInconsistencyError,
@@ -432,6 +433,15 @@ def test_a_refuted_subgroup_is_rechecked(monkeypatch):
     assert seen == [(0, 2, 4, 6)]
     assert is_code_perfect(cyclic(6))  # a "yes" asks the decider nothing
     assert seen == [(0, 2, 4, 6)]
+
+
+def test_a_mixed_subgroup_outside_the_dihedral_catalogue_is_caught():
+    """Every normal mixed proper subgroup of a dihedral group has index 2:
+    any other one handed to the decider is an internal inconsistency."""
+    G = dihedral(4)
+    H = groups_module._mark_normal(Subgroup(G, [0, 4]))  # <b>, which is not normal in D8
+    with pytest.raises(InternalInconsistencyError, match="escaped the dihedral catalogue"):
+        dihedral_perfect_code(G, H)
 
 
 def test_is_code_perfect_dedekind():

@@ -491,10 +491,14 @@ def test_order_cap_is_checked_before_allocation(monkeypatch):
         ([[0, 1], [1, 0], [0, 1]], None, r"table must be square, got shape \(3, 2\)"),
         (np.zeros((0, 0), dtype=np.int64), None, "a group has at least one element"),
         ([[0, 1], [1, 0]], ["e"], "expected 2 labels, got 1"),
+        ([[0.0, 1.9], [1.2, 0.3]], None, "table must be a square array of integers, not of float64"),
+        ([[0, 1.5], [1, 0]], None, "table must be a square array of integers, not of float64"),
+        ([[0, "1"], ["1", 0]], None, "table must be a square array of integers, not of <U"),
+        (np.array([[False, True], [True, False]]), None, "table must be a square array of integers, not of bool"),
     ],
     ids=[
         "empty", "ragged-table", "labels-not-list", "labels-string", "repeated-label", "none", "wide", "tall",
-        "zero-by-zero", "label-count",
+        "zero-by-zero", "label-count", "floats", "one-float", "strings", "bools",
     ],
 )
 def test_group_from_cayley_table_rejects_malformed_input(table, labels, message):
@@ -940,6 +944,17 @@ def test_closure_subgroup_checks_its_generators():
     closure.members.pop()  # a member set no longer closed under a^1
     with pytest.raises(InternalInconsistencyError, match="not closed under its generator 1"):
         Subgroup._of_closure(G, closure)
+
+
+def test_a_join_that_is_not_the_product_of_its_cosets_is_caught(monkeypatch):
+    """Each lattice join is keyed by the OR of its base's coset masks and
+    then closed: a key that is not the closed join's member mask is an
+    internal inconsistency, not a new subgroup."""
+    product_mask = groups_module._product_mask
+    G = dihedral(6)
+    monkeypatch.setattr(groups_module, "_product_mask", lambda *a: product_mask(*a) ^ (1 << G.identity))
+    with pytest.raises(InternalInconsistencyError, match="a lattice join is not the product of its cosets"):
+        normal_subgroups(G)
 
 
 def test_trivial_and_whole_subgroups():
