@@ -10,22 +10,21 @@ Each flavour/kind combination has a fast decider that reads the answer off
 the group structure, produces an explicit witness code when one exists and
 a small refuting certificate when none does; it reads only the Cayley table,
 re-checking its witness there too (each is a rule body that :func:`_decider`
-wraps, building its :class:`Verdict`).  The plain perfect-code rule and the
-extended transversal read the least member of every right coset, and the
-ascending heads of the cosets, from the subgroup's coset record
-(:attr:`~sumgraph.groups.Subgroup._cosets`): the lattice keeps it for
-every normal subgroup it lists, and any other subgroup gathers it from
-the table once, on first use.  They walk those heads, building no coset;
-the plain one pairs each Hx with Hx^-1 unless x*x lies in H.  The
-|H| = 3 total rule walks the same heads and reads each three-element
-coset Hx off the table.  So :func:`cross_check`, its graph build and its
-four deciders gather no coset of a listed subgroup.
-Brute-force searchers (exact cover
-over a built graph, component by component) are the independent oracles;
-a search node with fewer uncovered vertices than the component's smallest
-neighbourhood, which comes with the component, is refuted at once, so a
-refuted dense block costs linear, not quadratic, work; the public
-searchers walk the graph they are given.  :func:`cross_check` runs
+wraps, building its :class:`Verdict`).  Four rules read the subgroup's
+coset record (:attr:`~sumgraph.groups.Subgroup._cosets`), which the
+lattice keeps for every normal subgroup it lists and any other subgroup
+gathers once, on first use, and build no coset: the extended transversal
+takes the coset heads, the |H| = 3 total rule reads each coset Hx off the
+table at its head, and the plain perfect rule and the extended total rule
+walk the coset units of :func:`~sumgraph.groups._units`, the one place
+that pairs a coset with its inverse coset.  So :func:`cross_check`, its
+graph build and its four deciders gather no coset of a listed subgroup.
+Brute-force searchers (exact cover over a built graph, component by
+component) are the independent oracles; a search node with fewer
+uncovered vertices than the component's smallest neighbourhood, which
+comes with the component, is refuted at once, so a refuted dense block
+costs linear, not quadratic, work; the public searchers walk the graph
+they are given.  :func:`cross_check` runs
 deciders against oracles over every normal subgroup of a group, building
 both graph flavours of each subgroup from its coset masks, together with
 the extended graph's components, which serve all four searches, so no
@@ -47,6 +46,7 @@ from .groups import (
     Subgroup,
     _require_iterable,
     _require_type,
+    _units,
     normal_subgroups,
     require_normal,
 )
@@ -252,34 +252,22 @@ def decide_perfect_code(G: Group, H: Subgroup) -> _Ruling:
     for order two (the graph is a partial matching: take the lesser end of
     every edge, x and x^-1 h, and every isolated vertex).  For larger H a
     code exists exactly when every coset Hx with x*x in H holds a
-    self-inverse element; such an element dominates its whole block, while
-    the paired blocks Hx with Hx^-1 are always handled by taking x and its
-    inverse.  The cosets are read off H's coset record, the least member
-    of each element's coset and the ascending heads
-    (:attr:`~sumgraph.groups.Subgroup._cosets`): each coset Hx is visited
-    at its head, its least member x.  When x*x is in H, Hx is closed under inverses and
-    is a unit alone, which takes its least self-inverse member; otherwise
-    Hx pairs with Hx^-1 = (Hx)^-1 (H is normal), whose representative is
-    the least member of x^-1's coset, and the pair takes x and x^-1 at the
-    lesser of its two representatives.
+    self-inverse element, which dominates its whole block; each other unit
+    (:func:`~sumgraph.groups._units`), Hx with Hx^-1, takes x and x^-1.
     """
     n, inv = G.order, G.inverses
     if H.order == 1:
         return "trivial-subgroup", tuple(range(n)), None
     if H.order == 2:
         h = next(m for m in H.members if m != G.identity)
-        times_h = G.table[:, h].tolist()  # x -> x*h
-        return "order-two-subgroup", tuple(x for x in range(n) if times_h[inv[x]] >= x), None
-    least, heads = H._cosets
+        return "order-two-subgroup", tuple(x for x in range(n) if G.rows[inv[x]][h] >= x), None
+    least = H._cosets.least
     pivot = {least[v]: v for v in reversed(range(n)) if inv[v] == v}  # least self-inverse v of each coset
     chosen: list[int] = []
-    for x in heads:
-        if G.rows[x][x] in H.member_set:  # the unit is Hx alone
-            if x not in pivot:  # the least such x: the identity's coset always has a pivot
-                return _refuted("square-coset-without-involution", coset_representative=x)
-            chosen.append(pivot[x])
-        elif least[inv[x]] > x:  # the unit is Hx with Hx^-1, met first at its lesser representative
-            chosen.extend([x, inv[x]])
+    for x, p in _units(H):  # Hx alone when p == x, else Hx with Hx^-1
+        if p == x and x not in pivot:  # the least such x: the identity's coset always has a pivot
+            return _refuted("square-coset-without-involution", coset_representative=x)
+        chosen.extend([pivot[x]] if p == x else [x, inv[x]])
     return "square-cosets-have-involutions", tuple(sorted(chosen)), None
 
 
@@ -326,10 +314,9 @@ def decide_perfect_code_extended(G: Group, H: Subgroup) -> _Ruling:
     n, inv = G.order, G.inverses
     if H.order == 1:
         return "trivial-subgroup", tuple(v for v in range(n) if inv[v] >= v), None
-    outside = sorted(G.square_set - H.member_set)
-    if not outside:
+    sq = min((s for s in G.square_set if not H._mask >> s & 1), default=None)
+    if sq is None:
         return "squares-inside-subgroup", tuple(H._cosets.heads), None
-    sq = outside[0]
     element = np.diagonal(G.table).tolist().index(sq)
     return _refuted("square-outside-subgroup", element=element, square=sq)
 
@@ -339,24 +326,17 @@ def decide_total_perfect_code_extended(G: Group, H: Subgroup) -> _Ruling:
     """Does the extended sum graph of G over H admit a total perfect code?
 
     Exactly when |H| = 2.  With H = {e, h}, h is central and the neighbours
-    of x are x^-1 and x^-1 h, less x itself.  The component of x is then the
-    edge {x, xh} when x*x is in H, and the four-cycle x, x^-1, xh, x^-1 h
-    otherwise; both carry a total code made of their least vertex and its
-    least neighbour (the whole edge), the lexicographically least one.
+    of x are x^-1 and x^-1 h, less x itself.  The block of the coset unit
+    (r, p) (:func:`~sumgraph.groups._units`) is then the edge {r, rh} when
+    p == r, and the four-cycle r, r^-1, rh, r^-1 h otherwise; both carry a
+    total code made of r and its least neighbour, rh or p, the least one.
     No other subgroup order works, whatever the group.
     """
     if H.order != 2:
         return _refuted("subgroup-order-not-two", subgroup_order=H.order)
     h = next(m for m in H.members if m != G.identity)
-    times_h = G.table[:, h].tolist()  # x -> x*h
-    inv = G.inverses
-    chosen = set()
-    for x in range(G.order):
-        y = inv[x]
-        component = (x, times_h[x], y, times_h[y])
-        if x == min(component):
-            chosen |= {x, min(v for v in component[2:] if v != x)}
-    return "order-two-subgroup", tuple(sorted(chosen)), None
+    chosen = sorted(v for r, p in _units(H) for v in (r, G.rows[r][h] if p == r else p))
+    return "order-two-subgroup", tuple(chosen), None
 
 
 def decide_code(G: Group, H: Subgroup, extended: bool = False, total: bool = False) -> Verdict:

@@ -7,9 +7,10 @@ Normality makes the relation symmetric, so both are simple graphs on G.
 Since x*y lies in H exactly when y lies in the right coset Hx^-1, a graph
 is read off the least member of every right coset, as the deciders read
 their cosets: extended row x is the bitmask of the coset Hx^-1, less x.
-The extended graph is then a disjoint union of blocks, one per coset pair
-Hx and Hx^-1, so the build hands out its components with the rows; the
-public :func:`components` walks the graph it is given.
+The extended graph is then a disjoint union of blocks, one per coset unit
+of :func:`~sumgraph.groups._units`, the one place that pairs a coset with
+its inverse coset, so the build hands out its components with the rows;
+the public :func:`components` walks the graph it is given.
 
 Adjacency is stored as one Python int bitmask per vertex, which keeps the
 set algebra (coset masks, component walks, code checking) branch-free and
@@ -23,7 +24,7 @@ from functools import cached_property
 from typing import Iterable, Iterator
 
 from .errors import InternalInconsistencyError
-from .groups import Group, Subgroup, _coset_masks, _require_iterable, _require_type, require_normal
+from .groups import Group, Subgroup, _coset_masks, _require_iterable, _require_type, _units, require_normal
 
 __all__ = [
     "SumGraph",
@@ -114,13 +115,12 @@ def _sum_graphs(
     right coset into one coset, i.e. ``least_inv`` is constant on each.
     The plain graph is the extended one less each pair {x, x^-1}, since
     x * x^-1 = e is the one product it leaves out: row x drops the bit the
-    group keeps for x (``Group._inverse_bits``).  ``least`` and the coset
-    heads are H's record (:attr:`~sumgraph.groups.Subgroup._cosets`),
-    which the lattice keeps for every subgroup it lists, so the build
-    gathers no table rows for them.
+    group keeps for x (``Group._inverse_bits``).  ``least`` is read off
+    H's record (:attr:`~sumgraph.groups.Subgroup._cosets`), which the
+    lattice keeps for every subgroup it lists: the build gathers no rows.
 
-    The components are ``(mask, least)`` pairs, one per coset head r with
-    p = ``least_inv[r]`` at least r, ascending: the mask of Hr and Hp,
+    The components are ``(mask, least)`` pairs, one per coset unit
+    ``(r, p)`` (:func:`~sumgraph.groups._units`): the mask of Hr and Hp,
     ``least`` the smallest degree in it.  Every row of one coset is the
     mask of the other, so the pair is closed, and it is complete bipartite
     between them, or a clique on Hr when p == r: connected, with every
@@ -133,15 +133,14 @@ def _sum_graphs(
     inv = G.inverses
     for H in subgroups:
         require_normal(G, H)
-        least, heads = H._cosets.least.tolist(), H._cosets.heads
+        least = H._cosets.least.tolist()
         least_inv = list(map(least.__getitem__, inv))
         if least_inv != list(map(least_inv.__getitem__, least)):
             raise InternalInconsistencyError("adjacency came out asymmetric for a normal subgroup")
         cm = _coset_masks(least)
         extended = tuple(cm[p] ^ (1 << x) if least[x] == p else cm[p] for x, p in enumerate(least_inv))
         plain = tuple(map(operator.xor, extended, G._inverse_bits))
-        pairs = zip(heads, map(least_inv.__getitem__, heads))
-        parts = tuple((cm[r] | cm[p], H.order - (p == r)) for r, p in pairs if p >= r)
+        parts = tuple((cm[r] | cm[p], H.order - (p == r)) for r, p in _units(H))
         yield SumGraph(G, H, False, plain), SumGraph(G, H, True, extended), parts
 
 

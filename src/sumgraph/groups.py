@@ -26,6 +26,7 @@ from __future__ import annotations
 
 import itertools
 import math
+import operator
 import os
 from array import array
 from functools import cached_property
@@ -215,9 +216,9 @@ class Group:
 
 
 class Subgroup:
-    """A validated subgroup of a :class:`Group`, stored as sorted indices,
-    with the generators ``_generators`` that proved it a subgroup and, once
-    read, its right cosets' record ``_cosets``."""
+    """A validated subgroup of a :class:`Group`: its sorted indices, the
+    bitmask ``_mask`` of its members, the generators ``_generators`` that
+    proved it a subgroup and, once read, its cosets' record ``_cosets``."""
 
     def __init__(self, parent: Group, members: Iterable[int]):
         """Check the input, then prove it a subgroup by generators: the
@@ -251,19 +252,22 @@ class Subgroup:
         return sub
 
     def _take(self, parent: Group, members: list[int], closure: "_Closure") -> tuple[int, int, int] | None:
-        """Set the fields to the sorted ``members`` and the closure's
-        generators T, and return some (a, t, a*t) with a*t outside the
-        members, or None when members * t stays inside for every t in T:
+        """Set the fields to the sorted ``members``, their mask and the
+        closure's generators T, and return some (a, t, a*t) with a*t outside
+        the members, or None when members * t stays inside for every t in T:
         then the members, which hold the identity, are closed under right
         multiplication by T and so are the subgroup T generates (inverses
         are powers in a finite group).  O(|H| * |T|) reads."""
         self.parent = parent
         self.members = tuple(members)
-        self.member_set = member_set = frozenset(members)
+        flags = bytearray(parent.order)  # from the members, not the closure's marks, so a faulty closure is caught
+        for m in members:
+            flags[m] = 1
+        self._mask = _flags_mask(flags)
         self._generators = tuple(closure.gens)
         for t, column in zip(closure.gens, closure.columns):
-            if not member_set.issuperset(map(column.__getitem__, members)):
-                a = next(a for a in members if column[a] not in member_set)
+            if not all(map(flags.__getitem__, map(column.__getitem__, members))):
+                a = next(a for a in members if not flags[column[a]])
                 return a, t, column[a]
         return None
 
@@ -296,10 +300,14 @@ class Subgroup:
         s = np.array(G._generators, dtype=np.intp)
         inv_s = [G.inverses[g] for g in G._generators]
         conj = G.table[G.table[np.ix_(inv_s, self._generators)], s[:, None]]  # conj[i, j] = s_i^-1 t_j s_i
-        return self.member_set.issuperset(conj.ravel().tolist())
+        return all(self._mask >> c & 1 for c in conj.ravel().tolist())
 
-    def __contains__(self, g: int) -> bool:
-        return g in self.member_set
+    def __contains__(self, g) -> bool:
+        """Whether g is the index of a member (an int first: a wide mask shifted by an np.int64 overflows)."""
+        try:
+            return (g := operator.index(g)) >= 0 and bool(self._mask >> g & 1)
+        except TypeError:
+            return False
 
     def __iter__(self):
         return iter(self.members)
@@ -981,13 +989,17 @@ def _lattice(G: Group) -> list[Subgroup]:
                     f"{G.name} has more than the budget of {SUBGROUP_BUDGET} normal subgroups"
                 )
             join = base.joined(atoms[k].gens, atoms[k].columns)
-            reached = np.packbits(np.frombuffer(join.reached, np.uint8), bitorder="little")
-            if int.from_bytes(reached.tobytes(), "little") != key:
+            if _flags_mask(join.reached) != key:
                 raise InternalInconsistencyError("a lattice join is not the product of its cosets")
             found.add(key)
             queue.append(join)
         subgroups.append(sub)
     return sorted(subgroups, key=lambda H: (H.order, H.members))
+
+
+def _flags_mask(flags: bytearray) -> int:
+    """The int with bit x set for each nonzero byte x of ``flags``."""
+    return int.from_bytes(np.packbits(np.frombuffer(flags, np.uint8), bitorder="little").tobytes(), "little")
 
 
 def _coset_masks(least: Sequence[int]) -> list[int]:
@@ -1059,6 +1071,14 @@ class _Cosets(NamedTuple):
 
     least: array
     heads: array
+
+
+def _units(H: Subgroup) -> list[tuple[int, int]]:
+    """The coset units of a normal H, the one place that pairs a coset with its
+    inverse coset: ``(r, p)`` for each head r, ascending, whose inverse coset
+    Hr^-1 has head p = ``least[r^-1]`` >= r; p == r exactly when r*r is in H."""
+    least, inv = H._cosets.least, H.parent.inverses
+    return [(r, p) for r in H._cosets.heads if (p := least[inv[r]]) >= r]
 
 
 def _prime_factors(n: int) -> list[int]:

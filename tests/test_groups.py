@@ -937,6 +937,22 @@ def test_subgroup_is_proved_by_its_generators(data):
         assert a in members and t in members and G.rows[a][t] == p and p not in members
 
 
+def test_membership_is_by_integer_index():
+    """``x in H`` is ``x in H.members`` for every integer index, a Python
+    int, an ``np.int64`` or a bool, in range or not, also on a group whose
+    member mask is wider than 64 bits; a float or a list is never a member."""
+    subgroups = [H for G in sweep(16) for H in normal_subgroups(G)]
+    D = dihedral(6)
+    subgroups += [Subgroup(D, [0, 2, 4]), Subgroup(D, [0, 6]), subgroup_generated(D, [7, 8])]
+    big = dicyclic(30)  # order 120
+    subgroups += [Subgroup(big, [0, 30]), subgroup_generated(big, [big.order - 1, 8])]
+    for H in subgroups:
+        for x in range(-1, H.parent.order + 1):
+            assert (x in H) == (np.int64(x) in H) == (x in H.members), (H, x)
+        assert (True in H) == (1 in H) and (False in H) == (0 in H)
+        assert 1.0 not in H and [1] not in H and "1" not in H and None not in H
+
+
 def test_closure_subgroup_checks_its_generators():
     G = dihedral(4)
     closure = groups_module._Closure(G.table, G.identity, [1])
@@ -1170,12 +1186,18 @@ def test_right_cosets_match_the_definition_over_the_sweep():
 
 def test_reference_units_pair_each_coset_with_its_inverse():
     """The tests' reference units, which the deciders are checked against:
-    Hx alone when x*x is in H, else Hx with the coset holding x^-1."""
+    Hx alone when x*x is in H, else Hx with the coset holding x^-1.  The
+    library's one unit maker, ``_units``, names each unit by its two heads,
+    the same on relabelled tables, where the identity is off index 0."""
     G = cyclic(12)
     H = Subgroup(G, [0, 4, 8])
     # 2 + 2 = 4 lies in H, so H+2 stands alone; H+1 pairs with H+11 = H+3
     assert units_by_definition(G, H) == [((0, 4, 8),), ((1, 5, 9), (3, 7, 11)), ((2, 6, 10),)]
-    for G in sweep(24):
+    assert groups_module._units(H) == [(0, 0), (1, 3), (2, 2)]
+    texts = ("D12", "Dic4", "Q8 x Z2", "Z2 x Z6")
+    moved = [relabelled(build_group(parse_group_expr(t)), seed)[0] for seed, t in enumerate(texts, 1)]
+    assert sum(G.identity != 0 for G in moved) >= 3
+    for G in (*sweep(24), *moved):
         for H in normal_subgroups(G):
             units = units_by_definition(G, H)
             assert sorted(c for unit in units for c in unit) == sorted(right_cosets(G, H))
@@ -1183,6 +1205,8 @@ def test_reference_units_pair_each_coset_with_its_inverse():
                 x = unit[0][0]
                 assert (len(unit) == 1) == (G.rows[x][x] in H)
                 assert G.inverses[x] in unit[-1]
+            # the reference lists H's own unit first, _units every unit by its least head
+            assert groups_module._units(H) == sorted((u[0][0], u[-1][0]) for u in units), (G.name, H.members)
     D6 = dihedral(3)  # H = <b>: the inverses of the right coset {a^2, ab} are {a, ab}, not a right coset
     with pytest.raises(NotNormalError):
         decide_perfect_code(D6, subgroup_generated(D6, [3]))
@@ -1357,6 +1381,23 @@ def test_is_dedekind():
     for text, expected in DEDEKIND_PRODUCTS.items():
         assert is_dedekind(build_group(parse_group_expr(text))) == expected, text
     assert is_dedekind(relabelled(quaternion(), 3)[0])
+
+
+def test_a_listed_lattice_keeps_little_per_subgroup():
+    """Each lattice subgroup keeps its members, their bitmask and its coset
+    record, not a second copy of its members as a set: the live size of the
+    425 normal subgroups of Q8 x E2^3 (order 64) is under 1,100 bytes each
+    (775 measured; 1,497 with a frozenset of members)."""
+    G = build_group(parse_group_expr("Q8 x E2^3"))
+    G.rows, G._classes  # built before the count, as any command builds them
+    tracemalloc.start()
+    try:
+        subgroups = normal_subgroups(G)
+        live, _ = tracemalloc.get_traced_memory()
+    finally:
+        tracemalloc.stop()
+    assert len(subgroups) == 425
+    assert live / len(subgroups) < 1100, live
 
 
 def test_reading_the_table_keeps_no_list_copy():

@@ -7,7 +7,11 @@ whether the tests notice.
         --tests tests/test_codes.py tests/test_graphs.py
 
 Each target is ``FILE:FUNCTION`` (a module-level function, or a method as
-``FILE:Class.method``).  The mutants of a function are:
+``FILE:Class.method``), or a bare ``FILE``, which stands for every
+module-level function and every method of a module-level class in it, in
+file order; each output line names the function its site lies in.  Sites
+at module level, such as a constant, are not mutated.  The mutants of a
+function are:
 
 * each comparison operator flipped (``==``/``!=``, ``<``/``>=``,
   ``>``/``<=``, ``in``/``not in``, ``is``/``is not``);
@@ -59,6 +63,20 @@ def _function(tree: ast.Module, name: str) -> ast.AST:
             if isinstance(n, (ast.FunctionDef, ast.AsyncFunctionDef, ast.ClassDef)) and n.name == part
         )
     return node
+
+
+def _functions(tree: ast.Module) -> list[str]:
+    """The names a bare ``FILE`` target stands for: every module-level
+    function, and every method of a module-level class as ``Class.method``,
+    in file order.  A nested function's sites are its enclosing one's."""
+    kinds = (ast.FunctionDef, ast.AsyncFunctionDef)
+    names = []
+    for node in tree.body:
+        if isinstance(node, kinds):
+            names.append(node.name)
+        elif isinstance(node, ast.ClassDef):
+            names.extend(f"{node.name}.{n.name}" for n in node.body if isinstance(n, kinds))
+    return names
 
 
 def _sites(func: ast.AST) -> list[tuple[int, int, str]]:
@@ -113,7 +131,9 @@ def _passes(workdir: Path, tests: list[str], timeout: float) -> bool:
 
 def main(argv: list[str] | None = None) -> int:
     parser = argparse.ArgumentParser(description=__doc__.split("\n\n")[0])
-    parser.add_argument("targets", nargs="+", help="FILE:FUNCTION, the file relative to the repository")
+    parser.add_argument(
+        "targets", nargs="+", help="FILE:FUNCTION or FILE (all its functions), the file relative to the repository"
+    )
     parser.add_argument("--tests", nargs="+", required=True, help="test files pytest runs on each mutant")
     parser.add_argument("--copy", required=True, help="a new directory for the mutated copy")
     parser.add_argument("--timeout", type=float, default=300.0, help="seconds per mutant's test run")
@@ -136,13 +156,14 @@ def main(argv: list[str] | None = None) -> int:
         path, _, name = target.partition(":")
         original = (workdir / path).read_text(encoding="utf-8")
         tree = ast.parse(original)
-        for site in _sites(_function(tree, name)):
-            source, line = _mutant(tree, name, site)
-            (workdir / path).write_text(source, encoding="utf-8")
-            killed = not _passes(workdir, args.tests, args.timeout)
-            survivors += not killed
-            total += 1
-            print(f"{'killed  ' if killed else 'SURVIVED'} {path}:{line} {name}: {site[2]}", flush=True)
+        for name in [name] if name else _functions(tree):
+            for site in _sites(_function(tree, name)):
+                source, line = _mutant(tree, name, site)
+                (workdir / path).write_text(source, encoding="utf-8")
+                killed = not _passes(workdir, args.tests, args.timeout)
+                survivors += not killed
+                total += 1
+                print(f"{'killed  ' if killed else 'SURVIVED'} {path}:{line} {name}: {site[2]}", flush=True)
         (workdir / path).write_text(original, encoding="utf-8")
     print(f"{total} mutants, {survivors} survived")
     return 1 if survivors else 0
