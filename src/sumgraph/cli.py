@@ -69,19 +69,16 @@ EXIT_CLOSED_PIPE = 141  # 128 + SIGPIPE
 def _split_selector_labels(text: str) -> list[str]:
     """Split on commas that are not inside parentheses."""
     parts: list[str] = []
-    depth = 0
-    current: list[str] = []
-    for ch in text:
+    depth = start = 0
+    for i, ch in enumerate(text):
         if ch == "(":
             depth += 1
         elif ch == ")":
             depth = max(0, depth - 1)
-        if ch == "," and depth == 0:
-            parts.append("".join(current).strip())
-            current = []
-        else:
-            current.append(ch)
-    parts.append("".join(current).strip())
+        elif ch == "," and depth == 0:
+            parts.append(text[start:i].strip())
+            start = i + 1
+    parts.append(text[start:].strip())
     return parts
 
 

@@ -86,114 +86,80 @@ _ATOMS = {
     "E2^": (ElementaryAbelianExpr, "t", "exponent", 0),
 }
 _ATOM_KEYS = {text.lower(): spec for text, spec in _ATOMS.items()}  # keywords are case-insensitive
+# keywords fold ASCII case only (?a:): Unicode folding let the i of Dic
+# match a dotless or dotted i, which no _ATOM_KEYS key names
 _TOKEN_RE = re.compile(
-    r"\s*(?:(?P<atom>" + "|".join(map(re.escape, sorted(_ATOMS, key=len, reverse=True)))  # Dic before D
-    + r")|(?P<x>x)|(?P<lparen>\()|(?P<rparen>\))|(?P<int>\d+))",
+    r"\s*(?:(?a:(?P<atom>" + "|".join(map(re.escape, sorted(_ATOMS, key=len, reverse=True)))  # Dic before D
+    + r")|(?P<x>x))|(?P<lparen>\()|(?P<rparen>\))|(?P<int>\d+)|(?P<bad>\S))",
     re.IGNORECASE,
 )
 _ATOM_TOKENS = (*_ATOMS, "(")
-_MAX_NESTING = 100  # parenthesis depth; bounds the parser's recursion
+_MAX_NESTING = 100  # parenthesis depth; bounds the recursion of _expr and _atom
 
 
 def _tokenize(text: str) -> list[tuple[str, str, int]]:
+    """(kind, text, offset) per token, ending with an ``end`` token at
+    ``len(text)``, so the parser never reads past the list."""
     tokens = []
-    pos = 0
-    while pos < len(text):
-        m = _TOKEN_RE.match(text, pos)
-        if m is None:
-            rest = text[pos:].lstrip()
-            if not rest:
-                break
-            at = len(text) - len(rest)
-            raise ParseError(f"unrecognized input {rest[:8]!r}", at, _ATOM_TOKENS)
-        tokens.append((m.lastgroup, m.group(m.lastgroup), m.start(m.lastgroup)))
-        pos = m.end()
+    for m in _TOKEN_RE.finditer(text):
+        kind = m.lastgroup
+        at = m.start(kind)
+        if kind == "bad":
+            raise ParseError(f"unrecognized input {text[at:][:8]!r}", at, _ATOM_TOKENS)
+        tokens.append((kind, m.group(kind), at))
+    tokens.append(("end", "", len(text)))
     return tokens
 
 
-class _Parser:
-    def __init__(self, text: str):
-        self.text = text
-        self.tokens = _tokenize(text)
-        self.pos = 0
-        self.depth = 0
+def _expr(tokens: list[tuple[str, str, int]], k: int, depth: int) -> tuple[GroupExpr, int]:
+    """The expression starting at token k, and the index of the token after it."""
+    expr, k = _atom(tokens, k, depth)
+    parts = [expr]
+    while tokens[k][0] == "x":
+        expr, k = _atom(tokens, k + 1, depth)
+        parts.append(expr)
+    return (expr if len(parts) == 1 else ProductExpr(tuple(parts))), k
 
-    def peek(self) -> tuple[str, str, int] | None:
-        return self.tokens[self.pos] if self.pos < len(self.tokens) else None
 
-    def take(self) -> tuple[str, str, int] | None:
-        tok = self.peek()
-        if tok is not None:
-            self.pos += 1
-        return tok
-
-    @property
-    def offset(self) -> int:
-        tok = self.peek()
-        return tok[2] if tok is not None else len(self.text)
-
-    def integer(self, what: str) -> tuple[int, int]:
-        tok = self.peek()
-        if tok is None or tok[0] != "int":
-            raise ParseError(f"expected {what}", self.offset, ("integer",))
-        self.take()
+def _atom(tokens: list[tuple[str, str, int]], k: int, depth: int) -> tuple[GroupExpr, int]:
+    kind, text, at = tokens[k]
+    if kind == "atom":
+        cls, name, what, low = _ATOM_KEYS[text.lower()]
+        if name is None:
+            return cls(), k + 1
+        kind, digits, at = tokens[k + 1]
+        if kind != "int":
+            raise ParseError(f"expected {what}", at, ("integer",))
         try:
-            return int(tok[1]), tok[2]
+            expr = cls(int(digits))
         except ValueError:  # more digits than int() converts
-            raise ParseError(f"{what} has too many digits", tok[2]) from None
-
-    def atom(self) -> GroupExpr:
-        tok = self.peek()
-        if tok is None:
-            raise ParseError("expected a group atom", self.offset, _ATOM_TOKENS)
-        kind, text, at = tok
-        if kind == "atom":
-            self.take()
-            cls, name, what, low = _ATOM_KEYS[text.lower()]
-            if name is None:
-                return cls()
-            value, value_at = self.integer(what)
-            expr = cls(value)
-            try:
-                _field(expr)
-            except BadParameterError as exc:
-                even = "even " if cls is DihedralExpr else ""
-                raise ParseError(str(exc), value_at, (f"{even}integer >= {low}",)) from None
-            return expr
-        if kind == "lparen":
-            if self.depth == _MAX_NESTING:
-                raise ParseError(f"parentheses nested deeper than {_MAX_NESTING}", at)
-            self.take()
-            self.depth += 1
-            inner = self.expr()
-            self.depth -= 1
-            tok = self.peek()
-            if tok is None or tok[0] != "rparen":
-                raise ParseError("unclosed parenthesis", self.offset, (")",))
-            self.take()
-            return inner
-        raise ParseError(f"expected a group atom, found {_quoted(text)}", at, _ATOM_TOKENS)
-
-    def expr(self) -> GroupExpr:
-        parts = [self.atom()]
-        while True:
-            tok = self.peek()
-            if tok is None or tok[0] != "x":
-                break
-            self.take()
-            parts.append(self.atom())
-        return parts[0] if len(parts) == 1 else ProductExpr(tuple(parts))
+            raise ParseError(f"{what} has too many digits", at) from None
+        try:
+            _field(expr)
+        except BadParameterError as exc:
+            even = "even " if cls is DihedralExpr else ""
+            raise ParseError(str(exc), at, (f"{even}integer >= {low}",)) from None
+        return expr, k + 2
+    if kind == "lparen":
+        if depth == _MAX_NESTING:
+            raise ParseError(f"parentheses nested deeper than {_MAX_NESTING}", at)
+        inner, k = _expr(tokens, k + 1, depth + 1)
+        if tokens[k][0] != "rparen":
+            raise ParseError("unclosed parenthesis", tokens[k][2], (")",))
+        return inner, k + 1
+    found = "" if kind == "end" else f", found {_quoted(text)}"
+    raise ParseError(f"expected a group atom{found}", at, _ATOM_TOKENS)
 
 
 def parse_group_expr(text: str) -> GroupExpr:
     """Parse an expression like ``"Z4 x Z3"`` or ``"D12"``; see module docs."""
     if not isinstance(text, str):
         raise BadParameterError(f"expected a string, got {type(text).__name__}")
-    parser = _Parser(text)
-    expr = parser.expr()
-    tok = parser.peek()
-    if tok is not None:
-        raise ParseError(f"unexpected trailing input {_quoted(tok[1])}", tok[2], ("x", "end of input"))
+    tokens = _tokenize(text)
+    expr, k = _expr(tokens, 0, 0)
+    kind, rest, at = tokens[k]
+    if kind != "end":
+        raise ParseError(f"unexpected trailing input {_quoted(rest)}", at, ("x", "end of input"))
     return expr
 
 

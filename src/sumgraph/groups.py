@@ -941,7 +941,9 @@ def _lattice(G: Group) -> list[Subgroup]:
     subgroups), so a lower bound on its size (:func:`_normal_subgroup_bound`)
     is checked against :data:`SUBGROUP_BUDGET` before any join, and the
     count of subgroups found is checked as they are found; over the budget
-    is a :class:`BadParameterError` that names the count.
+    is a :class:`BadParameterError` that names the count.  The same bound
+    certifies the walk: a count below it, or other than it for an abelian G,
+    where it is exact, is an :class:`InternalInconsistencyError`.
     """
     bound = _normal_subgroup_bound(G)
     if bound > SUBGROUP_BUDGET:
@@ -994,6 +996,10 @@ def _lattice(G: Group) -> list[Subgroup]:
             found.add(key)
             queue.append(join)
         subgroups.append(sub)
+    if len(subgroups) < bound or (G.abelian and len(subgroups) != bound):
+        raise InternalInconsistencyError(
+            f"the lattice walk found {len(subgroups)} normal subgroups of {G.name}, against {bound} read off G/G'"
+        )
     return sorted(subgroups, key=lambda H: (H.order, H.members))
 
 

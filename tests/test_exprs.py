@@ -4,6 +4,8 @@ import math
 import random
 
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 
 from sumgraph import (
     BadParameterError,
@@ -110,6 +112,77 @@ def test_parse_rejects_bad_parameters():
     with pytest.raises(ParseError) as exc:
         parse_group_expr("Z2 x D7")
     assert exc.value.offset == 6
+
+
+ATOM = ("Z", "D", "Dic", "Q8", "E2^", "(")
+TRAILING = ("x", "end of input")
+
+
+@pytest.mark.parametrize(
+    "text, message, offset, expected",
+    [
+        ("", "expected a group atom", 0, ATOM),
+        ("   ", "expected a group atom", 3, ATOM),
+        ("\u3000", "expected a group atom", 1, ATOM),
+        ("Z2 x\xa0Q8\u2028x", "expected a group atom", 9, ATOM),
+        ("Q", "unrecognized input 'Q'", 0, ATOM),
+        ("E2^", "expected exponent", 3, ("integer",)),
+        ("E2^x", "expected exponent", 3, ("integer",)),
+        ("Q8 x (Z2 x D", "expected dihedral order", 12, ("integer",)),
+        ("(Z2", "unclosed parenthesis", 3, (")",)),
+        ("q8x", "expected a group atom", 3, ATOM),
+        ("Z1.5", "unrecognized input '.5'", 2, ATOM),
+        ("E2^-1", "unrecognized input '-1'", 3, ATOM),
+        ("Z2\u200b", "unrecognized input '\\u200b'", 2, ATOM),
+        ("Z4 x !", "unrecognized input '!'", 5, ATOM),
+        ("Z4 x !E2^3 x Z5", "unrecognized input '!E2^3 x '", 5, ATOM),  # eight characters shown
+        ("(" * 101 + "Z2" + ")" * 101, "parentheses nested deeper than 100", 100, ()),
+        ("Z" + "9" * 5000, "cyclic order has too many digits", 1, ()),
+        ("Z4 x", "expected a group atom", 4, ATOM),
+        ("Z4 x )", "expected a group atom, found ')'", 5, ATOM),
+        ("()", "expected a group atom, found ')'", 1, ATOM),
+        (")", "expected a group atom, found ')'", 0, ATOM),
+        ("Z4 Z5", "unexpected trailing input 'Z'", 3, TRAILING),
+        ("dic3 z2", "unexpected trailing input 'z'", 5, TRAILING),
+        ("Z4)", "unexpected trailing input ')'", 2, TRAILING),
+    ],
+)
+def test_malformed_input_is_pinned(text, message, offset, expected):
+    """The exact message, offset and expected tokens of each malformed
+    input, Unicode whitespace (U+3000, U+00A0, U+2028) skipped and the
+    non-space U+200B refused."""
+    with pytest.raises(ParseError) as exc:
+        parse_group_expr(text)
+    shown = f" (expected: {', '.join(expected)})" if expected else ""
+    assert str(exc.value) == f"{message} at offset {offset}{shown}"
+    assert (exc.value.offset, exc.value.expected) == (offset, expected)
+
+
+def test_keywords_fold_ascii_case_only():
+    """A dotless or dotted i is not the i of Dic: under Unicode case
+    folding the tokenizer would take it for one, and the keyword lookup
+    would fail with a KeyError instead of a ParseError."""
+    for text in ("d\u0131c3", "D\u0130C3"):
+        with pytest.raises(ParseError) as exc:
+            parse_group_expr(text)
+        assert (exc.value.offset, exc.value.expected) == (1, ATOM), text
+
+
+_PIECES = [
+    "Z", "z", "D", "d", "Dic", "dIC", "DIC", "Q8", "q8", "E2^", "e2^", "x", "X", "(", ")", "^",
+    *"0123456789", " ", "\t", "\x1c", "\x85", "\xa0", "\u2028", "\u3000", "\u200b",
+]
+
+
+@settings(max_examples=500, deadline=None, derandomize=True, database=None)
+@given(st.lists(st.sampled_from(_PIECES), max_size=12).map("".join))
+def test_any_text_parses_and_round_trips_or_is_a_parse_error(text):
+    try:
+        expr = parse_group_expr(text)
+    except ParseError as exc:
+        assert 0 <= exc.offset <= len(text)
+    else:
+        assert parse_group_expr(format_group_expr(expr)) == expr
 
 
 @pytest.mark.parametrize(

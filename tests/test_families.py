@@ -23,6 +23,7 @@ from sumgraph import (
     abelian_total_perfect_code,
     build_graph,
     build_group,
+    cross_check,
     cyclic,
     cyclic_perfect_code,
     decide_perfect_code,
@@ -415,6 +416,32 @@ def test_is_code_perfect_matches_the_lattice():
     # Q8 x E2^3 are not, D12 x Z3 is
     assert verdicts[-2:] == [True, True]
     assert verdicts[len(sweep(64)):len(sweep(64)) + 3] == [False, False, True]
+
+
+A5 = [(1, 2, 0, 3, 4), (0, 1, 3, 4, 2)]
+S5 = [(1, 2, 3, 4, 0), (1, 0, 2, 3, 4)]
+
+
+@pytest.mark.parametrize(
+    "generators, factor, order, normals, verdict",
+    [
+        (A5, 1, 60, 2, True),
+        (S5, 1, 120, 3, True),
+        (A5, 2, 120, 4, True),
+        (S5, 2, 240, 7, True),
+        (A5, 4, 240, 6, False),
+        (S5, 4, 480, 11, False),
+    ],
+)
+def test_non_solvable_groups(generators, factor, order, normals, verdict):
+    """A5 and S5, where G' = G or G' = A5, and their products with Z2 and
+    Z4: every other group the tests build is solvable."""
+    G = permutation_group(generators)
+    if factor > 1:
+        G = direct_product(G, cyclic(factor))
+    assert (G.order, len(normal_subgroups(G)), is_code_perfect(G)) == (order, normals, verdict)
+    assert code_perfect_by_lattice(G) == verdict
+    assert not cross_check(G).disagreements
 
 
 def test_a_refuted_subgroup_is_rechecked(monkeypatch):

@@ -973,6 +973,33 @@ def test_a_join_that_is_not_the_product_of_its_cosets_is_caught(monkeypatch):
         normal_subgroups(G)
 
 
+def test_a_walk_that_misses_a_subgroup_is_caught(monkeypatch):
+    """The lattice's count is certified by the bound read off G/G', which
+    is exact for an abelian G: a walk that never closes the key of one
+    subgroup lists one too few and raises."""
+    G = cyclic(12)
+    missed = sum(1 << x for x in normal_subgroups(G)[1].members)  # {0, 6}
+    product_mask = groups_module._product_mask
+
+    def skipping_mask(*args):
+        key = product_mask(*args)
+        return 1 << G.identity if key == missed else key  # a key found already
+
+    monkeypatch.setattr(groups_module, "_product_mask", skipping_mask)
+    with pytest.raises(InternalInconsistencyError, match="found 5 normal subgroups of Z12, against 6 read off"):
+        normal_subgroups(cyclic(12))
+
+
+@pytest.mark.parametrize("text, bound", [("D8", 7), ("Z12", 5)])
+def test_the_lattice_count_is_checked_against_the_bound_both_ways(monkeypatch, text, bound):
+    """D8 and Z12 each have 6 normal subgroups: a bound above that is
+    refused though D8 is not abelian (its true bound is 5), and a bound
+    below it is refused for Z12, where the bound is exact."""
+    monkeypatch.setattr(groups_module, "_normal_subgroup_bound", lambda G: bound)
+    with pytest.raises(InternalInconsistencyError, match=f"found 6 normal subgroups of {text}, against {bound} "):
+        normal_subgroups(build_group(parse_group_expr(text)))
+
+
 def test_trivial_and_whole_subgroups():
     G = dihedral(3)
     assert tuple(Subgroup(G, [G.identity])) == (0,)
@@ -1107,21 +1134,24 @@ def test_lattice_closes_one_atom_per_cyclic_subgroup(monkeypatch):
     atom per cyclic subgroup, d(n) of them, not n, whichever index each
     element has: relabelled tables move the identity off index 0, so the
     first atom is not the trivial one.  The budget bound, which closes the
-    derived subgroup, is stubbed out of the count."""
+    derived subgroup, is stubbed out of the count by d(n), its value for
+    Z_n, which the lattice's count is checked against."""
     init, made = groups_module._Closure.__init__, []
 
     def counting_init(self, *args):
         made.append(args)
         init(self, *args)
 
+    def divisors(G):
+        return sum(G.order % d == 0 for d in range(1, G.order + 1))
+
     groups = [cyclic(n) for n in range(1, 513)] + [relabelled(cyclic(n), n)[0] for n in range(1, 65)]
-    monkeypatch.setattr(groups_module, "_normal_subgroup_bound", lambda G: 1)
+    monkeypatch.setattr(groups_module, "_normal_subgroup_bound", divisors)
     monkeypatch.setattr(groups_module._Closure, "__init__", counting_init)  # after validation's closures
     for G in groups:
         made.clear()
         H = normal_subgroups(G)
-        divisors = sum(G.order % d == 0 for d in range(1, G.order + 1))
-        assert len(made) == len(H) == divisors, G.order
+        assert len(made) == len(H) == divisors(G), G.order
 
 
 def test_subgroup_budget_fails_fast(monkeypatch):
