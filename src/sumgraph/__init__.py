@@ -1,11 +1,5 @@
-"""Perfect codes in subgroup sum graphs of finite groups.
-
-Given a finite group G and a normal subgroup H, the subgroup sum graph
-joins distinct x, y whenever x·y lands in H minus the identity (the
-extended variant allows x·y = e as well).  This package builds those
-graphs, decides when they admit perfect and total perfect codes, verifies
-every decision against brute-force search, and classifies the groups whose
-every normal subgroup yields a perfect code.
+"""Perfect codes in subgroup sum graphs of finite groups (the graphs are
+defined in :mod:`sumgraph.graphs`, the codes in :mod:`sumgraph.codes`).
 
 Each module's ``__all__`` is its public API, and every name in it is
 importable from the package itself.

@@ -1,25 +1,9 @@
-"""Command-line front end.
+"""Command-line front end: one ``_cmd_*`` function per subcommand, wired
+in :func:`_build_parser`, whose help strings describe each.
 
-Subcommands:
-
-    normals    list the normal subgroups of a group
-    graph      export a subgroup sum graph as DOT or JSON
-    code       decide (or brute-force) a perfect-code question
-    crosscheck run every decider against the brute-force oracle for one group
-    scan       sweep whole families of groups, emitting JSON-lines records
-    classify   code-perfect test for a whole group
-
-Group expressions follow the grammar in :mod:`sumgraph.exprs` ("Z12",
-"D12", "Dic3", "Q8", "E2^4", "Z4 x Z3", ...).  Subgroups are selected with
-``gen:<label>[,<label>...]`` (subgroup generated by those elements) or
-``index:<k>`` (k-th normal subgroup, 0-based, in canonical order).
-
-Exit status: 0 on success, 1 if a crosscheck/scan found a disagreement,
-2 on usage or domain errors and on an output that cannot be written (a
-full disk, say), each reported as one ``error:`` line on stderr, 141 when
-stdout was closed before the output was written (a pipe into ``head``,
-say): the run stops there, silently, as a shell reports a writer SIGPIPE
-killed.
+Groups are named by the expressions of :mod:`sumgraph.exprs`, and
+subgroups selected by :func:`resolve_subgroup`.  The exit statuses are
+those the ``--help`` epilog lists; :func:`main` maps each failure to one.
 """
 
 from __future__ import annotations
@@ -83,7 +67,8 @@ def _split_selector_labels(text: str) -> list[str]:
 
 
 def resolve_subgroup(G: Group, selector: str) -> Subgroup:
-    """Resolve ``gen:<labels>`` or ``index:<k>`` to a subgroup of G."""
+    """Resolve ``gen:<labels>`` (the subgroup those elements generate) or
+    ``index:<k>`` (entry k, from 0, of :func:`normal_subgroups`) to a subgroup of G."""
     if selector.startswith("gen:"):
         labels = _split_selector_labels(selector[len("gen:"):])
         generators = []
@@ -197,17 +182,11 @@ def _entry_checks(entries) -> Iterator[tuple]:
 
 
 def _write_checks(G: Group, checks: Iterable[tuple], stream: TextIO, tally: collections.Counter) -> None:
-    """Write each check's record to ``stream`` as one JSON line, and count
-    it in ``tally`` under whether it agrees.
-
-    A check is (subgroup members, decider name, verdict, oracle answer,
-    ruling), the ruling the :class:`Verdict` whose ``rule`` and
-    ``certificate`` the record carries when it disagrees, or None.  The
-    record is ``group``, ``order``, ``subgroup``, ``decider``,
-    ``verdict``, ``oracle`` and ``agree``, plus those two; the line is
-    the bytes of ``json.dumps`` of it, written from a JSON head made once
-    per call and a member list made once per subgroup.
-    """
+    """Write each check, (subgroup members, decider name, verdict, oracle
+    answer, ruling), to ``stream`` as one line, the bytes of ``json.dumps``
+    of its record, and count it in ``tally`` under whether it agrees.  A
+    record that disagrees carries the ``rule`` and ``certificate`` of its
+    ruling, a :class:`Verdict` or None."""
     head = f'{{"group": {json.dumps(G.name)}, "order": {G.order}, "subgroup": '
     listed: dict[tuple[int, ...], str] = {}
     for subgroup, decider, verdict, oracle, ruling in checks:

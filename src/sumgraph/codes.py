@@ -6,29 +6,11 @@ neighbourhoods of C's members partition the vertex set.  A *total perfect
 code* requires every vertex -- members of C included -- to have exactly one
 neighbour in C, i.e. the open neighbourhoods partition the vertex set.
 
-Each flavour/kind combination has a fast decider that reads the answer off
-the group structure, produces an explicit witness code when one exists and
-a small refuting certificate when none does; it reads only the Cayley table,
-re-checking its witness there too (each is a rule body that :func:`_decider`
-wraps, building its :class:`Verdict`).  Four rules read the subgroup's
-coset record (:attr:`~sumgraph.groups.Subgroup._cosets`), which the
-lattice keeps for every normal subgroup it lists and any other subgroup
-gathers once, on first use, and build no coset: the extended transversal
-takes the coset heads, the |H| = 3 total rule reads each coset Hx off the
-table at its head, and the plain perfect rule and the extended total rule
-walk the coset units of :func:`~sumgraph.groups._units`, the one place
-that pairs a coset with its inverse coset.  So :func:`cross_check`, its
-graph build and its four deciders gather no coset of a listed subgroup.
-Brute-force searchers (exact cover over a built graph, component by
-component) are the independent oracles; a search node with fewer
-uncovered vertices than the component's smallest neighbourhood, which
-comes with the component, is refuted at once, so a refuted dense block
-costs linear, not quadratic, work; the public searchers walk the graph
-they are given.  :func:`cross_check` runs
-deciders against oracles over every normal subgroup of a group, building
-both graph flavours of each subgroup from its coset masks, together with
-the extended graph's components, which serve all four searches, so no
-graph is walked; of each search it keeps only whether it found a code.
+Each of the four questions (graph flavour by code kind) has a decider that
+reads the answer off the group by one of the paper's coset rules, with a
+witness or a refuting certificate (:func:`_decider`).  The brute-force
+searchers, exact cover over a built graph (:func:`_find_code`), are the
+independent oracle, and :func:`cross_check` runs the two side by side.
 """
 
 from __future__ import annotations
@@ -121,7 +103,8 @@ def is_total_perfect_code(graph: SumGraph, code) -> bool:
 
 def _table_partitions(G: Group, H: Subgroup, code, extended: bool, closed: bool) -> bool:
     """The graph checkers' test read off the table: the neighbours of c are
-    the c^-1 h other than c, for h in H (minus e in the plain graph)."""
+    the c^-1 h other than c, for h in H (minus e in the plain graph), so a
+    witness check shares no adjacency code with the graph the oracle searches."""
     hs = H.members if extended else [h for h in H.members if h != G.identity]
     masks = []
     for c in code:
@@ -140,10 +123,13 @@ def _cover_component(
 
     Extends the partial cover ``covered``, made by the code ``chosen``,
     branching on the dominators of the lowest uncovered vertex in ascending
-    order, so each node tries the least candidate first.  ``least`` is the
-    smallest neighbourhood size in the component: a neighbourhood that
-    covers the lowest uncovered vertex must fit in what is left, so fewer
-    uncovered vertices than ``least`` refute the node at once.
+    order, so each node tries the least candidate first.  ``least`` is at
+    most the smallest neighbourhood size in the component: one that covers
+    the lowest uncovered vertex must fit in what is left, so fewer
+    uncovered vertices than ``least`` refute the node at once (the size cut
+    of exact cover).  Every candidate there would meet the cover already
+    made, so the cut finds the same code and saves only their scans: a
+    refuted dense block of m vertices costs O(m) row reads, not O(m^2).
     A plain module function, not a closure, so a search leaves no reference
     cycle that would keep the graph alive until the cyclic collector runs.
     """
@@ -170,22 +156,16 @@ def _cover_component(
 
 def _find_code(rows: tuple[int, ...], parts, closed: bool, slack: int = 0) -> int | None:
     """A code of the graph of ``rows`` (closed: perfect, open: total) as a
-    vertex bitmask, or ``None``.
+    vertex bitmask, or ``None``, covering each part on its own.
 
     ``parts`` are ``(mask, least)`` pairs whose masks partition the
     vertices, each closed under ``rows``, with ``least - slack`` at most
-    its smallest degree: the public searchers pass the components their
-    walk of the graph finds, and :func:`cross_check` the components of
-    the extended graph that its build hands out, to the plain search too,
-    with slack 1 (a plain row is the extended one less one bit, so an
-    extended component is a union of plain ones, covered exactly when
-    each of them is).  Each part is covered on its
-    own, with the size cut of :func:`_cover_component` at ``least -
-    slack``, plus one for the closed neighbourhood.  A node the cut
-    refutes is one where every candidate would meet the cover already
-    made, so the same nodes are entered and the same code is found; what
-    the cut saves is their scans of candidates: a refuted dense block of
-    m vertices costs O(m) row reads instead of O(m^2).
+    its smallest degree: the size cut of :func:`_cover_component`, one
+    more for a closed neighbourhood.  The public searchers pass the
+    components their walk finds; :func:`cross_check` passes the extended
+    graph's, to the plain search too with slack 1: a plain row is the
+    extended one less one bit, so an extended component is a union of
+    plain ones, covered exactly when each of them is.
     """
     chosen = 0
     for part, least in parts:
@@ -399,13 +379,13 @@ class CrossCheckReport:
 
 def cross_check(G: Group, subgroups: list[Subgroup] | None = None) -> CrossCheckReport:
     """Run all four deciders against brute-force search over normal
-    subgroups, G's whole lattice unless ``subgroups`` is given.  The graphs
-    of each subgroup come from one build, with the components of the
-    extended one, which serve all four searches: no graph is walked."""
+    subgroups, G's whole lattice unless ``subgroups`` is given.  All four
+    searches run over the extended graph's components that
+    :func:`~sumgraph.graphs._sum_graphs` hands out (see :func:`_find_code`)."""
     start = time.perf_counter()
     entries = []
     for plain, full, parts in _sum_graphs(G, normal_subgroups(G) if subgroups is None else subgroups):
-        for graph in (plain, full):  # parts: unions of plain components, a plain degree at most one lower
+        for graph in (plain, full):
             H = graph.subgroup
             for total in (False, True):
                 verdict = decide_code(G, H, extended=graph.extended, total=total)

@@ -61,11 +61,8 @@ class InternalInconsistencyError(SumGraphError, RuntimeError):
 
 
 class ParseError(SumGraphError, ValueError):
-    """A group expression failed to parse.
-
-    Carries the byte offset of the failure and the set of tokens that
-    would have been accepted there.
-    """
+    """A group expression failed to parse: ``offset`` is the byte offset of
+    the failure, and ``expected`` the tokens that would be accepted there."""
 
     def __init__(self, message: str, offset: int, expected: tuple[str, ...] = ()):
         self.offset = offset

@@ -215,11 +215,9 @@ def _parts(expr: GroupExpr) -> tuple[GroupExpr, ...]:
 def build_group(expr: GroupExpr) -> Group:
     """Evaluate an expression to a concrete group; its ``tag`` is ``expr``.
 
-    The whole table is composed from the tables of the expression's parts,
-    and only that table is validated.  A product is a group exactly when
-    every factor is one, since its identity, inverses and associativity
-    restrict to each coordinate, so that one validation proves the parts
-    too.
+    Only the whole table is validated, not its parts': a product is a
+    group exactly when every factor is one, since its identity, inverses
+    and associativity restrict to each coordinate.
     """
     # groups imports the expression types to tag what it builds, so its
     # table builders can only be reached once both modules are loaded.

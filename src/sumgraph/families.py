@@ -7,13 +7,7 @@ codes come from a scan of squares.  They deliberately duplicate ground
 covered by the generic deciders in :mod:`sumgraph.codes` so the two can be
 cross-checked, and so share none of their rules: the only import from
 there is ``decide_perfect_code``, which re-checks each subgroup that
-:func:`is_code_perfect` refutes.  ``_family_checks`` tells ``scan`` which
-deciders fit a group.  The test suite runs every family decider against
-the generic one and the brute-force oracle over its whole family at desk
-scale.
-
-Abelian 2-group subgroups use the mixed-radix element indexing fixed by
-:func:`sumgraph.groups.abelian` (last factor varies fastest).
+:func:`is_code_perfect` refutes.
 """
 
 from __future__ import annotations
@@ -73,11 +67,9 @@ def abelian_2group_perfect_code(G: Group, K: Subgroup) -> bool:
     head the cosets whose blocks are complete graphs, and the socle shift
     is what supplies each block's self-paired vertex.  (Coordinate-aligned
     subgroups are the easy special case; the condition here is basis-free
-    and also settles the diagonal ones.)
-
-    Elements are handled as coordinate vectors (``np.unravel_index``, last
-    factor fastest) and never through the Cayley table, so this decider
-    stays an independent cross-check of the generic one.
+    and also settles the diagonal ones.)  Elements are handled as
+    coordinate vectors (``np.unravel_index``, last factor fastest), never
+    through the Cayley table.
     """
     require_subgroup(G, K)
     tag = G.tag

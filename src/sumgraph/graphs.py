@@ -3,18 +3,8 @@
 Given a group G and a normal subgroup H, the *sum graph* joins distinct
 x and y whenever x*y lands in H minus the identity; the *extended* variant
 keeps the identity, i.e. joins x and y whenever x*y is in H at all.
-Normality makes the relation symmetric, so both are simple graphs on G.
-Since x*y lies in H exactly when y lies in the right coset Hx^-1, a graph
-is read off the least member of every right coset, as the deciders read
-their cosets: extended row x is the bitmask of the coset Hx^-1, less x.
-The extended graph is then a disjoint union of blocks, one per coset unit
-of :func:`~sumgraph.groups._units`, the one place that pairs a coset with
-its inverse coset, so the build hands out its components with the rows;
-the public :func:`components` walks the graph it is given.
-
-Adjacency is stored as one Python int bitmask per vertex, which keeps the
-set algebra (coset masks, component walks, code checking) branch-free and
-fast for the orders this package supports.
+Normality makes the relation symmetric, so both are simple graphs on G,
+built by :func:`_sum_graphs`.
 """
 
 from __future__ import annotations
@@ -46,7 +36,9 @@ def _bits(mask: int) -> list[int]:
 
 
 class SumGraph:
-    """A simple graph on the elements of a group, one bitmask row per vertex."""
+    """A simple graph on the elements of a group, one Python int bitmask
+    row per vertex, so the set algebra of the build, the component walk
+    and the code checks is a few int operations per row."""
 
     def __init__(self, group: Group, subgroup: Subgroup, extended: bool, rows: tuple[int, ...]):
         self.group = group
@@ -58,9 +50,8 @@ class SumGraph:
     @cached_property
     def _component_masks(self) -> tuple[tuple[int, int], ...]:
         """Connected components as ``(mask, least)`` pairs, ordered by least
-        vertex, where ``least`` is the smallest degree in the component:
-        one BFS per component, walking each frontier low bit by low bit, so
-        every row is read once and its degree taken as it is read."""
+        vertex, ``least`` the smallest degree in it: one BFS per component,
+        so every row is read once and its degree taken as it is read."""
         rows = self.rows
         remaining = (1 << self.n) - 1
         out = []
@@ -106,27 +97,24 @@ def _sum_graphs(
     yielded one triple at a time.
 
     x*y lies in H exactly when y lies in the right coset Hx^-1 (H is
-    normal), so each graph is read off the least member of every right
-    coset, ``least[x]`` = min(Hx), and ``least_inv[x]`` = min(Hx^-1).
-    One pass over x ORs bit x into the mask of its coset, ``cm[least[x]]``
-    (:func:`~sumgraph.groups._coset_masks`), and extended row x is the mask
-    of the coset Hx^-1, less bit x when x lies in it: no n x n array is
-    made.  The relation is symmetric exactly when x -> x^-1 maps each
-    right coset into one coset, i.e. ``least_inv`` is constant on each.
-    The plain graph is the extended one less each pair {x, x^-1}, since
-    x * x^-1 = e is the one product it leaves out: row x drops the bit the
-    group keeps for x (``Group._inverse_bits``).  ``least`` is read off
-    H's record (:attr:`~sumgraph.groups.Subgroup._cosets`), which the
-    lattice keeps for every subgroup it lists: the build gathers no rows.
+    normal), so each graph is read off H's coset record
+    (:attr:`~sumgraph.groups.Subgroup._cosets`), ``least[x]`` = min(Hx),
+    with ``least_inv[x]`` = min(Hx^-1).  One pass over x ORs bit x into
+    the mask of its coset, ``cm[least[x]]`` (:func:`~sumgraph.groups._coset_masks`),
+    and extended row x is the mask of Hx^-1, less bit x when x lies in it:
+    no n x n array is made.  The relation is symmetric exactly when
+    x -> x^-1 maps each coset into one coset, i.e. ``least_inv`` is
+    constant on each.  The plain graph is the extended one less each pair
+    {x, x^-1}, as x * x^-1 = e is the one product it leaves out: row x
+    drops the bit ``Group._inverse_bits`` keeps for x.
 
     The components are ``(mask, least)`` pairs, one per coset unit
     ``(r, p)`` (:func:`~sumgraph.groups._units`): the mask of Hr and Hp,
-    ``least`` the smallest degree in it.  Every row of one coset is the
-    mask of the other, so the pair is closed, and it is complete bipartite
-    between them, or a clique on Hr when p == r: connected, with every
-    degree |H|, the size of a coset, less one in a clique.  These are the
-    ``(mask, least)`` pairs a walk of the extended graph finds
-    (:attr:`SumGraph._component_masks`).
+    and the smallest degree in it.  Every row of one coset is the mask of
+    the other, so the pair is closed, and it is complete bipartite between
+    them, or a clique on Hr when p == r: connected, every degree |H|, less
+    one in a clique.  These are the pairs a walk of the extended graph
+    finds (:attr:`SumGraph._component_masks`), so none is walked.
     """
     _require_type(G, Group)
     _require_iterable(subgroups, "subgroups")

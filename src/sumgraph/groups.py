@@ -1,22 +1,11 @@
 """Finite groups as validated Cayley tables.
 
 Elements are dense indices ``0..n-1`` into an ``n x n`` multiplication
-table.  The family constructors (cyclic, dihedral, dicyclic, abelian
-products, the quaternion group) fix canonical element orders and labels so
-that subgroups can be named stably in tests and on the command line:
-
-* ``cyclic(n)``      -- elements ``0..n-1``, labels ``"0".."n-1"``.
-* ``dihedral(n)``    -- ``a^0..a^{n-1}`` then ``a^0 b..a^{n-1} b``; labels
-  ``e, a, a^2, ..., b, ab, a^2b, ...``.
-* ``dicyclic(n)``    -- ``a^0..a^{2n-1}`` then ``a^1 b..a^{2n} b`` (so the
-  final index carries ``b`` itself); same label style.
-* ``direct_product`` -- tuples in lexicographic order, labels ``"(x,y)"``.
-
-Each constructor tags its group with the expression that rebuilds it
-(:mod:`sumgraph.exprs`), so ``str(G.tag)`` is the group's canonical name;
-a group built from a bare table has no tag and is named ``generic``.  It
-composes the whole table from its factors' tables and validates only that
-one table: a product is a group exactly when every factor is one.
+table.  The family constructors fix canonical element orders and labels,
+each given in its docstring, so that subgroups can be named stably in
+tests and on the command line.  Each tags its group with the expression
+that rebuilds it (:mod:`sumgraph.exprs`), so ``str(G.tag)`` is its
+canonical name; a group built from a bare table is named ``generic``.
 
 Groups and subgroups are immutable once constructed, so they may be shared
 freely between threads.
@@ -109,11 +98,9 @@ def max_supported_order() -> int:
 class Group:
     """A finite group on elements ``0..order-1`` with a validated table.
 
-    ``table`` is the table the validation read, C-ordered, read-only and
-    int16 (:data:`_TABLE_DTYPE`): the one copy made of a caller's table,
-    or the table a constructor built, kept as it is.
-    Do not call directly; use :func:`group_from_cayley_table` or one of the
-    family constructors, which perform the full validation.
+    ``table`` is the read-only int16 table that :func:`_validated_group`
+    checked, the one copy of it the group keeps.  Do not call directly;
+    use :func:`group_from_cayley_table` or a family constructor.
     """
 
     def __init__(
@@ -145,9 +132,8 @@ class Group:
 
     @cached_property
     def _inverse_bits(self) -> tuple[int, ...]:
-        """Bit x^-1 of each x, or 0 when x is its own inverse.  An extended
-        sum-graph row x always has that bit, since x * x^-1 = e lies in
-        every subgroup, so XOR-ing it out leaves the plain row."""
+        """Bit x^-1 of each x, or 0 when x is its own inverse: what
+        :func:`~sumgraph.graphs._sum_graphs` XORs out of an extended row."""
         return tuple(0 if y == x else 1 << y for x, y in enumerate(self.inverses))
 
     @cached_property
@@ -221,10 +207,8 @@ class Subgroup:
     proved it a subgroup and, once read, its cosets' record ``_cosets``."""
 
     def __init__(self, parent: Group, members: Iterable[int]):
-        """Check the input, then prove it a subgroup by generators: the
-        members, added in ascending order to a :class:`_Closure`, lie in
-        the subgroup its generators T generate, which :meth:`_take` checks
-        they are."""
+        """Check the input, then prove it a subgroup by :meth:`_take` over the
+        generators a :class:`_Closure` of the members, in ascending order, keeps."""
         _require_type(parent, Group)
         _require_iterable(members, "members")
         ms = sorted({_index(m, "member") for m in members})
@@ -277,11 +261,16 @@ class Subgroup:
 
     @cached_property
     def _cosets(self) -> "_Cosets":
-        """The right cosets' record, gathered once, on first use: entry x
-        of ``least`` is min(Hx), the column minimum of H's table rows, so
-        the heads are the x equal to their entry.  The minima are taken
-        over gathers of at most ``_LIGHT_BLOCK_CELLS`` cells, one block of
-        members to order 256, so a large H gathers no |H| x n array."""
+        """The right cosets' record, gathered once, on first use, and kept:
+        entry x of ``least`` is min(Hx), the column minimum of H's table
+        rows, taken over blocks of at most ``_LIGHT_BLOCK_CELLS`` cells, so
+        the heads are the x equal to their entry.  Every coset walk reads
+        this record and gathers no rows of its own: the deciders' coset
+        rules, the graph build (:func:`~sumgraph.graphs._sum_graphs`), the
+        coset units (:func:`_units`), :func:`right_cosets`, and the lattice
+        walk, which reads each subgroup's record as it reaches it, so every
+        subgroup :func:`normal_subgroups` lists holds one.  Coset masks are
+        not kept: they take n/8 bytes for each coset of each subgroup."""
         table, members = self.parent.table, self.members
         step = max(1, _LIGHT_BLOCK_CELLS // len(table))
         least = table.take(members[:step], axis=0).min(axis=0)
@@ -368,17 +357,15 @@ class _Closure:
     Cayley graph.
 
     ``_Closure(table, identity, gens)`` closes over ``gens`` in their
-    order, and ``closure.joined(gens)`` is a copy grown by more; the
-    columns of those, when the caller has them (a lattice join reuses its
-    atom's), are passed as ``columns`` and read from the table otherwise.
-    ``members`` (marked in ``reached``) is closed under right multiplication
-    by every generator added so far.  :meth:`add` skips a generator that is
-    already reached, so ``gens`` keeps only the ones the generators before
-    did not reach; otherwise it multiplies every member by the new
-    generator and every new element by all generators.  A generator's
-    column ``x -> x*g`` is read once as a plain list, so the cost is
-    O(n*|gens| + |H|*|gens|).  In a finite group the closure under right
-    multiplication is the generated subgroup, since inverses are powers.
+    order, and ``closure.joined(gens)`` is a copy grown by more, reusing
+    their ``columns`` when the caller has them (a lattice join has its
+    atom's).  ``members`` (marked in ``reached``) is closed under right
+    multiplication by every generator added so far, which in a finite
+    group makes it the generated subgroup, since inverses are powers.
+    :meth:`add` skips a generator already reached, so ``gens`` keeps only
+    the ones the generators before did not reach.  A generator's column
+    ``x -> x*g`` is read once as a plain list, so the cost is
+    O(n*|gens| + |H|*|gens|).
     """
 
     __slots__ = ("table", "reached", "members", "gens", "columns")
@@ -437,31 +424,25 @@ def _check_associative(table: np.ndarray, identity: int) -> tuple[int, ...]:
     """Light's associativity test, O(n^2 log n) on a group table; returns
     the elements it checked, which generate the group.
 
-    An element ``a`` passes when ``(x*a)*y == x*(a*y)`` for all x and y.
-    Products of passing elements pass too, on any table, so only a
-    generating set needs checking: pick the least element not yet reached,
-    check it with two table gathers, then close the reached set under right
-    multiplication by the checked elements.  The identity passes because it
-    is a two-sided identity.  Each passing round at least doubles the
-    reached set, on any table with a two-sided identity and two-sided
-    inverses: the reached set is associative, since its members pass, and
-    x*u = x*v gives u = (x^-1*x)*u = x^-1*(x*u) = v, so it is a finite
-    cancellative monoid, a group, and a subgroup of the next round's
-    (Lagrange).  So at most log2(n) rounds pass, and a table that is not a
-    group fails by round log2(n) + 1, whether or not it is a Latin square.
-    The reached set is grown by :class:`_Closure` in plain Python: array
-    BFS rounds cost more than the whole check at the small orders most
-    tables have.
+    An element ``a`` passes when ``(x*a)*y == x*(a*y)`` for all x and y,
+    and products of passing elements pass too, on any table, so only a
+    generating set needs checking: each round checks the least element not
+    yet reached, then closes the reached set, which starts at the identity,
+    under right multiplication by the checked elements.  On a table with a
+    two-sided identity and two-sided inverses, each passing round at least
+    doubles the reached set: it is associative, and x*u = x*v gives
+    u = (x^-1*x)*u = x^-1*(x*u) = v, so it is a finite cancellative monoid,
+    a group, and a subgroup of the next round's (Lagrange).  So at most
+    log2(n) rounds pass, and a table that is not a group fails by round
+    log2(n) + 1, Latin square or not.  The reached set is grown by
+    :class:`_Closure` in plain Python: array BFS rounds cost more than the
+    whole check at the small orders most tables have.
 
-    The table comes in the int16 :func:`_validated_group` narrows it
-    to, and each round gathers and compares it in blocks of rows
-    x of at most ``_LIGHT_BLOCK_CELLS`` cells, ascending, into two
-    C-ordered buffers that every block reuses: on D512 that is 128 rows,
-    two operands of 128 KB that stay in cache, and a round takes about
-    0.29 ms against 0.50 ms for two whole n x n operands of 0.5 MB each
-    (timeit, shared 2-core Xeon).  ``take`` fills both buffers, since a
-    fancy index such as ``table[:, table[a]]`` returns an F-ordered array,
-    and comparing arrays of two layouts walks one of them out of step.
+    Each round compares blocks of rows x of at most ``_LIGHT_BLOCK_CELLS``
+    cells, ascending, in two C-ordered buffers every block reuses: on D512,
+    two operands of 128 KB that stay in cache, not two of 0.5 MB.  ``take``
+    fills both, since a fancy index such as ``table[:, table[a]]`` returns
+    an F-ordered array, and comparing two layouts walks one out of step.
     The first failing block names the first failing (x, y) in row-major
     order, as one whole n x n compare would.
     """
@@ -515,12 +496,10 @@ def group_from_cayley_table(
     the Latin-square property (rows, then columns), a two-sided identity,
     two-sided inverses, and associativity (Light's test, O(n^2 log n)).
     Each failure names the offending indices.  The range check reads the
-    table as given; the later ones (:func:`_validated_group`) read a
-    C-ordered copy narrowed to int16 (:data:`_TABLE_DTYPE`), a cast the
-    range check and the order cap make exact, which becomes
-    ``Group.table``, so the caller's table stays the caller's.
-    The labels, when given, must be a sequence of n distinct strings, not
-    one string; a repeated one is named.
+    table as given, and :func:`_validated_group` an int16 copy of it, so
+    the caller's table stays the caller's.  The labels, when given, must
+    be a sequence of n distinct strings, not one string; a repeated one is
+    named.
     """
     try:
         table = np.asarray(table)
@@ -551,16 +530,14 @@ def _validated_group(table: np.ndarray, labels: Sequence[str] | None, tag: Group
     (:data:`_TABLE_DTYPE`) if it is not in it already, it becomes
     ``Group.table`` without a copy: a copy of D512's would be 0.5 MB more,
     and freeing it with the group makes the allocator give the heap's top
-    back to the system (a pass of the benchmark's 20 ``queries`` requests
-    took 225 minor page faults, against 5 without the copy).  A two-sided
-    identity, two-sided inverses and associativity make a group, whose
-    rows and columns are permutations, so those checks run first, and the
-    two sorts of the Latin-square check run only when one fails, to name
-    the fault: a table that is not a Latin square still raises
-    :class:`NotLatinSquareError`, after at most log2(n) + 1 rounds of
-    Light's test (:func:`_check_associative`).  The identity is looked for
-    only among the rows with a 0 in column 0, since e*0 = 0 (see
-    :func:`_identity_and_inverses`).
+    back to the system (225 minor page faults a pass of the benchmark's
+    20 ``queries`` requests, against 5 without the copy: BENCH_32.json).
+    A two-sided identity, two-sided inverses and associativity make a
+    group, whose rows and columns are permutations, so those checks run
+    first, and the two sorts of the Latin-square check run only when one
+    fails, to name the fault: a table that is not a Latin square still
+    raises :class:`NotLatinSquareError`, after at most log2(n) + 1 rounds
+    of Light's test (:func:`_check_associative`).
     """
     n = table.shape[0]
     arr = table.astype(_TABLE_DTYPE, copy=False)
@@ -598,10 +575,9 @@ def _identity_and_inverses(arr: np.ndarray) -> tuple[int, tuple[int, ...]]:
     x with x*y = e, which must also satisfy y*x = e.
 
     A two-sided identity e has e*0 = 0, so only the rows and columns of the
-    elements with a 0 in column 0 are compared with ``0..n-1``: one row and
-    one column on a Latin square, at most n of each on any table.  The
-    inverses are found in row blocks of ``_LIGHT_BLOCK_CELLS`` cells (one
-    block to order 256), so no n x n mask is made."""
+    elements with a 0 in column 0 are compared with ``0..n-1``: one of each
+    on a Latin square.  The inverses are found in row blocks of
+    ``_LIGHT_BLOCK_CELLS`` cells, so no n x n mask is made."""
     n = arr.shape[0]
     expect = np.arange(n, dtype=arr.dtype)
     for e in (arr[:, 0] == 0).nonzero()[0].tolist():
@@ -625,12 +601,13 @@ def _identity_and_inverses(arr: np.ndarray) -> tuple[int, tuple[int, ...]]:
 
 
 def cyclic(n: int) -> Group:
-    """The cyclic group Z_n on ``0..n-1`` under addition mod n."""
+    """The cyclic group Z_n on ``0..n-1`` under addition mod n, labelled ``"0".."n-1"``."""
     return build_group(CyclicExpr(_index(n, "cyclic order", low=1)))
 
 
 def dihedral(n: int) -> Group:
-    """The dihedral group of order 2n (n >= 3): rotations first, then flips."""
+    """The dihedral group of order 2n (n >= 3): rotations a^0..a^(n-1) first,
+    then flips a^0 b..a^(n-1) b, labelled ``e, a, a^2, ..., b, ab, a^2b, ...``."""
     return build_group(DihedralExpr(2 * _index(n, "dihedral parameter", low=3)))
 
 
@@ -638,7 +615,8 @@ def dicyclic(n: int) -> Group:
     """The dicyclic group of order 4n (n >= 2).
 
     Generators a, b with a of order 2n, b^2 = a^n and b a b^-1 = a^-1.
-    Indices ``0..2n-1`` are ``a^i``; index ``2n + i`` is ``a^{i+1} b``.
+    Indices ``0..2n-1`` are ``a^i``; index ``2n + i`` is ``a^{i+1} b``, so
+    the last index is ``b`` itself; labelled as :func:`dihedral` is.
     """
     return build_group(DicyclicExpr(_index(n, "dicyclic parameter", low=2)))
 
@@ -650,7 +628,7 @@ def quaternion() -> Group:
 
 
 def direct_product(*factors: Group) -> Group:
-    """Direct product; element tuples ordered lexicographically."""
+    """Direct product; element tuples ordered lexicographically, labelled ``"(x,y)"``."""
     if not factors:
         raise BadParameterError("direct_product needs at least one factor")
     for g in factors:
@@ -902,48 +880,40 @@ def _lattice(G: Group) -> list[Subgroup]:
     from its join's closure by :meth:`Subgroup._of_closure`, with the
     coset record (:attr:`Subgroup._cosets`) the walk read.
 
-    The atoms are the subgroups generated by the conjugacy classes; a class
-    is closed under conjugation, so the atom of g is the normal closure of
-    g.  Classes come in order of least member g, and g^j for j prime to
-    ord(g) generates the same cyclic subgroup as g, so the class of g^j has
-    the same normal closure: after closing the atom of g, its coprime
-    powers are marked with it, and a later class holding a marked element
-    takes that atom without a closure (its rational class, as in Holt,
-    Eick and O'Brien, *Handbook of Computational Group Theory*): Z_n closes
-    d(n) atoms, not n.  Distinct rational classes can still share a normal
-    closure ((12) and (1234) in S4), so the closed atoms are deduplicated
-    by their reached set as well.  Starting from {e}, the atom of the
-    identity's class, every subgroup B found is joined with atoms; every
-    normal subgroup is the join of the atoms of the classes it contains,
-    so the fixed point is the whole normal lattice.
+    The atoms are the normal closures of the conjugacy classes.  g^j, for
+    j prime to ord(g), generates the subgroup g does, so its class has g's
+    atom.  Classes come in order of least member; after closing the atom
+    of g, its coprime powers are marked with it, and a later class holding
+    a marked element takes that atom with no closure (its rational class,
+    as in Holt, Eick and O'Brien, *Handbook of Computational Group
+    Theory*): Z_n closes d(n) atoms, not n.  Two rational classes can still
+    share a closure ((12) and (1234) in S4); the atom is then kept twice,
+    and its copy only makes keys already found.  Every normal subgroup is
+    the join of the atoms of the classes it contains, so joining each
+    subgroup B found with atoms, from {e}, reaches the whole lattice.
 
-    Two guards keep the joins few, as in Neubüser's cyclic extension
-    method.  The join of B with the atom of g depends only on the coset Bg,
-    since B is normal: the walk joins only at each head of a coset of B
-    outside B, read off B's coset record (:attr:`Subgroup._cosets`), so no
-    atom inside B is joined.  Elements of one class lie in many cosets, so
-    each atom is joined at most once per base as well.  A join is keyed
-    before it is closed: B and the atom A are both normal, so BA, their
-    join, is the union of the cosets Ba for a in A, the OR of the masks of
-    the cosets headed by least[a] (:func:`_product_mask`), made by
-    :func:`_coset_masks` from B's record once per base.  Only a key not
-    yet found is closed, by a BFS from B's generators plus A's, which must
-    reach exactly the key's members; so each subgroup is closed once, by
-    the first join that finds it, with the generators it has always had.  The cost is at most
-    #found x min(#cosets, #atoms) keys of O(|A|) each, one
-    O(|join| * |gens|) closure per subgroup, and one column minimum of B's
-    table rows and one pass over its cosets per base.  A base becomes its
-    subgroup, which gathers its record, when it is popped, and its closure
-    is dropped once its walk ends: only the queued closures are held, not
-    one per subgroup.
+    As in Neubüser's cyclic extension method, the join of B with the atom
+    of g depends only on the coset Bg, since B is normal, so B is joined
+    only at the heads of its cosets outside B, read off its coset record,
+    and with each atom at most once.  A join is keyed before it is closed:
+    for normal B and A, BA is the union of the cosets Ba, a in A, the OR of
+    B's coset masks (:func:`_coset_masks`) at the heads least[a]
+    (:func:`_product_mask`).  Only a key not yet found is closed, by a BFS
+    from B's generators plus A's that must reach exactly the key's members,
+    so each subgroup is closed once, with the generators it always keeps.
+    That is at most #found x min(#cosets, #atoms) keys of O(|A|) each and
+    one O(|join| * |gens|) closure per subgroup.  A base becomes its
+    subgroup, gathering its record, when it is popped, and its closure is
+    dropped once its walk ends, so only the queued closures are held.
 
-    The lattice can be far too large to list (E2^8 has 417,199 normal
-    subgroups), so a lower bound on its size (:func:`_normal_subgroup_bound`)
-    is checked against :data:`SUBGROUP_BUDGET` before any join, and the
-    count of subgroups found is checked as they are found; over the budget
-    is a :class:`BadParameterError` that names the count.  The same bound
-    certifies the walk: a count below it, or other than it for an abelian G,
-    where it is exact, is an :class:`InternalInconsistencyError`.
+    The lattice can be far too large to list, whatever the algorithm (in an
+    abelian group every subgroup is normal: E2^6 has 2,825, E2^8 417,199),
+    so a lower bound on its size (:func:`_normal_subgroup_bound`) is checked
+    against :data:`SUBGROUP_BUDGET` before any join, and the count found as
+    it grows; over the budget is a :class:`BadParameterError` that names
+    the count.  The same bound certifies the walk: a count below it, or
+    other than it for an abelian G, where it is exact, is an
+    :class:`InternalInconsistencyError`.
     """
     bound = _normal_subgroup_bound(G)
     if bound > SUBGROUP_BUDGET:
@@ -953,14 +923,11 @@ def _lattice(G: Group) -> list[Subgroup]:
     e = G.identity
     atoms: list[_Closure] = []
     atom_of = [-1] * G.order  # atom_of[g]: index in atoms of the normal closure of g, -1 until known
-    index: dict[bytes, int] = {}
     for cls in conjugacy_classes(G):
         k = max(map(atom_of.__getitem__, cls))  # a marked member's atom, or -1
         if k < 0:
-            atom = _Closure(G.table, e, cls)
-            k = index.setdefault(bytes(atom.reached), len(atoms))
-            if k == len(atoms):
-                atoms.append(atom)
+            k = len(atoms)
+            atoms.append(_Closure(G.table, e, cls))
             times_g, powers = G.table[:, cls[0]].tolist(), [e]
             while (x := times_g[powers[-1]]) != e:  # powers[j] = g^j for j < ord(g)
                 powers.append(x)
@@ -1028,25 +995,10 @@ def _product_mask(masks: list[int], least: Sequence[int], members: Iterable[int]
 
 
 def normal_subgroups(G: Group) -> list[Subgroup]:
-    """All normal subgroups, sorted by (order, member tuple).
-
-    They are the joins of the normal closures of the conjugacy classes,
-    one closure per rational class at most, found by keying the join of
-    each subgroup found with one atom per coset and per atom by its cosets
-    and closing only the new ones (see :func:`_lattice`).  In an abelian
-    group those closures are the cyclic subgroups: Z48 closes its 10, not
-    48 classes, and makes 9 joins, one per subgroup past the trivial one.
-
-    The result is computed once per group and returned as a fresh list.
-    Each subgroup in it keeps the coset record the walk read
-    (:attr:`Subgroup._cosets`), which the graph build and the deciders
-    read instead of gathering table rows again.
-    Its size is a hard limit that no algorithm avoids: in an abelian group
-    every subgroup is normal, and E2^6 has 2825 subgroups, E2^7 29,212 and
-    E2^8 417,199.  A group with more than
-    :data:`SUBGROUP_BUDGET` normal subgroups raises
-    :class:`BadParameterError` instead, before any join when a lower bound
-    read off G/G' already exceeds it.
+    """All normal subgroups, sorted by (order, member tuple), found once
+    per group by :func:`_lattice` and returned as a fresh list.  A group
+    with more than :data:`SUBGROUP_BUDGET` normal subgroups raises
+    :class:`BadParameterError` instead.
     """
     _require_type(G, Group)
     return list(G._normal_subgroups)
@@ -1058,10 +1010,9 @@ def normal_subgroups(G: Group) -> list[Subgroup]:
 
 
 def right_cosets(G: Group, H: Subgroup) -> list[tuple[int, ...]]:
-    """The partition of G into right cosets Hx, each a sorted tuple of its
-    members, so its first entry, the least member, is its representative;
-    the identity's coset first, the rest ordered by representative.  Read
-    off H's coset record (:attr:`Subgroup._cosets`)."""
+    """The partition of G into right cosets Hx, read off H's coset record
+    (:attr:`Subgroup._cosets`): each a sorted tuple, whose first entry is
+    its representative, H first and the rest by representative."""
     require_subgroup(G, H)
     members: dict[int, list[int]] = {H.members[0]: []}  # He = H, so min(H) names it
     for x, rep in enumerate(H._cosets.least):  # x ascends: reps met in order, members sorted
@@ -1070,10 +1021,9 @@ def right_cosets(G: Group, H: Subgroup) -> list[tuple[int, ...]]:
 
 
 class _Cosets(NamedTuple):
-    """The right cosets of a subgroup H of G: ``least[x]`` = min(Hx), and
-    ``heads``, the x with ``least[x] == x`` ascending, the least member of
-    each coset.  Both are int16 ``array``s, 2 bytes an entry, not lists,
-    since a group keeps its whole lattice and so a record per subgroup."""
+    """The record :attr:`Subgroup._cosets` keeps: ``least[x]`` = min(Hx) and
+    the ascending ``heads``, as int16 ``array``s, 2 bytes an entry, not
+    lists, since a group keeps its whole lattice and so a record per subgroup."""
 
     least: array
     heads: array
@@ -1082,7 +1032,9 @@ class _Cosets(NamedTuple):
 def _units(H: Subgroup) -> list[tuple[int, int]]:
     """The coset units of a normal H, the one place that pairs a coset with its
     inverse coset: ``(r, p)`` for each head r, ascending, whose inverse coset
-    Hr^-1 has head p = ``least[r^-1]`` >= r; p == r exactly when r*r is in H."""
+    Hr^-1 has head p = ``least[r^-1]`` >= r; p == r exactly when r*r is in H.
+    The plain perfect-code rule, the extended total rule and the graph
+    build's components (one per unit) walk them."""
     least, inv = H._cosets.least, H.parent.inverses
     return [(r, p) for r in H._cosets.heads if (p := least[inv[r]]) >= r]
 
@@ -1149,12 +1101,11 @@ def sweep_groups(max_order: int, families: Sequence[str] = SWEEP_FAMILIES) -> It
 
     Cyclic groups by order, dihedral and dicyclic groups by parameter, one
     group per abelian isomorphism type with at least two factors (the
-    others are cyclic), and, when ``"quaternion"`` is named, Q8.  The
-    default is :data:`SWEEP_FAMILIES`, every family but the quaternion
-    one, since Q8 is the dicyclic Dic2 under other labels.  Families
-    other than a list or tuple of names (a lone name given as a string, a
-    set, an iterator), an empty family list, an unknown or repeated family
-    and a ``max_order`` below 1 or above the cap raise
+    others are cyclic), and, when ``"quaternion"`` is named, Q8, which the
+    default, :data:`SWEEP_FAMILIES`, leaves out.  Families other than a
+    list or tuple of names (a lone name given as a string, a set, an
+    iterator), an empty family list, an unknown or repeated family and a
+    ``max_order`` below 1 or above the cap raise
     :class:`BadParameterError` here, before any group is built.
     """
     max_order = _index(max_order, "max_order", low=1)

@@ -25,7 +25,7 @@ from sumgraph import (
 from sumgraph import groups as groups_module
 from sumgraph.cli import main
 
-from helpers import greedy_generators, sweep
+from helpers import greedy_generators, sweep, sweep_reports
 
 
 def run(capsys, *argv):
@@ -387,6 +387,9 @@ def test_scan_small_sweep(capsys):
     assert "family_dicyclic" in deciders
     assert "family_abelian_total" in deciders
     assert "scan:" in err and "0 disagreements" in err
+    rc, out, err = run(capsys, "scan", "--max-order", "1")  # the least order swept: Z1 alone
+    assert (rc, err) == (0, "scan: 1 groups, 6 checks, 0 disagreements\n")
+    assert [json.loads(line)["group"] for line in out.splitlines()] == ["Z1"] * 6
 
 
 def test_scan_reports_a_disagreement(capsys, monkeypatch):
@@ -914,3 +917,62 @@ def test_every_readme_command_and_selector_works(capsys, monkeypatch, tmp_path):
     for selector, expr in groups.items():
         G = build_group(parse_group_expr(expr))
         assert len(cli.resolve_subgroup(G, selector)) > 1, selector
+
+
+def _readme_notes() -> str:
+    text = README.read_text(encoding="utf-8")
+    return text[text.index("\n## Notes\n") :]
+
+
+def test_readme_notes_stay_short():
+    """The README's Notes, from their heading to the end, state the
+    contract in under 800 words; the design lives in the docstrings."""
+    assert len(_readme_notes().split()) < 800
+
+
+_FIGURE = re.compile(r"\b\d+(?:[.,]\d+)*(?:\s?[–-]\s?\d+(?:[.,]\d+)*)?\s?(?:ms|MB|s)\b")
+
+
+def test_every_readme_figure_names_its_bench_file():
+    """Each paragraph or bullet of the README that gives a time or a
+    memory figure names a ``BENCH_*.json`` of the repository, the record
+    of how it was measured."""
+    root = README.parent
+    units = re.split(r"\n\s*\n|\n(?=- )", README.read_text(encoding="utf-8"))
+    figures = 0
+    for unit in units:
+        found = _FIGURE.findall(unit)
+        if found:
+            figures += len(found)
+            names = re.findall(r"BENCH_\d+\.json", unit)
+            assert names, (found, unit)
+            assert all((root / name).is_file() for name in names), names
+    assert figures, "the pattern matched no figure"
+
+
+_DECIDERS = {
+    ("plain", "perfect"): "decide_perfect_code",
+    ("plain", "total"): "decide_total_perfect_code",
+    ("extended", "perfect"): "decide_perfect_code_extended",
+    ("extended", "total"): "decide_total_perfect_code_extended",
+}
+
+
+def test_readme_rules_table_lists_the_rules_the_deciders_return():
+    """The README's rules table has one row per (decider, rule) pair that
+    the four deciders return over the test sweep, and no other, with the
+    answer each gives; the CLI's oracle row is the one addition."""
+    table = [
+        tuple(c.strip().strip("`") for c in re.split(r"(?<!\\)\|", line)[1:4])
+        for line in _readme_notes().splitlines()
+        if line.startswith("| `")
+    ]
+    rows = set(table)
+    assert len(rows) == len(table)
+    rows.remove(("code --oracle", "bruteforce-oracle", "either"))
+    returned = {
+        (_DECIDERS[e.verdict.flavor, e.verdict.kind], e.verdict.rule, "yes" if e.verdict.exists else "no")
+        for _, report in sweep_reports()
+        for e in report.entries
+    }
+    assert rows == returned

@@ -841,6 +841,9 @@ def test_subgroup_validation():
         Subgroup(G, [])
     with pytest.raises(NotASubgroupError):
         Subgroup(G, [0, 99])  # out of range
+    for members, bad in (([-1, 0], -1), ([0, 5], 5)):  # the member named is the one out of range
+        with pytest.raises(NotASubgroupError, match=rf"^member {bad} out of range 0\.\.4$"):
+            Subgroup(cyclic(5), members)
     with pytest.raises(NotASubgroupError, match="<5001-digit number> out of range"):
         Subgroup(G, [0, 10**5000])
     assert Subgroup(G, [np.int64(0), np.int64(6)]).members == (0, 6)
@@ -1063,9 +1066,9 @@ def test_lattice_and_coset_records_do_not_depend_on_labels():
     member for member, over sweep(32), the benchmark's verify groups, and
     A4 and S4 built from permutations.  In S4 the transposition (12) and
     the 4-cycle (1234) lie in two rational classes with one normal
-    closure, S4 itself, so the atoms are still deduplicated by their
-    members.  Each subgroup's coset record holds min(Hx) for every x, in
-    the table's dtype, and the heads read off it."""
+    closure, S4 itself, so that atom is closed twice, and S4 must still
+    be listed once.  Each subgroup's coset record holds min(Hx) for every
+    x, in the table's dtype, and the heads read off it."""
     A4 = permutation_group([(1, 2, 0, 3), (0, 2, 3, 1)])
     S4 = permutation_group([(1, 2, 3, 0), (1, 0, 2, 3)])
     groups = [*sweep(32), *(build_group(parse_group_expr(text)) for text in VERIFY_GROUPS), A4, S4]
@@ -1385,6 +1388,7 @@ def test_sweep_rejects_an_empty_or_repeated_family_list():
     with pytest.raises(BadParameterError, match="unknown family"):
         sweep_groups(8, [["cyclic"]])  # an unhashable name
     assert [G.name for G in sweep_groups(8, ["quaternion", "cyclic"])][:2] == ["Q8", "Z1"]
+    assert [G.name for G in sweep_groups(1)] == ["Z1"]
 
 
 # Dedekind-Baer: every subgroup is normal exactly in the abelian groups and
